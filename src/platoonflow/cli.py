@@ -14,13 +14,13 @@ as the long options); explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv, write_curves_csv, write_metrics_csv, write_region_csv
+from .csvio import (read_metrics_csv, write_csv, write_curves_csv, write_metrics_csv,
+                    write_region_csv)
 from .energy import equilibrium_curves
 from .experiments import (SweepSpec, emit_plot_data, run_sweep,
                           verify_probability_model, verify_stability)
@@ -44,21 +44,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-# dest -> converter, shared by option parsing and config files
-_CONVERTERS = {
-    "densities": _float_list, "penetrations": _float_list, "combos": _int_list,
-    "intensities": _float_list,
-    "ring_length": float, "dt": float, "duration": float, "warmup": float,
-    "record_every": int, "seed": int, "jobs": int,
-    "vehicles": int, "runs": int,
-    "p_start": float, "p_stop": float, "p_step": float,
-    "v_start": float, "v_stop": float, "v_step": float,
-    "outdir": str, "metrics": str,
-    "save_trajectories": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """KEY=VALUE defaults for one verb, converted by that verb's own options."""
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -67,10 +56,13 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CONVERTERS:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[dest] = _CONVERTERS[dest](raw)
+        if action.nargs == 0:  # store_true flag
+            values[action.dest] = raw.lower() in ("1", "true", "yes")
+        else:
+            values[action.dest] = (action.type or str)(raw)
     return values
 
 
@@ -205,43 +197,23 @@ def _cmd_plot_data(args) -> int:
     return 0
 
 
-def read_metrics_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = dict(rec)
-            row["combo"] = int(rec["combo"])
-            for key in rec:
-                if key in ("combo", "status"):
-                    continue
-                row[key] = float(rec[key])
-            rows.append(row)
-    return rows
-
-
 _COMMANDS = {"sweep": _cmd_sweep, "verify-prob": _cmd_verify_prob,
              "verify-stability": _cmd_verify_stability, "curves": _cmd_curves,
              "plot-data": _cmd_plot_data}
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    cfg_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-    if cfg_path is not None:
-        command = next((tok for tok in argv if not tok.startswith("-")), None)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # file values become defaults, so a second parse lets explicit flags win
+        sub = subparsers[args.command]
         try:
-            if command in subparsers:
-                subparsers[command].set_defaults(**_load_config(cfg_path))
+            sub.set_defaults(**_load_config(args.config, sub))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -8,6 +8,7 @@ one routine that checks its own schema before touching the disk.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 from typing import Sequence
 
@@ -57,6 +58,20 @@ def write_metrics_csv(rows: Sequence[dict], path: str | Path) -> Path:
     table = [[r[k] for k in METRICS_HEADER] for r in rows]
     # rows arrive sorted by (combo, p, density)
     return write_csv(path, METRICS_HEADER, table, key_cols=(2, 1, 0))
+
+
+def read_metrics_csv(path: str | Path) -> list[dict]:
+    rows = []
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            row = dict(rec)
+            row["combo"] = int(rec["combo"])
+            for key in rec:
+                if key in ("combo", "status"):
+                    continue
+                row[key] = float(rec[key])
+            rows.append(row)
+    return rows
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str | Path) -> Path:

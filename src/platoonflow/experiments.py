@@ -71,13 +71,12 @@ def run_cell(spec: SweepSpec, density: float, p: float, combo: int,
              save_dir: str | Path | None = None) -> dict:
     """Simulate one cell and reduce it to a metrics row."""
     row = {"combo": combo, "p": p, "density": density}
-    config = SimConfig(density=density, p=p, combo_id=combo,
-                       ring_length=spec.ring_length, dt=spec.dt,
-                       duration=spec.duration, warmup=spec.warmup,
-                       record_every=spec.record_every,
-                       seed=cell_seed(spec.base_seed, density, p, combo))
     try:
-        log = run(config)
+        log = run(SimConfig(density=density, p=p, combo_id=combo,
+                            ring_length=spec.ring_length, dt=spec.dt,
+                            duration=spec.duration, warmup=spec.warmup,
+                            record_every=spec.record_every,
+                            seed=cell_seed(spec.base_seed, density, p, combo)))
     except (ValueError, SimulationError) as exc:
         print(f"cell combo={combo} p={p:g} density={density:g} failed: {exc}",
               file=sys.stderr)

@@ -2,14 +2,20 @@
 
 The update is synchronous: every controller reads the state left by the
 previous step, then positions and speeds advance together under a
-clamped Euler rule. Controller evaluation is vectorized per strategy
-group but calls the exact functions from the controllers module, so the
-engine cannot drift from the unit-tested formulas.
+clamped Euler rule. Each vehicle's control wiring (predecessor, platoon
+leader and hops, rear-gap source, time gap) is resolved once per run
+into a vehicle table. Every step gathers one full-fleet ControlContext
+from that table and evaluates each strategy present with the exact
+functions from the controllers module, keeping only its own members'
+outputs, so the engine cannot drift from the unit-tested formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +49,11 @@ class SimConfig:
     record_every: int = 10         # steps between samples
 
     def __post_init__(self) -> None:
+        for name in ("density", "p", "intensity", "ring_length", "dt", "duration",
+                     "warmup", "v_max", "a_max", "a_min"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.density is not None and self.density <= 0:
             raise ValueError(f"density must be positive, got {self.density}")
         if not 0.0 <= self.p <= 1.0:
@@ -102,43 +113,45 @@ class TrajectoryLog:
     assignments: list[Assignment]
 
 
-@dataclass
-class _Groups:
-    """Index arrays resolved once per run, one per strategy family."""
+@dataclass(frozen=True)
+class _VehicleTable:
+    """Per-vehicle control wiring, resolved once per run from the assignments.
 
-    hv: np.ndarray
-    ctg: np.ndarray
-    ctg_h: np.ndarray
-    vtg1: np.ndarray
-    vtg2: np.ndarray
-    cs: np.ndarray
-    cs_leader: np.ndarray
-    cs_hops: np.ndarray
-    bs: np.ndarray
-    bs_rear_follower: np.ndarray  # index whose front gap is the rear gap read
+    Every column has one entry per vehicle, so the kernel fills one
+    full-fleet ControlContext; a column a vehicle's law does not read
+    holds a neutral value (the vehicle itself, 0, or NaN for the CTG
+    time gap, which is bound into the CTG law).
+    """
+
+    pred: np.ndarray    # predecessor index
+    leader: np.ndarray  # CS platoon leader, else the vehicle itself
+    hops: np.ndarray    # CS gaps between leader and self, else 0
+    rear: np.ndarray    # whose front gap BS reads as its rear gap, else itself
+    laws: tuple[tuple[Callable, np.ndarray], ...]  # (law, members) per strategy present
 
 
-def _build_groups(assignments: list[Assignment], n: int) -> _Groups:
-    by = {s: [] for s in Strategy}
+def _build_table(assignments: list[Assignment], n: int) -> _VehicleTable:
+    own = np.arange(n)
+    leader, rear = own.copy(), own.copy()
+    hops = np.zeros(n)
+    h = np.full(n, np.nan)
+    members: dict[Strategy, list[int]] = {s: [] for s in Strategy}
     for i, asg in enumerate(assignments):
-        by[asg.strategy].append(i)
-    idx = lambda name: np.array(by[name], dtype=np.intp)
-    ctg = idx(Strategy.CTG)
-    cs = idx(Strategy.CS)
-    bs = idx(Strategy.BS)
-    return _Groups(
-        hv=idx(Strategy.HV),
-        ctg=ctg,
-        ctg_h=np.array([assignments[i].h for i in ctg], dtype=float),
-        vtg1=idx(Strategy.VTG1),
-        vtg2=idx(Strategy.VTG2),
-        cs=cs,
-        cs_leader=np.array([assignments[i].leader for i in cs], dtype=np.intp),
-        cs_hops=np.array([assignments[i].hops for i in cs], dtype=float),
-        bs=bs,
-        bs_rear_follower=np.array([(assignments[i].rear_source + 1) % n for i in bs],
-                                  dtype=np.intp),
-    )
+        members[asg.strategy].append(i)
+        if asg.strategy is Strategy.CTG:
+            h[i] = asg.h
+        elif asg.strategy is Strategy.CS:
+            leader[i], hops[i] = asg.leader, asg.hops
+        elif asg.strategy is Strategy.BS:
+            rear[i] = (asg.rear_source + 1) % n
+    # looked up per run, not at import, so module-level wrappers take effect
+    law_of = {Strategy.HV: hv_accel, Strategy.CTG: partial(ctg_accel, h=h),
+              Strategy.VTG1: vtg1_accel, Strategy.VTG2: vtg2_accel,
+              Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
+    laws = tuple((law_of[s], np.array(idx, dtype=np.intp))
+                 for s, idx in members.items() if idx)
+    return _VehicleTable(pred=(own - 1) % n, leader=leader, hops=hops, rear=rear,
+                         laws=laws)
 
 
 def init_state(config: SimConfig) -> RingState:
@@ -166,54 +179,30 @@ def init_state(config: SimConfig) -> RingState:
 
 
 def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
-             groups: _Groups):
+             table: _VehicleTable):
     """One synchronous step; returns new arrays plus observed violations."""
-    n = x.size
     ring = config.ring_length
-    x_pred = np.roll(x, 1)
-    v_pred = np.roll(v, 1)
-    a_pred = np.roll(a, 1)
-    dx = (x_pred - x) % ring
-    if n == 1:
+    dx = (x[table.pred] - x) % ring
+    if x.size == 1:
         dx[:] = ring
     gap = dx - VEHICLE_LENGTH
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
 
-    u = np.zeros(n)
-    g = groups
-    if g.hv.size:
-        u[g.hv] = hv_accel(ControlContext(
-            v=v[g.hv], gap=gap_c[g.hv], v_pred=v_pred[g.hv], a_pred=a_pred[g.hv]))
-    if g.ctg.size:
-        u[g.ctg] = ctg_accel(ControlContext(
-            v=v[g.ctg], gap=gap_c[g.ctg], v_pred=v_pred[g.ctg],
-            a_pred=a_pred[g.ctg]), h=g.ctg_h)
-    if g.vtg1.size:
-        u[g.vtg1] = vtg1_accel(ControlContext(
-            v=v[g.vtg1], gap=gap_c[g.vtg1], v_pred=v_pred[g.vtg1],
-            a_pred=a_pred[g.vtg1]))
-    if g.vtg2.size:
-        u[g.vtg2] = vtg2_accel(ControlContext(
-            v=v[g.vtg2], gap=gap_c[g.vtg2], v_pred=v_pred[g.vtg2],
-            a_pred=a_pred[g.vtg2]))
-    if g.cs.size:
-        u[g.cs] = cs_accel(ControlContext(
-            v=v[g.cs], gap=gap_c[g.cs], v_pred=v_pred[g.cs], a_pred=a_pred[g.cs],
-            leader_dx=(x[g.cs_leader] - x[g.cs]) % ring,
-            v_leader=v[g.cs_leader], a_leader=a[g.cs_leader],
-            leader_hops=g.cs_hops))
-    if g.bs.size:
-        u[g.bs] = bdbm_accel(ControlContext(
-            v=v[g.bs], gap=gap_c[g.bs], v_pred=v_pred[g.bs], a_pred=a_pred[g.bs],
-            follower_gap=gap_c[g.bs_rear_follower]))
+    ctx = ControlContext(v=v, gap=gap_c, v_pred=v[table.pred], a_pred=a[table.pred],
+                         leader_dx=(x[table.leader] - x) % ring,
+                         v_leader=v[table.leader], a_leader=a[table.leader],
+                         leader_hops=table.hops, follower_gap=gap_c[table.rear])
+    u = np.zeros(x.size)
+    for law, idx in table.laws:
+        u[idx] = law(ctx)[idx]
 
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         i = int(bad[0])
         raise SimulationError(
-            f"non-finite desired acceleration for vehicle {i}: "
-            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v_pred[i]!r} a_pred={a_pred[i]!r}")
+            f"non-finite desired acceleration for vehicle {i}: v={v[i]!r} "
+            f"gap={gap_c[i]!r} v_pred={ctx.v_pred[i]!r} a_pred={ctx.a_pred[i]!r}")
 
     a_cmd = np.clip(u, config.a_min, config.a_max)
     v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)
@@ -224,8 +213,8 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
 
 def step(state: RingState, config: SimConfig) -> tuple[RingState, list[Violation]]:
     """Advance one step; mainly for tests, run_state drives the same kernel."""
-    groups = _build_groups(state.assignments, state.n)
-    x, v, a, vi, vg = _advance(state.x, state.v, state.a, config, groups)
+    table = _build_table(state.assignments, state.n)
+    x, v, a, vi, vg = _advance(state.x, state.v, state.a, config, table)
     new = RingState(x=x, v=v, a=a, labels=state.labels, platoons=state.platoons,
                     assignments=state.assignments)
     return new, [Violation(0.0, int(i), float(g)) for i, g in zip(vi, vg)]
@@ -244,7 +233,7 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     accs = np.empty((m, n))
     violations: list[Violation] = []
 
-    groups = _build_groups(state.assignments, n)
+    table = _build_table(state.assignments, n)
     x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
     row = 0
     for k in range(steps):
@@ -254,7 +243,7 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
             vs[row] = v
             accs[row] = a
             row += 1
-        x, v, a, vi, vg = _advance(x, v, a, config, groups)
+        x, v, a, vi, vg = _advance(x, v, a, config, table)
         if vi.size:
             t = k * config.dt
             violations.extend(Violation(t, int(i), float(gp))

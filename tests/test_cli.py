@@ -2,7 +2,8 @@
 
 import pytest
 
-from platoonflow.cli import build_parser, main, read_metrics_csv
+from platoonflow.cli import build_parser, main
+from platoonflow.csvio import read_metrics_csv
 
 
 def test_sweep_writes_metrics(tmp_path, capsys):
@@ -113,10 +114,13 @@ def test_config_file_supplies_defaults(tmp_path):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("densitees=55\n")
-    code = main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # a typo, and keys that belong to another verb's options
+    for verb, text in (("sweep", "densitees=55\n"),
+                       ("verify-stability", "vehicles=5\ncombos=1-3\n")):
+        cfg.write_text(text)
+        code = main([verb, "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_build_parser_lists_all_verbs():

@@ -74,6 +74,13 @@ def test_run_cell_error_row(capsys):
     assert "density=250" in capsys.readouterr().err
 
 
+def test_non_finite_spec_gives_error_row_not_abort(capsys):
+    rows = run_sweep(SweepSpec(densities=(15.0,), penetrations=(1.0,), combos=(1,),
+                               ring_length=math.inf, **DESK))
+    assert [r["status"] for r in rows] == ["error"]
+    assert "ring_length" in capsys.readouterr().err
+
+
 def test_run_cell_saves_trajectories(tmp_path):
     spec = SweepSpec(**DESK)
     run_cell(spec, 15.0, 0.8, 1, save_dir=tmp_path)

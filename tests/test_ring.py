@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 from conftest import equilibrium_flow
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonflow.controllers import Strategy, VEHICLE_LENGTH
+from platoonflow.controllers import (VEHICLE_LENGTH, ControlContext, Strategy,
+                                     bdbm_accel, cs_accel, ctg_accel, hv_accel,
+                                     vtg1_accel, vtg2_accel)
 from platoonflow.fleet import VehicleClass
-from platoonflow.platoons import Assignment
-from platoonflow.ring import (RingState, SafetySummary, SimConfig,
+from platoonflow.platoons import COMBOS, Assignment
+from platoonflow.ring import (GAP_FLOOR, RingState, SafetySummary, SimConfig,
                               SimulationError, TrajectoryLog, Violation,
                               init_state, run, run_state, safety_scan, step)
 
@@ -82,6 +86,14 @@ def test_config_validation():
         SimConfig(density=20.0, record_every=0)
     with pytest.raises(ValueError):
         SimConfig(density=20.0, a_min=0.5)
+
+
+@pytest.mark.parametrize("field", ["density", "p", "intensity", "ring_length", "dt",
+                                   "duration", "warmup", "v_max", "a_max", "a_min"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{"density": 20.0, field: value})
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CTG, Strategy.VTG1,
@@ -230,3 +242,86 @@ def test_safety_scan():
     assert scan.count == 2
     assert scan.first_t == 1.0
     assert scan.min_gap == -0.4
+
+
+LAWS = {Strategy.HV: hv_accel, Strategy.VTG1: vtg1_accel,
+        Strategy.VTG2: vtg2_accel, Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
+
+
+def reference_step(state, cfg, i):
+    """New speed and raw law output of vehicle i, from its own Assignment alone."""
+    x, v, a, n, ring = state.x, state.v, state.a, state.n, cfg.ring_length
+
+    def front_gap(k):
+        return max((x[(k - 1) % n] - x[k]) % ring - VEHICLE_LENGTH, GAP_FLOOR)
+
+    asg = state.assignments[i]
+    pred = (i - 1) % n
+    ctx = ControlContext(v=np.array([v[i]]), gap=np.array([front_gap(i)]),
+                         v_pred=np.array([v[pred]]), a_pred=np.array([a[pred]]))
+    if asg.strategy is Strategy.CS:
+        ctx.leader_dx = np.array([(x[asg.leader] - x[i]) % ring])
+        ctx.v_leader = np.array([v[asg.leader]])
+        ctx.a_leader = np.array([a[asg.leader]])
+        ctx.leader_hops = np.array([asg.hops])
+    if asg.strategy is Strategy.BS:
+        ctx.follower_gap = np.array([front_gap((asg.rear_source + 1) % n)])
+    if asg.strategy is Strategy.CTG:
+        u = ctg_accel(ctx, h=asg.h)
+    else:
+        u = LAWS[asg.strategy](ctx)
+    a_cmd = np.clip(u[0], cfg.a_min, cfg.a_max)
+    return float(np.clip(v[i] + a_cmd * cfg.dt, 0.0, cfg.v_max)), u[0]
+
+
+@pytest.mark.parametrize("combo_id", sorted(COMBOS))
+def test_step_matches_per_vehicle_laws(combo_id):
+    cfg = SimConfig(density=60.0, p=0.6, combo_id=combo_id, ring_length=500.0,
+                    duration=1.0, warmup=0.0)
+    state = init_state(cfg)
+    combo = COMBOS[combo_id]
+    asgs = state.assignments
+    # a mixed fleet: human drivers, leaders and in-platoon followers
+    assert {a.strategy for a in asgs} == {Strategy.HV, combo.lv, combo.pv}
+    if combo.pv is Strategy.CS:
+        assert max(a.hops for a in asgs if a.strategy is Strategy.CS) >= 2
+    if combo.lv is Strategy.BS and combo.pv is Strategy.CS:
+        assert any(a.rear_source != i for i, a in enumerate(asgs)
+                   if a.strategy is Strategy.BS)
+    if combo_id == 1:
+        assert {a.h for a in asgs if a.strategy is Strategy.CTG} == {1.1, 0.6}
+    rng = np.random.default_rng(combo_id)
+    # uneven gaps, and the ring origin inside the longest platoon so the
+    # leader arc has to wrap
+    lead = max(state.platoons, key=lambda plat: plat.size).leader
+    state.x = (state.x - state.x[lead] + 1.0
+               + rng.uniform(-1.0, 1.0, state.n)) % cfg.ring_length
+    state.v = rng.uniform(6.5, 7.5, state.n)
+    state.a = rng.uniform(-0.3, 0.3, state.n)
+
+    new, _ = step(state, cfg)
+    unclamped = 0
+    for i in range(state.n):
+        v_ref, u = reference_step(state, cfg, i)
+        assert new.v[i] == pytest.approx(v_ref, rel=1e-12, abs=0.0), i
+        unclamped += cfg.a_min < u < cfg.a_max
+    assert unclamped >= state.n // 2  # the comparison is not all clamp
+
+
+@settings(max_examples=40, deadline=None)
+@given(density=st.floats(5.0, 190.0), p=st.floats(0.0, 1.0),
+       combo_id=st.sampled_from(sorted(COMBOS)), intensity=st.floats(0.0, 1.0),
+       v_max=st.floats(5.0, 33.3), seed=st.integers(0, 2 ** 32 - 1))
+def test_ring_invariants(density, p, combo_id, intensity, v_max, seed):
+    # dense rings brake at standstill and low caps are reached within the
+    # run, so both speed clamps take part
+    cfg = SimConfig(density=density, p=p, combo_id=combo_id, intensity=intensity,
+                    v_max=v_max, seed=seed, duration=20.0, warmup=0.0,
+                    record_every=1)
+    log = run_state(init_state(cfg), cfg)
+    dx = (np.roll(log.x, 1, axis=1) - log.x) % cfg.ring_length
+    # front-to-front gaps close one lap at every sample: nobody lapped anyone
+    np.testing.assert_allclose(dx.sum(axis=1), cfg.ring_length, rtol=0, atol=1e-6)
+    assert np.all((log.v >= 0.0) & (log.v <= cfg.v_max))
+    np.testing.assert_allclose(log.a[1:], np.diff(log.v, axis=0) / cfg.dt,
+                               rtol=0, atol=1e-9)
