@@ -3,7 +3,9 @@
 Floats are serialized with 9 significant digits and rows carry no
 timestamps or environment state, so re-running a deterministic
 experiment reproduces files byte for byte. Every writer funnels through
-one routine that checks its own schema before touching the disk.
+one routine that checks its own schema before touching the disk, except
+the trajectory writer: its schema is fixed, and it formats its rows in
+blocks with the same digits to keep memory flat on long runs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,13 @@ import csv
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .ring import TrajectoryLog
 
+TRAJECTORY_HEADER = ("t", "vehicle_index", "x", "v", "a")
+_TRAJECTORY_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"  # format_value of (float, int, float...)
+_TRAJECTORY_BLOCK_ROWS = 1 << 15  # rows formatted per write
 METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr",
                   "nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km",
                   "pm_g_per_km", "violations")
@@ -75,13 +82,26 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    rows = []
-    for row_i, t in enumerate(log.times):
-        for veh in range(log.x.shape[1]):
-            rows.append((float(t), veh, float(log.x[row_i, veh]),
-                         float(log.v[row_i, veh]), float(log.a[row_i, veh])))
-    return write_csv(path, ("t", "vehicle_index", "x", "v", "a"), rows,
-                     key_cols=(0, 1))
+    """One row per (sample, vehicle), in that order, formatted as format_value does.
+
+    Rows are formatted from one template a block of samples at a time, so
+    the file never exists as a list of per-value Python rows.
+    """
+    if np.any(np.diff(log.times) < 0.0):
+        raise ValueError("trajectory sample times are not non-decreasing")
+    m, n = log.x.shape
+    per_block = max(1, _TRAJECTORY_BLOCK_ROWS // max(n, 1))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
+        for lo in range(0, m, per_block):
+            hi = min(lo + per_block, m)
+            rows = zip(np.repeat(log.times[lo:hi], n).tolist(), list(range(n)) * (hi - lo),
+                       log.x[lo:hi].ravel().tolist(), log.v[lo:hi].ravel().tolist(),
+                       log.a[lo:hi].ravel().tolist())
+            fh.write("".join(map(_TRAJECTORY_ROW.__mod__, rows)))
+    return path
 
 
 def write_violations_csv(log: TrajectoryLog, path: str | Path) -> Path:

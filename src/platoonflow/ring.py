@@ -8,14 +8,23 @@ into a vehicle table. Every step gathers one full-fleet ControlContext
 from that table and evaluates each strategy present with the exact
 functions from the controllers module, keeping only its own members'
 outputs, so the engine cannot drift from the unit-tested formulas.
+
+One state can hold several independent rings that share the engine
+settings (``stack``): their arrays are concatenated, and the table
+offsets each ring's indices into its own slice, so one kernel call
+steps them all. Every operation is elementwise or gathers inside one
+ring, so each ring's numbers are bit for bit those of a run alone;
+``split_log`` cuts the stacked log back into per-ring logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +37,14 @@ GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
 
 
 class SimulationError(RuntimeError):
-    """Raised when the state stops being numerically meaningful."""
+    """Raised when the state stops being numerically meaningful.
+
+    ``ring`` is the index, in its stacked state, of the ring that failed.
+    """
+
+    def __init__(self, message: str, ring: int = 0) -> None:
+        super().__init__(message)
+        self.ring = ring
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,16 @@ class SimConfig:
             raise ValueError("need v_max > 0, a_max > 0, a_min < 0")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        for name in ("duration", "warmup"):
+            steps = getattr(self, name) / self.dt
+            if not math.isclose(steps, round(steps), rel_tol=1e-9):
+                raise ValueError(f"{name} {getattr(self, name)} is not a whole number "
+                                 f"of time steps dt={self.dt}")
+
+
+# SimConfig fields the engine reads; rings stepped together must agree on them
+ENGINE_FIELDS = ("ring_length", "dt", "duration", "warmup", "record_every",
+                 "v_max", "a_max", "a_min")
 
 
 @dataclass
@@ -80,6 +106,9 @@ class RingState:
     labels: list[VehicleClass]
     platoons: list[Platoon]
     assignments: list[Assignment]
+    # first vehicle of each ring; indices inside platoons and assignments
+    # count from their own ring's first vehicle
+    starts: tuple[int, ...] = (0,)
 
     @property
     def n(self) -> int:
@@ -111,16 +140,20 @@ class TrajectoryLog:
     labels: list[VehicleClass]
     platoons: list[Platoon]
     assignments: list[Assignment]
+    # ring index -> SimulationError message of each ring dropped mid-run;
+    # its columns hold NaN from the failing step on
+    errors: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _VehicleTable:
     """Per-vehicle control wiring, resolved once per run from the assignments.
 
-    Every column has one entry per vehicle, so the kernel fills one
+    Every column has one entry per stepped vehicle, so the kernel fills one
     full-fleet ControlContext; a column a vehicle's law does not read
     holds a neutral value (the vehicle itself, 0, or NaN for the CTG
-    time gap, which is bound into the CTG law).
+    time gap, which is bound into the CTG law). Rings are packed in the
+    order they were listed, each in one contiguous slice.
     """
 
     pred: np.ndarray    # predecessor index
@@ -128,37 +161,60 @@ class _VehicleTable:
     hops: np.ndarray    # CS gaps between leader and self, else 0
     rear: np.ndarray    # whose front gap BS reads as its rear gap, else itself
     laws: tuple[tuple[Callable, np.ndarray], ...]  # (law, members) per strategy present
+    alone: np.ndarray   # vehicles that are the only one on their ring
+    ring: np.ndarray    # ring index in the state
+    first: np.ndarray   # packed index of the ring's first vehicle
+    cols: np.ndarray    # index in the state, which is the column in the log
 
 
-def _build_table(assignments: list[Assignment], n: int) -> _VehicleTable:
+def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
+    """Wiring of the listed rings of ``state``, packed in that order."""
+    bounds = (*state.starts, state.n)
+    n = sum(bounds[r + 1] - bounds[r] for r in rings)
     own = np.arange(n)
-    leader, rear = own.copy(), own.copy()
+    pred, leader, rear = own - 1, own.copy(), own.copy()
     hops = np.zeros(n)
     h = np.full(n, np.nan)
+    ring, first, cols = (np.empty(n, dtype=np.intp) for _ in range(3))
+    alone: list[int] = []
     members: dict[Strategy, list[int]] = {s: [] for s in Strategy}
-    for i, asg in enumerate(assignments):
-        members[asg.strategy].append(i)
-        if asg.strategy is Strategy.CTG:
-            h[i] = asg.h
-        elif asg.strategy is Strategy.CS:
-            leader[i], hops[i] = asg.leader, asg.hops
-        elif asg.strategy is Strategy.BS:
-            rear[i] = (asg.rear_source + 1) % n
+    at = 0
+    for r in rings:
+        start, end = bounds[r], bounds[r + 1]
+        size = end - start
+        pred[at] = at + size - 1
+        ring[at:at + size], first[at:at + size] = r, at
+        cols[at:at + size] = range(start, end)
+        if size == 1:
+            alone.append(at)
+        for i, asg in enumerate(state.assignments[start:end], at):
+            members[asg.strategy].append(i)
+            if asg.strategy is Strategy.CTG:
+                h[i] = asg.h
+            elif asg.strategy is Strategy.CS:
+                leader[i], hops[i] = at + asg.leader, asg.hops
+            elif asg.strategy is Strategy.BS:
+                rear[i] = at + (asg.rear_source + 1) % size
+        at += size
     # looked up per run, not at import, so module-level wrappers take effect
     law_of = {Strategy.HV: hv_accel, Strategy.CTG: partial(ctg_accel, h=h),
               Strategy.VTG1: vtg1_accel, Strategy.VTG2: vtg2_accel,
               Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
     laws = tuple((law_of[s], np.array(idx, dtype=np.intp))
                  for s, idx in members.items() if idx)
-    return _VehicleTable(pred=(own - 1) % n, leader=leader, hops=hops, rear=rear,
-                         laws=laws)
+    return _VehicleTable(pred=pred, leader=leader, hops=hops, rear=rear, laws=laws,
+                         alone=np.array(alone, dtype=np.intp), ring=ring, first=first,
+                         cols=cols)
 
 
 def init_state(config: SimConfig) -> RingState:
     """Evenly spaced standstill start with the full-intensity fleet layout."""
     if config.density is None:
         raise ValueError("config.density is required to build an initial state")
-    n = round_half_up(config.density * config.ring_length / 1000.0)
+    count = config.density * config.ring_length / 1000.0
+    if math.isinf(count):
+        raise ValueError(f"density {config.density} puts no finite fleet on the ring")
+    n = round_half_up(count)
     if n < 1:
         raise ValueError(f"density {config.density} puts no vehicle on the ring")
     spacing = config.ring_length / n
@@ -183,8 +239,7 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     """One synchronous step; returns new arrays plus observed violations."""
     ring = config.ring_length
     dx = (x[table.pred] - x) % ring
-    if x.size == 1:
-        dx[:] = ring
+    dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
     gap = dx - VEHICLE_LENGTH
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
@@ -201,8 +256,9 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     if bad.size:
         i = int(bad[0])
         raise SimulationError(
-            f"non-finite desired acceleration for vehicle {i}: v={v[i]!r} "
-            f"gap={gap_c[i]!r} v_pred={ctx.v_pred[i]!r} a_pred={ctx.a_pred[i]!r}")
+            f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
+            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={ctx.v_pred[i]!r} "
+            f"a_pred={ctx.a_pred[i]!r}", ring=int(table.ring[i]))
 
     a_cmd = np.clip(u, config.a_min, config.a_max)
     v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)
@@ -213,49 +269,116 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
 
 def step(state: RingState, config: SimConfig) -> tuple[RingState, list[Violation]]:
     """Advance one step; mainly for tests, run_state drives the same kernel."""
-    table = _build_table(state.assignments, state.n)
+    table = _build_table(state, range(len(state.starts)))
     x, v, a, vi, vg = _advance(state.x, state.v, state.a, config, table)
     new = RingState(x=x, v=v, a=a, labels=state.labels, platoons=state.platoons,
-                    assignments=state.assignments)
+                    assignments=state.assignments, starts=state.starts)
     return new, [Violation(0.0, int(i), float(g)) for i, g in zip(vi, vg)]
 
 
+def stack(states: Sequence[RingState], configs: Sequence[SimConfig]) -> RingState:
+    """One state holding every single-ring state, in order, to step together.
+
+    ``configs[i]`` is the config of ``states[i]``; they must agree on the
+    ENGINE_FIELDS, and ``run_state`` then runs the stack under any of them.
+    """
+    if not states or len(states) != len(configs):
+        raise ValueError(f"need one config per state, got {len(states)} states "
+                         f"and {len(configs)} configs")
+    if any(len(s.starts) != 1 or s.n == 0 for s in states):
+        raise ValueError("stack takes non-empty single-ring states")
+    for name in ENGINE_FIELDS:
+        values = {getattr(c, name) for c in configs}
+        if len(values) > 1:
+            raise ValueError(f"rings stepped together need one {name}, got {sorted(values)}")
+    return RingState(x=np.concatenate([s.x for s in states]),
+                     v=np.concatenate([s.v for s in states]),
+                     a=np.concatenate([s.a for s in states]),
+                     labels=[c for s in states for c in s.labels],
+                     platoons=[p for s in states for p in s.platoons],
+                     assignments=[g for s in states for g in s.assignments],
+                     starts=tuple(accumulate((s.n for s in states[:-1]), initial=0)))
+
+
 def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
-    """Integrate a prepared state and record post-warmup samples."""
+    """Integrate every ring of a prepared state and record post-warmup samples.
+
+    A ring whose desired acceleration goes non-finite is dropped at that
+    step: its message goes to ``errors`` and the other rings step on
+    unchanged.
+    """
     steps = round(config.duration / config.dt)
     warmup_steps = round(config.warmup / config.dt)
-    sample_steps = range(warmup_steps, steps, config.record_every)
-    m = len(sample_steps)
-    n = state.n
-    times = np.empty(m)
-    xs = np.empty((m, n))
-    vs = np.empty((m, n))
-    accs = np.empty((m, n))
+    times = np.arange(warmup_steps, steps, config.record_every) * config.dt
+    xs, vs, accs = (np.empty((times.size, state.n)) for _ in range(3))
     violations: list[Violation] = []
+    errors: dict[int, str] = {}
 
-    table = _build_table(state.assignments, n)
+    table = _build_table(state, range(len(state.starts)))
     x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
     row = 0
     for k in range(steps):
         if k >= warmup_steps and (k - warmup_steps) % config.record_every == 0:
-            times[row] = k * config.dt
-            xs[row] = x
-            vs[row] = v
-            accs[row] = a
+            cols = table.cols if errors else slice(None)
+            xs[row, cols] = x
+            vs[row, cols] = v
+            accs[row, cols] = a
             row += 1
-        x, v, a, vi, vg = _advance(x, v, a, config, table)
+        while True:
+            try:
+                x, v, a, vi, vg = _advance(x, v, a, config, table)
+                break
+            except SimulationError as err:
+                # drop the ring and retry the step without it
+                errors[err.ring] = str(err)
+                gone = table.ring == err.ring
+                for log_array in (xs, vs, accs):
+                    log_array[row:, table.cols[gone]] = np.nan
+                x, v, a = x[~gone], v[~gone], a[~gone]
+                table = _build_table(state, [r for r in range(len(state.starts))
+                                             if r not in errors])
         if vi.size:
             t = k * config.dt
             violations.extend(Violation(t, int(i), float(gp))
-                              for i, gp in zip(vi, vg))
-    assert row == m
+                              for i, gp in zip(table.cols[vi], vg))
+        if not x.size:
+            break
     return TrajectoryLog(config=config, times=times, x=xs, v=vs, a=accs,
                          violations=violations, labels=state.labels,
-                         platoons=state.platoons, assignments=state.assignments)
+                         platoons=state.platoons, assignments=state.assignments,
+                         errors=errors)
+
+
+def split_log(log: TrajectoryLog, states: Sequence[RingState],
+              configs: Sequence[SimConfig]) -> Iterator[TrajectoryLog]:
+    """Per-ring logs of a run on ``stack(states, configs)``, in stacking order.
+
+    Each ring's samples are copied into C-contiguous (m, n) arrays, so a
+    reduction over them sums in the same order as over a ring run alone.
+    A dropped ring's log carries its message as ``errors[0]``.
+    """
+    starts = list(accumulate((s.n for s in states), initial=0))
+    by_ring: list[list[Violation]] = [[] for _ in states]
+    for viol in log.violations:
+        r = bisect_right(starts, viol.vehicle) - 1
+        by_ring[r].append(Violation(viol.t, viol.vehicle - starts[r], viol.gap))
+    for r, (state, config) in enumerate(zip(states, configs)):
+        cols = slice(starts[r], starts[r + 1])
+        yield TrajectoryLog(config=config, times=log.times,
+                            x=np.ascontiguousarray(log.x[:, cols]),
+                            v=np.ascontiguousarray(log.v[:, cols]),
+                            a=np.ascontiguousarray(log.a[:, cols]),
+                            violations=by_ring[r], labels=state.labels,
+                            platoons=state.platoons, assignments=state.assignments,
+                            errors={0: log.errors[r]} if r in log.errors else {})
 
 
 def run(config: SimConfig) -> TrajectoryLog:
-    return run_state(init_state(config), config)
+    """One cell from its config; raises SimulationError if the ring fails."""
+    log = run_state(init_state(config), config)
+    if log.errors:
+        raise SimulationError(log.errors[0])
+    return log
 
 
 def safety_scan(log: TrajectoryLog) -> SafetySummary:

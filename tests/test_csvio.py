@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from platoonflow import csvio
 from platoonflow.csvio import (METRICS_HEADER, format_value, write_csv,
                                write_curves_csv, write_metrics_csv,
                                write_region_csv, write_sequence_csv,
@@ -86,6 +87,24 @@ def test_trajectory_and_fleet_writers(tmp_path):
     # HVs sit in no platoon
     hv_rows = [l for l in lines[1:] if l.split(",")[1] == "HV"]
     assert all(l.split(",")[2] == "-1" for l in hv_rows)
+
+
+@pytest.mark.parametrize("block_rows", [1, 25, 1 << 15])
+def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, block_rows):
+    log = run(SimConfig(density=10.0, p=0.8, combo_id=5, duration=3.0,
+                        warmup=0.0, record_every=2))
+    log.x[1, 2], log.v[2, 3], log.a[3, 4] = math.nan, -0.0, 1e-300
+    monkeypatch.setattr(csvio, "_TRAJECTORY_BLOCK_ROWS", block_rows)
+    fast = write_trajectory_csv(log, tmp_path / "fast.csv")
+    rows = [(float(t), veh, float(log.x[i, veh]), float(log.v[i, veh]),
+             float(log.a[i, veh]))
+            for i, t in enumerate(log.times) for veh in range(log.x.shape[1])]
+    ref = write_csv(tmp_path / "ref.csv", ("t", "vehicle_index", "x", "v", "a"), rows)
+    assert fast.read_bytes() == ref.read_bytes()
+
+    log.times[3] = 0.0
+    with pytest.raises(ValueError, match="non-decreasing"):
+        write_trajectory_csv(log, tmp_path / "bad.csv")
 
 
 def test_violations_writer(tmp_path):

@@ -1,14 +1,16 @@
 """Sweep orchestration, verification harnesses, and plot-data pivoting."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from platoonflow import ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
-from platoonflow.experiments import (PLOT_METRICS, SweepSpec, cell_seed,
-                                     emit_plot_data, enumerate_cells,
+from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS, SweepSpec, _chunks,
+                                     cell_seed, emit_plot_data, enumerate_cells,
                                      run_cell, run_sweep,
                                      verify_probability_model,
                                      verify_stability)
@@ -79,6 +81,11 @@ def test_non_finite_spec_gives_error_row_not_abort(capsys):
                                ring_length=math.inf, **DESK))
     assert [r["status"] for r in rows] == ["error"]
     assert "ring_length" in capsys.readouterr().err
+    # a finite density whose fleet size overflows
+    rows = run_sweep(SweepSpec(densities=(1e308,), penetrations=(1.0,), combos=(1,),
+                               **DESK))
+    assert [r["status"] for r in rows] == ["error"]
+    assert "no finite fleet" in capsys.readouterr().err
 
 
 def test_run_cell_saves_trajectories(tmp_path):
@@ -103,10 +110,51 @@ def test_run_sweep_sorted_and_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_sweep_parallel_matches_serial():
+def test_run_sweep_parallel_matches_serial(capsys):
     serial = run_sweep(small_spec(jobs=1))
     parallel = run_sweep(small_spec(jobs=2))
     assert serial == parallel
+
+    # dense cells fill several chunks, so two workers each step some
+    spec = small_spec(densities=(95.0, 100.0), penetrations=(0.0, 0.6, 1.0),
+                      combos=tuple(range(1, 11)), duration=10.0, warmup=5.0)
+    chunks = list(_chunks(spec, enumerate_cells(spec)))
+    assert len(chunks) >= 3
+    assert all(sum(d for d, _, _ in chunk) <= CHUNK_VEHICLES for chunk in chunks)
+    serial = run_sweep(spec)
+    assert serial == run_sweep(dataclasses.replace(spec, jobs=2))
+    # chunking changes no number: every row is its cell run alone
+    assert serial == [run_cell(spec, r["density"], r["p"], r["combo"]) for r in serial]
+    err = capsys.readouterr().err
+    assert f"sweep: {len(serial)}/{len(serial)} cells" in err
+    assert "ETA" in err
+
+
+def test_horizon_off_the_step_grid_gives_error_row(capsys):
+    rows = run_sweep(SweepSpec(densities=(15.0,), penetrations=(1.0,), combos=(1,),
+                               dt=0.7, duration=1.0, warmup=0.0))
+    assert [r["status"] for r in rows] == ["error"]
+    assert "whole number of time steps" in capsys.readouterr().err
+
+
+def test_diverging_cell_fails_alone(monkeypatch, capsys):
+    spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(1.0,), combos=(1,))
+    clean = run_sweep(spec)
+    init_state = ring.init_state
+
+    def poisoned(config):
+        state = init_state(config)
+        if config.density == 25.0:
+            state.v[4] = math.nan
+        return state
+
+    monkeypatch.setattr(ring, "init_state", poisoned)
+    rows = run_sweep(spec)
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    assert math.isnan(rows[1]["nff_g_per_km"])
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
+    assert "density=25 failed: non-finite desired acceleration for vehicle 4" in (
+        capsys.readouterr().err)
 
 
 def test_verify_probability_model_structure():

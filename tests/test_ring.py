@@ -1,5 +1,6 @@
 """Ring engine: setup, stepping, clamps, invariants, logging."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from platoonflow.controllers import (VEHICLE_LENGTH, ControlContext, Strategy,
                                      vtg1_accel, vtg2_accel)
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import COMBOS, Assignment
-from platoonflow.ring import (GAP_FLOOR, RingState, SafetySummary, SimConfig,
-                              SimulationError, TrajectoryLog, Violation,
-                              init_state, run, run_state, safety_scan, step)
+from platoonflow.ring import (ENGINE_FIELDS, GAP_FLOOR, RingState, SafetySummary,
+                              SimConfig, SimulationError, TrajectoryLog, Violation,
+                              init_state, run, run_state, safety_scan, split_log,
+                              stack, step)
 
 
 def hand_config(ring, **kw):
@@ -86,6 +88,13 @@ def test_config_validation():
         SimConfig(density=20.0, record_every=0)
     with pytest.raises(ValueError):
         SimConfig(density=20.0, a_min=0.5)
+    # horizons that are not a whole number of steps
+    with pytest.raises(ValueError, match="duration"):
+        SimConfig(density=20.0, dt=0.7, duration=1.0, warmup=0.0)
+    with pytest.raises(ValueError, match="warmup"):
+        SimConfig(density=20.0, dt=0.3, duration=3.0, warmup=0.5)
+    SimConfig(density=20.0, dt=0.1, duration=3600.0, warmup=1800.0)
+    SimConfig(density=20.0, dt=0.3, duration=0.9, warmup=0.3)
 
 
 @pytest.mark.parametrize("field", ["density", "p", "intensity", "ring_length", "dt",
@@ -325,3 +334,80 @@ def test_ring_invariants(density, p, combo_id, intensity, v_max, seed):
     assert np.all((log.v >= 0.0) & (log.v <= cfg.v_max))
     np.testing.assert_allclose(log.a[1:], np.diff(log.v, axis=0) / cfg.dt,
                                rtol=0, atol=1e-9)
+
+
+def stack_cells():
+    """A lone vehicle, then every combo at p 0, 0.6 and 1 over several densities."""
+    cells = [SimConfig(density=1.0, duration=20.0, warmup=5.0, record_every=2)]
+    for k, (combo_id, p) in enumerate((c, p) for c in sorted(COMBOS) for p in (0.0, 0.6, 1.0)):
+        cells.append(SimConfig(density=(15.0, 40.0, 95.0, 60.0)[k % 4], p=p,
+                               combo_id=combo_id, seed=k, duration=20.0, warmup=5.0,
+                               record_every=2))
+    states = [init_state(cfg) for cfg in cells]
+    for state, cfg in list(zip(states, cells))[1::3]:
+        # vehicle 2 overlaps vehicle 1, so violations are logged
+        state.x[2] = (state.x[1] - 4.5) % cfg.ring_length
+    return states, cells
+
+
+def assert_same_log(part, solo):
+    for name in ("times", "x", "v", "a"):
+        assert np.array_equal(getattr(part, name), getattr(solo, name)), name
+    assert part.x.flags.c_contiguous and part.v.flags.c_contiguous
+    assert part.violations == solo.violations
+    assert part.errors == solo.errors
+
+
+def test_stacked_rings_match_solo_runs():
+    states, cells = stack_cells()
+    log = run_state(stack(states, cells), cells[0])
+    assert log.x.shape == (log.times.size, sum(s.n for s in states))
+    assert log.errors == {}
+    parts = list(split_log(log, states, cells))
+    assert len(parts) == len(states)
+    for state, cfg, part in zip(states, cells, parts):
+        solo = run_state(state, cfg)
+        assert_same_log(part, solo)
+        assert part.config is cfg
+        assert part.assignments == state.assignments
+    assert sum(len(part.violations) for part in parts) > 0
+    # the lone vehicle sees one lap of free road and accelerates at a_max
+    lone = parts[0]
+    assert lone.x.shape[1] == 1
+    np.testing.assert_allclose(lone.a[1:], cells[0].a_max, rtol=1e-9)
+
+
+def test_stack_drops_only_the_failing_ring():
+    states, cells = stack_cells()
+    states, cells = states[2:5], cells[2:5]  # the last ring logs violations
+    states[1].v[3] = math.nan
+    solo = [run_state(state, cfg) for state, cfg in zip(states, cells)]
+    assert list(solo[1].errors) == [0]
+    assert "vehicle 3" in solo[1].errors[0]
+    with pytest.raises(SimulationError, match="vehicle 3"):
+        step(states[1], cells[1])
+
+    log = run_state(stack(states, cells), cells[0])
+    assert log.errors == {1: solo[1].errors[0]}
+    parts = list(split_log(log, states, cells))
+    assert_same_log(parts[0], solo[0])
+    assert_same_log(parts[2], solo[2])
+    assert parts[1].errors == {0: solo[1].errors[0]}
+    assert np.all(np.isnan(parts[1].v[1:]))
+
+
+def test_stack_rejects_rings_that_disagree_on_engine_fields():
+    cfg = SimConfig(density=20.0, duration=20.0, warmup=10.0)
+    other = {"ring_length": 900.0, "dt": 0.05, "duration": 30.0, "warmup": 5.0,
+             "record_every": 5, "v_max": 30.0, "a_max": 2.0, "a_min": -4.0}
+    assert set(other) == set(ENGINE_FIELDS)
+    state = init_state(cfg)
+    for name, value in other.items():
+        with pytest.raises(ValueError, match=name):
+            stack([state, state], [cfg, dataclasses.replace(cfg, **{name: value})])
+    # per-cell fields may differ
+    stack([state, state], [cfg, dataclasses.replace(cfg, density=30.0, p=0.5, seed=3)])
+    with pytest.raises(ValueError):
+        stack([state], [cfg, cfg])
+    with pytest.raises(ValueError):
+        stack([stack([state, state], [cfg, cfg])], [cfg])
