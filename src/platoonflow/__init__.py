@@ -1,25 +1,8 @@
 """Ring-road simulator for mixed CAV / human traffic with platoon
-spacing strategies, string-stability checks, and fuel/emission metrics."""
+spacing strategies, string-stability checks, and fuel/emission metrics.
 
-from .controllers import (BdbmParams, ControlContext, CsGains, LinearGains,
-                          Strategy, Vtg1Params, Vtg2Params, bdbm_accel, cs_accel,
-                          ctg_accel, desired_spacing, equilibrium_gap, hv_accel,
-                          vtg1_accel, vtg2_accel)
-from .energy import (FuelResult, emission_rate, equilibrium_curves, fleet_emissions,
-                     fleet_fuel, nfr, vsp)
-from .experiments import (ProbabilityVerification, SweepSpec, cell_seed,
-                          emit_plot_data, enumerate_cells, run_cell, run_sweep,
-                          verify_probability_model, verify_stability)
-from .fleet import (ClassProbabilities, FleetSpec, TransitionProbs, VehicleClass,
-                    class_probabilities, empirical_distribution, generate_sequence,
-                    goodness_of_fit, label_roles, transition_probs)
-from .platoons import (COMBOS, Assignment, Platoon, StrategyCombo,
-                       assign_strategies, form_platoons, rear_gap_source)
-from .ring import (RingState, SafetySummary, SimConfig, SimulationError,
-                   TrajectoryLog, Violation, init_state, run, run_state,
-                   safety_scan, step)
-from .stability import (EquilibriumPartials, StabilityResult, equilibrium_partials,
-                        stability_margin, stability_region, string_stable,
-                        transfer_magnitude)
+Import what you need from the modules (``platoonflow.experiments``,
+``platoonflow.ring``, ...); the command line is ``platoonflow.cli``.
+"""
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ import numpy as np
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
 from .csvio import write_csv, write_trajectory_csv, write_violations_csv
 from .energy import POLLUTANTS, fleet_emissions, fleet_fuel
-from .fleet import (FleetSpec, GoodnessOfFit, class_probabilities,
-                    empirical_distribution, generate_sequence, goodness_of_fit)
+from .fleet import (FleetSpec, class_probabilities, draw_flags,
+                    empirical_distribution, goodness_of_fit, role_codes)
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 from .stability import (equilibrium_partials, stability_region, string_stable)
 
@@ -208,12 +208,9 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         emp = {name: [] for name in class_names}
         theo = {name: [] for name in class_names}
         for p in p_grid:
-            seqs = []
-            for r in range(runs):
-                run_seed = cell_seed(seed, intensity, p, r)
-                seqs.append(generate_sequence(
-                    FleetSpec(n_vehicles, p, intensity, s_max), run_seed))
-            dist = empirical_distribution(seqs)
+            seeds = [cell_seed(seed, intensity, p, r) for r in range(runs)]
+            flags = draw_flags(FleetSpec(n_vehicles, p, intensity, s_max), seeds)
+            dist = empirical_distribution(role_codes(flags, s_max))
             model = class_probabilities(p, intensity, s_max)
             for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
                                ("LV2", dist.p_lv2, model.p_lv2),

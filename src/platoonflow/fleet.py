@@ -5,6 +5,13 @@ of vehicle types around the ring; automated vehicles are then labeled by
 the role they play in a platoon. The closed-form class probabilities
 below describe the stationary behaviour of that walk, with a separate
 branch for full platoon intensity where all CAVs sit in one block.
+
+Rings are drawn and labeled as arrays, one ring per row and one vehicle
+per column: ``draw_flags`` gives a bool ``(runs, n)`` array of CAV flags
+(the walk steps over the columns, all rows at once), ``role_codes``
+turns it into small-int role codes in VehicleClass order (HV, LV1, LV2,
+PV), and ``empirical_distribution`` counts codes. ``generate_sequence``
+and ``label_roles`` are one-row calls that return VehicleClass lists.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 
 class VehicleClass(Enum):
     HV = "HV"    # human-driven
@@ -25,6 +34,11 @@ class VehicleClass(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# role codes are positions in VehicleClass order
+_CLASSES = tuple(VehicleClass)
+_HV, _LV1, _LV2, _PV = (np.int8(i) for i in range(len(_CLASSES)))
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,9 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     if s_max < 1:
         raise ValueError(f"platoon size cap must be >= 1, got {s_max}")
     t = transition_probs(p, intensity)
+    if t.t_aa == 0.0:
+        # intensity 0 and p ~ 0: every CAV follows an HV and leads alone
+        return ClassProbabilities((1.0 - p) * t.t_ha, 0.0, 0.0, 1.0 - p)
     if t.t_ah == 0.0:
         # intensity 1 or p 1: a single contiguous CAV block
         if intensity != 1.0:
@@ -119,79 +136,86 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     return ClassProbabilities(p_lv1, p_lv2, p_pv, 1.0 - p)
 
 
-def label_roles(is_cav: Sequence[bool], s_max: int = 4) -> list[VehicleClass]:
-    """Label a circular CAV/HV pattern with platoon roles.
+def role_codes(flags: np.ndarray, s_max: int = 4) -> np.ndarray:
+    """Platoon role codes of circular CAV/HV rows, in VehicleClass order.
 
-    Each maximal circular run of CAVs is chunked: the run head is LV1
-    (it sits behind an HV), every offset that is a multiple of s_max
-    starts a fresh platoon as LV2, everything else is PV. A ring with
-    no HV at all has no run head, so chunk starts are all LV2.
+    ``flags`` is a bool ``(k, n)`` array, one ring per row, True for a
+    CAV. Each maximal circular run of CAVs is chunked: the run head is
+    LV1 (it sits behind an HV), every offset that is a multiple of
+    s_max starts a fresh platoon as LV2, everything else is PV. A row
+    with no HV has no run head, so its offsets count from column 0 and
+    its chunk starts are all LV2.
     """
-    n = len(is_cav)
-    if n == 0:
-        raise ValueError("empty sequence")
     if s_max < 1:
         raise ValueError(f"platoon size cap must be >= 1, got {s_max}")
-    if not any(is_cav):
-        return [VehicleClass.HV] * n
-    if all(is_cav):
-        return [VehicleClass.LV2 if i % s_max == 0 else VehicleClass.PV
-                for i in range(n)]
-    roles = [VehicleClass.HV] * n
-    starts = [i for i in range(n) if is_cav[i] and not is_cav[i - 1]]
-    for start in starts:
-        offset = 0
-        i = start
-        while is_cav[i]:
-            if offset == 0:
-                roles[i] = VehicleClass.LV1
-            elif offset % s_max == 0:
-                roles[i] = VehicleClass.LV2
-            else:
-                roles[i] = VehicleClass.PV
-            offset += 1
-            i = (i + 1) % n
-    return roles
+    flags = np.asarray(flags, dtype=bool)
+    n = flags.shape[1]
+    # offsets are below n, so any larger cap acts the same; this keeps it in int32
+    s_max = min(s_max, n + 1)
+    # On the row doubled to [f, f], the last HV at or before column n + c
+    # heads column c's circular run; a row without HV gets -1 there, and
+    # taking the offset mod n makes it count from column 0.
+    doubled = np.concatenate((flags, flags), axis=1)
+    cols = np.arange(2 * n, dtype=np.int32)
+    last_hv = np.maximum.accumulate(np.where(doubled, np.int32(-1), cols), axis=1)
+    offset = (cols[n - 1:-1] - last_hv[:, n:]) % n
+    codes = np.where(offset % s_max == 0, _LV2, _PV)
+    codes[flags & ~doubled[:, n - 1:-1]] = _LV1  # a CAV right behind an HV
+    codes[~flags] = _HV
+    return codes
+
+
+def label_roles(is_cav: Sequence[bool], s_max: int = 4) -> list[VehicleClass]:
+    """Label one circular CAV/HV pattern with platoon roles (see role_codes)."""
+    if len(is_cav) == 0:
+        raise ValueError("empty sequence")
+    row = np.asarray(is_cav, dtype=bool)[np.newaxis]
+    return [_CLASSES[c] for c in role_codes(row, s_max)[0].tolist()]
+
+
+def draw_flags(spec: FleetSpec, seeds: Sequence[int | None]) -> np.ndarray:
+    """CAV flags of one ring per seed, as a bool ``(len(seeds), n)`` array.
+
+    Full intensity is deterministic: round_half_up(p * n) CAVs in one
+    block after the HVs, the same row for every seed. Below full
+    intensity each row is a linear Markov walk fed by
+    ``random.Random(seed).random()``: the first vehicle is automated
+    with probability p (the walk's stationary law), and vehicle j is
+    automated when u_j < t_AA after a CAV or u_j < t_HA after an HV. The
+    wrap transition is not constrained, but labeling is still circular.
+    """
+    n = spec.n_vehicles
+    if spec.intensity == 1.0:
+        flags = np.zeros((len(seeds), n), dtype=bool)
+        flags[:, n - round_half_up(spec.p * n):] = True
+        return flags
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        draw = random.Random(seed).random
+        row[:] = [draw() for _ in range(n)]
+    t = transition_probs(spec.p, spec.intensity)
+    after_cav = u < t.t_aa
+    after_hv = u < t.t_ha
+    flags = np.empty(u.shape, dtype=bool)
+    flags[:, 0] = u[:, 0] < spec.p
+    for j in range(1, n):
+        flags[:, j] = np.where(flags[:, j - 1], after_cav[:, j], after_hv[:, j])
+    return flags
 
 
 def generate_sequence(spec: FleetSpec, seed: int | None = None) -> list[VehicleClass]:
-    """Draw one labeled ring sequence.
-
-    Full intensity is deterministic: round_half_up(p * n) CAVs in one
-    block after the HVs. Below full intensity the types come from a
-    linear Markov walk whose first vehicle is automated with
-    probability p (the walk's stationary law); the wrap transition is
-    not constrained, but labeling is still circular.
-    """
-    if spec.intensity == 1.0:
-        n_cav = round_half_up(spec.p * spec.n_vehicles)
-        flags = [False] * (spec.n_vehicles - n_cav) + [True] * n_cav
-        return label_roles(flags, spec.s_max)
-    rng = random.Random(seed)
-    t = transition_probs(spec.p, spec.intensity)
-    cur = rng.random() < spec.p
-    flags = [cur]
-    for _ in range(spec.n_vehicles - 1):
-        cur = rng.random() < (t.t_aa if cur else t.t_ha)
-        flags.append(cur)
-    return label_roles(flags, spec.s_max)
+    """Draw one labeled ring sequence (one row of draw_flags)."""
+    return label_roles(draw_flags(spec, [seed])[0], spec.s_max)
 
 
-def empirical_distribution(sequences: Sequence[Sequence[VehicleClass]]) -> ClassProbabilities:
-    """Class frequencies over all vehicles of all given sequences."""
-    total = sum(len(s) for s in sequences)
-    if total == 0:
+def empirical_distribution(codes: np.ndarray) -> ClassProbabilities:
+    """Class frequencies over all role codes given (any shape)."""
+    codes = np.asarray(codes)
+    if codes.size == 0:
         raise ValueError("no vehicles to count")
-    counts = {cls: 0 for cls in VehicleClass}
-    for seq in sequences:
-        for cls in seq:
-            counts[cls] += 1
-    return ClassProbabilities(
-        counts[VehicleClass.LV1] / total,
-        counts[VehicleClass.LV2] / total,
-        counts[VehicleClass.PV] / total,
-        counts[VehicleClass.HV] / total,
-    )
+    hv, lv1, lv2, pv = np.bincount(codes.ravel(), minlength=len(_CLASSES)).tolist()
+    total = codes.size
+    return ClassProbabilities(lv1 / total, lv2 / total, pv / total, hv / total)
 
 
 def goodness_of_fit(empirical: Sequence[float], theoretical: Sequence[float]) -> GoodnessOfFit:

@@ -17,7 +17,7 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, ControlContext,
                                      vtg1_accel, vtg2_accel)
 from platoonflow.csvio import write_metrics_csv
 from platoonflow.energy import emission_rate, equilibrium_curves, nfr
-from platoonflow.experiments import (SweepSpec, emit_plot_data, run_cell,
+from platoonflow.experiments import (SweepSpec, _chunks, emit_plot_data, run_chunk,
                                      run_sweep, verify_probability_model,
                                      verify_stability)
 from platoonflow.fleet import class_probabilities
@@ -45,7 +45,8 @@ def desk():
              + [(55.0, p, 4) for p in (0.6, 0.8, 1.0)]
              + [(95.0, 1.0, c) for c in range(1, 11)])
     start = time.perf_counter()
-    rows = {(c, p, d): run_cell(spec, d, p, c) for d, p, c in cells}
+    rows = {(r["combo"], r["p"], r["density"]): r
+            for chunk in _chunks(spec, cells) for r in run_chunk(spec, chunk)}
     elapsed = time.perf_counter() - start
     return {"rows": rows, "elapsed": elapsed}
 

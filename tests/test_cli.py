@@ -65,6 +65,17 @@ def test_verify_prob_cmd(tmp_path, capsys):
     assert "LV1" in stdout and "r2=" in stdout
 
 
+def test_verify_prob_cmd_from_p_zero(tmp_path):
+    # p = 0 at intensity 0 makes t_AA = 0, the closed form's isolated-CAV case
+    out = tmp_path / "out"
+    code = main(["verify-prob", "--vehicles", "20", "--runs", "5",
+                 "--p-start", "0", "--p-stop", "0.5", "--p-step", "0.25",
+                 "--outdir", str(out)])
+    assert code == 0
+    lines = (out / "probability_curves.csv").read_text().splitlines()
+    assert lines[1:4] == ["0,0,LV1,0,0", "0,0,LV2,0,0", "0,0,PV,0,0"]
+
+
 def test_verify_stability_cmd(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify-stability", "--outdir", str(out)])

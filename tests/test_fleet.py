@@ -3,17 +3,73 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from platoonflow.fleet import (FleetSpec, VehicleClass, class_probabilities,
+from platoonflow.experiments import cell_seed, verify_probability_model
+from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass,
+                               class_probabilities, draw_flags,
                                empirical_distribution, generate_sequence,
-                               goodness_of_fit, label_roles, round_half_up,
-                               transition_probs)
+                               goodness_of_fit, label_roles, role_codes,
+                               round_half_up, transition_probs)
 
 HV = VehicleClass.HV
 LV1 = VehicleClass.LV1
 LV2 = VehicleClass.LV2
 PV = VehicleClass.PV
+CLASSES = list(VehicleClass)  # role code -> class
+
+
+def reference_label_roles(is_cav, s_max):
+    # The per-vehicle labeling loop that role_codes replaced.
+    n = len(is_cav)
+    if not any(is_cav):
+        return [HV] * n
+    if all(is_cav):
+        return [LV2 if i % s_max == 0 else PV for i in range(n)]
+    roles = [HV] * n
+    starts = [i for i in range(n) if is_cav[i] and not is_cav[i - 1]]
+    for start in starts:
+        offset = 0
+        i = start
+        while is_cav[i]:
+            if offset == 0:
+                roles[i] = LV1
+            elif offset % s_max == 0:
+                roles[i] = LV2
+            else:
+                roles[i] = PV
+            offset += 1
+            i = (i + 1) % n
+    return roles
+
+
+def reference_flags(spec, seed):
+    # The scalar Markov walk that draw_flags replaced.
+    if spec.intensity == 1.0:
+        n_cav = round_half_up(spec.p * spec.n_vehicles)
+        return [False] * (spec.n_vehicles - n_cav) + [True] * n_cav
+    rng = random.Random(seed)
+    t = transition_probs(spec.p, spec.intensity)
+    cur = rng.random() < spec.p
+    flags = [cur]
+    for _ in range(spec.n_vehicles - 1):
+        cur = rng.random() < (t.t_aa if cur else t.t_ha)
+        flags.append(cur)
+    return flags
+
+
+def reference_distribution(sequences):
+    # The VehicleClass-keyed count that the code histogram replaced.
+    total = sum(len(s) for s in sequences)
+    counts = {cls: 0 for cls in VehicleClass}
+    for seq in sequences:
+        for cls in seq:
+            counts[cls] += 1
+    return ClassProbabilities(counts[LV1] / total, counts[LV2] / total,
+                              counts[PV] / total, counts[HV] / total)
 
 
 def naive_class_probabilities(p, intensity, s_max):
@@ -84,6 +140,19 @@ def test_class_probabilities_no_cavs():
     assert probs.p_hv == 1.0
 
 
+def test_class_probabilities_every_cav_isolated():
+    # Intensity 0 with p ~ 0 makes t_AA = 0: each CAV follows an HV and
+    # leads a platoon of one, so only LV1 has a share.
+    for p in (0.0, 1e-17):
+        assert transition_probs(p, 0.0).t_aa == 0.0
+        probs = class_probabilities(p, 0.0, 4)
+        assert probs == ClassProbabilities((1.0 - p) * p, 0.0, 0.0, 1.0 - p)
+    # just above, the general branch agrees
+    near = class_probabilities(1e-15, 0.0, 4)
+    assert near.p_lv1 == pytest.approx(1e-15, rel=1e-9)
+    assert near.p_lv2 <= 1e-30 and near.p_pv <= 1e-29
+
+
 def test_class_probabilities_frozen_point():
     probs = class_probabilities(0.5, 0.0, 4)
     assert probs.p_lv1 == pytest.approx(0.25, abs=1e-12)
@@ -113,8 +182,7 @@ def test_class_probabilities_monte_carlo():
     # Long random sequences at a point verified by hand; frequencies of
     # each role must approach the closed-form shares.
     spec = FleetSpec(n_vehicles=5000, p=0.5, intensity=0.0, s_max=4)
-    sequences = [generate_sequence(spec, seed=s) for s in range(200)]
-    emp = empirical_distribution(sequences)
+    emp = empirical_distribution(role_codes(draw_flags(spec, range(200)), 4))
     probs = class_probabilities(0.5, 0.0, 4)
     assert emp.p_lv1 == pytest.approx(probs.p_lv1, abs=0.005)
     assert emp.p_lv2 == pytest.approx(probs.p_lv2, abs=0.005)
@@ -252,9 +320,10 @@ def test_generate_sequence_adjacency_invariants():
 
 
 def test_empirical_distribution_counts():
-    emp = empirical_distribution([[HV, LV1, PV], [PV]])
-    assert emp.p_hv == pytest.approx(0.25)
-    assert emp.p_lv1 == pytest.approx(0.25)
+    # codes of [HV, LV1, PV] and [PV, HV, PV]
+    emp = empirical_distribution(np.array([[0, 1, 3], [3, 0, 3]], dtype=np.int8))
+    assert emp.p_hv == pytest.approx(1 / 3)
+    assert emp.p_lv1 == pytest.approx(1 / 6)
     assert emp.p_pv == pytest.approx(0.5)
     assert emp.p_lv2 == 0.0
 
@@ -263,12 +332,12 @@ def test_empirical_distribution_empty_raises():
     with pytest.raises(ValueError):
         empirical_distribution([])
     with pytest.raises(ValueError):
-        empirical_distribution([[]])
+        empirical_distribution(np.zeros((3, 0), dtype=np.int8))
 
 
 def test_empirical_block_layout_frequencies():
     spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
-    emp = empirical_distribution([generate_sequence(spec, seed=0)])
+    emp = empirical_distribution(role_codes(draw_flags(spec, [0]), 4))
     assert emp.p_lv1 == pytest.approx(0.01, abs=1e-12)
     assert emp.p_lv2 == pytest.approx(0.19, abs=1e-12)
     assert emp.p_pv == pytest.approx(0.60, abs=1e-12)
@@ -308,9 +377,8 @@ def test_monte_carlo_error_shrinks_with_samples():
 
     def l2_error(n_seqs, base_seed):
         spec = FleetSpec(n_vehicles=100, p=0.5, intensity=0.0, s_max=4)
-        seqs = [generate_sequence(spec, seed=base_seed + s)
-                for s in range(n_seqs)]
-        emp = empirical_distribution(seqs)
+        seeds = range(base_seed, base_seed + n_seqs)
+        emp = empirical_distribution(role_codes(draw_flags(spec, seeds), 4))
         return math.sqrt((emp.p_lv1 - probs.p_lv1) ** 2
                          + (emp.p_lv2 - probs.p_lv2) ** 2
                          + (emp.p_pv - probs.p_pv) ** 2
@@ -320,3 +388,94 @@ def test_monte_carlo_error_shrinks_with_samples():
     large = l2_error(640, 2000)  # 16x the samples, expect ~4x less error
     assert large < small
     assert large < 0.012
+
+
+@st.composite
+def flag_rows(draw):
+    """A few same-length rings of CAV flags and a cap in 1..n+1."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    return rows, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_rows())
+@example(([[False] * 5], 2))                                # all HV
+@example(([[True] * 7, [True] * 7], 3))                     # all CAV
+@example(([[True, True, False, True, True, True]], 2))      # run wraps the ring end
+@example(([[True]], 1))                                     # n = 1
+@example(([[False]], 2))
+@example(([[True] * 6, [False, True, True, True, True, True]], 4))
+def test_role_codes_match_per_vehicle_loop(case):
+    rows, s_max = case
+    codes = role_codes(np.array(rows, dtype=bool), s_max)
+    assert codes.shape == (len(rows), len(rows[0]))
+    for row, got in zip(rows, codes.tolist()):
+        assert [CLASSES[c] for c in got] == reference_label_roles(row, s_max)
+    assert label_roles(rows[0], s_max) == reference_label_roles(rows[0], s_max)
+
+
+@pytest.mark.parametrize("intensity", [0.0, 0.3, 0.99, 1.0])
+def test_draw_flags_matches_scalar_walk(intensity):
+    # p = 0.1 is a value where t_AA = 1 - (1 - p) rounds below t_HA = p
+    assert 1.0 - (1.0 - 0.1) < 0.1
+    seeds = [*range(30), cell_seed(7, intensity, 0.5, 3)]
+    for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+        spec = FleetSpec(50, p, intensity, 4)
+        flags = draw_flags(spec, seeds)
+        assert flags.dtype == bool and flags.shape == (len(seeds), 50)
+        for row, seed in zip(flags.tolist(), seeds):
+            assert row == reference_flags(spec, seed)
+    assert draw_flags(FleetSpec(1, 0.5, intensity), [4]).tolist() == [
+        reference_flags(FleetSpec(1, 0.5, intensity), 4)]
+
+
+def test_draw_flags_is_exact_where_t_aa_rounds_below_t_ha(monkeypatch):
+    # Feed the walk uniforms that land between t_AA and t_HA at p = 0.1:
+    # after a CAV u is not below t_AA, after an HV it is below t_HA.
+    t = transition_probs(0.1, 0.0)
+    assert t.t_aa < t.t_ha
+
+    class Scripted:
+        def __init__(self, seed):
+            self.values = iter([0.0] + [t.t_aa] * 9)
+
+        def random(self):
+            return next(self.values)
+
+    monkeypatch.setattr(random, "Random", Scripted)
+    spec = FleetSpec(10, 0.1, 0.0)
+    flags = draw_flags(spec, [0, 1])
+    assert flags.tolist() == [[True, False] * 5] * 2
+    assert flags[0].tolist() == reference_flags(spec, 0)
+
+
+def test_verify_probability_model_matches_reference_path():
+    p_grid = (0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0)
+    intensities = (0.0, 0.35, 1.0)
+    out = verify_probability_model(n_vehicles=37, runs=15, p_grid=p_grid,
+                                   intensities=intensities, seed=5)
+    curves, fits = [], []
+    for intensity in intensities:
+        emp = {"LV1": [], "LV2": [], "PV": []}
+        theo = {"LV1": [], "LV2": [], "PV": []}
+        for p in p_grid:
+            spec = FleetSpec(37, p, intensity, 4)
+            dist = reference_distribution(
+                [reference_label_roles(reference_flags(spec, cell_seed(5, intensity, p, r)), 4)
+                 for r in range(15)])
+            model = class_probabilities(p, intensity, 4)
+            for name, e, th in (("LV1", dist.p_lv1, model.p_lv1),
+                                ("LV2", dist.p_lv2, model.p_lv2),
+                                ("PV", dist.p_pv, model.p_pv)):
+                emp[name].append(e)
+                theo[name].append(th)
+                curves.append({"intensity": intensity, "p": p, "cls": name,
+                               "empirical": e, "theoretical": th})
+        for name in emp:
+            fit = goodness_of_fit(emp[name], theo[name])
+            fits.append({"intensity": intensity, "cls": name, "r2": fit.r2,
+                         "rmse": fit.rmse, "note": fit.note or ""})
+    assert repr(out.curves) == repr(curves)
+    assert repr(out.fits) == repr(fits)
