@@ -14,6 +14,7 @@ as the long options); explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -123,7 +124,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    count = int(round((stop - start) / step)) + 1
+    if not math.isfinite((stop - start) / step):
+        raise ValueError(f"grid from {start} to {stop} by {step} is not finite")
+    # no point past stop, except by float error when stop is a whole
+    # number of steps from start
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return start + step * np.arange(max(count, 0))
 
 

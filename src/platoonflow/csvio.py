@@ -109,25 +109,6 @@ def write_violations_csv(log: TrajectoryLog, path: str | Path) -> Path:
     return write_csv(path, ("t", "follower_index", "gap"), rows, key_cols=(0,))
 
 
-def write_sequence_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    platoon_of = {idx: pid for pid, plat in enumerate(log.platoons)
-                  for idx in plat.members}
-    rows = [(i, str(cls), platoon_of.get(i, -1))
-            for i, cls in enumerate(log.labels)]
-    return write_csv(path, ("index", "class", "platoon_id"), rows, key_cols=(0,))
-
-
-def write_strategy_map_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    platoon_of = {idx: pid for pid, plat in enumerate(log.platoons)
-                  for idx in plat.members}
-    rows = []
-    for i, (cls, asg) in enumerate(zip(log.labels, log.assignments)):
-        rows.append((i, str(cls), platoon_of.get(i, -1), str(asg.strategy),
-                     "" if asg.h is None else format_value(asg.h)))
-    return write_csv(path, ("vehicle_index", "class", "platoon_id", "strategy",
-                            "h_param"), rows, key_cols=(0,))
-
-
 def write_region_csv(rows: Sequence[tuple[float, float, bool]],
                      strategy: str, path: str | Path) -> Path:
     table = [(strategy, v, margin, stable) for v, margin, stable in rows]

@@ -208,7 +208,9 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         emp = {name: [] for name in class_names}
         theo = {name: [] for name in class_names}
         for p in p_grid:
-            seeds = [cell_seed(seed, intensity, p, r) for r in range(runs)]
+            # draw_flags reads no seed at full intensity
+            seeds = ([None] * runs if intensity == 1.0
+                     else [cell_seed(seed, intensity, p, r) for r in range(runs)])
             flags = draw_flags(FleetSpec(n_vehicles, p, intensity, s_max), seeds)
             dist = empirical_distribution(role_codes(flags, s_max))
             model = class_probabilities(p, intensity, s_max)

@@ -10,8 +10,7 @@ Rings are drawn and labeled as arrays, one ring per row and one vehicle
 per column: ``draw_flags`` gives a bool ``(runs, n)`` array of CAV flags
 (the walk steps over the columns, all rows at once), ``role_codes``
 turns it into small-int role codes in VehicleClass order (HV, LV1, LV2,
-PV), and ``empirical_distribution`` counts codes. ``generate_sequence``
-and ``label_roles`` are one-row calls that return VehicleClass lists.
+PV), and ``empirical_distribution`` counts codes.
 """
 
 from __future__ import annotations
@@ -165,14 +164,6 @@ def role_codes(flags: np.ndarray, s_max: int = 4) -> np.ndarray:
     return codes
 
 
-def label_roles(is_cav: Sequence[bool], s_max: int = 4) -> list[VehicleClass]:
-    """Label one circular CAV/HV pattern with platoon roles (see role_codes)."""
-    if len(is_cav) == 0:
-        raise ValueError("empty sequence")
-    row = np.asarray(is_cav, dtype=bool)[np.newaxis]
-    return [_CLASSES[c] for c in role_codes(row, s_max)[0].tolist()]
-
-
 def draw_flags(spec: FleetSpec, seeds: Sequence[int | None]) -> np.ndarray:
     """CAV flags of one ring per seed, as a bool ``(len(seeds), n)`` array.
 
@@ -201,11 +192,6 @@ def draw_flags(spec: FleetSpec, seeds: Sequence[int | None]) -> np.ndarray:
     for j in range(1, n):
         flags[:, j] = np.where(flags[:, j - 1], after_cav[:, j], after_hv[:, j])
     return flags
-
-
-def generate_sequence(spec: FleetSpec, seed: int | None = None) -> list[VehicleClass]:
-    """Draw one labeled ring sequence (one row of draw_flags)."""
-    return label_roles(draw_flags(spec, [seed])[0], spec.s_max)
 
 
 def empirical_distribution(codes: np.ndarray) -> ClassProbabilities:

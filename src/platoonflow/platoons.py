@@ -1,13 +1,16 @@
-"""Platoon bookkeeping: grouping labeled vehicles and wiring strategy combos.
+"""Strategy combos and the per-vehicle control wiring of one ring.
 
-A platoon is a leader (LV1 or LV2) plus the run of PVs behind it.
-Membership is fixed at initialization; the dynamics never regroup.
+A platoon is a leader (LV1 or LV2) plus the run of PVs behind it, as
+``fleet.role_codes`` labels them. Membership is fixed at initialization;
+the dynamics never regroup. ``wire`` turns one ring's role codes and its
+combo into the columns of the engine's vehicle table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
 from .fleet import VehicleClass
@@ -33,102 +36,45 @@ COMBOS: dict[int, StrategyCombo] = {c.combo_id: c for c in (
     StrategyCombo(10, Strategy.BS, Strategy.CS),
 )}
 
-
-@dataclass(frozen=True)
-class Platoon:
-    leader: int          # ring index of the LV
-    members: tuple[int, ...]  # ring indices in following order, leader first
-
-    @property
-    def tail(self) -> int:
-        return self.members[-1]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+# strategy codes are positions in Strategy order, role codes in VehicleClass order
+STRATEGIES = tuple(Strategy)
+_ROLES = tuple(VehicleClass)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Per-vehicle control wiring resolved once at setup."""
+def wire(codes: np.ndarray, combo: StrategyCombo) -> tuple[np.ndarray, ...]:
+    """Control wiring of one ring from its role codes (``fleet.role_codes``).
 
-    strategy: Strategy
-    h: float | None = None          # CTG time gap, s
-    leader: int | None = None       # platoon leader ring index (CS followers)
-    hops: int | None = None         # gaps between leader and self (CS followers)
-    rear_source: int | None = None  # whose rear gap feeds the bidirectional term
-
-
-def form_platoons(labels: Sequence[VehicleClass], s_max: int = 4) -> list[Platoon]:
-    """Group a labeled ring into platoons.
-
-    Every LV1/LV2 starts one; the PVs that follow it (circularly) join
-    it. A PV that has no leader anywhere upstream of it is a labeling
-    bug and raises.
+    Returns ``(strategy, h, leader, hops, rear)``, one entry per vehicle:
+    the strategy code (HVs drive HV, leaders ``combo.lv``, PVs
+    ``combo.pv``); the CTG time gap, H_LEADER for a leader and
+    H_FOLLOWER for a follower, NaN elsewhere; a CS vehicle's platoon
+    leader and the gaps between it and the vehicle; and the vehicle
+    whose front gap a BS vehicle reads as its rear gap. With CS
+    followers the platoon moves as one extended vehicle, so that is the
+    vehicle behind the platoon's tail, else the vehicle's own follower.
+    An index a vehicle's law does not read is the vehicle itself, and
+    unread hops are 0.
     """
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty sequence")
-    leader_idx = [i for i in range(n) if labels[i] in (VehicleClass.LV1, VehicleClass.LV2)]
-    pv_total = sum(1 for c in labels if c is VehicleClass.PV)
-    if not leader_idx:
-        if pv_total:
-            raise ValueError("PV present but no platoon leader in the sequence")
-        return []
-    platoons = []
-    claimed = 0
-    for lead in leader_idx:
-        members = [lead]
-        i = (lead + 1) % n
-        while labels[i] is VehicleClass.PV and len(members) < n:
-            members.append(i)
-            i = (i + 1) % n
-        claimed += len(members) - 1
-        if len(members) > s_max:
-            raise ValueError(f"platoon at {lead} has {len(members)} members, cap is {s_max}")
-        platoons.append(Platoon(lead, tuple(members)))
-    if claimed != pv_total:
-        orphans = pv_total - claimed
-        raise ValueError(f"{orphans} PV(s) not preceded by any platoon leader")
-    return platoons
-
-
-def rear_gap_source(platoon: Platoon, index: int, pv_strategy: Strategy) -> int:
-    """Which vehicle's rear gap a bidirectional leader reads.
-
-    With CS followers the platoon moves as one extended vehicle, so the
-    leader senses the gap behind the tail; otherwise every bidirectional
-    vehicle uses its own follower. A single-vehicle platoon is its own
-    tail, which collapses the two cases.
-    """
-    if pv_strategy is Strategy.CS:
-        return platoon.tail
-    return index
-
-
-def assign_strategies(labels: Sequence[VehicleClass], platoons: Sequence[Platoon],
-                      combo: StrategyCombo) -> list[Assignment]:
-    """Resolve the control wiring of every vehicle under one combo."""
-    n = len(labels)
-    assignments: list[Assignment | None] = [None] * n
-    for i, cls in enumerate(labels):
-        if cls is VehicleClass.HV:
-            assignments[i] = Assignment(Strategy.HV)
-    for plat in platoons:
-        for pos, idx in enumerate(plat.members):
-            role_strategy = combo.lv if pos == 0 else combo.pv
-            h = None
-            if role_strategy is Strategy.CTG:
-                h = H_LEADER if pos == 0 else H_FOLLOWER
-            leader = hops = rear = None
-            if role_strategy is Strategy.CS:
-                leader = plat.leader
-                hops = pos
-            if role_strategy is Strategy.BS:
-                rear = rear_gap_source(plat, idx, combo.pv)
-            assignments[idx] = Assignment(role_strategy, h=h, leader=leader,
-                                          hops=hops, rear_source=rear)
-    missing = [i for i, a in enumerate(assignments) if a is None]
-    if missing:
-        raise ValueError(f"vehicles {missing} are in no platoon and not HV")
-    return assignments  # type: ignore[return-value]
+    code, role = STRATEGIES.index, _ROLES.index
+    codes = np.asarray(codes)
+    n = codes.size
+    own = np.arange(n)
+    pv = codes == role(VehicleClass.PV)
+    lead = (codes == role(VehicleClass.LV1)) | (codes == role(VehicleClass.LV2))
+    strategy = np.full(n, code(Strategy.HV), dtype=np.int8)
+    strategy[lead] = code(combo.lv)
+    strategy[pv] = code(combo.pv)
+    ctg = strategy == code(Strategy.CTG)
+    h = np.where(ctg & lead, H_LEADER, np.where(ctg & pv, H_FOLLOWER, np.nan))
+    # On the row doubled to [c, c], the last leader at or before column
+    # n + i leads vehicle i's platoon, and the first non-PV after column
+    # i is the vehicle behind the tail of the platoon that i leads.
+    cols = np.arange(2 * n)
+    last_lead = np.maximum.accumulate(np.where(np.tile(lead, 2), cols, -1))[n:]
+    after_tail = np.minimum.accumulate(np.where(np.tile(~pv, 2), cols, 2 * n)[::-1])[::-1]
+    cs = strategy == code(Strategy.CS)
+    leader = np.where(cs, last_lead % n, own)
+    hops = np.where(cs, own + n - last_lead, 0).astype(float)
+    behind = after_tail[1:n + 1] if combo.pv is Strategy.CS else own + 1
+    rear = np.where(strategy == code(Strategy.BS), behind % n, own)
+    return strategy, h, leader, hops, rear

@@ -2,17 +2,19 @@
 
 The update is synchronous: every controller reads the state left by the
 previous step, then positions and speeds advance together under a
-clamped Euler rule. Each vehicle's control wiring (predecessor, platoon
-leader and hops, rear-gap source, time gap) is resolved once per run
-into a vehicle table. Every step gathers one full-fleet ControlContext
+clamped Euler rule. A state carries each vehicle's control wiring as
+columns (strategy code, CTG time gap, platoon leader and hops, rear-gap
+source), built from the fleet's role codes by ``platoons.wire``. Once
+per run they become a vehicle table with the predecessors and one law
+per strategy present. Every step gathers one full-fleet ControlContext
 from that table and evaluates each strategy present with the exact
 functions from the controllers module, keeping only its own members'
 outputs, so the engine cannot drift from the unit-tested formulas.
 
 One state can hold several independent rings that share the engine
-settings (``stack``): their arrays are concatenated, and the table
-offsets each ring's indices into its own slice, so one kernel call
-steps them all. Every operation is elementwise or gathers inside one
+settings (``stack``): their arrays are concatenated and their index
+columns offset into each ring's own slice, so one kernel call steps
+them all. Every operation is elementwise or gathers inside one
 ring, so each ring's numbers are bit for bit those of a run alone;
 ``split_log`` cuts the stacked log back into per-ring logs.
 """
@@ -30,8 +32,8 @@ import numpy as np
 
 from .controllers import (VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
-from .fleet import FleetSpec, VehicleClass, generate_sequence, round_half_up
-from .platoons import COMBOS, Assignment, Platoon, assign_strategies, form_platoons
+from .fleet import FleetSpec, draw_flags, role_codes, round_half_up
+from .platoons import COMBOS, STRATEGIES, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
 
@@ -103,12 +105,14 @@ class RingState:
     x: np.ndarray  # position along the ring, m
     v: np.ndarray  # speed, m/s
     a: np.ndarray  # realized acceleration of the last step, m/s^2
-    labels: list[VehicleClass]
-    platoons: list[Platoon]
-    assignments: list[Assignment]
-    # first vehicle of each ring; indices inside platoons and assignments
-    # count from their own ring's first vehicle
-    starts: tuple[int, ...] = (0,)
+    # control wiring, one entry per vehicle (see platoons.wire); leader
+    # and rear are indices in this state
+    strategy: np.ndarray  # code in platoons.STRATEGIES order
+    h: np.ndarray         # CTG time gap, s, else NaN
+    leader: np.ndarray    # CS platoon leader, else the vehicle itself
+    hops: np.ndarray      # CS gaps between leader and self, else 0
+    rear: np.ndarray      # whose front gap BS reads as its rear gap, else itself
+    starts: tuple[int, ...] = (0,)  # first vehicle of each ring
 
     @property
     def n(self) -> int:
@@ -137,9 +141,6 @@ class TrajectoryLog:
     v: np.ndarray      # (m, n)
     a: np.ndarray      # (m, n)
     violations: list[Violation]
-    labels: list[VehicleClass]
-    platoons: list[Platoon]
-    assignments: list[Assignment]
     # ring index -> SimulationError message of each ring dropped mid-run;
     # its columns hold NaN from the failing step on
     errors: dict[int, str] = field(default_factory=dict)
@@ -147,7 +148,7 @@ class TrajectoryLog:
 
 @dataclass(frozen=True)
 class _VehicleTable:
-    """Per-vehicle control wiring, resolved once per run from the assignments.
+    """Per-vehicle control wiring of the rings stepped in one run.
 
     Every column has one entry per stepped vehicle, so the kernel fills one
     full-fleet ControlContext; a column a vehicle's law does not read
@@ -169,42 +170,28 @@ class _VehicleTable:
 
 def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
     """Wiring of the listed rings of ``state``, packed in that order."""
-    bounds = (*state.starts, state.n)
-    n = sum(bounds[r + 1] - bounds[r] for r in rings)
-    own = np.arange(n)
-    pred, leader, rear = own - 1, own.copy(), own.copy()
-    hops = np.zeros(n)
-    h = np.full(n, np.nan)
-    ring, first, cols = (np.empty(n, dtype=np.intp) for _ in range(3))
-    alone: list[int] = []
-    members: dict[Strategy, list[int]] = {s: [] for s in Strategy}
-    at = 0
-    for r in rings:
-        start, end = bounds[r], bounds[r + 1]
-        size = end - start
-        pred[at] = at + size - 1
-        ring[at:at + size], first[at:at + size] = r, at
-        cols[at:at + size] = range(start, end)
-        if size == 1:
-            alone.append(at)
-        for i, asg in enumerate(state.assignments[start:end], at):
-            members[asg.strategy].append(i)
-            if asg.strategy is Strategy.CTG:
-                h[i] = asg.h
-            elif asg.strategy is Strategy.CS:
-                leader[i], hops[i] = at + asg.leader, asg.hops
-            elif asg.strategy is Strategy.BS:
-                rear[i] = at + (asg.rear_source + 1) % size
-        at += size
+    bounds = np.array((*state.starts, state.n))
+    rings = np.asarray(rings, dtype=np.intp)
+    sizes = bounds[rings + 1] - bounds[rings]
+    starts = np.cumsum(sizes) - sizes  # packed index of each ring's first vehicle
+    ring, first = np.repeat(rings, sizes), np.repeat(starts, sizes)
+    own = np.arange(ring.size)
+    cols = bounds[ring] + own - first
+    packed = np.empty(state.n, dtype=np.intp)
+    packed[cols] = own
+    pred = own - 1
+    pred[starts] = starts + sizes - 1
+    strategy = state.strategy[cols]
     # looked up per run, not at import, so module-level wrappers take effect
-    law_of = {Strategy.HV: hv_accel, Strategy.CTG: partial(ctg_accel, h=h),
+    law_of = {Strategy.HV: hv_accel, Strategy.CTG: partial(ctg_accel, h=state.h[cols]),
               Strategy.VTG1: vtg1_accel, Strategy.VTG2: vtg2_accel,
               Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
-    laws = tuple((law_of[s], np.array(idx, dtype=np.intp))
-                 for s, idx in members.items() if idx)
-    return _VehicleTable(pred=pred, leader=leader, hops=hops, rear=rear, laws=laws,
-                         alone=np.array(alone, dtype=np.intp), ring=ring, first=first,
-                         cols=cols)
+    members = ((law_of[s], np.flatnonzero(strategy == code))
+               for code, s in enumerate(STRATEGIES))
+    return _VehicleTable(pred=pred, leader=packed[state.leader[cols]],
+                         hops=state.hops[cols], rear=packed[state.rear[cols]],
+                         laws=tuple((law, idx) for law, idx in members if idx.size),
+                         alone=starts[sizes == 1], ring=ring, first=first, cols=cols)
 
 
 def init_state(config: SimConfig) -> RingState:
@@ -222,16 +209,12 @@ def init_state(config: SimConfig) -> RingState:
         raise ValueError(f"density {config.density} needs spacing {spacing:.2f} m "
                          f"< vehicle length {VEHICLE_LENGTH} m")
     x = (-spacing * np.arange(n, dtype=float)) % config.ring_length
-    labels = generate_sequence(
-        FleetSpec(n, config.p, config.intensity, config.s_max), config.seed)
-    if config.p == 0.0:
-        platoons: list[Platoon] = []
-        assignments = [Assignment(Strategy.HV)] * n
-    else:
-        platoons = form_platoons(labels, config.s_max)
-        assignments = assign_strategies(labels, platoons, COMBOS[config.combo_id])
-    return RingState(x=x, v=np.zeros(n), a=np.zeros(n), labels=labels,
-                     platoons=platoons, assignments=assignments)
+    spec = FleetSpec(n, config.p, config.intensity, config.s_max)
+    flags = draw_flags(spec, [config.seed])
+    strategy, h, leader, hops, rear = wire(role_codes(flags, config.s_max)[0],
+                                           COMBOS[config.combo_id])
+    return RingState(x=x, v=np.zeros(n), a=np.zeros(n), strategy=strategy, h=h,
+                     leader=leader, hops=hops, rear=rear)
 
 
 def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
@@ -267,15 +250,6 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     return x_new, v_new, a_eff, viol, gap[viol]
 
 
-def step(state: RingState, config: SimConfig) -> tuple[RingState, list[Violation]]:
-    """Advance one step; mainly for tests, run_state drives the same kernel."""
-    table = _build_table(state, range(len(state.starts)))
-    x, v, a, vi, vg = _advance(state.x, state.v, state.a, config, table)
-    new = RingState(x=x, v=v, a=a, labels=state.labels, platoons=state.platoons,
-                    assignments=state.assignments, starts=state.starts)
-    return new, [Violation(0.0, int(i), float(g)) for i, g in zip(vi, vg)]
-
-
 def stack(states: Sequence[RingState], configs: Sequence[SimConfig]) -> RingState:
     """One state holding every single-ring state, in order, to step together.
 
@@ -291,13 +265,13 @@ def stack(states: Sequence[RingState], configs: Sequence[SimConfig]) -> RingStat
         values = {getattr(c, name) for c in configs}
         if len(values) > 1:
             raise ValueError(f"rings stepped together need one {name}, got {sorted(values)}")
-    return RingState(x=np.concatenate([s.x for s in states]),
-                     v=np.concatenate([s.v for s in states]),
-                     a=np.concatenate([s.a for s in states]),
-                     labels=[c for s in states for c in s.labels],
-                     platoons=[p for s in states for p in s.platoons],
-                     assignments=[g for s in states for g in s.assignments],
-                     starts=tuple(accumulate((s.n for s in states[:-1]), initial=0)))
+    starts = tuple(accumulate((s.n for s in states[:-1]), initial=0))
+    columns = {name: np.concatenate([getattr(s, name) for s in states])
+               for name in ("x", "v", "a", "strategy", "h", "hops")}
+    for name in ("leader", "rear"):  # ring indices become state indices
+        columns[name] = np.concatenate([getattr(s, name) + at
+                                        for s, at in zip(states, starts)])
+    return RingState(**columns, starts=starts)
 
 
 def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
@@ -344,9 +318,7 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
         if not x.size:
             break
     return TrajectoryLog(config=config, times=times, x=xs, v=vs, a=accs,
-                         violations=violations, labels=state.labels,
-                         platoons=state.platoons, assignments=state.assignments,
-                         errors=errors)
+                         violations=violations, errors=errors)
 
 
 def split_log(log: TrajectoryLog, states: Sequence[RingState],
@@ -362,14 +334,13 @@ def split_log(log: TrajectoryLog, states: Sequence[RingState],
     for viol in log.violations:
         r = bisect_right(starts, viol.vehicle) - 1
         by_ring[r].append(Violation(viol.t, viol.vehicle - starts[r], viol.gap))
-    for r, (state, config) in enumerate(zip(states, configs)):
+    for r, config in enumerate(configs):
         cols = slice(starts[r], starts[r + 1])
         yield TrajectoryLog(config=config, times=log.times,
                             x=np.ascontiguousarray(log.x[:, cols]),
                             v=np.ascontiguousarray(log.v[:, cols]),
                             a=np.ascontiguousarray(log.a[:, cols]),
-                            violations=by_ring[r], labels=state.labels,
-                            platoons=state.platoons, assignments=state.assignments,
+                            violations=by_ring[r],
                             errors={0: log.errors[r]} if r in log.errors else {})
 
 

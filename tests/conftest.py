@@ -13,11 +13,31 @@ def pytest_terminal_summary(terminalreporter):
         for line in VERDICTS:
             terminalreporter.write_line(line)
 
-from platoonflow.controllers import (H_FOLLOWER, VEHICLE_LENGTH, Strategy,
+from dataclasses import dataclass
+
+from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, Strategy,
                                      equilibrium_gap)
 from platoonflow.fleet import VehicleClass
-from platoonflow.platoons import Assignment
+from platoonflow.platoons import STRATEGIES
 from platoonflow.ring import RingState
+
+HV, LV1, LV2, PV = VehicleClass
+CLASSES = list(VehicleClass)  # role code -> class
+
+
+def uniform_state(x, v, strategy, h=H_FOLLOWER):
+    """One ring whose vehicles all drive ``strategy``, built from columns.
+
+    ``h`` is the CTG time gap; a BS vehicle reads its own follower.
+    """
+    n = len(x)
+    own = np.arange(n)
+    return RingState(x=np.array(x, dtype=float), v=np.array(v, dtype=float),
+                     a=np.zeros(n),
+                     strategy=np.full(n, STRATEGIES.index(strategy), dtype=np.int8),
+                     h=np.full(n, h if strategy is Strategy.CTG else np.nan),
+                     leader=own, hops=np.zeros(n),
+                     rear=(own + 1) % n if strategy is Strategy.BS else own)
 
 
 def equilibrium_flow(strategy, v_e, n=10, h=H_FOLLOWER):
@@ -31,15 +51,110 @@ def equilibrium_flow(strategy, v_e, n=10, h=H_FOLLOWER):
     spacing = gap + VEHICLE_LENGTH
     ring = spacing * n
     x = (-spacing * np.arange(n, dtype=float)) % ring
-    label = VehicleClass.HV if strategy is Strategy.HV else VehicleClass.LV2
-    assignments = []
-    for i in range(n):
-        if strategy is Strategy.CTG:
-            assignments.append(Assignment(Strategy.CTG, h=h))
-        elif strategy is Strategy.BS:
-            assignments.append(Assignment(Strategy.BS, rear_source=i))
-        else:
-            assignments.append(Assignment(strategy))
-    state = RingState(x=x, v=np.full(n, float(v_e)), a=np.zeros(n),
-                      labels=[label] * n, platoons=[], assignments=assignments)
-    return state, ring
+    return uniform_state(x, np.full(n, float(v_e)), strategy, h), ring
+
+
+# The object wiring that platoons.wire replaced: labels grouped into
+# Platoon objects, one Assignment per vehicle, and the per-vehicle loop
+# that turned assignments into table columns. Kept as the reference the
+# array wiring is checked against.
+
+@dataclass(frozen=True)
+class Platoon:
+    leader: int               # ring index of the LV
+    members: tuple[int, ...]  # ring indices in following order, leader first
+
+    @property
+    def tail(self) -> int:
+        return self.members[-1]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class Assignment:
+    strategy: Strategy
+    h: float | None = None          # CTG time gap, s
+    leader: int | None = None       # platoon leader ring index (CS followers)
+    hops: int | None = None         # gaps between leader and self (CS followers)
+    rear_source: int | None = None  # whose rear gap feeds the bidirectional term
+
+
+def form_platoons(labels, s_max=4):
+    """Every LV1/LV2 starts a platoon; the PVs behind it (circularly) join it."""
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty sequence")
+    leader_idx = [i for i in range(n) if labels[i] in (LV1, LV2)]
+    pv_total = sum(1 for c in labels if c is PV)
+    if not leader_idx:
+        if pv_total:
+            raise ValueError("PV present but no platoon leader in the sequence")
+        return []
+    platoons = []
+    claimed = 0
+    for lead in leader_idx:
+        members = [lead]
+        i = (lead + 1) % n
+        while labels[i] is PV and len(members) < n:
+            members.append(i)
+            i = (i + 1) % n
+        claimed += len(members) - 1
+        if len(members) > s_max:
+            raise ValueError(f"platoon at {lead} has {len(members)} members, "
+                             f"cap is {s_max}")
+        platoons.append(Platoon(lead, tuple(members)))
+    if claimed != pv_total:
+        raise ValueError(f"{pv_total - claimed} PV(s) not preceded by any platoon leader")
+    return platoons
+
+
+def rear_gap_source(platoon, index, pv_strategy):
+    """With CS followers a BS leader senses the gap behind the tail, else its own."""
+    if pv_strategy is Strategy.CS:
+        return platoon.tail
+    return index
+
+
+def assign_strategies(labels, platoons, combo):
+    assignments = [Assignment(Strategy.HV) if cls is HV else None for cls in labels]
+    for plat in platoons:
+        for pos, idx in enumerate(plat.members):
+            role_strategy = combo.lv if pos == 0 else combo.pv
+            h = None
+            if role_strategy is Strategy.CTG:
+                h = H_LEADER if pos == 0 else H_FOLLOWER
+            leader = hops = rear = None
+            if role_strategy is Strategy.CS:
+                leader = plat.leader
+                hops = pos
+            if role_strategy is Strategy.BS:
+                rear = rear_gap_source(plat, idx, combo.pv)
+            assignments[idx] = Assignment(role_strategy, h=h, leader=leader,
+                                          hops=hops, rear_source=rear)
+    missing = [i for i, a in enumerate(assignments) if a is None]
+    if missing:
+        raise ValueError(f"vehicles {missing} are in no platoon and not HV")
+    return assignments
+
+
+def reference_columns(codes, combo, s_max):
+    """(strategy, h, leader, hops, rear) of one ring through the object path."""
+    labels = [CLASSES[c] for c in codes]
+    assignments = assign_strategies(labels, form_platoons(labels, s_max), combo)
+    n = len(labels)
+    strategy = np.empty(n, dtype=np.int8)
+    h = np.full(n, np.nan)
+    leader, rear = np.arange(n), np.arange(n)
+    hops = np.zeros(n)
+    for i, asg in enumerate(assignments):
+        strategy[i] = STRATEGIES.index(asg.strategy)
+        if asg.strategy is Strategy.CTG:
+            h[i] = asg.h
+        elif asg.strategy is Strategy.CS:
+            leader[i], hops[i] = asg.leader, asg.hops
+        elif asg.strategy is Strategy.BS:
+            rear[i] = (asg.rear_source + 1) % n
+    return strategy, h, leader, hops, rear

@@ -2,7 +2,7 @@
 
 import pytest
 
-from platoonflow.cli import build_parser, main
+from platoonflow.cli import _grid, build_parser, main
 from platoonflow.csvio import read_metrics_csv
 
 
@@ -98,9 +98,30 @@ def test_curves_cmd(tmp_path):
 
 
 def test_curves_rejects_bad_step(tmp_path, capsys):
-    code = main(["curves", "--v-step", "0", "--outdir", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for bad in (["--v-step", "0"], ["--v-stop", "inf"], ["--v-start", "nan"]):
+        code = main(["curves", *bad, "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_grids_end_at_stop(tmp_path):
+    # 0.01 + 0.02 * 50 = 1.01 would be past --p-stop 1.0, an invalid penetration
+    out = tmp_path / "prob"
+    code = main(["verify-prob", "--vehicles", "20", "--runs", "2", "--p-start", "0.01",
+                 "--p-stop", "1.0", "--p-step", "0.02", "--intensities", "1",
+                 "--outdir", str(out)])
+    assert code == 0
+    lines = (out / "probability_curves.csv").read_text().splitlines()
+    assert len(lines) == 1 + 50 * 3
+    assert lines[-1].startswith("1,0.99,")
+    out = tmp_path / "curves"
+    assert main(["curves", "--v-stop", "33.6", "--outdir", str(out)]) == 0
+    lines = (out / "equilibrium_curves.csv").read_text().splitlines()
+    assert len(lines) == 1 + 33 and lines[-1].startswith("33,")
+    # a stop a whole number of steps away is kept despite float error
+    assert len(_grid(0.01, 0.99, 0.01)) == 99
+    assert len(_grid(0.0, 33.3, 0.1)) == 334
+    assert len(_grid(1.0, 33.0, 1.0)) == 33
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -8,8 +8,7 @@ import pytest
 from platoonflow import csvio
 from platoonflow.csvio import (METRICS_HEADER, format_value, write_csv,
                                write_curves_csv, write_metrics_csv,
-                               write_region_csv, write_sequence_csv,
-                               write_strategy_map_csv, write_trajectory_csv,
+                               write_region_csv, write_trajectory_csv,
                                write_violations_csv)
 from platoonflow.ring import SimConfig, Violation, run
 
@@ -64,29 +63,13 @@ def test_write_metrics_csv_header(tmp_path):
     assert lines[1].split(",")[3] == "ok"
 
 
-def test_trajectory_and_fleet_writers(tmp_path):
+def test_trajectory_writer_header_and_rows(tmp_path):
     log = run(SimConfig(density=10.0, p=0.8, combo_id=5, duration=2.0,
                         warmup=0.0, record_every=10))
     path = write_trajectory_csv(log, tmp_path / "traj.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,vehicle_index,x,v,a"
     assert len(lines) == 1 + log.times.size * 10
-
-    path = write_sequence_csv(log, tmp_path / "seq.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,class,platoon_id"
-    assert len(lines) == 11
-    classes = {line.split(",")[1] for line in lines[1:]}
-    assert "HV" in classes and "LV1" in classes
-
-    path = write_strategy_map_csv(log, tmp_path / "strat.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "vehicle_index,class,platoon_id,strategy,h_param"
-    strategies = {line.split(",")[3] for line in lines[1:]}
-    assert strategies == {"HV", "CTG", "CS"}
-    # HVs sit in no platoon
-    hv_rows = [l for l in lines[1:] if l.split(",")[1] == "HV"]
-    assert all(l.split(",")[2] == "-1" for l in hv_rows)
 
 
 @pytest.mark.parametrize("block_rows", [1, 25, 1 << 15])

@@ -27,8 +27,7 @@ def make_log(v, a):
     cfg = SimConfig(density=None)
     m, n = v.shape
     return TrajectoryLog(config=cfg, times=np.arange(m, dtype=float),
-                         x=np.zeros((m, n)), v=v, a=a, violations=[],
-                         labels=[], platoons=[], assignments=[])
+                         x=np.zeros((m, n)), v=v, a=a, violations=[])
 
 
 def test_vsp_examples():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from platoonflow.experiments import cell_seed, verify_probability_model
 from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass,
                                class_probabilities, draw_flags,
-                               empirical_distribution, generate_sequence,
-                               goodness_of_fit, label_roles, role_codes,
+                               empirical_distribution, goodness_of_fit, role_codes,
                                round_half_up, transition_probs)
 
 HV = VehicleClass.HV
@@ -20,6 +19,16 @@ LV1 = VehicleClass.LV1
 LV2 = VehicleClass.LV2
 PV = VehicleClass.PV
 CLASSES = list(VehicleClass)  # role code -> class
+
+
+def labels_of(is_cav, s_max):
+    """One ring of CAV flags labeled by role_codes, as VehicleClass members."""
+    return [CLASSES[c] for c in role_codes(np.array([is_cav], dtype=bool), s_max)[0]]
+
+
+def draw_labels(spec, seed):
+    """One ring drawn by draw_flags and labeled by role_codes."""
+    return [CLASSES[c] for c in role_codes(draw_flags(spec, [seed]), spec.s_max)[0]]
 
 
 def reference_label_roles(is_cav, s_max):
@@ -221,22 +230,22 @@ def test_generate_sequence_block_layout():
     # platoon chunks. The chunk behind the last HV starts with a leader
     # that follows an HV, the later chunk heads follow CAVs.
     spec = FleetSpec(n_vehicles=10, p=0.8, intensity=1.0, s_max=4)
-    seq = generate_sequence(spec, seed=0)
+    seq = draw_labels(spec, seed=0)
     assert seq == [HV, HV, LV1, PV, PV, PV, LV2, PV, PV, PV]
     # Seed is irrelevant at full intensity.
-    assert generate_sequence(spec, seed=99) == seq
+    assert draw_labels(spec, seed=99) == seq
 
 
 def test_generate_sequence_all_hv():
     spec = FleetSpec(n_vehicles=5, p=0.0, intensity=0.0, s_max=4)
-    assert generate_sequence(spec, seed=3) == [HV] * 5
+    assert draw_labels(spec, seed=3) == [HV] * 5
 
 
 def test_generate_sequence_seeding():
     spec = FleetSpec(n_vehicles=400, p=0.5, intensity=0.3, s_max=4)
-    a = generate_sequence(spec, seed=5)
-    b = generate_sequence(spec, seed=5)
-    c = generate_sequence(spec, seed=6)
+    a = draw_labels(spec, seed=5)
+    b = draw_labels(spec, seed=5)
+    c = draw_labels(spec, seed=6)
     assert a == b
     assert a != c
 
@@ -250,25 +259,25 @@ def test_generate_sequence_cav_count_tracks_p():
                              s_max=4)
             total = 0
             for seed in range(50):
-                seq = generate_sequence(spec, seed=seed)
+                seq = draw_labels(spec, seed=seed)
                 total += sum(1 for c in seq if c is not HV)
             assert total / 50000 == pytest.approx(p, abs=0.04)
 
 
 def test_label_roles_examples():
-    assert label_roles([False, True, True, True, True, True], 4) == [
+    assert labels_of([False, True, True, True, True, True], 4) == [
         HV, LV1, PV, PV, PV, LV2]
-    assert label_roles([False, True], 4) == [HV, LV1]
+    assert labels_of([False, True], 4) == [HV, LV1]
     # Pure CAV ring has no HV anywhere, so every chunk head is a
     # follower-of-CAV leader.
-    assert label_roles([True] * 8, 4) == [LV2, PV, PV, PV, LV2, PV, PV, PV]
+    assert labels_of([True] * 8, 4) == [LV2, PV, PV, PV, LV2, PV, PV, PV]
 
 
 def test_label_roles_errors():
     with pytest.raises(ValueError):
-        label_roles([], 4)
+        FleetSpec(0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        label_roles([True, False], 0)
+        labels_of([True, False], 0)
 
 
 def _check_adjacency(labels, s_max):
@@ -299,7 +308,7 @@ def test_label_roles_adjacency_invariants():
         n = rng.randint(1, 40)
         s_max = rng.randint(1, 6)
         flags = [rng.random() < 0.6 for _ in range(n)]
-        labels = label_roles(flags, s_max)
+        labels = labels_of(flags, s_max)
         assert len(labels) == n
         assert [c is not HV for c in labels] == flags
         if any(flags):
@@ -314,7 +323,7 @@ def test_generate_sequence_adjacency_invariants():
         spec = FleetSpec(n_vehicles=rng.randint(2, 60),
                          p=rng.random(), intensity=rng.random(),
                          s_max=rng.randint(1, 6))
-        seq = generate_sequence(spec, seed=rng.randint(0, 10 ** 6))
+        seq = draw_labels(spec, seed=rng.randint(0, 10 ** 6))
         if any(c is not HV for c in seq):
             _check_adjacency(seq, spec.s_max)
 
@@ -413,7 +422,6 @@ def test_role_codes_match_per_vehicle_loop(case):
     assert codes.shape == (len(rows), len(rows[0]))
     for row, got in zip(rows, codes.tolist()):
         assert [CLASSES[c] for c in got] == reference_label_roles(row, s_max)
-    assert label_roles(rows[0], s_max) == reference_label_roles(rows[0], s_max)
 
 
 @pytest.mark.parametrize("intensity", [0.0, 0.3, 0.99, 1.0])

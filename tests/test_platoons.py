@@ -1,19 +1,34 @@
-"""Platoon grouping and per-vehicle control wiring."""
+"""Strategy combos and the array wiring of a ring, against the object path."""
 
 import random
 
+import numpy as np
 import pytest
+from conftest import (CLASSES, HV, LV1, LV2, PV, Platoon, assign_strategies,
+                      form_platoons, rear_gap_source, reference_columns)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from platoonflow.controllers import Strategy
-from platoonflow.fleet import FleetSpec, VehicleClass, generate_sequence, label_roles
-from platoonflow.platoons import (COMBOS, Assignment, Platoon, StrategyCombo,
-                                  assign_strategies, form_platoons,
-                                  rear_gap_source)
+from platoonflow.controllers import H_FOLLOWER, H_LEADER, Strategy
+from platoonflow.fleet import FleetSpec, draw_flags, role_codes
+from platoonflow.platoons import COMBOS, STRATEGIES, wire
 
-HV = VehicleClass.HV
-LV1 = VehicleClass.LV1
-LV2 = VehicleClass.LV2
-PV = VehicleClass.PV
+NAN = np.nan
+FIELDS = ("strategy", "h", "leader", "hops", "rear")
+
+
+def code(strategy):
+    return STRATEGIES.index(strategy)
+
+
+def labels_of(flags, s_max=4):
+    return [CLASSES[c] for c in role_codes(np.array([flags], dtype=bool), s_max)[0]]
+
+
+def columns(labels, combo):
+    """wire() of a labeled ring, by column name."""
+    codes = np.array([CLASSES.index(c) for c in labels], dtype=np.int8)
+    return dict(zip(FIELDS, wire(codes, combo)))
 
 
 def test_combo_table():
@@ -35,6 +50,8 @@ def test_combo_table():
         assert COMBOS[cid].lv is lv
         assert COMBOS[cid].pv is pv
 
+
+# The reference object path (conftest) on hand-made rings.
 
 def test_platoon_properties():
     plat = Platoon(leader=5, members=(5, 6, 7))
@@ -64,7 +81,7 @@ def test_form_platoons_wraparound():
 
 def test_form_platoons_block_fleet():
     spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
-    labels = generate_sequence(spec, seed=0)
+    labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [0]), 4)[0]]
     platoons = form_platoons(labels)
     assert len(platoons) == 20
     assert all(p.size == 4 for p in platoons)
@@ -84,8 +101,7 @@ def test_form_platoons_oversize_raises():
 
 
 def test_form_platoons_deterministic():
-    labels = label_roles([True, True, False, True, True, True, True, False],
-                         4)
+    labels = labels_of([True, True, False, True, True, True, True, False])
     assert form_platoons(labels) == form_platoons(labels)
 
 
@@ -99,89 +115,105 @@ def test_rear_gap_source():
     assert rear_gap_source(single, 7, Strategy.CS) == 7
 
 
-LABELS7 = [HV, LV1, PV, PV, PV, LV2, PV]
-
-
-def test_assign_leader_ctg_follower_cs():
-    platoons = form_platoons(LABELS7)
-    out = assign_strategies(LABELS7, platoons, COMBOS[5])
-    assert out[0] == Assignment(Strategy.HV)
-    assert out[1] == Assignment(Strategy.CTG, h=1.1)
-    assert out[2] == Assignment(Strategy.CS, leader=1, hops=1)
-    assert out[3] == Assignment(Strategy.CS, leader=1, hops=2)
-    assert out[4] == Assignment(Strategy.CS, leader=1, hops=3)
-    assert out[5] == Assignment(Strategy.CTG, h=1.1)
-    assert out[6] == Assignment(Strategy.CS, leader=5, hops=1)
-
-
-def test_assign_uniform_ctg_uses_two_time_gaps():
-    platoons = form_platoons(LABELS7)
-    out = assign_strategies(LABELS7, platoons, COMBOS[1])
-    assert out[1].h == 1.1 and out[5].h == 1.1
-    assert out[2].h == 0.6 and out[3].h == 0.6 and out[6].h == 0.6
-    assert all(a.leader is None and a.hops is None for a in out)
-
-
-def test_assign_bidirectional_leader_with_rigid_followers():
-    platoons = form_platoons(LABELS7)
-    out = assign_strategies(LABELS7, platoons, COMBOS[10])
-    assert out[1] == Assignment(Strategy.BS, rear_source=4)
-    assert out[5] == Assignment(Strategy.BS, rear_source=6)
-    assert out[2] == Assignment(Strategy.CS, leader=1, hops=1)
-    assert out[6] == Assignment(Strategy.CS, leader=5, hops=1)
-
-
-def test_assign_all_bidirectional_reads_own_follower():
-    platoons = form_platoons(LABELS7)
-    out = assign_strategies(LABELS7, platoons, COMBOS[4])
-    for idx in (1, 2, 3, 4, 5, 6):
-        assert out[idx].strategy is Strategy.BS
-        assert out[idx].rear_source == idx
-
-
-def test_assign_single_strategy_combos_differ_only_in_time_gap():
-    platoons = form_platoons(LABELS7)
-    for cid in (1, 2, 3, 4):
-        out = assign_strategies(LABELS7, platoons, COMBOS[cid])
-        for plat in platoons:
-            lead = out[plat.leader]
-            for idx in plat.members[1:]:
-                assert out[idx].strategy is lead.strategy
-                if cid in (2, 3):
-                    assert out[idx] == lead
-                elif cid == 1:
-                    assert (out[idx].h, lead.h) == (0.6, 1.1)
-                else:
-                    # bidirectional wiring points at each own follower
-                    assert out[idx].rear_source == idx
-
-
 def test_assign_rejects_unplatooned_cav():
     with pytest.raises(ValueError):
         assign_strategies([HV, LV1], [], COMBOS[1])
+
+
+# The array wiring.
+
+LABELS7 = [HV, LV1, PV, PV, PV, LV2, PV]
+OWN7 = list(range(7))
+
+
+def assert_columns(got, **expected):
+    for name, values in expected.items():
+        np.testing.assert_array_equal(got[name], values, err_msg=name)
+
+
+def test_assign_leader_ctg_follower_cs():
+    ctg, cs = code(Strategy.CTG), code(Strategy.CS)
+    assert_columns(columns(LABELS7, COMBOS[5]),
+                   strategy=[code(Strategy.HV), ctg, cs, cs, cs, ctg, cs],
+                   h=[NAN, H_LEADER, NAN, NAN, NAN, H_LEADER, NAN],
+                   leader=[0, 1, 1, 1, 1, 5, 5], hops=[0, 0, 1, 2, 3, 0, 1],
+                   rear=OWN7)
+
+
+def test_assign_uniform_ctg_uses_two_time_gaps():
+    assert_columns(columns(LABELS7, COMBOS[1]),
+                   h=[NAN, 1.1, 0.6, 0.6, 0.6, 1.1, 0.6],
+                   leader=OWN7, hops=[0] * 7)
+
+
+def test_assign_bidirectional_leader_with_rigid_followers():
+    bs, cs = code(Strategy.BS), code(Strategy.CS)
+    # each leader reads the gap behind its platoon's tail (4, then 6 with wrap)
+    assert_columns(columns(LABELS7, COMBOS[10]),
+                   strategy=[code(Strategy.HV), bs, cs, cs, cs, bs, cs],
+                   leader=[0, 1, 1, 1, 1, 5, 5], hops=[0, 0, 1, 2, 3, 0, 1],
+                   rear=[0, 5, 2, 3, 4, 0, 6])
+
+
+def test_assign_all_bidirectional_reads_own_follower():
+    assert_columns(columns(LABELS7, COMBOS[4]),
+                   strategy=[code(Strategy.HV)] + [code(Strategy.BS)] * 6,
+                   rear=[0, 2, 3, 4, 5, 6, 0])
+
+
+def test_assign_single_strategy_combos_differ_only_in_time_gap():
+    for cid in (1, 2, 3, 4):
+        got = columns(LABELS7, COMBOS[cid])
+        assert set(got["strategy"][1:].tolist()) == {code(COMBOS[cid].lv)}
+        h = [NAN, H_LEADER, H_FOLLOWER, H_FOLLOWER, H_FOLLOWER, H_LEADER, H_FOLLOWER]
+        rear = [0, 2, 3, 4, 5, 6, 0] if cid == 4 else OWN7
+        assert_columns(got, h=h if cid == 1 else [NAN] * 7, leader=OWN7,
+                       hops=[0] * 7, rear=rear)
 
 
 def test_assign_covers_every_vehicle():
     rng = random.Random(13)
     for _ in range(50):
         n = rng.randint(2, 50)
-        flags = [rng.random() < 0.7 for _ in range(n)]
-        labels = label_roles(flags, 4)
-        platoons = form_platoons(labels)
+        labels = labels_of([rng.random() < 0.7 for _ in range(n)])
         combo = COMBOS[rng.randint(1, 10)]
-        out = assign_strategies(labels, platoons, combo)
-        assert len(out) == n
-        pos_in_platoon = {}
-        for plat in platoons:
-            for pos, idx in enumerate(plat.members):
-                pos_in_platoon[idx] = (plat, pos)
-        for i, a in enumerate(out):
-            if labels[i] is HV:
-                assert a.strategy is Strategy.HV
+        got = columns(labels, combo)
+        position = {idx: (plat, pos) for plat in form_platoons(labels)
+                    for pos, idx in enumerate(plat.members)}
+        for i, cls in enumerate(labels):
+            if cls is HV:
+                assert got["strategy"][i] == code(Strategy.HV)
                 continue
-            plat, pos = pos_in_platoon[i]
-            expect = combo.lv if pos == 0 else combo.pv
-            assert a.strategy is expect
-            if a.strategy is Strategy.CS:
-                assert a.leader == plat.leader
-                assert a.hops == pos
+            plat, pos = position[i]
+            assert got["strategy"][i] == code(combo.lv if pos == 0 else combo.pv)
+            if got["strategy"][i] == code(Strategy.CS):
+                assert (got["leader"][i], got["hops"][i]) == (plat.leader, pos)
+
+
+@st.composite
+def coded_rings(draw):
+    """CAV flags of one ring, a cap in 1..n+1, and a combo."""
+    n = draw(st.integers(1, 40))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return flags, draw(st.integers(1, n + 1)), draw(st.sampled_from(sorted(COMBOS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(coded_rings())
+@example(([False] * 5, 2, 10))                               # all HV
+@example(([True] * 9, 4, 10))                                # all CAV
+@example(([True] * 3, 4, 10))                                # one platoon is the ring
+@example(([True, True, False, True, True, True], 4, 10))     # platoon wraps the ring end
+@example(([True, True, False, True, True, True], 4, 1))
+@example(([True, True, False, True, True, True], 2, 5))
+@example(([True], 1, 10))                                    # n = 1
+@example(([False], 2, 5))
+def test_wire_matches_object_path(case):
+    flags, s_max, combo_id = case
+    codes = role_codes(np.array([flags]), s_max)[0]
+    got = wire(codes, COMBOS[combo_id])
+    want = reference_columns(codes, COMBOS[combo_id], s_max)
+    for name, g, w in zip(FIELDS, got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+        assert g.dtype.kind == w.dtype.kind, name
+

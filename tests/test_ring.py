@@ -5,19 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import equilibrium_flow
+from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoons,
+                      uniform_state)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonflow.controllers import (VEHICLE_LENGTH, ControlContext, Strategy,
-                                     bdbm_accel, cs_accel, ctg_accel, hv_accel,
-                                     vtg1_accel, vtg2_accel)
-from platoonflow.fleet import VehicleClass
-from platoonflow.platoons import COMBOS, Assignment
-from platoonflow.ring import (ENGINE_FIELDS, GAP_FLOOR, RingState, SafetySummary,
-                              SimConfig, SimulationError, TrajectoryLog, Violation,
-                              init_state, run, run_state, safety_scan, split_log,
-                              stack, step)
+from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
+                                     ControlContext, Strategy, bdbm_accel, cs_accel,
+                                     ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
+from platoonflow.fleet import FleetSpec, draw_flags, role_codes
+from platoonflow.platoons import COMBOS, STRATEGIES
+from platoonflow.ring import (ENGINE_FIELDS, GAP_FLOOR, SafetySummary, SimConfig,
+                              SimulationError, TrajectoryLog, Violation, init_state,
+                              run, run_state, safety_scan, split_log, stack)
 
 
 def hand_config(ring, **kw):
@@ -27,11 +27,25 @@ def hand_config(ring, **kw):
     return SimConfig(**base)
 
 
-def two_vehicle_state(x, v, strategy=Strategy.CTG, h=0.6):
-    assignments = [Assignment(strategy, h=h) for _ in x]
-    return RingState(x=np.array(x, dtype=float), v=np.array(v, dtype=float),
-                     a=np.zeros(len(x)), labels=[VehicleClass.LV2] * len(x),
-                     platoons=[], assignments=assignments)
+def step_once(state, cfg):
+    """State and violations after one step of run_state from ``state``."""
+    cfg = dataclasses.replace(cfg, duration=2 * cfg.dt, warmup=cfg.dt, record_every=1)
+    log = run_state(state, cfg)
+    if log.errors:
+        raise SimulationError(log.errors[0])
+    new = dataclasses.replace(state, x=log.x[0], v=log.v[0], a=log.a[0])
+    return new, [viol for viol in log.violations if viol.t == 0.0]
+
+
+def code(strategy):
+    return STRATEGIES.index(strategy)
+
+
+def assert_unwired(state):
+    """No vehicle reads a platoon leader or a rear gap."""
+    own = np.arange(state.n)
+    assert np.array_equal(state.leader, own) and np.array_equal(state.rear, own)
+    assert not np.any(state.hops)
 
 
 def test_init_state_full_cav_ring():
@@ -41,26 +55,36 @@ def test_init_state_full_cav_ring():
     dx = (np.roll(state.x, 1) - state.x) % cfg.ring_length
     assert np.allclose(dx - VEHICLE_LENGTH, 5.0, atol=1e-9)
     assert np.all(state.v == 0.0)
-    assert len(state.platoons) == 25
-    assert all(p.size == 4 for p in state.platoons)
+    # 25 platoons of four: CTG leaders at 1.1 s, CTG followers at 0.6 s
+    assert np.all(state.strategy == code(Strategy.CTG))
+    assert np.array_equal(np.flatnonzero(state.h == H_LEADER), np.arange(0, 100, 4))
+    assert np.count_nonzero(state.h == H_FOLLOWER) == 75
+    assert_unwired(state)
 
 
 def test_init_state_all_hv():
     cfg = SimConfig(density=5.0, p=0.0)
     state = init_state(cfg)
     assert state.n == 5
-    assert state.platoons == []
-    assert all(a.strategy is Strategy.HV for a in state.assignments)
-    assert all(cls is VehicleClass.HV for cls in state.labels)
+    assert np.all(state.strategy == code(Strategy.HV))
+    assert np.all(np.isnan(state.h))
+    assert_unwired(state)
 
 
 def test_init_state_mixed_fleet():
     cfg = SimConfig(density=55.0, p=0.8, combo_id=7)
     state = init_state(cfg)
     assert state.n == 55
-    cav = sum(1 for c in state.labels if c is not VehicleClass.HV)
-    assert cav == 44
-    assert len(state.platoons) == 11
+    assert np.count_nonzero(state.strategy != code(Strategy.HV)) == 44
+    # 11 VTG1 leaders, each followed by three CS followers
+    leaders = np.flatnonzero(state.strategy == code(Strategy.VTG1))
+    assert leaders.size == 11
+    cs = np.flatnonzero(state.strategy == code(Strategy.CS))
+    assert cs.size == 33
+    assert np.array_equal(state.leader[cs], np.repeat(leaders, 3))
+    assert np.array_equal(state.hops[cs], np.tile([1.0, 2.0, 3.0], 11))
+    assert np.all(np.isnan(state.h))
+    assert np.array_equal(state.rear, np.arange(55))
 
 
 def test_init_state_vehicle_count_rounds_half_up():
@@ -111,7 +135,7 @@ def test_config_rejects_non_finite(field, value):
 def test_step_holds_equilibrium(strategy):
     state, ring = equilibrium_flow(strategy, 15.0, n=10)
     cfg = hand_config(ring)
-    new, violations = step(state, cfg)
+    new, violations = step_once(state, cfg)
     assert violations == []
     assert np.allclose(new.v, 15.0, atol=1e-12)
     assert np.allclose(new.a, 0.0, atol=1e-12)
@@ -120,8 +144,8 @@ def test_step_holds_equilibrium(strategy):
 
 
 def test_step_speed_cap():
-    state = two_vehicle_state([0.0, 100.0], [33.3, 33.3])
-    new, _ = step(state, hand_config(200.0))
+    state = uniform_state([0.0, 100.0], [33.3, 33.3], Strategy.CTG)
+    new, _ = step_once(state, hand_config(200.0))
     # the huge gap asks for acceleration; the cap holds the speed exactly
     assert new.v[0] == 33.3
     assert new.a[0] == 0.0
@@ -129,17 +153,16 @@ def test_step_speed_cap():
 
 def test_step_brake_clamp_and_speed_floor():
     # overlapping pair: raw braking demand far exceeds the clamp
-    state = two_vehicle_state([0.0, 5.01], [0.3, 0.3], strategy=Strategy.HV)
-    state.assignments[0] = Assignment(Strategy.HV)
-    new, violations = step(state, hand_config(100.0))
+    state = uniform_state([0.0, 5.01], [0.3, 0.3], Strategy.HV)
+    new, violations = step_once(state, hand_config(100.0))
     assert violations == []  # gap 0.01 is tiny but still positive
     assert new.v[0] == 0.0   # 0.3 - 0.5 clips at standstill
     assert new.a[0] == pytest.approx(-3.0, rel=1e-12)
 
 
 def test_step_negative_gap_records_violation_and_continues():
-    state = two_vehicle_state([0.0, 4.5], [5.0, 5.0], strategy=Strategy.HV)
-    new, violations = step(state, hand_config(100.0))
+    state = uniform_state([0.0, 4.5], [5.0, 5.0], Strategy.HV)
+    new, violations = step_once(state, hand_config(100.0))
     assert len(violations) == 1
     assert violations[0].vehicle == 0
     assert violations[0].gap == pytest.approx(-0.5, abs=1e-9)
@@ -149,7 +172,7 @@ def test_step_negative_gap_records_violation_and_continues():
 def test_step_all_hv_standstill_launch():
     cfg = SimConfig(density=20.0, p=0.0)
     state = init_state(cfg)
-    new, violations = step(state, cfg)
+    new, violations = step_once(state, cfg)
     assert violations == []
     assert np.all(new.v > 0.0)
     assert np.allclose(new.v, new.v[0], atol=1e-12)  # symmetric launch
@@ -224,7 +247,7 @@ def test_nan_state_raises():
     state, ring = equilibrium_flow(Strategy.CTG, 15.0, n=5)
     state.v[2] = math.nan
     with pytest.raises(SimulationError) as err:
-        step(state, hand_config(ring))
+        step_once(state, hand_config(ring))
     assert "2" in str(err.value)
 
 
@@ -244,9 +267,7 @@ def test_safety_scan():
     synthetic = TrajectoryLog(config=cfg, times=log.times, x=log.x, v=log.v,
                               a=log.a,
                               violations=[Violation(3.0, 2, -0.4),
-                                          Violation(1.0, 5, -0.1)],
-                              labels=log.labels, platoons=log.platoons,
-                              assignments=log.assignments)
+                                          Violation(1.0, 5, -0.1)])
     scan = safety_scan(synthetic)
     assert scan.count == 2
     assert scan.first_t == 1.0
@@ -257,14 +278,13 @@ LAWS = {Strategy.HV: hv_accel, Strategy.VTG1: vtg1_accel,
         Strategy.VTG2: vtg2_accel, Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
 
 
-def reference_step(state, cfg, i):
+def reference_step(state, cfg, i, asg):
     """New speed and raw law output of vehicle i, from its own Assignment alone."""
     x, v, a, n, ring = state.x, state.v, state.a, state.n, cfg.ring_length
 
     def front_gap(k):
         return max((x[(k - 1) % n] - x[k]) % ring - VEHICLE_LENGTH, GAP_FLOOR)
 
-    asg = state.assignments[i]
     pred = (i - 1) % n
     ctx = ControlContext(v=np.array([v[i]]), gap=np.array([front_gap(i)]),
                          v_pred=np.array([v[pred]]), a_pred=np.array([a[pred]]))
@@ -289,7 +309,11 @@ def test_step_matches_per_vehicle_laws(combo_id):
                     duration=1.0, warmup=0.0)
     state = init_state(cfg)
     combo = COMBOS[combo_id]
-    asgs = state.assignments
+    # the per-vehicle wiring of the reference object path
+    spec = FleetSpec(state.n, cfg.p, cfg.intensity, cfg.s_max)
+    labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [cfg.seed]), cfg.s_max)[0]]
+    platoons = form_platoons(labels, cfg.s_max)
+    asgs = assign_strategies(labels, platoons, combo)
     # a mixed fleet: human drivers, leaders and in-platoon followers
     assert {a.strategy for a in asgs} == {Strategy.HV, combo.lv, combo.pv}
     if combo.pv is Strategy.CS:
@@ -302,16 +326,16 @@ def test_step_matches_per_vehicle_laws(combo_id):
     rng = np.random.default_rng(combo_id)
     # uneven gaps, and the ring origin inside the longest platoon so the
     # leader arc has to wrap
-    lead = max(state.platoons, key=lambda plat: plat.size).leader
+    lead = max(platoons, key=lambda plat: plat.size).leader
     state.x = (state.x - state.x[lead] + 1.0
                + rng.uniform(-1.0, 1.0, state.n)) % cfg.ring_length
     state.v = rng.uniform(6.5, 7.5, state.n)
     state.a = rng.uniform(-0.3, 0.3, state.n)
 
-    new, _ = step(state, cfg)
+    new, _ = step_once(state, cfg)
     unclamped = 0
     for i in range(state.n):
-        v_ref, u = reference_step(state, cfg, i)
+        v_ref, u = reference_step(state, cfg, i, asgs[i])
         assert new.v[i] == pytest.approx(v_ref, rel=1e-12, abs=0.0), i
         unclamped += cfg.a_min < u < cfg.a_max
     assert unclamped >= state.n // 2  # the comparison is not all clamp
@@ -369,7 +393,6 @@ def test_stacked_rings_match_solo_runs():
         solo = run_state(state, cfg)
         assert_same_log(part, solo)
         assert part.config is cfg
-        assert part.assignments == state.assignments
     assert sum(len(part.violations) for part in parts) > 0
     # the lone vehicle sees one lap of free road and accelerates at a_max
     lone = parts[0]
@@ -385,7 +408,7 @@ def test_stack_drops_only_the_failing_ring():
     assert list(solo[1].errors) == [0]
     assert "vehicle 3" in solo[1].errors[0]
     with pytest.raises(SimulationError, match="vehicle 3"):
-        step(states[1], cells[1])
+        step_once(states[1], cells[1])
 
     log = run_state(stack(states, cells), cells[0])
     assert log.errors == {1: solo[1].errors[0]}
