@@ -25,6 +25,7 @@ from .csvio import (read_metrics_csv, write_csv, write_curves_csv, write_metrics
 from .energy import equilibrium_curves
 from .experiments import (SweepSpec, emit_plot_data, run_sweep,
                           verify_probability_model, verify_stability)
+from .ring import SimConfig
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -87,11 +88,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        default=SweepSpec.penetrations)
     sweep.add_argument("--combos", type=_int_list, default=SweepSpec.combos,
                        help="strategy combo ids, e.g. 1,4,7 or 1-10")
-    sweep.add_argument("--ring-length", type=float, default=SweepSpec.ring_length)
-    sweep.add_argument("--dt", type=float, default=SweepSpec.dt)
-    sweep.add_argument("--duration", type=float, default=SweepSpec.duration)
-    sweep.add_argument("--warmup", type=float, default=SweepSpec.warmup)
-    sweep.add_argument("--record-every", type=int, default=SweepSpec.record_every)
+    sweep.add_argument("--ring-length", type=float, default=SimConfig.ring_length)
+    sweep.add_argument("--dt", type=float, default=SimConfig.dt)
+    sweep.add_argument("--duration", type=float, default=SimConfig.duration)
+    sweep.add_argument("--warmup", type=float, default=SimConfig.warmup)
+    sweep.add_argument("--record-every", type=int, default=SimConfig.record_every)
     sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--save-trajectories", action="store_true")
@@ -133,11 +134,11 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    sim = SimConfig(ring_length=args.ring_length, dt=args.dt, duration=args.duration,
+                    warmup=args.warmup, record_every=args.record_every)
     spec = SweepSpec(densities=tuple(args.densities),
                      penetrations=tuple(args.penetrations),
-                     combos=tuple(args.combos), ring_length=args.ring_length,
-                     dt=args.dt, duration=args.duration, warmup=args.warmup,
-                     record_every=args.record_every, base_seed=args.seed,
+                     combos=tuple(args.combos), sim=sim, base_seed=args.seed,
                      jobs=args.jobs)
     outdir = Path(args.outdir)
     save_dir = outdir / "trajectories" if args.save_trajectories else None

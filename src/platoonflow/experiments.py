@@ -1,8 +1,10 @@
 """Experiment drivers: the sweep grid and the verification reports.
 
-A sweep cell is one (density, penetration, combo) simulation; cells are
-independent, seeded from a stable hash, and a failed cell becomes a
-status row instead of killing the sweep. Row order is fixed to
+A sweep cell is one (density, penetration, combo) simulation; every
+cell runs under the sweep's one engine config (``SweepSpec.sim``), which
+is checked before any cell runs. Cells are independent, seeded from a
+stable hash, and a cell that fails on its own values becomes a status
+row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
 The sweep cuts the cells, in order, into chunks of about CHUNK_VEHICLES
@@ -49,13 +51,17 @@ class SweepSpec:
     densities: tuple[float, ...] = tuple(float(d) for d in range(5, 101, 5))
     penetrations: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     combos: tuple[int, ...] = tuple(range(1, 11))
-    ring_length: float = 1000.0
-    dt: float = 0.1
-    duration: float = 3600.0
-    warmup: float = 1800.0
-    record_every: int = 10
+    sim: ring.SimConfig = ring.SimConfig()
     base_seed: int = 42
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("densities", "penetrations", "combos"):
+            axis = getattr(self, name)
+            if not axis:
+                raise ValueError(f"sweep axis {name} is empty")
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"sweep axis {name} repeats a value: {axis}")
 
 
 def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
@@ -107,25 +113,19 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     rows: list[dict] = []
     running: list[dict] = []
     states: list[ring.RingState] = []
-    configs: list[ring.SimConfig] = []
     for density, p, combo in cells:
         row = {"combo": combo, "p": p, "density": density}
         rows.append(row)
         try:
-            config = ring.SimConfig(density=density, p=p, combo_id=combo,
-                                    ring_length=spec.ring_length, dt=spec.dt,
-                                    duration=spec.duration, warmup=spec.warmup,
-                                    record_every=spec.record_every,
-                                    seed=cell_seed(spec.base_seed, density, p, combo))
-            states.append(ring.init_state(config))
+            states.append(ring.init_state(spec.sim, density, p, combo,
+                                          seed=cell_seed(spec.base_seed, density, p, combo)))
         except ValueError as exc:
             _fail(row, exc)
             continue
-        configs.append(config)
         running.append(row)
     if states:
-        log = ring.run_state(ring.stack(states, configs), configs[0])
-        for row, part in zip(running, ring.split_log(log, states, configs)):
+        log = ring.run_state(ring.stack(states), spec.sim)
+        for row, part in zip(running, ring.split_log(log, states)):
             if part.errors:
                 _fail(row, part.errors[0])
             else:
@@ -148,7 +148,7 @@ def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     chunk: list[tuple[float, float, int]] = []
     size = 0.0
     for cell in cells:
-        n = cell[0] * spec.ring_length / 1000.0
+        n = cell[0] * spec.sim.ring_length / 1000.0
         n = n if 0.0 < n < math.inf else 0.0
         if chunk and size + n > CHUNK_VEHICLES:
             yield chunk

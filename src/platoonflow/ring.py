@@ -11,12 +11,15 @@ from that table and evaluates each strategy present with the exact
 functions from the controllers module, keeping only its own members'
 outputs, so the engine cannot drift from the unit-tested formulas.
 
-One state can hold several independent rings that share the engine
-settings (``stack``): their arrays are concatenated and their index
-columns offset into each ring's own slice, so one kernel call steps
-them all. Every operation is elementwise or gathers inside one
-ring, so each ring's numbers are bit for bit those of a run alone;
-``split_log`` cuts the stacked log back into per-ring logs.
+A ``SimConfig`` holds only the engine settings (ring length, time
+step, horizon, sampling, actuator limits); a cell's own values (density,
+penetration, combo, fleet layout) are arguments of ``init_state``. One
+state can hold several independent rings (``stack``): their arrays are
+concatenated and their index columns offset into each ring's own
+slice, so one kernel call under one config steps them all. Every
+operation is elementwise or gathers inside one ring, so each ring's
+numbers are bit for bit those of a run alone; ``split_log`` cuts the
+stacked log back into per-ring logs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
+from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -51,53 +55,37 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    density: float | None = None   # veh/km; may be None when a state is built by hand
-    p: float = 1.0                 # CAV penetration
-    combo_id: int = 1
-    intensity: float = 1.0         # platoon intensity of the initial layout
-    s_max: int = 4
+    """Engine settings shared by every ring of a run."""
+
     ring_length: float = 1000.0    # m
     dt: float = 0.1                # s
     duration: float = 3600.0       # s
     warmup: float = 1800.0         # s discarded before sampling
+    record_every: int = 10         # steps between samples
     v_max: float = 33.3            # m/s
     a_max: float = 1.0             # m/s^2
     a_min: float = -5.0            # m/s^2
-    seed: int = 0
-    record_every: int = 10         # steps between samples
 
     def __post_init__(self) -> None:
-        for name in ("density", "p", "intensity", "ring_length", "dt", "duration",
-                     "warmup", "v_max", "a_max", "a_min"):
+        for name in ("ring_length", "dt", "duration", "warmup", "v_max", "a_max", "a_min"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.density is not None and self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"penetration must be in [0, 1], got {self.p}")
-        if self.combo_id not in COMBOS:
-            raise ValueError(f"unknown strategy combo {self.combo_id}")
-        if not 0.0 <= self.intensity <= 1.0:
-            raise ValueError(f"intensity must be in [0, 1], got {self.intensity}")
         if self.ring_length <= 0 or self.dt <= 0:
             raise ValueError("ring length and time step must be positive")
-        if not 0.0 <= self.warmup <= self.duration:
-            raise ValueError(f"warmup {self.warmup} outside [0, duration {self.duration}]")
+        if not 0.0 <= self.warmup < self.duration:
+            raise ValueError(f"warmup {self.warmup} outside [0, duration {self.duration}), "
+                             "so no sample would be recorded")
         if self.v_max <= 0 or self.a_max <= 0 or self.a_min >= 0:
             raise ValueError("need v_max > 0, a_max > 0, a_min < 0")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not isinstance(self.record_every, Integral) or self.record_every < 1:
+            raise ValueError(f"record_every must be a whole number >= 1, "
+                             f"got {self.record_every}")
         for name in ("duration", "warmup"):
             steps = getattr(self, name) / self.dt
             if not math.isclose(steps, round(steps), rel_tol=1e-9):
                 raise ValueError(f"{name} {getattr(self, name)} is not a whole number "
                                  f"of time steps dt={self.dt}")
-
-
-# SimConfig fields the engine reads; rings stepped together must agree on them
-ENGINE_FIELDS = ("ring_length", "dt", "duration", "warmup", "record_every",
-                 "v_max", "a_max", "a_min")
 
 
 @dataclass
@@ -126,16 +114,8 @@ class Violation:
     gap: float    # negative clear distance observed, m
 
 
-@dataclass(frozen=True)
-class SafetySummary:
-    count: int
-    first_t: float | None
-    min_gap: float | None
-
-
 @dataclass
 class TrajectoryLog:
-    config: SimConfig
     times: np.ndarray  # (m,)
     x: np.ndarray      # (m, n)
     v: np.ndarray      # (m, n)
@@ -194,25 +174,30 @@ def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
                          alone=starts[sizes == 1], ring=ring, first=first, cols=cols)
 
 
-def init_state(config: SimConfig) -> RingState:
-    """Evenly spaced standstill start with the full-intensity fleet layout."""
-    if config.density is None:
-        raise ValueError("config.density is required to build an initial state")
-    count = config.density * config.ring_length / 1000.0
+def init_state(config: SimConfig, density: float, p: float, combo_id: int,
+               intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> RingState:
+    """Evenly spaced standstill start of one cell's ring.
+
+    ``density`` is in veh/km and ``p`` is the CAV penetration; ``seed``
+    draws the fleet layout below full ``intensity`` and is not read at 1.
+    """
+    if not (math.isfinite(density) and density > 0):
+        raise ValueError(f"density must be positive and finite, got {density}")
+    if combo_id not in COMBOS:
+        raise ValueError(f"unknown strategy combo {combo_id}")
+    count = density * config.ring_length / 1000.0
     if math.isinf(count):
-        raise ValueError(f"density {config.density} puts no finite fleet on the ring")
+        raise ValueError(f"density {density} puts no finite fleet on the ring")
     n = round_half_up(count)
     if n < 1:
-        raise ValueError(f"density {config.density} puts no vehicle on the ring")
+        raise ValueError(f"density {density} puts no vehicle on the ring")
     spacing = config.ring_length / n
     if spacing < VEHICLE_LENGTH:
-        raise ValueError(f"density {config.density} needs spacing {spacing:.2f} m "
+        raise ValueError(f"density {density} needs spacing {spacing:.2f} m "
                          f"< vehicle length {VEHICLE_LENGTH} m")
     x = (-spacing * np.arange(n, dtype=float)) % config.ring_length
-    spec = FleetSpec(n, config.p, config.intensity, config.s_max)
-    flags = draw_flags(spec, [config.seed])
-    strategy, h, leader, hops, rear = wire(role_codes(flags, config.s_max)[0],
-                                           COMBOS[config.combo_id])
+    flags = draw_flags(FleetSpec(n, p, intensity, s_max), [seed])
+    strategy, h, leader, hops, rear = wire(role_codes(flags, s_max)[0], COMBOS[combo_id])
     return RingState(x=x, v=np.zeros(n), a=np.zeros(n), strategy=strategy, h=h,
                      leader=leader, hops=hops, rear=rear)
 
@@ -250,21 +235,10 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     return x_new, v_new, a_eff, viol, gap[viol]
 
 
-def stack(states: Sequence[RingState], configs: Sequence[SimConfig]) -> RingState:
-    """One state holding every single-ring state, in order, to step together.
-
-    ``configs[i]`` is the config of ``states[i]``; they must agree on the
-    ENGINE_FIELDS, and ``run_state`` then runs the stack under any of them.
-    """
-    if not states or len(states) != len(configs):
-        raise ValueError(f"need one config per state, got {len(states)} states "
-                         f"and {len(configs)} configs")
-    if any(len(s.starts) != 1 or s.n == 0 for s in states):
-        raise ValueError("stack takes non-empty single-ring states")
-    for name in ENGINE_FIELDS:
-        values = {getattr(c, name) for c in configs}
-        if len(values) > 1:
-            raise ValueError(f"rings stepped together need one {name}, got {sorted(values)}")
+def stack(states: Sequence[RingState]) -> RingState:
+    """One state holding every single-ring state, in order, to step together."""
+    if not states or any(len(s.starts) != 1 or s.n == 0 for s in states):
+        raise ValueError("stack takes a non-empty list of non-empty single-ring states")
     starts = tuple(accumulate((s.n for s in states[:-1]), initial=0))
     columns = {name: np.concatenate([getattr(s, name) for s in states])
                for name in ("x", "v", "a", "strategy", "h", "hops")}
@@ -317,13 +291,12 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
                               for i, gp in zip(table.cols[vi], vg))
         if not x.size:
             break
-    return TrajectoryLog(config=config, times=times, x=xs, v=vs, a=accs,
+    return TrajectoryLog(times=times, x=xs, v=vs, a=accs,
                          violations=violations, errors=errors)
 
 
-def split_log(log: TrajectoryLog, states: Sequence[RingState],
-              configs: Sequence[SimConfig]) -> Iterator[TrajectoryLog]:
-    """Per-ring logs of a run on ``stack(states, configs)``, in stacking order.
+def split_log(log: TrajectoryLog, states: Sequence[RingState]) -> Iterator[TrajectoryLog]:
+    """Per-ring logs of a run on ``stack(states)``, in stacking order.
 
     Each ring's samples are copied into C-contiguous (m, n) arrays, so a
     reduction over them sums in the same order as over a ring run alone.
@@ -334,9 +307,9 @@ def split_log(log: TrajectoryLog, states: Sequence[RingState],
     for viol in log.violations:
         r = bisect_right(starts, viol.vehicle) - 1
         by_ring[r].append(Violation(viol.t, viol.vehicle - starts[r], viol.gap))
-    for r, config in enumerate(configs):
+    for r in range(len(states)):
         cols = slice(starts[r], starts[r + 1])
-        yield TrajectoryLog(config=config, times=log.times,
+        yield TrajectoryLog(times=log.times,
                             x=np.ascontiguousarray(log.x[:, cols]),
                             v=np.ascontiguousarray(log.v[:, cols]),
                             a=np.ascontiguousarray(log.a[:, cols]),
@@ -344,17 +317,11 @@ def split_log(log: TrajectoryLog, states: Sequence[RingState],
                             errors={0: log.errors[r]} if r in log.errors else {})
 
 
-def run(config: SimConfig) -> TrajectoryLog:
-    """One cell from its config; raises SimulationError if the ring fails."""
-    log = run_state(init_state(config), config)
+def run(config: SimConfig, density: float, p: float, combo_id: int,
+        intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> TrajectoryLog:
+    """One cell (see ``init_state``); raises SimulationError if the ring fails."""
+    log = run_state(init_state(config, density, p, combo_id, intensity, s_max, seed),
+                    config)
     if log.errors:
         raise SimulationError(log.errors[0])
     return log
-
-
-def safety_scan(log: TrajectoryLog) -> SafetySummary:
-    if not log.violations:
-        return SafetySummary(0, None, None)
-    return SafetySummary(len(log.violations),
-                         min(v.t for v in log.violations),
-                         min(v.gap for v in log.violations))

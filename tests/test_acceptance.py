@@ -40,7 +40,7 @@ def report(criterion, ok, detail=""):
 @pytest.fixture(scope="module")
 def desk():
     """The reduced experiment grid behind criterion 7, run once."""
-    spec = SweepSpec(duration=600.0, warmup=300.0)
+    spec = SweepSpec(sim=SimConfig(duration=600.0, warmup=300.0))
     cells = ([(15.0, 0.8, c) for c in range(1, 11)]
              + [(55.0, p, 4) for p in (0.6, 0.8, 1.0)]
              + [(95.0, 1.0, c) for c in range(1, 11)])
@@ -160,8 +160,7 @@ def test_criterion_5_equilibrium_hold():
     for strategy, _name in strategies:
         state, ring = equilibrium_flow(strategy, 15.0, n=10)
         x0 = state.x.copy()
-        cfg = SimConfig(density=None, ring_length=ring, duration=100.0,
-                        warmup=0.0, record_every=1)
+        cfg = SimConfig(ring_length=ring, duration=100.0, warmup=0.0, record_every=1)
         log = run_state(state, cfg)
         expected = (x0[None, :] + 15.0 * log.times[:, None]) % ring
         wrapped = (log.x - expected + ring / 2.0) % ring - ring / 2.0
@@ -233,7 +232,7 @@ def test_criterion_7_runtime_budget(desk):
 
 def test_criterion_8_reruns_are_byte_identical(tmp_path):
     spec = SweepSpec(densities=(15.0, 55.0, 95.0), penetrations=(0.0, 1.0),
-                     combos=(4, 7), duration=120.0, warmup=60.0)
+                     combos=(4, 7), sim=SimConfig(duration=120.0, warmup=60.0))
     outputs = []
     for tag in ("first", "second"):
         outdir = tmp_path / tag

@@ -21,8 +21,22 @@ def test_sweep_writes_metrics(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[0]["nff_g_per_km"] > 0.0
 
+    # a bad engine setting fails once, before any cell runs
+    for bad, message in ((["--ring-length", "inf"], "ring_length must be finite"),
+                         (["--duration", "5", "--warmup", "5"], "no sample"),
+                         (["--dt", "0.7", "--duration", "1", "--warmup", "0"],
+                          "whole number of time steps"),
+                         (["--record-every", "0"], "record_every")):
+        code = main(["sweep", "--densities", "15", "--penetrations", "0.8", "--combos", "1",
+                     "--duration", "60", "--warmup", "30", *bad,
+                     "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "bad").exists()
 
-def test_combo_ranges_expand(tmp_path):
+
+def test_combo_ranges_expand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--densities", "15", "--penetrations", "1",
                  "--combos", "1-3", "--duration", "30", "--warmup", "0",
@@ -30,6 +44,16 @@ def test_combo_ranges_expand(tmp_path):
     assert code == 0
     rows = read_metrics_csv(out / "metrics.csv")
     assert [r["combo"] for r in rows] == [1, 2, 3]
+
+    # an empty or repeating axis is an error, not an empty or doubled table
+    for axes, message in ((["--combos", "10-1"], "combos is empty"),
+                          (["--combos", "1,1"], "combos repeats"),
+                          (["--densities", "15,15.0", "--combos", "1"], "densities repeats")):
+        code = main(["sweep", "--densities", "15", "--penetrations", "1", *axes,
+                     "--duration", "30", "--warmup", "0", "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_plot_data_roundtrip(tmp_path):

@@ -64,8 +64,7 @@ def test_write_metrics_csv_header(tmp_path):
 
 
 def test_trajectory_writer_header_and_rows(tmp_path):
-    log = run(SimConfig(density=10.0, p=0.8, combo_id=5, duration=2.0,
-                        warmup=0.0, record_every=10))
+    log = run(SimConfig(duration=2.0, warmup=0.0, record_every=10), 10.0, 0.8, 5)
     path = write_trajectory_csv(log, tmp_path / "traj.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,vehicle_index,x,v,a"
@@ -74,8 +73,7 @@ def test_trajectory_writer_header_and_rows(tmp_path):
 
 @pytest.mark.parametrize("block_rows", [1, 25, 1 << 15])
 def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, block_rows):
-    log = run(SimConfig(density=10.0, p=0.8, combo_id=5, duration=3.0,
-                        warmup=0.0, record_every=2))
+    log = run(SimConfig(duration=3.0, warmup=0.0, record_every=2), 10.0, 0.8, 5)
     log.x[1, 2], log.v[2, 3], log.a[3, 4] = math.nan, -0.0, 1e-300
     monkeypatch.setattr(csvio, "_TRAJECTORY_BLOCK_ROWS", block_rows)
     fast = write_trajectory_csv(log, tmp_path / "fast.csv")
@@ -91,7 +89,7 @@ def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, block_rows)
 
 
 def test_violations_writer(tmp_path):
-    log = run(SimConfig(density=10.0, p=0.0, duration=1.0, warmup=0.0))
+    log = run(SimConfig(duration=1.0, warmup=0.0), 10.0, 0.0, 1)
     log.violations.extend([Violation(0.5, 3, -0.25), Violation(0.7, 1, -0.5)])
     path = write_violations_csv(log, tmp_path / "v.csv")
     lines = path.read_text().splitlines()

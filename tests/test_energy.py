@@ -8,7 +8,7 @@ import pytest
 from platoonflow.energy import (BRAKE_SPLIT, POLLUTANTS, emission_rate,
                                 equilibrium_curves, fleet_emissions,
                                 fleet_fuel, nfr, vsp)
-from platoonflow.ring import SimConfig, TrajectoryLog
+from platoonflow.ring import TrajectoryLog
 
 # transcription of the cruise/mild-braking emission row used below
 CO2_ROW = (5.53e-01, 1.61e-01, -2.89e-03, 2.66e-01, 5.11e-01, 1.83e-01)
@@ -24,9 +24,8 @@ def poly_reference(v, a, f):
 def make_log(v, a):
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    cfg = SimConfig(density=None)
     m, n = v.shape
-    return TrajectoryLog(config=cfg, times=np.arange(m, dtype=float),
+    return TrajectoryLog(times=np.arange(m, dtype=float),
                          x=np.zeros((m, n)), v=v, a=a, violations=[])
 
 

@@ -15,7 +15,7 @@ from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS, SweepSpec, _c
                                      verify_probability_model,
                                      verify_stability)
 
-DESK = dict(duration=60.0, warmup=30.0)
+DESK = dict(sim=ring.SimConfig(duration=60.0, warmup=30.0))
 
 
 def small_spec(**kw):
@@ -77,10 +77,9 @@ def test_run_cell_error_row(capsys):
 
 
 def test_non_finite_spec_gives_error_row_not_abort(capsys):
-    rows = run_sweep(SweepSpec(densities=(15.0,), penetrations=(1.0,), combos=(1,),
-                               ring_length=math.inf, **DESK))
-    assert [r["status"] for r in rows] == ["error"]
-    assert "ring_length" in capsys.readouterr().err
+    # an engine setting fails once, before any cell runs
+    with pytest.raises(ValueError, match="ring_length"):
+        ring.SimConfig(ring_length=math.inf, duration=60.0, warmup=30.0)
     # a finite density whose fleet size overflows
     rows = run_sweep(SweepSpec(densities=(1e308,), penetrations=(1.0,), combos=(1,),
                                **DESK))
@@ -117,7 +116,8 @@ def test_run_sweep_parallel_matches_serial(capsys):
 
     # dense cells fill several chunks, so two workers each step some
     spec = small_spec(densities=(95.0, 100.0), penetrations=(0.0, 0.6, 1.0),
-                      combos=tuple(range(1, 11)), duration=10.0, warmup=5.0)
+                      combos=tuple(range(1, 11)),
+                      sim=ring.SimConfig(duration=10.0, warmup=5.0))
     chunks = list(_chunks(spec, enumerate_cells(spec)))
     assert len(chunks) >= 3
     assert all(sum(d for d, _, _ in chunk) <= CHUNK_VEHICLES for chunk in chunks)
@@ -130,11 +130,10 @@ def test_run_sweep_parallel_matches_serial(capsys):
     assert "ETA" in err
 
 
-def test_horizon_off_the_step_grid_gives_error_row(capsys):
-    rows = run_sweep(SweepSpec(densities=(15.0,), penetrations=(1.0,), combos=(1,),
-                               dt=0.7, duration=1.0, warmup=0.0))
-    assert [r["status"] for r in rows] == ["error"]
-    assert "whole number of time steps" in capsys.readouterr().err
+def test_horizon_off_the_step_grid_gives_error_row():
+    # an engine setting fails once, before any cell runs
+    with pytest.raises(ValueError, match="whole number of time steps"):
+        ring.SimConfig(dt=0.7, duration=1.0, warmup=0.0)
 
 
 def test_diverging_cell_fails_alone(monkeypatch, capsys):
@@ -142,9 +141,9 @@ def test_diverging_cell_fails_alone(monkeypatch, capsys):
     clean = run_sweep(spec)
     init_state = ring.init_state
 
-    def poisoned(config):
-        state = init_state(config)
-        if config.density == 25.0:
+    def poisoned(config, density, *args, **kwargs):
+        state = init_state(config, density, *args, **kwargs)
+        if density == 25.0:
             state.v[4] = math.nan
         return state
 

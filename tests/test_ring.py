@@ -15,14 +15,12 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
                                      ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
 from platoonflow.platoons import COMBOS, STRATEGIES
-from platoonflow.ring import (ENGINE_FIELDS, GAP_FLOOR, SafetySummary, SimConfig,
-                              SimulationError, TrajectoryLog, Violation, init_state,
-                              run, run_state, safety_scan, split_log, stack)
+from platoonflow.ring import (GAP_FLOOR, SimConfig, SimulationError, init_state, run,
+                              run_state, split_log, stack)
 
 
 def hand_config(ring, **kw):
-    base = dict(density=None, ring_length=ring, dt=0.1, duration=1.0,
-                warmup=0.0, record_every=1)
+    base = dict(ring_length=ring, dt=0.1, duration=1.0, warmup=0.0, record_every=1)
     base.update(kw)
     return SimConfig(**base)
 
@@ -49,8 +47,8 @@ def assert_unwired(state):
 
 
 def test_init_state_full_cav_ring():
-    cfg = SimConfig(density=100.0, p=1.0, combo_id=1)
-    state = init_state(cfg)
+    cfg = SimConfig()
+    state = init_state(cfg, 100.0, 1.0, 1)
     assert state.n == 100
     dx = (np.roll(state.x, 1) - state.x) % cfg.ring_length
     assert np.allclose(dx - VEHICLE_LENGTH, 5.0, atol=1e-9)
@@ -63,8 +61,7 @@ def test_init_state_full_cav_ring():
 
 
 def test_init_state_all_hv():
-    cfg = SimConfig(density=5.0, p=0.0)
-    state = init_state(cfg)
+    state = init_state(SimConfig(), 5.0, 0.0, 1)
     assert state.n == 5
     assert np.all(state.strategy == code(Strategy.HV))
     assert np.all(np.isnan(state.h))
@@ -72,8 +69,7 @@ def test_init_state_all_hv():
 
 
 def test_init_state_mixed_fleet():
-    cfg = SimConfig(density=55.0, p=0.8, combo_id=7)
-    state = init_state(cfg)
+    state = init_state(SimConfig(), 55.0, 0.8, 7)
     assert state.n == 55
     assert np.count_nonzero(state.strategy != code(Strategy.HV)) == 44
     # 11 VTG1 leaders, each followed by three CS followers
@@ -88,37 +84,44 @@ def test_init_state_mixed_fleet():
 
 
 def test_init_state_vehicle_count_rounds_half_up():
-    assert init_state(SimConfig(density=2.5)).n == 3
-    assert init_state(SimConfig(density=2.4)).n == 2
+    assert init_state(SimConfig(), 2.5, 1.0, 1).n == 3
+    assert init_state(SimConfig(), 2.4, 1.0, 1).n == 2
 
 
 def test_init_state_infeasible_density():
     with pytest.raises(ValueError):
-        init_state(SimConfig(density=250.0))
+        init_state(SimConfig(), 250.0, 1.0, 1)
     with pytest.raises(ValueError):
-        init_state(SimConfig(density=0.1))
+        init_state(SimConfig(), 0.1, 1.0, 1)
+
+
+CELL = dict(density=20.0, p=1.0, combo_id=1)
 
 
 def test_config_validation():
+    # a cell's own values are checked when its ring is built
+    for bad in (dict(density=-5.0), dict(p=1.5), dict(combo_id=11), dict(intensity=-0.1),
+                dict(s_max=0)):
+        with pytest.raises(ValueError):
+            init_state(SimConfig(), **{**CELL, **bad})
     with pytest.raises(ValueError):
-        SimConfig(density=-5.0)
+        SimConfig(warmup=200.0, duration=100.0)
+    with pytest.raises(ValueError, match="no sample"):
+        SimConfig(warmup=5.0, duration=5.0)
     with pytest.raises(ValueError):
-        SimConfig(density=20.0, p=1.5)
+        SimConfig(record_every=0)
+    with pytest.raises(ValueError, match="record_every"):
+        SimConfig(record_every=2.5)
     with pytest.raises(ValueError):
-        SimConfig(density=20.0, combo_id=11)
-    with pytest.raises(ValueError):
-        SimConfig(density=20.0, warmup=200.0, duration=100.0)
-    with pytest.raises(ValueError):
-        SimConfig(density=20.0, record_every=0)
-    with pytest.raises(ValueError):
-        SimConfig(density=20.0, a_min=0.5)
+        SimConfig(a_min=0.5)
     # horizons that are not a whole number of steps
     with pytest.raises(ValueError, match="duration"):
-        SimConfig(density=20.0, dt=0.7, duration=1.0, warmup=0.0)
+        SimConfig(dt=0.7, duration=1.0, warmup=0.0)
     with pytest.raises(ValueError, match="warmup"):
-        SimConfig(density=20.0, dt=0.3, duration=3.0, warmup=0.5)
-    SimConfig(density=20.0, dt=0.1, duration=3600.0, warmup=1800.0)
-    SimConfig(density=20.0, dt=0.3, duration=0.9, warmup=0.3)
+        SimConfig(dt=0.3, duration=3.0, warmup=0.5)
+    SimConfig(dt=0.1, duration=3600.0, warmup=1800.0)
+    SimConfig(dt=0.3, duration=0.9, warmup=0.3)
+    SimConfig(record_every=np.int64(3))
 
 
 @pytest.mark.parametrize("field", ["density", "p", "intensity", "ring_length", "dt",
@@ -126,7 +129,10 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
-        SimConfig(**{"density": 20.0, field: value})
+        if field in ("density", "p", "intensity"):
+            init_state(SimConfig(), **{**CELL, field: value})
+        else:
+            SimConfig(**{field: value})
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CTG, Strategy.VTG1,
@@ -170,8 +176,8 @@ def test_step_negative_gap_records_violation_and_continues():
 
 
 def test_step_all_hv_standstill_launch():
-    cfg = SimConfig(density=20.0, p=0.0)
-    state = init_state(cfg)
+    cfg = SimConfig()
+    state = init_state(cfg, 20.0, 0.0, 1)
     new, violations = step_once(state, cfg)
     assert violations == []
     assert np.all(new.v > 0.0)
@@ -179,48 +185,42 @@ def test_step_all_hv_standstill_launch():
 
 
 def test_run_sampling_grid():
-    cfg = SimConfig(density=20.0, p=0.0, duration=10.0, warmup=0.0,
-                    record_every=1)
-    log = run(cfg)
+    log = run(SimConfig(duration=10.0, warmup=0.0, record_every=1), 20.0, 0.0, 1)
+    assert log.violations == []
     assert log.times.shape == (100,)
     assert log.x.shape == (100, 20)
     assert log.times[0] == 0.0
     assert log.times[-1] == pytest.approx(9.9, abs=1e-9)
 
-    cfg = SimConfig(density=20.0, p=0.0, duration=10.0, warmup=5.0,
-                    record_every=10)
-    log = run(cfg)
+    log = run(SimConfig(duration=10.0, warmup=5.0, record_every=10), 20.0, 0.0, 1)
     assert log.times.shape == (5,)
     assert log.times[0] == pytest.approx(5.0, abs=1e-9)
     assert log.times[-1] == pytest.approx(9.0, abs=1e-9)
 
 
 def test_run_deterministic():
-    cfg = SimConfig(density=30.0, p=0.5, intensity=0.3, combo_id=7,
-                    duration=30.0, warmup=0.0, seed=4)
-    a = run(cfg)
-    b = run(cfg)
+    cfg = SimConfig(duration=30.0, warmup=0.0)
+    a = run(cfg, 30.0, 0.5, 7, intensity=0.3, seed=4)
+    b = run(cfg, 30.0, 0.5, 7, intensity=0.3, seed=4)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.a, b.a)
     assert a.violations == b.violations
-    c = run(SimConfig(density=30.0, p=0.5, intensity=0.3, combo_id=7,
-                      duration=30.0, warmup=0.0, seed=5))
+    c = run(cfg, 30.0, 0.5, 7, intensity=0.3, seed=5)
     assert not np.array_equal(a.v, c.v)
 
 
 def test_exponential_policy_reaches_predicted_equilibrium():
     # Sparse ring: the commanded spacing is loose enough that the flow
     # tops out at the speed cap.
-    log = run(SimConfig(density=15.0, p=1.0, combo_id=3, duration=600.0,
-                        warmup=300.0))
+    cfg = SimConfig(duration=600.0, warmup=300.0)
+    log = run(cfg, 15.0, 1.0, 3)
     assert not log.violations
     mean_v = float(np.mean(log.v))
     assert abs(mean_v - 33.3) / 33.3 <= 0.05
 
     # Denser ring: gap 40 - 5 m forces the interior balance speed.
-    log = run(SimConfig(density=25.0, p=1.0, combo_id=3, duration=600.0,
-                        warmup=300.0))
+    log = run(cfg, 25.0, 1.0, 3)
     assert not log.violations
     v_target = 2.0 * 8.83 * math.log(40.0 / 7.0)
     mean_v = float(np.mean(log.v))
@@ -228,9 +228,8 @@ def test_exponential_policy_reaches_predicted_equilibrium():
 
 
 def test_gap_sum_and_ordering_preserved():
-    cfg = SimConfig(density=95.0, p=1.0, combo_id=9, duration=60.0,
-                    warmup=0.0, record_every=1)
-    log = run(cfg)
+    cfg = SimConfig(duration=60.0, warmup=0.0, record_every=1)
+    log = run(cfg, 95.0, 1.0, 9)
     ring = cfg.ring_length
     prev_dx = None
     for row in range(0, log.x.shape[0], 20):
@@ -252,26 +251,8 @@ def test_nan_state_raises():
 
 
 def test_stressed_dense_cell_completes():
-    cfg = SimConfig(density=95.0, p=0.2, intensity=1.0, combo_id=10,
-                    duration=30.0, warmup=0.0)
-    log = run(cfg)
+    log = run(SimConfig(duration=30.0, warmup=0.0), 95.0, 0.2, 10, intensity=1.0)
     assert np.all(np.isfinite(log.v))
-    summary = safety_scan(log)
-    assert summary.count == len(log.violations)
-
-
-def test_safety_scan():
-    cfg = SimConfig(density=20.0, p=0.0, duration=1.0, warmup=0.0)
-    log = run(cfg)
-    assert safety_scan(log) == SafetySummary(0, None, None)
-    synthetic = TrajectoryLog(config=cfg, times=log.times, x=log.x, v=log.v,
-                              a=log.a,
-                              violations=[Violation(3.0, 2, -0.4),
-                                          Violation(1.0, 5, -0.1)])
-    scan = safety_scan(synthetic)
-    assert scan.count == 2
-    assert scan.first_t == 1.0
-    assert scan.min_gap == -0.4
 
 
 LAWS = {Strategy.HV: hv_accel, Strategy.VTG1: vtg1_accel,
@@ -305,14 +286,13 @@ def reference_step(state, cfg, i, asg):
 
 @pytest.mark.parametrize("combo_id", sorted(COMBOS))
 def test_step_matches_per_vehicle_laws(combo_id):
-    cfg = SimConfig(density=60.0, p=0.6, combo_id=combo_id, ring_length=500.0,
-                    duration=1.0, warmup=0.0)
-    state = init_state(cfg)
+    cfg = SimConfig(ring_length=500.0, duration=1.0, warmup=0.0)
+    state = init_state(cfg, 60.0, 0.6, combo_id)
     combo = COMBOS[combo_id]
     # the per-vehicle wiring of the reference object path
-    spec = FleetSpec(state.n, cfg.p, cfg.intensity, cfg.s_max)
-    labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [cfg.seed]), cfg.s_max)[0]]
-    platoons = form_platoons(labels, cfg.s_max)
+    labels = [CLASSES[c] for c in role_codes(draw_flags(FleetSpec(state.n, 0.6, 1.0), [None]),
+                                             4)[0]]
+    platoons = form_platoons(labels, 4)
     asgs = assign_strategies(labels, platoons, combo)
     # a mixed fleet: human drivers, leaders and in-platoon followers
     assert {a.strategy for a in asgs} == {Strategy.HV, combo.lv, combo.pv}
@@ -348,10 +328,8 @@ def test_step_matches_per_vehicle_laws(combo_id):
 def test_ring_invariants(density, p, combo_id, intensity, v_max, seed):
     # dense rings brake at standstill and low caps are reached within the
     # run, so both speed clamps take part
-    cfg = SimConfig(density=density, p=p, combo_id=combo_id, intensity=intensity,
-                    v_max=v_max, seed=seed, duration=20.0, warmup=0.0,
-                    record_every=1)
-    log = run_state(init_state(cfg), cfg)
+    cfg = SimConfig(v_max=v_max, duration=20.0, warmup=0.0, record_every=1)
+    log = run_state(init_state(cfg, density, p, combo_id, intensity, seed=seed), cfg)
     dx = (np.roll(log.x, 1, axis=1) - log.x) % cfg.ring_length
     # front-to-front gaps close one lap at every sample: nobody lapped anyone
     np.testing.assert_allclose(dx.sum(axis=1), cfg.ring_length, rtol=0, atol=1e-6)
@@ -360,18 +338,19 @@ def test_ring_invariants(density, p, combo_id, intensity, v_max, seed):
                                rtol=0, atol=1e-9)
 
 
+STACK_CONFIG = SimConfig(duration=20.0, warmup=5.0, record_every=2)
+
+
 def stack_cells():
     """A lone vehicle, then every combo at p 0, 0.6 and 1 over several densities."""
-    cells = [SimConfig(density=1.0, duration=20.0, warmup=5.0, record_every=2)]
+    cfg = STACK_CONFIG
+    states = [init_state(cfg, 1.0, 1.0, 1)]
     for k, (combo_id, p) in enumerate((c, p) for c in sorted(COMBOS) for p in (0.0, 0.6, 1.0)):
-        cells.append(SimConfig(density=(15.0, 40.0, 95.0, 60.0)[k % 4], p=p,
-                               combo_id=combo_id, seed=k, duration=20.0, warmup=5.0,
-                               record_every=2))
-    states = [init_state(cfg) for cfg in cells]
-    for state, cfg in list(zip(states, cells))[1::3]:
+        states.append(init_state(cfg, (15.0, 40.0, 95.0, 60.0)[k % 4], p, combo_id, seed=k))
+    for state in states[1::3]:
         # vehicle 2 overlaps vehicle 1, so violations are logged
         state.x[2] = (state.x[1] - 4.5) % cfg.ring_length
-    return states, cells
+    return states
 
 
 def assert_same_log(part, solo):
@@ -383,54 +362,39 @@ def assert_same_log(part, solo):
 
 
 def test_stacked_rings_match_solo_runs():
-    states, cells = stack_cells()
-    log = run_state(stack(states, cells), cells[0])
+    states = stack_cells()
+    log = run_state(stack(states), STACK_CONFIG)
     assert log.x.shape == (log.times.size, sum(s.n for s in states))
     assert log.errors == {}
-    parts = list(split_log(log, states, cells))
+    parts = list(split_log(log, states))
     assert len(parts) == len(states)
-    for state, cfg, part in zip(states, cells, parts):
-        solo = run_state(state, cfg)
-        assert_same_log(part, solo)
-        assert part.config is cfg
+    for state, part in zip(states, parts):
+        assert_same_log(part, run_state(state, STACK_CONFIG))
     assert sum(len(part.violations) for part in parts) > 0
     # the lone vehicle sees one lap of free road and accelerates at a_max
     lone = parts[0]
     assert lone.x.shape[1] == 1
-    np.testing.assert_allclose(lone.a[1:], cells[0].a_max, rtol=1e-9)
+    np.testing.assert_allclose(lone.a[1:], STACK_CONFIG.a_max, rtol=1e-9)
+    # stack takes a non-empty list of single-ring states
+    with pytest.raises(ValueError):
+        stack([])
+    with pytest.raises(ValueError):
+        stack([stack(states[:2])])
 
 
 def test_stack_drops_only_the_failing_ring():
-    states, cells = stack_cells()
-    states, cells = states[2:5], cells[2:5]  # the last ring logs violations
+    states = stack_cells()[2:5]  # the last ring logs violations
     states[1].v[3] = math.nan
-    solo = [run_state(state, cfg) for state, cfg in zip(states, cells)]
+    solo = [run_state(state, STACK_CONFIG) for state in states]
     assert list(solo[1].errors) == [0]
     assert "vehicle 3" in solo[1].errors[0]
     with pytest.raises(SimulationError, match="vehicle 3"):
-        step_once(states[1], cells[1])
+        step_once(states[1], STACK_CONFIG)
 
-    log = run_state(stack(states, cells), cells[0])
+    log = run_state(stack(states), STACK_CONFIG)
     assert log.errors == {1: solo[1].errors[0]}
-    parts = list(split_log(log, states, cells))
+    parts = list(split_log(log, states))
     assert_same_log(parts[0], solo[0])
     assert_same_log(parts[2], solo[2])
     assert parts[1].errors == {0: solo[1].errors[0]}
     assert np.all(np.isnan(parts[1].v[1:]))
-
-
-def test_stack_rejects_rings_that_disagree_on_engine_fields():
-    cfg = SimConfig(density=20.0, duration=20.0, warmup=10.0)
-    other = {"ring_length": 900.0, "dt": 0.05, "duration": 30.0, "warmup": 5.0,
-             "record_every": 5, "v_max": 30.0, "a_max": 2.0, "a_min": -4.0}
-    assert set(other) == set(ENGINE_FIELDS)
-    state = init_state(cfg)
-    for name, value in other.items():
-        with pytest.raises(ValueError, match=name):
-            stack([state, state], [cfg, dataclasses.replace(cfg, **{name: value})])
-    # per-cell fields may differ
-    stack([state, state], [cfg, dataclasses.replace(cfg, density=30.0, p=0.5, seed=3)])
-    with pytest.raises(ValueError):
-        stack([state], [cfg, cfg])
-    with pytest.raises(ValueError):
-        stack([stack([state, state], [cfg, cfg])], [cfg])
