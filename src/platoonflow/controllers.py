@@ -41,8 +41,9 @@ class ControlContext:
     """Local measurements a controller is allowed to use.
 
     Leader fields are arc quantities to the platoon leader and are only
-    set for in-platoon CS followers; follower_gap is the clear distance
-    behind whichever vehicle feeds the bidirectional term.
+    set for in-platoon CS followers; follower_gap is only set for BS
+    vehicles and is the clear distance behind whichever vehicle feeds the
+    bidirectional term (unset, bdbm_accel reads gap, so the term is 0).
     """
 
     v: float | np.ndarray

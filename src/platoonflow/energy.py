@@ -7,13 +7,21 @@ the limit of the positive branch. Per-distance fuel is
 3600 * mean rate / mean speed with the speed in km/h, so the figure
 reads as grams-equivalent per km. Emission rates are quadratic fits in
 speed and acceleration, clipped at zero, with a separate coefficient
-row for decelerations below -0.5 m/s^2 where the fit has one.
+row for decelerations below -0.5 m/s^2 where the fit has one; that row
+is evaluated only for the pollutants (nox, voc) whose braking row
+differs from the cruise row.
+
+``sample_rates`` computes every per-sample rate the metrics average, and
+``summarize`` turns their means into per-km figures; the sweep applies
+them to many rings' samples at once, and ``fleet_fuel`` and
+``fleet_emissions`` apply them to one log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -73,38 +81,62 @@ def emission_rate(v, a, pollutant: str):
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
     upper, lower = _COEFFS[pollutant]
-    rate_u = _poly(v, a, upper)
-    rate_l = _poly(v, a, lower)
-    return np.maximum(np.where(a >= BRAKE_SPLIT, rate_u, rate_l), 0.0)
+    rate = _poly(v, a, upper)
+    if lower != upper:
+        rate = np.where(a >= BRAKE_SPLIT, rate, _poly(v, a, lower))
+    return np.maximum(rate, 0.0)
 
 
 def _poly(v, a, f):
     return f[0] + f[1] * v + f[2] * v ** 2 + f[3] * a + f[4] * a ** 2 + f[5] * v * a
 
 
-def fleet_fuel(log: TrajectoryLog) -> FuelResult:
-    """Fleet-mean normalized fuel rate and per-km fuel over the sampled window."""
+def sample_rates(v, a) -> Iterator[np.ndarray]:
+    """Per-sample rates of the flattened samples, one array at a time.
+
+    In order: the normalized fuel rate, the speed (m/s), then the
+    emission rate (g/s) of each pollutant in POLLUTANTS order. Each is
+    computed only when the previous one has been taken, so a caller that
+    reduces them one by one never holds more than two.
+    """
+    v = np.ravel(np.asarray(v, dtype=float))
+    a = np.ravel(np.asarray(a, dtype=float))
+    yield nfr(vsp(v, a))
+    yield v
+    for pol in POLLUTANTS:
+        yield emission_rate(v, a, pol)
+
+
+def summarize(means) -> tuple[FuelResult, dict[str, float]]:
+    """Fuel result and per-pollutant grams per vehicle-km of a sampled window.
+
+    ``means`` holds the window means of the ``sample_rates`` arrays, in
+    their order.
+    """
+    mean_nfr, mean_speed, *mean_rates = (float(m) for m in means)
+    if mean_speed == 0.0:
+        return (FuelResult(mean_nfr, math.nan, 0.0, stalled=True),
+                dict.fromkeys(POLLUTANTS, math.nan))
+    nff = 3600.0 * mean_nfr / (3.6 * mean_speed)  # denominator in km/h
+    # g/s over m/s: scale to g/km
+    return (FuelResult(mean_nfr, nff, mean_speed, stalled=False),
+            {pol: 1000.0 * rate / mean_speed for pol, rate in zip(POLLUTANTS, mean_rates)})
+
+
+def _summarize_log(log: TrajectoryLog) -> tuple[FuelResult, dict[str, float]]:
     if log.v.size == 0:
         raise ValueError("log holds no samples")
-    mean_nfr = float(np.mean(nfr(vsp(log.v, log.a))))
-    mean_speed = float(np.mean(log.v))
-    if mean_speed == 0.0:
-        return FuelResult(mean_nfr, math.nan, 0.0, stalled=True)
-    nff = 3600.0 * mean_nfr / (3.6 * mean_speed)  # denominator in km/h
-    return FuelResult(mean_nfr, nff, mean_speed, stalled=False)
+    return summarize([np.mean(rate) for rate in sample_rates(log.v, log.a)])
+
+
+def fleet_fuel(log: TrajectoryLog) -> FuelResult:
+    """Fleet-mean normalized fuel rate and per-km fuel over the sampled window."""
+    return _summarize_log(log)[0]
 
 
 def fleet_emissions(log: TrajectoryLog) -> dict[str, float]:
     """Per-pollutant grams per vehicle-km over the sampled window."""
-    if log.v.size == 0:
-        raise ValueError("log holds no samples")
-    mean_speed = float(np.mean(log.v))
-    out = {}
-    for pol in POLLUTANTS:
-        mean_rate = float(np.mean(emission_rate(log.v, log.a, pol)))
-        # g/s over m/s: scale to g/km
-        out[pol] = math.nan if mean_speed == 0.0 else 1000.0 * mean_rate / mean_speed
-    return out
+    return _summarize_log(log)[1]
 
 
 def equilibrium_curves(v_grid) -> list[dict[str, float]]:

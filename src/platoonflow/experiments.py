@@ -10,8 +10,11 @@ row instead of killing the sweep. Row order is fixed to
 The sweep cuts the cells, in order, into chunks of about CHUNK_VEHICLES
 vehicles and steps each chunk's rings together in one engine run
 (``ring.stack``); a ring's numbers do not depend on what it is stacked
-with, so chunking changes no output byte. ``--jobs`` spreads chunks
-over worker processes, and a progress line per chunk goes to stderr.
+with, so chunking changes no output byte. The chunk's log is then
+reduced to metrics rows by groups of rings, one ``energy.sample_rates``
+pass per group, each ring's means summed over its own contiguous
+samples as if it had run alone. ``--jobs`` spreads chunks over worker
+processes, and a progress line per chunk goes to stderr.
 """
 
 from __future__ import annotations
@@ -20,15 +23,18 @@ import hashlib
 import math
 import sys
 import time
+from bisect import bisect_right
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
 from .csvio import write_csv, write_trajectory_csv, write_violations_csv
-from .energy import POLLUTANTS, fleet_emissions, fleet_fuel
+from .energy import POLLUTANTS, sample_rates, summarize
 from .fleet import (FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
 from . import ring  # engine calls go through the module, so wrappers set on it apply
@@ -42,8 +48,12 @@ PLOT_DENSITIES = (15.0, 55.0, 95.0)
 # Vehicles stepped together in one engine run. Larger chunks spread the
 # per-step numpy dispatch over more vehicles, with diminishing returns
 # past ~1000, while the stored samples grow as chunk x samples x 24 B
-# per worker (~44 MB at the default 3600 s horizon).
+# per worker (~44 MB at the default 3600 s horizon). The reduction takes
+# the rings' samples in groups of about _REDUCE_SAMPLES, so its transient
+# arrays (a few MB) do not grow with the horizon: a default 980-vehicle
+# chunk reduced as one group peaked at 170 MB, against 86 MB in groups.
 CHUNK_VEHICLES = 1024
+_REDUCE_SAMPLES = 1 << 17  # samples per sample_rates call, unless one ring has more
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,13 @@ class SweepSpec:
             axis = getattr(self, name)
             if not axis:
                 raise ValueError(f"sweep axis {name} is empty")
+            # NaN never equals itself, so the repeat check below cannot see it
+            if any(math.isnan(value) for value in axis):
+                raise ValueError(f"sweep axis {name} holds NaN: {axis}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"sweep axis {name} repeats a value: {axis}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
@@ -93,18 +108,34 @@ def _fail(row: dict, reason) -> None:
     row["status"] = "error"
 
 
-def _reduce(row: dict, log: ring.TrajectoryLog, save_dir: str | Path | None) -> None:
-    fuel = fleet_fuel(log)
-    emissions = fleet_emissions(log)
-    row.update(mean_speed_mps=fuel.mean_speed, mean_nfr=fuel.mean_nfr,
-               nff_g_per_km=fuel.nff, violations=len(log.violations))
-    for pol, value in emissions.items():
-        row[f"{pol}_g_per_km"] = value
-    row["status"] = "stalled" if fuel.stalled else "ok"
-    if save_dir is not None:
-        stem = f"cell_c{row['combo']}_p{row['p']:g}_d{row['density']:g}"
-        write_trajectory_csv(log, Path(save_dir) / f"{stem}_trajectory.csv")
-        write_violations_csv(log, Path(save_dir) / f"{stem}_violations.csv")
+def _reduce_rings(rows: list[dict], sizes: list[int], log: ring.TrajectoryLog) -> None:
+    """Fill each ring's metrics row from its columns of a stacked run's log.
+
+    A dropped ring's row becomes an error row. The others are reduced in
+    groups of consecutive rings of at most about _REDUCE_SAMPLES samples.
+    """
+    bounds = list(accumulate(sizes, initial=0))
+    violations = Counter(bisect_right(bounds, viol.vehicle) - 1 for viol in log.violations)
+    for r, message in sorted(log.errors.items()):
+        _fail(rows[r], message)
+    samples = [log.times.size * n for n in sizes]  # per ring
+    done = [r for r in range(len(sizes)) if r not in log.errors]
+    for group in _batches(done, [samples[r] for r in done], _REDUCE_SAMPLES):
+        # each ring's samples C-contiguous and back to back, so its means
+        # sum in the same order as over the ring run alone
+        v, a = (np.concatenate([arr[:, bounds[r]:bounds[r + 1]] for r in group], axis=None)
+                for arr in (log.v, log.a))
+        ends = list(accumulate(samples[r] for r in group))
+        means = [[np.mean(rate[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+                 for rate in sample_rates(v, a)]
+        for r, ring_means in zip(group, zip(*means)):
+            fuel, emissions = summarize(ring_means)
+            row = rows[r]
+            row.update(mean_speed_mps=fuel.mean_speed, mean_nfr=fuel.mean_nfr,
+                       nff_g_per_km=fuel.nff, violations=violations[r])
+            for pol, value in emissions.items():
+                row[f"{pol}_g_per_km"] = value
+            row["status"] = "stalled" if fuel.stalled else "ok"
 
 
 def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
@@ -123,13 +154,16 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
             _fail(row, exc)
             continue
         running.append(row)
-    if states:
-        log = ring.run_state(ring.stack(states), spec.sim)
+    if not states:
+        return rows
+    log = ring.run_state(ring.stack(states), spec.sim)
+    if save_dir is not None:
         for row, part in zip(running, ring.split_log(log, states)):
-            if part.errors:
-                _fail(row, part.errors[0])
-            else:
-                _reduce(row, part, save_dir)
+            if not part.errors:
+                stem = f"cell_c{row['combo']}_p{row['p']:g}_d{row['density']:g}"
+                write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
+                write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
+    _reduce_rings(running, [s.n for s in states], log)
     return rows
 
 
@@ -139,24 +173,32 @@ def run_cell(spec: SweepSpec, density: float, p: float, combo: int,
     return run_chunk(spec, [(density, p, combo)], save_dir)[0]
 
 
+def _batches(items: list, sizes: list[float], cap: float):
+    """Consecutive runs of items whose sizes sum to at most ``cap``.
+
+    An item larger than the cap goes alone.
+    """
+    batch: list = []
+    total = 0.0
+    for item, size in zip(items, sizes):
+        if batch and total + size > cap:
+            yield batch
+            batch, total = [], 0.0
+        batch.append(item)
+        total += size
+    if batch:
+        yield batch
+
+
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     """Consecutive runs of cells holding at most about CHUNK_VEHICLES vehicles.
 
     A cell larger than the cap runs alone; a cell whose size is not a
     positive finite number counts as empty, since it becomes an error row.
     """
-    chunk: list[tuple[float, float, int]] = []
-    size = 0.0
-    for cell in cells:
-        n = cell[0] * spec.sim.ring_length / 1000.0
-        n = n if 0.0 < n < math.inf else 0.0
-        if chunk and size + n > CHUNK_VEHICLES:
-            yield chunk
-            chunk, size = [], 0.0
-        chunk.append(cell)
-        size += n
-    if chunk:
-        yield chunk
+    sizes = [d * spec.sim.ring_length / 1000.0 for d, _, _ in cells]
+    return _batches(cells, [n if 0.0 < n < math.inf else 0.0 for n in sizes],
+                    CHUNK_VEHICLES)
 
 
 def _gather(results, total: int) -> list[dict]:

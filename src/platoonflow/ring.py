@@ -5,11 +5,12 @@ previous step, then positions and speeds advance together under a
 clamped Euler rule. A state carries each vehicle's control wiring as
 columns (strategy code, CTG time gap, platoon leader and hops, rear-gap
 source), built from the fleet's role codes by ``platoons.wire``. Once
-per run they become a vehicle table with the predecessors and one law
-per strategy present. Every step gathers one full-fleet ControlContext
-from that table and evaluates each strategy present with the exact
-functions from the controllers module, keeping only its own members'
-outputs, so the engine cannot drift from the unit-tested formulas.
+per run they become a vehicle table with the predecessors and, for
+each strategy present, its members and the wiring they read. Every step
+gathers one small ControlContext per strategy from its members alone
+and evaluates it with the exact function from the controllers module,
+so the engine cannot drift from the unit-tested formulas and no law
+computes a vehicle it does not drive.
 
 A ``SimConfig`` holds only the engine settings (ring length, time
 step, horizon, sampling, actuator limits); a cell's own values (density,
@@ -127,21 +128,33 @@ class TrajectoryLog:
 
 
 @dataclass(frozen=True)
+class _Members:
+    """The vehicles one law drives and the wiring it reads, as packed indices.
+
+    Only CS members read a platoon leader and only BS members a rear gap,
+    so the other laws carry None there, as their ControlContext does.
+    """
+
+    law: Callable
+    idx: np.ndarray                    # the members
+    pred: np.ndarray                   # their predecessors
+    leader: np.ndarray | None = None   # CS platoon leader
+    hops: np.ndarray | None = None     # CS gaps between leader and self
+    rear: np.ndarray | None = None     # BS: whose front gap is the rear gap
+
+
+@dataclass(frozen=True)
 class _VehicleTable:
     """Per-vehicle control wiring of the rings stepped in one run.
 
-    Every column has one entry per stepped vehicle, so the kernel fills one
-    full-fleet ControlContext; a column a vehicle's law does not read
-    holds a neutral value (the vehicle itself, 0, or NaN for the CTG
-    time gap, which is bound into the CTG law). Rings are packed in the
-    order they were listed, each in one contiguous slice.
+    ``pred`` and the bookkeeping columns have one entry per stepped
+    vehicle; each law present gets its members and the wiring it reads
+    (``_Members``). Rings are packed in the order they were listed, each
+    in one contiguous slice.
     """
 
     pred: np.ndarray    # predecessor index
-    leader: np.ndarray  # CS platoon leader, else the vehicle itself
-    hops: np.ndarray    # CS gaps between leader and self, else 0
-    rear: np.ndarray    # whose front gap BS reads as its rear gap, else itself
-    laws: tuple[tuple[Callable, np.ndarray], ...]  # (law, members) per strategy present
+    laws: tuple[_Members, ...]  # one per strategy present
     alone: np.ndarray   # vehicles that are the only one on their ring
     ring: np.ndarray    # ring index in the state
     first: np.ndarray   # packed index of the ring's first vehicle
@@ -163,15 +176,24 @@ def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
     pred[starts] = starts + sizes - 1
     strategy = state.strategy[cols]
     # looked up per run, not at import, so module-level wrappers take effect
-    law_of = {Strategy.HV: hv_accel, Strategy.CTG: partial(ctg_accel, h=state.h[cols]),
-              Strategy.VTG1: vtg1_accel, Strategy.VTG2: vtg2_accel,
-              Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
-    members = ((law_of[s], np.flatnonzero(strategy == code))
-               for code, s in enumerate(STRATEGIES))
-    return _VehicleTable(pred=pred, leader=packed[state.leader[cols]],
-                         hops=state.hops[cols], rear=packed[state.rear[cols]],
-                         laws=tuple((law, idx) for law, idx in members if idx.size),
-                         alone=starts[sizes == 1], ring=ring, first=first, cols=cols)
+    law_of = {Strategy.HV: hv_accel, Strategy.CTG: ctg_accel, Strategy.VTG1: vtg1_accel,
+              Strategy.VTG2: vtg2_accel, Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
+    laws = []
+    for code, s in enumerate(STRATEGIES):
+        idx = np.flatnonzero(strategy == code)
+        if not idx.size:
+            continue
+        at = cols[idx]  # the members' indices in the state
+        law, wiring = law_of[s], {}
+        if s is Strategy.CTG:
+            law = partial(law, h=state.h[at])
+        elif s is Strategy.CS:
+            wiring = dict(leader=packed[state.leader[at]], hops=state.hops[at])
+        elif s is Strategy.BS:
+            wiring = dict(rear=packed[state.rear[at]])
+        laws.append(_Members(law, idx, pred[idx], **wiring))
+    return _VehicleTable(pred=pred, laws=tuple(laws), alone=starts[sizes == 1],
+                         ring=ring, first=first, cols=cols)
 
 
 def init_state(config: SimConfig, density: float, p: float, combo_id: int,
@@ -212,21 +234,25 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
 
-    ctx = ControlContext(v=v, gap=gap_c, v_pred=v[table.pred], a_pred=a[table.pred],
-                         leader_dx=(x[table.leader] - x) % ring,
-                         v_leader=v[table.leader], a_leader=a[table.leader],
-                         leader_hops=table.hops, follower_gap=gap_c[table.rear])
     u = np.zeros(x.size)
-    for law, idx in table.laws:
-        u[idx] = law(ctx)[idx]
+    for m in table.laws:
+        i = m.idx
+        ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[m.pred], a_pred=a[m.pred])
+        if m.leader is not None:
+            ctx.leader_dx = (x[m.leader] - x[i]) % ring
+            ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[m.leader], a[m.leader], m.hops
+        if m.rear is not None:
+            ctx.follower_gap = gap_c[m.rear]
+        u[i] = m.law(ctx)
 
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         i = int(bad[0])
+        j = table.pred[i]
         raise SimulationError(
             f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
-            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={ctx.v_pred[i]!r} "
-            f"a_pred={ctx.a_pred[i]!r}", ring=int(table.ring[i]))
+            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} "
+            f"a_pred={a[j]!r}", ring=int(table.ring[i]))
 
     a_cmd = np.clip(u, config.a_min, config.a_max)
     v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)

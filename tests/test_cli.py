@@ -26,7 +26,9 @@ def test_sweep_writes_metrics(tmp_path, capsys):
                          (["--duration", "5", "--warmup", "5"], "no sample"),
                          (["--dt", "0.7", "--duration", "1", "--warmup", "0"],
                           "whole number of time steps"),
-                         (["--record-every", "0"], "record_every")):
+                         (["--record-every", "0"], "record_every"),
+                         (["--jobs", "0"], "jobs must be at least 1, got 0"),
+                         (["--jobs", "-3"], "jobs must be at least 1, got -3")):
         code = main(["sweep", "--densities", "15", "--penetrations", "0.8", "--combos", "1",
                      "--duration", "60", "--warmup", "30", *bad,
                      "--outdir", str(tmp_path / "bad")])
@@ -45,10 +47,13 @@ def test_combo_ranges_expand(tmp_path, capsys):
     rows = read_metrics_csv(out / "metrics.csv")
     assert [r["combo"] for r in rows] == [1, 2, 3]
 
-    # an empty or repeating axis is an error, not an empty or doubled table
+    # an empty, repeating or NaN axis is an error, not an empty, doubled or NaN table
     for axes, message in ((["--combos", "10-1"], "combos is empty"),
                           (["--combos", "1,1"], "combos repeats"),
-                          (["--densities", "15,15.0", "--combos", "1"], "densities repeats")):
+                          (["--densities", "15,15.0", "--combos", "1"], "densities repeats"),
+                          (["--densities", "nan,nan", "--combos", "1"], "densities holds NaN"),
+                          (["--penetrations", "nan", "--combos", "1"],
+                           "penetrations holds NaN")):
         code = main(["sweep", "--densities", "15", "--penetrations", "1", *axes,
                      "--duration", "30", "--warmup", "0", "--outdir", str(tmp_path / "bad")])
         assert code == 1

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from platoonflow import ring
+from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
+from platoonflow.energy import POLLUTANTS, fleet_emissions, fleet_fuel
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS, SweepSpec, _chunks,
                                      cell_seed, emit_plot_data, enumerate_cells,
-                                     run_cell, run_sweep,
+                                     run_cell, run_chunk, run_sweep,
                                      verify_probability_model,
                                      verify_stability)
 
@@ -154,6 +155,56 @@ def test_diverging_cell_fails_alone(monkeypatch, capsys):
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
     assert "density=25 failed: non-finite desired acceleration for vehicle 4" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("budget, groups", [(None, 1), (400, 20)])
+def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups):
+    # five samples per vehicle; at 400 samples per group the 10, 15 and
+    # 20-vehicle rings of a combo share one group and the 95-vehicle ring
+    # (475 samples) is reduced alone
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_REDUCE_SAMPLES", budget)
+    calls = []
+    sample_rates = experiments.sample_rates
+    monkeypatch.setattr(experiments, "sample_rates",
+                        lambda v, a: calls.append(v.size) or sample_rates(v, a))
+    spec = SweepSpec(densities=(10.0, 15.0, 20.0, 95.0, 250.0), penetrations=(0.6,),
+                     combos=tuple(range(1, 11)),
+                     sim=ring.SimConfig(duration=20.0, warmup=10.0, record_every=20))
+    init_state = ring.init_state
+
+    def disturbed(config, density, p, combo, **kwargs):
+        state = init_state(config, density, p, combo, **kwargs)
+        if (density, combo) == (15.0, 4):  # dropped inside a group
+            state.v[2] = math.nan
+        if density == 95.0 and combo in (5, 7):  # logs violations
+            state.x[2] = (state.x[1] - 4.5) % config.ring_length
+        return state
+
+    monkeypatch.setattr(ring, "init_state", disturbed)
+    cells = enumerate_cells(spec)
+    rows = run_chunk(spec, cells)
+    # the same rings run and split, each reduced on its own
+    kept = [(row, ring.init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
+            for row, (d, p, c) in zip(rows, cells) if d != 250.0]
+    states = [state for _, state in kept]
+    parts = list(ring.split_log(ring.run_state(ring.stack(states), spec.sim), states))
+    assert len(calls) == groups
+    assert [r["status"] for r in rows if r["density"] == 250.0] == ["error"] * 10
+    assert sum(bool(part.errors) for part in parts) == 1
+    assert sum(len(part.violations) for part in parts) > 0
+    for (row, _), part in zip(kept, parts):
+        if part.errors:
+            assert row["status"] == "error"
+            continue
+        fuel, emissions = fleet_fuel(part), fleet_emissions(part)
+        assert row["status"] == "ok"
+        assert (row["mean_speed_mps"], row["mean_nfr"], row["nff_g_per_km"]) == (
+            fuel.mean_speed, fuel.mean_nfr, fuel.nff)
+        assert [row[f"{pol}_g_per_km"] for pol in POLLUTANTS] == [
+            emissions[pol] for pol in POLLUTANTS]
+        assert row["violations"] == len(part.violations)
+    capsys.readouterr()
 
 
 def test_verify_probability_model_structure():

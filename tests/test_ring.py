@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import platoonflow.ring as engine
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
                                      ControlContext, Strategy, bdbm_accel, cs_accel,
                                      ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
@@ -398,3 +400,32 @@ def test_stack_drops_only_the_failing_ring():
     assert_same_log(parts[2], solo[2])
     assert parts[1].errors == {0: solo[1].errors[0]}
     assert np.all(np.isnan(parts[1].v[1:]))
+
+
+def test_each_law_steps_only_its_members(monkeypatch):
+    cfg = SimConfig(duration=0.3, warmup=0.0, record_every=1)
+    state = stack([init_state(cfg, 40.0, 0.6, combo_id) for combo_id in sorted(COMBOS)])
+    contexts = defaultdict(list)
+    for strategy, name in ((Strategy.HV, "hv_accel"), (Strategy.CTG, "ctg_accel"),
+                           (Strategy.VTG1, "vtg1_accel"), (Strategy.VTG2, "vtg2_accel"),
+                           (Strategy.CS, "cs_accel"), (Strategy.BS, "bdbm_accel")):
+        def spy(ctx, *args, _law=getattr(engine, name), _strategy=strategy, **kwargs):
+            contexts[_strategy].append(ctx)
+            return _law(ctx, *args, **kwargs)
+        monkeypatch.setattr(engine, name, spy)
+    run_state(state, cfg)
+    for strategy in STRATEGIES:
+        members = np.count_nonzero(state.strategy == code(strategy))
+        assert members, strategy
+        assert len(contexts[strategy]) == 3, strategy  # one call per step
+        for ctx in contexts[strategy]:
+            assert ctx.v.size == ctx.gap.size == ctx.v_pred.size == ctx.a_pred.size == members
+            leader = (ctx.leader_dx, ctx.v_leader, ctx.a_leader, ctx.leader_hops)
+            if strategy is Strategy.CS:
+                assert all(field.size == members for field in leader)
+            else:
+                assert leader == (None,) * 4, strategy
+            if strategy is Strategy.BS:
+                assert ctx.follower_gap.size == members
+            else:
+                assert ctx.follower_gap is None, strategy
