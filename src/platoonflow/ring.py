@@ -21,6 +21,14 @@ slice, so one kernel call under one config steps them all. Every
 operation is elementwise or gathers inside one ring, so each ring's
 numbers are bit for bit those of a run alone; ``split_log`` cuts the
 stacked log back into per-ring logs.
+
+Positions stay in [0, ring_length) and speeds in [0, v_max], and
+``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_state``
+checks the start state, and each step keeps both ranges. So a
+difference of two positions lies in (-ring_length, ring_length) and a
+step moves a vehicle forward by less than one lap. Both wrap by one
+conditional add or subtract of the ring length, with the same bits as
+a float remainder.
 """
 
 from __future__ import annotations
@@ -79,6 +87,9 @@ class SimConfig:
                              "so no sample would be recorded")
         if self.v_max <= 0 or self.a_max <= 0 or self.a_min >= 0:
             raise ValueError("need v_max > 0, a_max > 0, a_min < 0")
+        if self.v_max * self.dt >= self.ring_length:
+            raise ValueError(f"one step at v_max {self.v_max} m/s over dt {self.dt} s "
+                             f"covers the whole ring of {self.ring_length} m")
         if not isinstance(self.record_every, Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be a whole number >= 1, "
                              f"got {self.record_every}")
@@ -224,12 +235,38 @@ def init_state(config: SimConfig, density: float, p: float, combo_id: int,
                      leader=leader, hops=hops, rear=rear)
 
 
+def _arc(d: np.ndarray, ring: float) -> np.ndarray:
+    """``d % ring`` in place, bit for bit, for ``d`` in (-ring, ring).
+
+    There ``fmod`` returns ``d`` itself, and numpy's remainder adds
+    ``ring`` to a negative result: the same float add as here.
+    """
+    d += ring * (d < 0.0)
+    return d
+
+
+def _lap(x: np.ndarray, ring: float) -> np.ndarray:
+    """``x % ring`` in place, bit for bit, for ``x`` in [0, 2 ring).
+
+    On [ring, 2 ring) ``x - ring`` is exact (Sterbenz's lemma), as
+    ``fmod`` is. A -0.0 stays -0.0 where ``%`` gives +0.0; a step forms
+    one only from a state handed in with a -0.0 position and speed.
+    """
+    x -= ring * (x >= ring)
+    return x
+
+
 def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
              table: _VehicleTable):
-    """One synchronous step; returns new arrays plus observed violations."""
+    """One synchronous step; returns new arrays plus observed violations.
+
+    It wraps without a float remainder, so it needs the position and
+    speed ranges of the module docstring.
+    """
     ring = config.ring_length
-    dx = (x[table.pred] - x) % ring
-    dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
+    dx = _arc(x[table.pred] - x, ring)
+    if table.alone.size:
+        dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
     gap = dx - VEHICLE_LENGTH
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
@@ -239,24 +276,24 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
         i = m.idx
         ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[m.pred], a_pred=a[m.pred])
         if m.leader is not None:
-            ctx.leader_dx = (x[m.leader] - x[i]) % ring
+            ctx.leader_dx = _arc(x[m.leader] - x[i], ring)
             ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[m.leader], a[m.leader], m.hops
         if m.rear is not None:
             ctx.follower_gap = gap_c[m.rear]
         u[i] = m.law(ctx)
 
-    bad = np.flatnonzero(~np.isfinite(u))
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(u).all():
+        i = int(np.flatnonzero(~np.isfinite(u))[0])
         j = table.pred[i]
         raise SimulationError(
             f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
             f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} "
             f"a_pred={a[j]!r}", ring=int(table.ring[i]))
 
-    a_cmd = np.clip(u, config.a_min, config.a_max)
-    v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)
-    x_new = (x + 0.5 * (v + v_new) * config.dt) % ring
+    a_cmd = u.clip(config.a_min, config.a_max, out=u)
+    v_new = v + a_cmd * config.dt
+    v_new.clip(0.0, config.v_max, out=v_new)
+    x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
     return x_new, v_new, a_eff, viol, gap[viol]
 
@@ -274,13 +311,30 @@ def stack(states: Sequence[RingState]) -> RingState:
     return RingState(**columns, starts=starts)
 
 
+def _check_start(state: RingState, config: SimConfig) -> None:
+    """Raise ValueError unless ``state`` meets ``_advance``'s precondition."""
+    ring = config.ring_length
+    off = np.flatnonzero(~((state.x >= 0.0) & (state.x < ring)))
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"position {float(state.x[i])!r} of vehicle {i} is outside "
+                         f"[0, ring_length {ring})")
+    off = np.flatnonzero((state.v < 0.0) | (state.v > config.v_max))
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"speed {float(state.v[i])!r} of vehicle {i} is outside "
+                         f"[0, v_max {config.v_max}]")
+
+
 def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     """Integrate every ring of a prepared state and record post-warmup samples.
 
     A ring whose desired acceleration goes non-finite is dropped at that
     step: its message goes to ``errors`` and the other rings step on
-    unchanged.
+    unchanged. Every position must lie in [0, ring_length) and every
+    speed in [0, v_max] (a NaN speed fails at the step instead).
     """
+    _check_start(state, config)
     steps = round(config.duration / config.dt)
     warmup_steps = round(config.warmup / config.dt)
     times = np.arange(warmup_steps, steps, config.record_every) * config.dt

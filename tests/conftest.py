@@ -15,11 +15,11 @@ def pytest_terminal_summary(terminalreporter):
 
 from dataclasses import dataclass
 
-from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, Strategy,
-                                     equilibrium_gap)
+from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, ControlContext,
+                                     Strategy, equilibrium_gap)
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import STRATEGIES
-from platoonflow.ring import RingState
+from platoonflow.ring import GAP_FLOOR, RingState, SimulationError
 
 HV, LV1, LV2, PV = VehicleClass
 CLASSES = list(VehicleClass)  # role code -> class
@@ -158,3 +158,43 @@ def reference_columns(codes, combo, s_max):
         elif asg.strategy is Strategy.BS:
             rear[i] = (asg.rear_source + 1) % n
     return strategy, h, leader, hops, rear
+
+
+# The step kernel as it was before the ring wraps lost their float
+# remainder: every wrap is a ``%``. Kept as the reference ``ring._advance``
+# is checked against, bit for bit.
+
+def reference_advance(x, v, a, config, table):
+    """One synchronous step; returns new arrays plus observed violations."""
+    ring = config.ring_length
+    dx = (x[table.pred] - x) % ring
+    dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
+    gap = dx - VEHICLE_LENGTH
+    viol = np.flatnonzero(gap < 0.0)
+    gap_c = np.maximum(gap, GAP_FLOOR)
+
+    u = np.zeros(x.size)
+    for m in table.laws:
+        i = m.idx
+        ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[m.pred], a_pred=a[m.pred])
+        if m.leader is not None:
+            ctx.leader_dx = (x[m.leader] - x[i]) % ring
+            ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[m.leader], a[m.leader], m.hops
+        if m.rear is not None:
+            ctx.follower_gap = gap_c[m.rear]
+        u[i] = m.law(ctx)
+
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        i = int(bad[0])
+        j = table.pred[i]
+        raise SimulationError(
+            f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
+            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} "
+            f"a_pred={a[j]!r}", ring=int(table.ring[i]))
+
+    a_cmd = np.clip(u, config.a_min, config.a_max)
+    v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)
+    x_new = (x + 0.5 * (v + v_new) * config.dt) % ring
+    a_eff = (v_new - v) / config.dt
+    return x_new, v_new, a_eff, viol, gap[viol]

@@ -27,6 +27,8 @@ def test_sweep_writes_metrics(tmp_path, capsys):
                          (["--dt", "0.7", "--duration", "1", "--warmup", "0"],
                           "whole number of time steps"),
                          (["--record-every", "0"], "record_every"),
+                         (["--ring-length", "3"], "error: one step at v_max 33.3 m/s over "
+                          "dt 0.1 s covers the whole ring of 3.0 m\n"),
                          (["--jobs", "0"], "jobs must be at least 1, got 0"),
                          (["--jobs", "-3"], "jobs must be at least 1, got -3")):
         code = main(["sweep", "--densities", "15", "--penetrations", "0.8", "--combos", "1",
@@ -35,6 +37,7 @@ def test_sweep_writes_metrics(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "bad").exists()
 
 

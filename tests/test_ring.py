@@ -7,8 +7,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoons,
-                      uniform_state)
-from hypothesis import given, settings
+                      reference_advance, uniform_state)
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import platoonflow.ring as engine
@@ -124,6 +124,13 @@ def test_config_validation():
     SimConfig(dt=0.1, duration=3600.0, warmup=1800.0)
     SimConfig(dt=0.3, duration=0.9, warmup=0.3)
     SimConfig(record_every=np.int64(3))
+    # one step at v_max may not lap the ring
+    with pytest.raises(ValueError, match="covers the whole ring of 1000.0 m"):
+        SimConfig(dt=40.0, duration=3600.0, warmup=1800.0)
+    with pytest.raises(ValueError, match="whole ring"):
+        SimConfig(ring_length=5.0, v_max=10.0, dt=0.5, duration=1.0, warmup=0.0)
+    SimConfig(ring_length=np.nextafter(5.0, 6.0), v_max=10.0, dt=0.5, duration=1.0,
+              warmup=0.0)
 
 
 @pytest.mark.parametrize("field", ["density", "p", "intensity", "ring_length", "dt",
@@ -250,6 +257,27 @@ def test_nan_state_raises():
     with pytest.raises(SimulationError) as err:
         step_once(state, hand_config(ring))
     assert "2" in str(err.value)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("x", 200.0, "position 200.0 of vehicle 1 is outside [0, ring_length 200.0)"),
+    ("x", -1e-300, "position -1e-300 of vehicle 1"),
+    ("x", math.nan, "position nan of vehicle 1"),
+    ("x", math.inf, "position inf of vehicle 1"),
+    ("v", -0.5, "speed -0.5 of vehicle 1 is outside [0, v_max 33.3]"),
+    ("v", 33.4, "speed 33.4 of vehicle 1"),
+    ("v", math.inf, "speed inf of vehicle 1"),
+])
+def test_run_rejects_state_outside_the_ranges(column, value, message):
+    state = uniform_state([150.0, 100.0, 50.0], [10.0, 10.0, 10.0], Strategy.HV)
+    getattr(state, column)[1] = value
+    with pytest.raises(ValueError) as err:
+        run_state(state, hand_config(200.0))
+    assert message in str(err.value)
+    # in a stack too, before any ring steps
+    lone = uniform_state([0.0], [0.0], Strategy.HV)
+    with pytest.raises(ValueError, match=message.split(" of ")[0]):
+        run_state(stack([lone, state]), hand_config(200.0))
 
 
 def test_stressed_dense_cell_completes():
@@ -429,3 +457,106 @@ def test_each_law_steps_only_its_members(monkeypatch):
                 assert ctx.follower_gap.size == members
             else:
                 assert ctx.follower_gap is None, strategy
+
+
+def as_bits(values):
+    """Float bits as integers, so that +0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def perturbed_chunk(cfg, rng):
+    """All six laws, a lone vehicle and a ring that overlaps, from a moving start."""
+    states = [init_state(cfg, 1000.0 / cfg.ring_length, 1.0, 1)]
+    for k, combo_id in enumerate(sorted(COMBOS)):
+        states.append(init_state(cfg, (20.0, 60.0, 95.0)[k % 3], 0.6, combo_id))
+    states[3].x[2] = (states[3].x[1] - 4.5) % cfg.ring_length  # overlaps vehicle 1
+    for state in states:
+        state.x = (state.x + rng.uniform(-2.0, 2.0, state.n)) % cfg.ring_length
+        state.v = rng.uniform(0.0, cfg.v_max, state.n)
+        state.a = rng.uniform(cfg.a_min, cfg.a_max, state.n)
+    # the ends of the position range
+    states[1].x[0], states[2].x[0] = 0.0, np.nextafter(cfg.ring_length, 0.0)
+    return stack(states)
+
+
+def test_advance_matches_remainder_reference():
+    cfg = SimConfig(ring_length=400.0, duration=1.0, warmup=0.0)
+    state = perturbed_chunk(cfg, np.random.default_rng(8))
+    assert {int(c) for c in state.strategy} == set(range(len(STRATEGIES)))
+    table = engine._build_table(state, range(len(state.starts)))
+    assert table.alone.size == 1
+    new = [state.x.copy(), state.v.copy(), state.a.copy()]
+    ref = [state.x.copy(), state.v.copy(), state.a.copy()]
+    laps = violations = 0
+    for _ in range(300):
+        x = new[0]
+        *new, vi, vg = engine._advance(*new, cfg, table)
+        *ref, ri, rg = reference_advance(*ref, cfg, table)
+        for got, want in zip(new, ref):
+            assert np.array_equal(as_bits(got), as_bits(want))
+        assert np.array_equal(vi, ri) and np.array_equal(as_bits(vg), as_bits(rg))
+        laps += np.count_nonzero(new[0] < x)
+        violations += vi.size
+    # the wraps and the violation log were exercised, not skipped
+    assert laps > state.n and violations > 0
+
+
+@st.composite
+def ring_positions(draw, size=st.integers(1, 20)):
+    """A ring length and positions in [0, ring), with both ends likely."""
+    ring = draw(st.floats(1e-3, 1e7) | st.sampled_from([1000.0, 400.0, 3.0]))
+    inside = st.floats(0.0, ring, exclude_max=True) | st.sampled_from(
+        [0.0, float(np.nextafter(ring, 0.0)), ring / 2, float(np.nextafter(ring / 2, 0.0))])
+    n = draw(size)
+    return ring, np.array(draw(st.lists(inside, min_size=n, max_size=n)))
+
+
+@given(ring_positions())
+def test_arc_is_the_float_remainder(ring_x):
+    ring, x = ring_x
+    d = x[:, None] - x  # every pair
+    want = d % ring
+    assert np.array_equal(as_bits(engine._arc(d.copy(), ring)), as_bits(want))
+
+
+@st.composite
+def moves(draw):
+    """A ring, positions in [0, ring) and moves of at most one step < ring."""
+    ring, x = draw(ring_positions())
+    step = draw(st.floats(0.0, ring, exclude_max=True)
+                | st.just(float(np.nextafter(ring, 0.0))))
+    disp = draw(st.lists(st.floats(0.0, step) | st.just(step), min_size=1, max_size=10))
+    return ring, x, np.array(disp)
+
+
+TOP = float(np.nextafter(1000.0, 0.0))
+
+
+@given(moves())
+# landing on the ring length itself, and the top of [ring, 2 ring)
+@example((1000.0, np.array([500.0, 999.0, 0.0, TOP]), np.array([500.0, 1.0, 0.0, TOP])))
+def test_lap_is_the_float_remainder(move):
+    ring, x, disp = move
+    moved = x[:, None] + disp  # every position by every move
+    want = moved % ring
+    assert np.array_equal(as_bits(engine._lap(moved.copy(), ring)), as_bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(density=st.floats(5.0, 190.0), p=st.floats(0.0, 1.0),
+       combo_id=st.sampled_from(sorted(COMBOS)), speed=st.floats(0.0, 33.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_no_overtaking_without_a_violation(density, p, combo_id, speed, seed):
+    # a moving start with speeds 1 m/s apart: about half of such runs overlap
+    cfg = SimConfig(duration=20.0, warmup=0.0, record_every=1)
+    state = init_state(cfg, density, p, combo_id)
+    jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, state.n)
+    state.v = np.clip(speed + jitter, 0.0, cfg.v_max)
+    log = run_state(state, cfg)
+    assert not log.errors
+    event(f"violations logged: {bool(log.violations)}")
+    if log.violations:
+        return
+    dx = (np.roll(log.x, 1, axis=1) - log.x) % cfg.ring_length
+    # front-to-front distances close one lap at every sample: nobody overtook
+    np.testing.assert_allclose(dx.sum(axis=1), cfg.ring_length, rtol=0, atol=1e-6)
