@@ -9,8 +9,8 @@ row instead of killing the sweep. Row order is fixed to
 
 The sweep cuts the cells, in order, into chunks of about CHUNK_VEHICLES
 vehicles and steps each chunk's rings together in one engine run
-(``ring.stack``); a ring's numbers do not depend on what it is stacked
-with, so chunking changes no output byte. The chunk's log is then
+(``ring.build_rings``); a ring's numbers do not depend on what it is
+stacked with, so chunking changes no output byte. The chunk's log is then
 reduced to metrics rows by groups of rings, one ``energy.sample_rates``
 pass per group, each ring's means summed over its own contiguous
 samples as if it had run alone. ``--jobs`` spreads chunks over worker
@@ -126,7 +126,8 @@ def _reduce_rings(rows: list[dict], sizes: list[int], log: ring.TrajectoryLog) -
         v, a = (np.concatenate([arr[:, bounds[r]:bounds[r + 1]] for r in group], axis=None)
                 for arr in (log.v, log.a))
         ends = list(accumulate(samples[r] for r in group))
-        means = [[np.mean(rate[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+        # np.add.reduce sums pairwise as np.mean does (reduceat would not)
+        means = [[np.add.reduce(rate[lo:hi]) / (hi - lo) for lo, hi in zip([0, *ends], ends)]
                  for rate in sample_rates(v, a)]
         for r, ring_means in zip(group, zip(*means)):
             fuel, emissions = summarize(ring_means)
@@ -143,27 +144,29 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     """Simulate cells together in one engine run; one metrics row per cell."""
     rows: list[dict] = []
     running: list[dict] = []
-    states: list[ring.RingState] = []
+    fleets, combos, seeds = [], [], []
     for density, p, combo in cells:
         row = {"combo": combo, "p": p, "density": density}
         rows.append(row)
         try:
-            states.append(ring.init_state(spec.sim, density, p, combo,
-                                          seed=cell_seed(spec.base_seed, density, p, combo)))
+            fleets.append(ring.cell_fleet(spec.sim, density, p, combo))
         except ValueError as exc:
             _fail(row, exc)
             continue
         running.append(row)
-    if not states:
+        combos.append(combo)
+        seeds.append(cell_seed(spec.base_seed, density, p, combo))
+    if not running:
         return rows
-    log = ring.run_state(ring.stack(states), spec.sim)
+    state = ring.build_rings(spec.sim, fleets, combos, seeds)
+    log = ring.run_state(state, spec.sim)
     if save_dir is not None:
-        for row, part in zip(running, ring.split_log(log, states)):
+        for row, part in zip(running, ring.split_log(log, state)):
             if not part.errors:
                 stem = f"cell_c{row['combo']}_p{row['p']:g}_d{row['density']:g}"
                 write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
                 write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
-    _reduce_rings(running, [s.n for s in states], log)
+    _reduce_rings(running, [fleet.n_vehicles for fleet in fleets], log)
     return rows
 
 
@@ -254,7 +257,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
             seeds = ([None] * runs if intensity == 1.0
                      else [cell_seed(seed, intensity, p, r) for r in range(runs)])
             flags = draw_flags(FleetSpec(n_vehicles, p, intensity, s_max), seeds)
-            dist = empirical_distribution(role_codes(flags, s_max))
+            dist = empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * runs, s_max))
             model = class_probabilities(p, intensity, s_max)
             for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
                                ("LV2", dist.p_lv2, model.p_lv2),

@@ -6,11 +6,12 @@ the role they play in a platoon. The closed-form class probabilities
 below describe the stationary behaviour of that walk, with a separate
 branch for full platoon intensity where all CAVs sit in one block.
 
-Rings are drawn and labeled as arrays, one ring per row and one vehicle
-per column: ``draw_flags`` gives a bool ``(runs, n)`` array of CAV flags
-(the walk steps over the columns, all rows at once), ``role_codes``
-turns it into small-int role codes in VehicleClass order (HV, LV1, LV2,
-PV), and ``empirical_distribution`` counts codes.
+Rings are drawn and labeled as arrays: ``draw_flags`` gives a bool
+``(runs, n)`` array of CAV flags, one ring per row (the walk steps over
+the columns, all rows at once). ``role_codes`` labels any number of
+rings of any sizes in one pass over their flags laid back to back, as
+small-int role codes in VehicleClass order (HV, LV1, LV2, PV), and
+``empirical_distribution`` counts codes.
 """
 
 from __future__ import annotations
@@ -135,31 +136,43 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     return ClassProbabilities(p_lv1, p_lv2, p_pv, 1.0 - p)
 
 
-def role_codes(flags: np.ndarray, s_max: int = 4) -> np.ndarray:
-    """Platoon role codes of circular CAV/HV rows, in VehicleClass order.
+def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int = 4) -> np.ndarray:
+    """Platoon role codes of circular CAV/HV rings, in VehicleClass order.
 
-    ``flags`` is a bool ``(k, n)`` array, one ring per row, True for a
-    CAV. Each maximal circular run of CAVs is chunked: the run head is
-    LV1 (it sits behind an HV), every offset that is a multiple of
-    s_max starts a fresh platoon as LV2, everything else is PV. A row
-    with no HV has no run head, so its offsets count from column 0 and
-    its chunk starts are all LV2.
+    ``flags`` holds the rings' CAV flags back to back (True for a CAV)
+    and ``sizes`` the vehicles of each ring, in order. Each maximal
+    circular run of CAVs is chunked: the run head is LV1 (it sits behind
+    an HV), every offset that is a multiple of s_max starts a fresh
+    platoon as LV2, everything else is PV. A ring with no HV has no run
+    head, so its offsets count from its first vehicle and its chunk
+    starts are all LV2.
     """
     if s_max < 1:
         raise ValueError(f"platoon size cap must be >= 1, got {s_max}")
-    flags = np.asarray(flags, dtype=bool)
-    n = flags.shape[1]
-    # offsets are below n, so any larger cap acts the same; this keeps it in int32
-    s_max = min(s_max, n + 1)
-    # On the row doubled to [f, f], the last HV at or before column n + c
-    # heads column c's circular run; a row without HV gets -1 there, and
-    # taking the offset mod n makes it count from column 0.
-    doubled = np.concatenate((flags, flags), axis=1)
-    cols = np.arange(2 * n, dtype=np.int32)
-    last_hv = np.maximum.accumulate(np.where(doubled, np.int32(-1), cols), axis=1)
-    offset = (cols[n - 1:-1] - last_hv[:, n:]) % n
+    flags = np.asarray(flags, dtype=bool).ravel()
+    sizes = np.asarray(sizes, dtype=np.int32)
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != flags.size:
+        raise ValueError(f"ring sizes {sizes.tolist()} do not split {flags.size} vehicles")
+    ends = np.cumsum(sizes, dtype=np.int32)
+    starts = ends - sizes
+    # offsets are below the ring size, so any larger cap acts the same;
+    # this keeps it in int32
+    s_max = min(s_max, int(sizes.max()) + 1)
+    # The last HV at or before a vehicle heads its run. Before a ring's
+    # first HV the run wraps the ring end: it is headed by the ring's last
+    # HV, one lap back; a ring without HV counts from one before its first
+    # vehicle.
+    index = np.arange(flags.size, dtype=np.int32)
+    head = np.maximum.accumulate(np.where(flags, np.int32(-1), index))
+    last_hv = head[ends - 1]
+    no_hv = last_hv < starts
+    wrapped = np.where(no_hv, starts - 1, last_hv - sizes)
+    before = head < np.repeat(starts, sizes)
+    head[before] = np.repeat(wrapped, sizes)[before]
+    offset = index - head - 1
     codes = np.where(offset % s_max == 0, _LV2, _PV)
-    codes[flags & ~doubled[:, n - 1:-1]] = _LV1  # a CAV right behind an HV
+    codes[flags & (offset == 0)] = _LV1  # a CAV right behind an HV...
+    codes[starts[no_hv]] = _LV2  # ...which the first CAV of a ring without HV is not
     codes[~flags] = _HV
     return codes
 

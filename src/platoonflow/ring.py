@@ -14,13 +14,15 @@ computes a vehicle it does not drive.
 
 A ``SimConfig`` holds only the engine settings (ring length, time
 step, horizon, sampling, actuator limits); a cell's own values (density,
-penetration, combo, fleet layout) are arguments of ``init_state``. One
-state can hold several independent rings (``stack``): their arrays are
-concatenated and their index columns offset into each ring's own
-slice, so one kernel call under one config steps them all. Every
-operation is elementwise or gathers inside one ring, so each ring's
-numbers are bit for bit those of a run alone; ``split_log`` cuts the
-stacked log back into per-ring logs.
+penetration, combo, fleet layout) are checked by ``cell_fleet``. One
+state can hold several independent rings: ``build_rings`` draws each
+ring's flags, then labels, wires and places all of them in one pass
+over arrays laid back to back, with index columns pointing into each
+ring's own slice, so one kernel call under one config steps them all
+(``init_state`` builds a single ring the same way). Every operation is
+elementwise or gathers inside one ring, so each ring's numbers are bit
+for bit those of a run alone; ``split_log`` cuts the stacked log back
+into per-ring logs.
 
 Positions stay in [0, ring_length) and speeds in [0, v_max], and
 ``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_state``
@@ -37,7 +39,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
@@ -207,12 +208,12 @@ def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
                          ring=ring, first=first, cols=cols)
 
 
-def init_state(config: SimConfig, density: float, p: float, combo_id: int,
-               intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> RingState:
-    """Evenly spaced standstill start of one cell's ring.
+def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
+               intensity: float = 1.0, s_max: int = 4) -> FleetSpec:
+    """The fleet of one cell's ring, after checking the cell's values.
 
-    ``density`` is in veh/km and ``p`` is the CAV penetration; ``seed``
-    draws the fleet layout below full ``intensity`` and is not read at 1.
+    ``density`` is in veh/km and ``p`` is the CAV penetration. Raises
+    ValueError for a cell no ring can hold or that names no combo.
     """
     if not (math.isfinite(density) and density > 0):
         raise ValueError(f"density must be positive and finite, got {density}")
@@ -228,11 +229,38 @@ def init_state(config: SimConfig, density: float, p: float, combo_id: int,
     if spacing < VEHICLE_LENGTH:
         raise ValueError(f"density {density} needs spacing {spacing:.2f} m "
                          f"< vehicle length {VEHICLE_LENGTH} m")
-    x = (-spacing * np.arange(n, dtype=float)) % config.ring_length
-    flags = draw_flags(FleetSpec(n, p, intensity, s_max), [seed])
-    strategy, h, leader, hops, rear = wire(role_codes(flags, s_max)[0], COMBOS[combo_id])
-    return RingState(x=x, v=np.zeros(n), a=np.zeros(n), strategy=strategy, h=h,
-                     leader=leader, hops=hops, rear=rear)
+    return FleetSpec(n, p, intensity, s_max)
+
+
+def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Sequence[int],
+                seeds: Sequence[int | None]) -> RingState:
+    """Evenly spaced standstill starts of rings, stacked in one state.
+
+    Each ring has a fleet from ``cell_fleet``, a combo and a seed, which
+    draws its layout below full intensity and is not read at 1. The
+    rings share one platoon size cap; their flags are labeled and wired
+    in one pass.
+    """
+    caps = {fleet.s_max for fleet in fleets}
+    if len(caps) != 1:
+        raise ValueError(f"need rings with one platoon size cap, got {sorted(caps)}")
+    sizes = np.array([fleet.n_vehicles for fleet in fleets])
+    starts = np.cumsum(sizes) - sizes
+    flags = np.concatenate([draw_flags(fleet, [seed]) for fleet, seed in zip(fleets, seeds)],
+                           axis=None)
+    strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, *caps), sizes,
+                                           [COMBOS[c] for c in combo_ids])
+    k = np.arange(flags.size) - np.repeat(starts, sizes)  # index in the ring
+    x = (-np.repeat(config.ring_length / sizes, sizes) * k) % config.ring_length
+    return RingState(x=x, v=np.zeros(x.size), a=np.zeros(x.size), strategy=strategy, h=h,
+                     leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
+
+
+def init_state(config: SimConfig, density: float, p: float, combo_id: int,
+               intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> RingState:
+    """Evenly spaced standstill start of one cell's ring (see ``build_rings``)."""
+    return build_rings(config, [cell_fleet(config, density, p, combo_id, intensity, s_max)],
+                       [combo_id], [seed])
 
 
 def _arc(d: np.ndarray, ring: float) -> np.ndarray:
@@ -287,8 +315,8 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
         j = table.pred[i]
         raise SimulationError(
             f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
-            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} "
-            f"a_pred={a[j]!r}", ring=int(table.ring[i]))
+            f"v={float(v[i])!r} gap={float(gap_c[i])!r} v_pred={float(v[j])!r} "
+            f"a_pred={float(a[j])!r}", ring=int(table.ring[i]))
 
     a_cmd = u.clip(config.a_min, config.a_max, out=u)
     v_new = v + a_cmd * config.dt
@@ -296,19 +324,6 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
     return x_new, v_new, a_eff, viol, gap[viol]
-
-
-def stack(states: Sequence[RingState]) -> RingState:
-    """One state holding every single-ring state, in order, to step together."""
-    if not states or any(len(s.starts) != 1 or s.n == 0 for s in states):
-        raise ValueError("stack takes a non-empty list of non-empty single-ring states")
-    starts = tuple(accumulate((s.n for s in states[:-1]), initial=0))
-    columns = {name: np.concatenate([getattr(s, name) for s in states])
-               for name in ("x", "v", "a", "strategy", "h", "hops")}
-    for name in ("leader", "rear"):  # ring indices become state indices
-        columns[name] = np.concatenate([getattr(s, name) + at
-                                        for s, at in zip(states, starts)])
-    return RingState(**columns, starts=starts)
 
 
 def _check_start(state: RingState, config: SimConfig) -> None:
@@ -375,20 +390,20 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
                          violations=violations, errors=errors)
 
 
-def split_log(log: TrajectoryLog, states: Sequence[RingState]) -> Iterator[TrajectoryLog]:
-    """Per-ring logs of a run on ``stack(states)``, in stacking order.
+def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
+    """Per-ring logs of a run on ``state``, in ring order.
 
     Each ring's samples are copied into C-contiguous (m, n) arrays, so a
     reduction over them sums in the same order as over a ring run alone.
     A dropped ring's log carries its message as ``errors[0]``.
     """
-    starts = list(accumulate((s.n for s in states), initial=0))
-    by_ring: list[list[Violation]] = [[] for _ in states]
+    bounds = [*state.starts, state.n]
+    by_ring: list[list[Violation]] = [[] for _ in state.starts]
     for viol in log.violations:
-        r = bisect_right(starts, viol.vehicle) - 1
-        by_ring[r].append(Violation(viol.t, viol.vehicle - starts[r], viol.gap))
-    for r in range(len(states)):
-        cols = slice(starts[r], starts[r + 1])
+        r = bisect_right(bounds, viol.vehicle) - 1
+        by_ring[r].append(Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
+    for r in range(len(state.starts)):
+        cols = slice(bounds[r], bounds[r + 1])
         yield TrajectoryLog(times=log.times,
                             x=np.ascontiguousarray(log.x[:, cols]),
                             v=np.ascontiguousarray(log.v[:, cols]),

@@ -1,6 +1,13 @@
 """Shared helpers: hand-made ring states and the acceptance verdict log."""
 
+from itertools import accumulate
+
 import numpy as np
+from hypothesis import settings
+
+# CI runs ``pytest --hypothesis-profile=ci``: derandomized examples, so a
+# red build fails the same way locally under the same command
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 # verdict lines collected by tests/test_acceptance.py; emitted after the
 # run so they survive pytest's fd-level output capture
@@ -38,6 +45,19 @@ def uniform_state(x, v, strategy, h=H_FOLLOWER):
                      h=np.full(n, h if strategy is Strategy.CTG else np.nan),
                      leader=own, hops=np.zeros(n),
                      rear=(own + 1) % n if strategy is Strategy.BS else own)
+
+
+def stack(states):
+    """One state holding every single-ring state, in order, to step together."""
+    if not states or any(len(s.starts) != 1 or s.n == 0 for s in states):
+        raise ValueError("stack takes a non-empty list of non-empty single-ring states")
+    starts = tuple(accumulate((s.n for s in states[:-1]), initial=0))
+    columns = {name: np.concatenate([getattr(s, name) for s in states])
+               for name in ("x", "v", "a", "strategy", "h", "hops")}
+    for name in ("leader", "rear"):  # ring indices become state indices
+        columns[name] = np.concatenate([getattr(s, name) + at
+                                        for s, at in zip(states, starts)])
+    return RingState(**columns, starts=starts)
 
 
 def equilibrium_flow(strategy, v_e, n=10, h=H_FOLLOWER):

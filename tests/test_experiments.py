@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stack
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
@@ -140,15 +141,16 @@ def test_horizon_off_the_step_grid_gives_error_row():
 def test_diverging_cell_fails_alone(monkeypatch, capsys):
     spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(1.0,), combos=(1,))
     clean = run_sweep(spec)
-    init_state = ring.init_state
+    build_rings = ring.build_rings
 
-    def poisoned(config, density, *args, **kwargs):
-        state = init_state(config, density, *args, **kwargs)
-        if density == 25.0:
-            state.v[4] = math.nan
+    def poisoned(config, fleets, *args):
+        state = build_rings(config, fleets, *args)
+        for fleet, start in zip(fleets, state.starts):
+            if fleet.n_vehicles == 25:  # density 25 on the 1 km ring
+                state.v[start + 4] = math.nan
         return state
 
-    monkeypatch.setattr(ring, "init_state", poisoned)
+    monkeypatch.setattr(ring, "build_rings", poisoned)
     rows = run_sweep(spec)
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     assert math.isnan(rows[1]["nff_g_per_km"])
@@ -171,24 +173,27 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
     spec = SweepSpec(densities=(10.0, 15.0, 20.0, 95.0, 250.0), penetrations=(0.6,),
                      combos=tuple(range(1, 11)),
                      sim=ring.SimConfig(duration=20.0, warmup=10.0, record_every=20))
-    init_state = ring.init_state
+    build_rings = ring.build_rings
 
-    def disturbed(config, density, p, combo, **kwargs):
-        state = init_state(config, density, p, combo, **kwargs)
-        if (density, combo) == (15.0, 4):  # dropped inside a group
-            state.v[2] = math.nan
-        if density == 95.0 and combo in (5, 7):  # logs violations
-            state.x[2] = (state.x[1] - 4.5) % config.ring_length
+    def disturbed(config, fleets, combos, seeds):
+        # densities on the 1 km ring are vehicle counts
+        state = build_rings(config, fleets, combos, seeds)
+        for fleet, combo, start in zip(fleets, combos, state.starts):
+            if (fleet.n_vehicles, combo) == (15, 4):  # dropped inside a group
+                state.v[start + 2] = math.nan
+            if fleet.n_vehicles == 95 and combo in (5, 7):  # logs violations
+                state.x[start + 2] = (state.x[start + 1] - 4.5) % config.ring_length
         return state
 
-    monkeypatch.setattr(ring, "init_state", disturbed)
+    monkeypatch.setattr(ring, "build_rings", disturbed)
     cells = enumerate_cells(spec)
     rows = run_chunk(spec, cells)
     # the same rings run and split, each reduced on its own
     kept = [(row, ring.init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
             for row, (d, p, c) in zip(rows, cells) if d != 250.0]
     states = [state for _, state in kept]
-    parts = list(ring.split_log(ring.run_state(ring.stack(states), spec.sim), states))
+    stacked = stack(states)
+    parts = list(ring.split_log(ring.run_state(stacked, spec.sim), stacked))
     assert len(calls) == groups
     assert [r["status"] for r in rows if r["density"] == 250.0] == ["error"] * 10
     assert sum(bool(part.errors) for part in parts) == 1

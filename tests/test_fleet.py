@@ -23,12 +23,13 @@ CLASSES = list(VehicleClass)  # role code -> class
 
 def labels_of(is_cav, s_max):
     """One ring of CAV flags labeled by role_codes, as VehicleClass members."""
-    return [CLASSES[c] for c in role_codes(np.array([is_cav], dtype=bool), s_max)[0]]
+    return [CLASSES[c] for c in role_codes(np.array(is_cav, dtype=bool), [len(is_cav)], s_max)]
 
 
 def draw_labels(spec, seed):
     """One ring drawn by draw_flags and labeled by role_codes."""
-    return [CLASSES[c] for c in role_codes(draw_flags(spec, [seed]), spec.s_max)[0]]
+    return [CLASSES[c] for c in role_codes(draw_flags(spec, [seed]), [spec.n_vehicles],
+                                           spec.s_max)]
 
 
 def reference_label_roles(is_cav, s_max):
@@ -191,7 +192,7 @@ def test_class_probabilities_monte_carlo():
     # Long random sequences at a point verified by hand; frequencies of
     # each role must approach the closed-form shares.
     spec = FleetSpec(n_vehicles=5000, p=0.5, intensity=0.0, s_max=4)
-    emp = empirical_distribution(role_codes(draw_flags(spec, range(200)), 4))
+    emp = empirical_distribution(role_codes(draw_flags(spec, range(200)), [5000] * 200, 4))
     probs = class_probabilities(0.5, 0.0, 4)
     assert emp.p_lv1 == pytest.approx(probs.p_lv1, abs=0.005)
     assert emp.p_lv2 == pytest.approx(probs.p_lv2, abs=0.005)
@@ -346,7 +347,7 @@ def test_empirical_distribution_empty_raises():
 
 def test_empirical_block_layout_frequencies():
     spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
-    emp = empirical_distribution(role_codes(draw_flags(spec, [0]), 4))
+    emp = empirical_distribution(role_codes(draw_flags(spec, [0]), [100], 4))
     assert emp.p_lv1 == pytest.approx(0.01, abs=1e-12)
     assert emp.p_lv2 == pytest.approx(0.19, abs=1e-12)
     assert emp.p_pv == pytest.approx(0.60, abs=1e-12)
@@ -387,7 +388,7 @@ def test_monte_carlo_error_shrinks_with_samples():
     def l2_error(n_seqs, base_seed):
         spec = FleetSpec(n_vehicles=100, p=0.5, intensity=0.0, s_max=4)
         seeds = range(base_seed, base_seed + n_seqs)
-        emp = empirical_distribution(role_codes(draw_flags(spec, seeds), 4))
+        emp = empirical_distribution(role_codes(draw_flags(spec, seeds), [100] * n_seqs, 4))
         return math.sqrt((emp.p_lv1 - probs.p_lv1) ** 2
                          + (emp.p_lv2 - probs.p_lv2) ** 2
                          + (emp.p_pv - probs.p_pv) ** 2
@@ -400,28 +401,40 @@ def test_monte_carlo_error_shrinks_with_samples():
 
 
 @st.composite
-def flag_rows(draw):
-    """A few same-length rings of CAV flags and a cap in 1..n+1."""
-    n = draw(st.integers(1, 40))
-    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
-                         min_size=1, max_size=4))
-    return rows, draw(st.integers(1, n + 1))
+def flag_rings(draw):
+    """A few rings of CAV flags of any sizes and a cap in 1..n+1 of the largest."""
+    rings = draw(st.lists(st.lists(st.booleans(), min_size=1, max_size=40),
+                          min_size=1, max_size=6))
+    return rings, draw(st.integers(1, max(map(len, rings)) + 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(flag_rows())
+@given(flag_rings())
 @example(([[False] * 5], 2))                                # all HV
 @example(([[True] * 7, [True] * 7], 3))                     # all CAV
 @example(([[True, True, False, True, True, True]], 2))      # run wraps the ring end
 @example(([[True]], 1))                                     # n = 1
 @example(([[False]], 2))
 @example(([[True] * 6, [False, True, True, True, True, True]], 4))
+@example(([[True, False], [True] * 3, [True, True, False, True], [True]], 2))
 def test_role_codes_match_per_vehicle_loop(case):
-    rows, s_max = case
-    codes = role_codes(np.array(rows, dtype=bool), s_max)
-    assert codes.shape == (len(rows), len(rows[0]))
-    for row, got in zip(rows, codes.tolist()):
-        assert [CLASSES[c] for c in got] == reference_label_roles(row, s_max)
+    rings, s_max = case
+    sizes = [len(flags) for flags in rings]
+    codes = role_codes(np.concatenate(rings).astype(bool), sizes, s_max)
+    assert codes.shape == (sum(sizes),)
+    start = 0
+    for flags, n in zip(rings, sizes):
+        got = codes[start:start + n].tolist()
+        assert [CLASSES[c] for c in got] == reference_label_roles(flags, s_max)
+        start += n
+
+
+def test_role_codes_rejects_sizes_that_do_not_split_the_flags():
+    for sizes in ([3, 3], [2, 2], [5, 0], [], [[5]]):
+        with pytest.raises(ValueError, match="do not split 5 vehicles"):
+            role_codes(np.ones(5, dtype=bool), sizes)
+    with pytest.raises(ValueError, match="size cap"):
+        role_codes(np.ones(5, dtype=bool), [5], 0)
 
 
 @pytest.mark.parametrize("intensity", [0.0, 0.3, 0.99, 1.0])

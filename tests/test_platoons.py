@@ -22,13 +22,13 @@ def code(strategy):
 
 
 def labels_of(flags, s_max=4):
-    return [CLASSES[c] for c in role_codes(np.array([flags], dtype=bool), s_max)[0]]
+    return [CLASSES[c] for c in role_codes(np.array(flags, dtype=bool), [len(flags)], s_max)]
 
 
 def columns(labels, combo):
     """wire() of a labeled ring, by column name."""
     codes = np.array([CLASSES.index(c) for c in labels], dtype=np.int8)
-    return dict(zip(FIELDS, wire(codes, combo)))
+    return dict(zip(FIELDS, wire(codes, [codes.size], [combo])))
 
 
 def test_combo_table():
@@ -81,7 +81,7 @@ def test_form_platoons_wraparound():
 
 def test_form_platoons_block_fleet():
     spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
-    labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [0]), 4)[0]]
+    labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [0]), [100], 4)]
     platoons = form_platoons(labels)
     assert len(platoons) == 20
     assert all(p.size == 4 for p in platoons)
@@ -210,10 +210,41 @@ def coded_rings(draw):
 @example(([False], 2, 5))
 def test_wire_matches_object_path(case):
     flags, s_max, combo_id = case
-    codes = role_codes(np.array([flags]), s_max)[0]
-    got = wire(codes, COMBOS[combo_id])
+    codes = role_codes(np.array(flags), [len(flags)], s_max)
+    got = wire(codes, [codes.size], [COMBOS[combo_id]])
     want = reference_columns(codes, COMBOS[combo_id], s_max)
     for name, g, w in zip(FIELDS, got, want):
         np.testing.assert_array_equal(g, w, err_msg=name)
         assert g.dtype.kind == w.dtype.kind, name
 
+
+
+@st.composite
+def coded_chunks(draw):
+    """A few rings of CAV flags of any sizes, one cap, and a combo per ring."""
+    rings = draw(st.lists(st.lists(st.booleans(), min_size=1, max_size=40),
+                          min_size=1, max_size=6))
+    combo_ids = draw(st.lists(st.sampled_from(sorted(COMBOS)),
+                              min_size=len(rings), max_size=len(rings)))
+    return rings, draw(st.integers(1, max(map(len, rings)) + 1)), combo_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_chunks())
+@example(([[True] * 3, [False, True, True], [True]], 4, [10, 10, 10]))
+@example(([[True, True, False, True, True, True], [False] * 4, [True] * 9], 2, [10, 4, 5]))
+@example(([[True], [True, False], [True, True, True, False, True]], 2, [9, 1, 10]))
+def test_wire_of_a_chunk_is_each_ring_wired_alone(case):
+    rings, s_max, combo_ids = case
+    sizes = [len(flags) for flags in rings]
+    codes = role_codes(np.concatenate(rings).astype(bool), sizes, s_max)
+    got = wire(codes, sizes, [COMBOS[c] for c in combo_ids])
+    start = 0
+    for n, combo_id in zip(sizes, combo_ids):
+        ring_slice = slice(start, start + n)
+        want = reference_columns(codes[ring_slice], COMBOS[combo_id], s_max)
+        for name, g, w in zip(FIELDS, got, want):
+            g = g[ring_slice] - start if name in ("leader", "rear") else g[ring_slice]
+            np.testing.assert_array_equal(g, w, err_msg=name)
+            assert g.dtype.kind == w.dtype.kind, name
+        start += n

@@ -7,7 +7,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoons,
-                      reference_advance, uniform_state)
+                      reference_advance, stack, uniform_state)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +17,8 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
                                      ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
 from platoonflow.platoons import COMBOS, STRATEGIES
-from platoonflow.ring import (GAP_FLOOR, SimConfig, SimulationError, init_state, run,
-                              run_state, split_log, stack)
+from platoonflow.ring import (GAP_FLOOR, SimConfig, SimulationError, build_rings,
+                              cell_fleet, init_state, run, run_state, split_log)
 
 
 def hand_config(ring, **kw):
@@ -95,6 +95,41 @@ def test_init_state_infeasible_density():
         init_state(SimConfig(), 250.0, 1.0, 1)
     with pytest.raises(ValueError):
         init_state(SimConfig(), 0.1, 1.0, 1)
+
+
+def test_built_rings_are_one_ring_states_side_by_side():
+    # cells as a sweep chunk holds them: drawn layouts below intensity 1,
+    # seeds, and cells that fail their checks and get no ring
+    cfg = SimConfig()
+    cells = [(15.0, 0.3, 5, 0.4, 7), (250.0, 0.5, 1, 0.4, 1), (40.0, 0.8, 10, 0.8, 3),
+             (1.0, 1.0, 4, 1.0, None), (0.1, 0.5, 2, 0.5, 2), (95.0, 0.6, 9, 0.0, 11),
+             (60.0, 0.5, 11, 0.3, 5), (55.0, 0.7, 7, 0.3, 12), (20.0, 0.5, 4, 0.9, 4)]
+    fleets, kept = [], []
+    for density, p, combo_id, intensity, seed in cells:
+        try:
+            fleets.append(cell_fleet(cfg, density, p, combo_id, intensity, s_max=3))
+        except ValueError:
+            continue
+        kept.append((density, p, combo_id, intensity, seed))
+    assert len(kept) == 6
+    state = build_rings(cfg, fleets, [c[2] for c in kept], [c[4] for c in kept])
+    bounds = [*state.starts, state.n]
+    assert state.n == sum(fleet.n_vehicles for fleet in fleets)
+    for r, (density, p, combo_id, intensity, seed) in enumerate(kept):
+        alone = init_state(cfg, density, p, combo_id, intensity, 3, seed)
+        assert alone.starts == (0,)
+        ring_slice = slice(bounds[r], bounds[r + 1])
+        for name in ("x", "v", "a", "strategy", "h", "leader", "hops", "rear"):
+            got, want = getattr(state, name)[ring_slice], getattr(alone, name)
+            if name in ("leader", "rear"):
+                got = got - bounds[r]
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), (r, name)  # values and float bits
+    # the layouts are drawn: CS followers count hops, BS leaders read past a tail
+    assert state.hops.max() >= 2
+    assert np.any((state.strategy == code(Strategy.BS)) & (state.rear > np.arange(state.n) + 1))
+    with pytest.raises(ValueError, match="one platoon size cap"):
+        build_rings(cfg, [fleets[0], dataclasses.replace(fleets[1], s_max=4)], [5, 10], [7, 3])
 
 
 CELL = dict(density=20.0, p=1.0, combo_id=1)
@@ -257,6 +292,8 @@ def test_nan_state_raises():
     with pytest.raises(SimulationError) as err:
         step_once(state, hand_config(ring))
     assert "2" in str(err.value)
+    assert str(err.value) == ("non-finite desired acceleration for vehicle 2: "
+                              "v=nan gap=11.0 v_pred=15.0 a_pred=0.0")
 
 
 @pytest.mark.parametrize("column, value, message", [
@@ -321,7 +358,7 @@ def test_step_matches_per_vehicle_laws(combo_id):
     combo = COMBOS[combo_id]
     # the per-vehicle wiring of the reference object path
     labels = [CLASSES[c] for c in role_codes(draw_flags(FleetSpec(state.n, 0.6, 1.0), [None]),
-                                             4)[0]]
+                                             [state.n], 4)]
     platoons = form_platoons(labels, 4)
     asgs = assign_strategies(labels, platoons, combo)
     # a mixed fleet: human drivers, leaders and in-platoon followers
@@ -396,7 +433,7 @@ def test_stacked_rings_match_solo_runs():
     log = run_state(stack(states), STACK_CONFIG)
     assert log.x.shape == (log.times.size, sum(s.n for s in states))
     assert log.errors == {}
-    parts = list(split_log(log, states))
+    parts = list(split_log(log, stack(states)))
     assert len(parts) == len(states)
     for state, part in zip(states, parts):
         assert_same_log(part, run_state(state, STACK_CONFIG))
@@ -423,7 +460,7 @@ def test_stack_drops_only_the_failing_ring():
 
     log = run_state(stack(states), STACK_CONFIG)
     assert log.errors == {1: solo[1].errors[0]}
-    parts = list(split_log(log, states))
+    parts = list(split_log(log, stack(states)))
     assert_same_log(parts[0], solo[0])
     assert_same_log(parts[2], solo[2])
     assert parts[1].errors == {0: solo[1].errors[0]}
