@@ -130,7 +130,9 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     # no point past stop, except by float error when stop is a whole
     # number of steps from start
     count = math.floor((stop - start) / step + 1e-9) + 1
-    return start + step * np.arange(max(count, 0))
+    if count < 1:
+        raise ValueError(f"grid from {start} to {stop} by {step} holds no point")
+    return start + step * np.arange(count)
 
 
 def _cmd_sweep(args) -> int:

@@ -244,8 +244,13 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if p_grid is None:
         p_grid = np.arange(0.01, 0.995, 0.01)
     p_grid = [float(p) for p in p_grid]
+    intensities = tuple(intensities)
     if runs < 1 or n_vehicles < 1:
         raise ValueError("need at least one run of at least one vehicle")
+    if not intensities:
+        raise ValueError("intensities are empty")
+    if len(set(intensities)) < len(intensities):
+        raise ValueError(f"intensities repeat a value: {intensities}")
     fits: list[dict] = []
     curves: list[dict] = []
     class_names = ("LV1", "LV2", "PV")
@@ -253,11 +258,14 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         emp = {name: [] for name in class_names}
         theo = {name: [] for name in class_names}
         for p in p_grid:
-            # draw_flags reads no seed at full intensity
-            seeds = ([None] * runs if intensity == 1.0
+            # Full intensity reads no seed and draws the same ring every
+            # run, so one ring gives the same shares: c / n and
+            # runs * c / (runs * n) are the same correctly rounded quotient
+            seeds = ([None] if intensity == 1.0
                      else [cell_seed(seed, intensity, p, r) for r in range(runs)])
             flags = draw_flags(FleetSpec(n_vehicles, p, intensity, s_max), seeds)
-            dist = empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * runs, s_max))
+            dist = empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * len(seeds),
+                                                     s_max))
             model = class_probabilities(p, intensity, s_max)
             for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
                                ("LV2", dist.p_lv2, model.p_lv2),

@@ -7,10 +7,12 @@ below describe the stationary behaviour of that walk, with a separate
 branch for full platoon intensity where all CAVs sit in one block.
 
 Rings are drawn and labeled as arrays: ``draw_flags`` gives a bool
-``(runs, n)`` array of CAV flags, one ring per row (the walk steps over
-the columns, all rows at once). ``role_codes`` labels any number of
-rings of any sizes in one pass over their flags laid back to back, as
-small-int role codes in VehicleClass order (HV, LV1, LV2, PV), and
+``(runs, n)`` array of CAV flags, one ring per row. The uniforms of all
+rows come from one buffer of generator bits, and the walk is solved for
+all rows and columns at once by two scans, with no Python or numpy call
+per vehicle or per column. ``role_codes`` labels any number of rings of
+any sizes in one pass over their flags laid back to back, as small-int
+role codes in VehicleClass order (HV, LV1, LV2, PV), and
 ``empirical_distribution`` counts codes.
 """
 
@@ -182,7 +184,7 @@ def draw_flags(spec: FleetSpec, seeds: Sequence[int | None]) -> np.ndarray:
 
     Full intensity is deterministic: round_half_up(p * n) CAVs in one
     block after the HVs, the same row for every seed. Below full
-    intensity each row is a linear Markov walk fed by
+    intensity each row is a linear Markov walk fed by the uniforms of
     ``random.Random(seed).random()``: the first vehicle is automated
     with probability p (the walk's stationary law), and vehicle j is
     automated when u_j < t_AA after a CAV or u_j < t_HA after an HV. The
@@ -193,18 +195,60 @@ def draw_flags(spec: FleetSpec, seeds: Sequence[int | None]) -> np.ndarray:
         flags = np.zeros((len(seeds), n), dtype=bool)
         flags[:, n - round_half_up(spec.p * n):] = True
         return flags
-    u = np.empty((len(seeds), n))
-    for row, seed in zip(u, seeds):
-        draw = random.Random(seed).random
-        row[:] = [draw() for _ in range(n)]
+    return _walk(_uniforms(seeds, n), spec)
+
+
+def _uniforms(seeds: Sequence[int | None], n: int) -> np.ndarray:
+    """The first n ``random.Random(seed).random()`` values of each seed, one row per seed.
+
+    ``getrandbits(64 * n)`` packs the generator's next 2n 32-bit outputs
+    as little-endian words, in order, and ``random()`` makes one double
+    of each pair (a, b) of outputs as ((a >> 5) * 2**26 + (b >> 6)) / 2**53,
+    so the same formula on the words gives the same bits.
+    """
+    rng = random.Random()
+    buf = bytearray()
+    for seed in seeds:
+        rng.seed(seed)
+        buf += rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    words = np.frombuffer(buf, "<u4").reshape(len(seeds), n, 2)
+    words[..., 0] >>= 5
+    words[..., 1] >>= 6
+    u = words[..., 0].astype(np.float64)
+    u *= 2.0 ** 26
+    u += words[..., 1]
+    u /= 2.0 ** 53
+    return u
+
+
+def _walk(u: np.ndarray, spec: FleetSpec) -> np.ndarray:
+    """CAV flags of the Markov walk over each row of uniforms ``u``.
+
+    Step j maps the previous flag f to u_j < t_AA if f else u_j < t_HA.
+    Where the two tests agree the step sets a constant; where only the
+    t_AA test holds it copies f; where only the t_HA test holds (t_AA
+    rounds below t_HA, as at p = 0.1, O = 0) it negates f. Column 0 is
+    the constant u_0 < p. So each flag is the value at the last constant
+    column, flipped once per negating step since then.
+    """
     t = transition_probs(spec.p, spec.intensity)
-    after_cav = u < t.t_aa
+    value = u < t.t_aa
     after_hv = u < t.t_ha
-    flags = np.empty(u.shape, dtype=bool)
-    flags[:, 0] = u[:, 0] < spec.p
-    for j in range(1, n):
-        flags[:, j] = np.where(flags[:, j - 1], after_cav[:, j], after_hv[:, j])
-    return flags
+    const = value == after_hv
+    negate = after_hv > value
+    const[:, 0] = True
+    value[:, 0] = u[:, 0] < spec.p
+    # The rows are scanned back to back. Every row starts on a constant
+    # column, so a vehicle's last constant column is in its own row.
+    value, const, negate = value.ravel(), const.ravel(), negate.ravel()
+    last = np.maximum.accumulate(np.where(const, np.arange(u.size), 0))
+    # odd negations up to each vehicle; a constant step negates nothing,
+    # so the flips since the last constant column (earlier rows' included
+    # in both terms) are odd[last] ^ odd
+    odd = np.logical_xor.accumulate(negate)
+    flags = (value ^ odd)[last]
+    flags ^= odd
+    return flags.reshape(u.shape)
 
 
 def empirical_distribution(codes: np.ndarray) -> ClassProbabilities:

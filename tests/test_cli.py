@@ -108,6 +108,19 @@ def test_verify_prob_cmd_from_p_zero(tmp_path):
     assert lines[1:4] == ["0,0,LV1,0,0", "0,0,LV2,0,0", "0,0,PV,0,0"]
 
 
+def test_verify_prob_rejects_empty_or_repeated_intensities(tmp_path, capsys):
+    # an empty or repeating list is an error, not a header-only or doubled table
+    for intensities, message in ((",", "intensities are empty"),
+                                 ("0,0", "intensities repeat a value: (0.0, 0.0)"),
+                                 ("1,0.5,1.0", "intensities repeat a value")):
+        code = main(["verify-prob", "--vehicles", "20", "--runs", "2",
+                     "--intensities", intensities, "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "bad").exists()
+
+
 def test_verify_stability_cmd(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify-stability", "--outdir", str(out)])
@@ -134,6 +147,20 @@ def test_curves_rejects_bad_step(tmp_path, capsys):
         code = main(["curves", *bad, "--outdir", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_reversed_range_is_rejected_on_every_verb(tmp_path, capsys):
+    # a range that holds no point is an error that names it, on every verb
+    for verb, bounds, grid in (
+            ("verify-prob", ["--p-start", "0.5", "--p-stop", "0.1"], "0.5 to 0.1 by 0.01"),
+            ("verify-stability", ["--v-start", "5", "--v-stop", "1"], "5.0 to 1.0 by 0.1"),
+            ("curves", ["--v-start", "5", "--v-stop", "1"], "5.0 to 1.0 by 1.0")):
+        code = main([verb, *bounds, "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: grid from {grid} holds no point\n"
+        assert not (tmp_path / "bad").exists()
+    # a single point is still a grid
+    assert _grid(0.5, 0.5, 0.1).tolist() == [0.5]
 
 
 def test_grids_end_at_stop(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonflow.experiments import cell_seed, verify_probability_model
-from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass,
-                               class_probabilities, draw_flags,
+from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass, _uniforms,
+                               _walk, class_probabilities, draw_flags,
                                empirical_distribution, goodness_of_fit, role_codes,
                                round_half_up, transition_probs)
 
@@ -61,12 +61,16 @@ def reference_flags(spec, seed):
     if spec.intensity == 1.0:
         n_cav = round_half_up(spec.p * spec.n_vehicles)
         return [False] * (spec.n_vehicles - n_cav) + [True] * n_cav
-    rng = random.Random(seed)
+    return reference_walk(spec, random.Random(seed).random)
+
+
+def reference_walk(spec, draw):
+    # The walk itself, one vehicle at a time; draw() gives the next uniform.
     t = transition_probs(spec.p, spec.intensity)
-    cur = rng.random() < spec.p
+    cur = draw() < spec.p
     flags = [cur]
     for _ in range(spec.n_vehicles - 1):
-        cur = rng.random() < (t.t_aa if cur else t.t_ha)
+        cur = draw() < (t.t_aa if cur else t.t_ha)
         flags.append(cur)
     return flags
 
@@ -452,24 +456,69 @@ def test_draw_flags_matches_scalar_walk(intensity):
         reference_flags(FleetSpec(1, 0.5, intensity), 4)]
 
 
-def test_draw_flags_is_exact_where_t_aa_rounds_below_t_ha(monkeypatch):
-    # Feed the walk uniforms that land between t_AA and t_HA at p = 0.1:
+def test_draw_flags_is_exact_where_t_aa_rounds_below_t_ha():
+    # Walk uniforms that land between t_AA and t_HA at p = 0.1:
     # after a CAV u is not below t_AA, after an HV it is below t_HA.
     t = transition_probs(0.1, 0.0)
     assert t.t_aa < t.t_ha
-
-    class Scripted:
-        def __init__(self, seed):
-            self.values = iter([0.0] + [t.t_aa] * 9)
-
-        def random(self):
-            return next(self.values)
-
-    monkeypatch.setattr(random, "Random", Scripted)
     spec = FleetSpec(10, 0.1, 0.0)
-    flags = draw_flags(spec, [0, 1])
+    script = [0.0] + [t.t_aa] * 9
+    flags = _walk(np.array([script, script]), spec)
     assert flags.tolist() == [[True, False] * 5] * 2
-    assert flags[0].tolist() == reference_flags(spec, 0)
+    assert flags[0].tolist() == reference_walk(spec, iter(script).__next__)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(), min_size=1, max_size=4), st.integers(1, 40))
+@example([0], 1)
+@example([1, 2**32 - 1], 3)                   # one 32-bit key word
+@example([2**32], 2)                          # the smallest two-word key
+@example([2**63 + 5, 2**64 - 1], 40)          # two words
+@example([2**64, 12345678901234567890, 2**100 + 3], 7)  # past two words
+@example([-5, -(2**70)], 5)                   # negative seeds use their magnitude
+def test_uniforms_match_random_random(seeds, n):
+    expected = np.empty((len(seeds), n))
+    for row, seed in zip(expected, seeds):
+        draw = random.Random(seed).random
+        row[:] = [draw() for _ in range(n)]
+    got = _uniforms(seeds, n)
+    assert got.shape == (len(seeds), n)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_uniforms_without_seed_differ_per_row():
+    u = _uniforms([None, None], 8)
+    assert ((0.0 <= u) & (u < 1.0)).all()
+    assert not np.array_equal(u[0], u[1])
+
+
+@st.composite
+def walk_cases(draw):
+    """A walk spec and rows of uniforms, many exactly at or one ulp off a threshold."""
+    p = draw(st.sampled_from([0.0, 0.1, 0.37, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    intensity = draw(st.sampled_from([0.0, 0.3, 0.99]) | st.floats(0.0, 1.0))
+    t = transition_probs(p, intensity)
+    edges = [v for x in (t.t_aa, t.t_ha, p)
+             for v in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0)) if 0.0 <= v < 1.0]
+    value = st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True)
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
+    return p, intensity, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+@example((0.1, 0.0, [[0.0] + [0.09999999999999998] * 9]))  # t_AA < t_HA: each step negates
+@example((0.1, 0.0, [[0.0, 0.09999999999999998, 0.05, 0.1, 0.09999999999999998],
+                     [0.1, 0.09999999999999998, 0.09999999999999998, 0.5, 0.0]]))
+@example((0.5, 0.0, [[0.5], [0.49999999999999994]]))
+@example((1.0, 0.0, [[0.0, 0.5, 0.9999999999999999]]))
+def test_walk_matches_scalar_walk(case):
+    p, intensity, rows = case
+    spec = FleetSpec(len(rows[0]), p, intensity)
+    flags = _walk(np.array(rows), spec)
+    assert flags.dtype == bool and flags.shape == (len(rows), spec.n_vehicles)
+    assert flags.tolist() == [reference_walk(spec, iter(row).__next__) for row in rows]
 
 
 def test_verify_probability_model_matches_reference_path():
