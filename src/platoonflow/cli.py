@@ -14,16 +14,13 @@ as the long options); explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .csvio import (read_metrics_csv, write_csv, write_curves_csv, write_metrics_csv,
-                    write_region_csv)
+from .csvio import (read_metrics_csv, write_class_curves_csv, write_curves_csv, write_fit_csv,
+                    write_metrics_csv, write_region_csv, write_stability_csv)
 from .energy import equilibrium_curves
-from .experiments import (SweepSpec, emit_plot_data, run_sweep,
+from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_sweep,
                           verify_probability_model, verify_stability)
 from .ring import SimConfig
 
@@ -94,22 +91,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sweep.add_argument("--warmup", type=float, default=SimConfig.warmup)
     sweep.add_argument("--record-every", type=int, default=SimConfig.record_every)
     sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=SweepSpec.jobs)
     sweep.add_argument("--save-trajectories", action="store_true")
 
     prob = add("verify-prob", "class frequencies vs the closed-form model")
     prob.add_argument("--vehicles", type=int, default=100)
     prob.add_argument("--runs", type=int, default=200)
-    prob.add_argument("--p-start", type=float, default=0.01)
-    prob.add_argument("--p-stop", type=float, default=0.99)
-    prob.add_argument("--p-step", type=float, default=0.01)
+    for bound, default in zip(("start", "stop", "step"), P_GRID):
+        prob.add_argument(f"--p-{bound}", type=float, default=default)
     prob.add_argument("--intensities", type=_float_list, default=(0.0, 1.0))
     prob.add_argument("--seed", type=int, default=0)
 
     stab = add("verify-stability", "string-stability margin report")
-    stab.add_argument("--v-start", type=float, default=0.0)
-    stab.add_argument("--v-stop", type=float, default=33.3)
-    stab.add_argument("--v-step", type=float, default=0.1)
+    for bound, default in zip(("start", "stop", "step"), V_GRID):
+        stab.add_argument(f"--v-{bound}", type=float, default=default)
 
     curves = add("curves", "steady-speed fuel and emission table")
     curves.add_argument("--v-start", type=float, default=1.0)
@@ -120,19 +115,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     plot.add_argument("--metrics", required=True, help="path to a sweep metrics.csv")
 
     return parser, sp
-
-
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not math.isfinite((stop - start) / step):
-        raise ValueError(f"grid from {start} to {stop} by {step} is not finite")
-    # no point past stop, except by float error when stop is a whole
-    # number of steps from start
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    if count < 1:
-        raise ValueError(f"grid from {start} to {stop} by {step} holds no point")
-    return start + step * np.arange(count)
 
 
 def _cmd_sweep(args) -> int:
@@ -158,14 +140,8 @@ def _cmd_verify_prob(args) -> int:
                                       intensities=tuple(args.intensities),
                                       seed=args.seed)
     outdir = Path(args.outdir)
-    write_csv(outdir / "probability_fit.csv",
-              ("intensity", "class", "r2", "rmse", "note"),
-              [(f["intensity"], f["cls"], f["r2"], f["rmse"], f["note"])
-               for f in report.fits])
-    write_csv(outdir / "probability_curves.csv",
-              ("intensity", "p", "class", "empirical", "theoretical"),
-              [(c["intensity"], c["p"], c["cls"], c["empirical"], c["theoretical"])
-               for c in report.curves])
+    write_fit_csv(report.fits, outdir / "probability_fit.csv")
+    write_class_curves_csv(report.curves, outdir / "probability_curves.csv")
     for fit in report.fits:
         note = f"  ({fit['note']})" if fit["note"] else ""
         print(f"O={fit['intensity']:g} {fit['cls']:>4}: "
@@ -177,10 +153,7 @@ def _cmd_verify_prob(args) -> int:
 def _cmd_verify_stability(args) -> int:
     report = verify_stability(v_grid=_grid(args.v_start, args.v_stop, args.v_step))
     outdir = Path(args.outdir)
-    write_csv(outdir / "stability_report.csv",
-              ("strategy", "k_in_range", "margin", "stable", "caveat"),
-              [(r["strategy"], r["k_in_range"], r["margin"], r["stable"],
-                r["caveat"]) for r in report["rows"]])
+    write_stability_csv(report["rows"], outdir / "stability_report.csv")
     write_region_csv(report["vtg2_region"], "VTG2",
                      outdir / "stability_region_vtg2.csv")
     for r in report["rows"]:

@@ -109,6 +109,11 @@ def write_violations_csv(log: TrajectoryLog, path: str | Path) -> Path:
     return write_csv(path, ("t", "follower_index", "gap"), rows, key_cols=(0,))
 
 
+def write_stability_csv(rows: Sequence[dict], path: str | Path) -> Path:
+    header = ("strategy", "k_in_range", "margin", "stable", "caveat")
+    return write_csv(path, header, [[r[k] for k in header] for r in rows])
+
+
 def write_region_csv(rows: Sequence[tuple[float, float, bool]],
                      strategy: str, path: str | Path) -> Path:
     table = [(strategy, v, margin, stable) for v, margin, stable in rows]
@@ -120,3 +125,14 @@ def write_curves_csv(rows: Sequence[dict], path: str | Path) -> Path:
               "voc_g_per_km", "pm_g_per_km")
     table = [[r[k] for k in header] for r in rows]
     return write_csv(path, header, table, key_cols=(0,))
+
+
+def write_fit_csv(fits: Sequence[dict], path: str | Path) -> Path:
+    table = [(f["intensity"], f["cls"], f["r2"], f["rmse"], f["note"]) for f in fits]
+    return write_csv(path, ("intensity", "class", "r2", "rmse", "note"), table)
+
+
+def write_class_curves_csv(curves: Sequence[dict], path: str | Path) -> Path:
+    table = [(c["intensity"], c["p"], c["cls"], c["empirical"], c["theoretical"])
+             for c in curves]
+    return write_csv(path, ("intensity", "p", "class", "empirical", "theoretical"), table)

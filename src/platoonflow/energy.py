@@ -13,8 +13,8 @@ differs from the cruise row.
 
 ``sample_rates`` computes every per-sample rate the metrics average, and
 ``summarize`` turns their means into per-km figures; the sweep applies
-them to many rings' samples at once, and ``fleet_fuel`` and
-``fleet_emissions`` apply them to one log.
+them to many rings' samples at once, and ``equilibrium_curves`` to
+speeds held still.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-
-from .ring import TrajectoryLog
 
 POLLUTANTS = ("co2", "nox", "voc", "pm")
 
@@ -123,22 +121,6 @@ def summarize(means) -> tuple[FuelResult, dict[str, float]]:
             {pol: 1000.0 * rate / mean_speed for pol, rate in zip(POLLUTANTS, mean_rates)})
 
 
-def _summarize_log(log: TrajectoryLog) -> tuple[FuelResult, dict[str, float]]:
-    if log.v.size == 0:
-        raise ValueError("log holds no samples")
-    return summarize([np.mean(rate) for rate in sample_rates(log.v, log.a)])
-
-
-def fleet_fuel(log: TrajectoryLog) -> FuelResult:
-    """Fleet-mean normalized fuel rate and per-km fuel over the sampled window."""
-    return _summarize_log(log)[0]
-
-
-def fleet_emissions(log: TrajectoryLog) -> dict[str, float]:
-    """Per-pollutant grams per vehicle-km over the sampled window."""
-    return _summarize_log(log)[1]
-
-
 def equilibrium_curves(v_grid) -> list[dict[str, float]]:
     """Steady-speed footprint table: one row per speed at zero acceleration."""
     v_arr = np.asarray(v_grid, dtype=float)
@@ -147,11 +129,10 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
     rows = []
-    for v in v_arr:
-        rate = float(nfr(vsp(v, 0.0)))
-        row = {"v_mps": float(v), "nfr": rate,
-               "nff_g_per_km": 3600.0 * rate / (3.6 * v)}
-        for pol in POLLUTANTS:
-            row[f"{pol}_g_per_km"] = 1000.0 * float(emission_rate(v, 0.0, pol)) / v
+    # one sample per speed, so each rate is its own window mean
+    for means in zip(*sample_rates(v_arr, 0.0)):
+        fuel, per_km = summarize(means)
+        row = {"v_mps": fuel.mean_speed, "nfr": fuel.mean_nfr, "nff_g_per_km": fuel.nff}
+        row.update((f"{pol}_g_per_km", value) for pol, value in per_km.items())
         rows.append(row)
     return rows

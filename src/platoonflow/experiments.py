@@ -44,6 +44,9 @@ PLOT_METRICS = {"nff": "nff_g_per_km", "co2": "co2_g_per_km",
                 "nox": "nox_g_per_km", "voc": "voc_g_per_km",
                 "pm": "pm_g_per_km"}
 PLOT_DENSITIES = (15.0, 55.0, 95.0)
+# (start, stop, step) of the default grids of the verification reports
+P_GRID = (0.01, 0.99, 0.01)  # penetrations of verify_probability_model
+V_GRID = (0.0, 33.3, 0.1)    # equilibrium speeds of verify_stability, m/s
 
 # Vehicles stepped together in one engine run. Larger chunks spread the
 # per-step numpy dispatch over more vehicles, with diminishing returns
@@ -83,6 +86,20 @@ def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
     """Stable per-cell seed; process hashes are salted, so use a digest."""
     key = f"{base_seed}:{density:.6g}:{p:.6g}:{combo}"
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Points from ``start`` by ``step`` up to ``stop``, inclusive."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not math.isfinite((stop - start) / step):
+        raise ValueError(f"grid from {start} to {stop} by {step} is not finite")
+    # no point past stop, except by float error when stop is a whole
+    # number of steps from start
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    if count < 1:
+        raise ValueError(f"grid from {start} to {stop} by {step} holds no point")
+    return start + step * np.arange(count)
 
 
 def enumerate_cells(spec: SweepSpec) -> list[tuple[float, float, int]]:
@@ -170,12 +187,6 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     return rows
 
 
-def run_cell(spec: SweepSpec, density: float, p: float, combo: int,
-             save_dir: str | Path | None = None) -> dict:
-    """Simulate one cell and reduce it to a metrics row."""
-    return run_chunk(spec, [(density, p, combo)], save_dir)[0]
-
-
 def _batches(items: list, sizes: list[float], cap: float):
     """Consecutive runs of items whose sizes sum to at most ``cap``.
 
@@ -242,7 +253,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              s_max: int = 4, seed: int = 0) -> ProbabilityVerification:
     """Empirical class frequencies of sampled rings against the closed form."""
     if p_grid is None:
-        p_grid = np.arange(0.01, 0.995, 0.01)
+        p_grid = _grid(*P_GRID)
     p_grid = [float(p) for p in p_grid]
     intensities = tuple(intensities)
     if runs < 1 or n_vehicles < 1:
@@ -251,6 +262,10 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         raise ValueError("intensities are empty")
     if len(set(intensities)) < len(intensities):
         raise ValueError(f"intensities repeat a value: {intensities}")
+    if not p_grid:
+        raise ValueError("p_grid is empty")
+    if len(set(p_grid)) < len(p_grid):
+        raise ValueError(f"p_grid repeats a value: {p_grid}")
     fits: list[dict] = []
     curves: list[dict] = []
     class_names = ("LV1", "LV2", "PV")
@@ -284,7 +299,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
 def verify_stability(strategies=None, v_grid=None) -> dict:
     """Margin report for the requested laws plus the speed-dependent region."""
     if v_grid is None:
-        v_grid = np.arange(0.0, 33.31, 0.1)
+        v_grid = _grid(*V_GRID)
     if strategies is None:
         strategies = (Strategy.CTG, Strategy.VTG1, Strategy.VTG2, Strategy.CS)
     wanted = {s if isinstance(s, Strategy) else Strategy(str(s).upper())

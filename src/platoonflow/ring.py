@@ -18,11 +18,10 @@ penetration, combo, fleet layout) are checked by ``cell_fleet``. One
 state can hold several independent rings: ``build_rings`` draws each
 ring's flags, then labels, wires and places all of them in one pass
 over arrays laid back to back, with index columns pointing into each
-ring's own slice, so one kernel call under one config steps them all
-(``init_state`` builds a single ring the same way). Every operation is
-elementwise or gathers inside one ring, so each ring's numbers are bit
-for bit those of a run alone; ``split_log`` cuts the stacked log back
-into per-ring logs.
+ring's own slice, so one kernel call under one config steps them all.
+Every operation is elementwise or gathers inside one ring, so each
+ring's numbers are bit for bit those of a run alone; ``split_log`` cuts
+the stacked log back into per-ring logs.
 
 Positions stay in [0, ring_length) and speeds in [0, v_max], and
 ``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_state``
@@ -256,13 +255,6 @@ def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Seque
                      leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
 
 
-def init_state(config: SimConfig, density: float, p: float, combo_id: int,
-               intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> RingState:
-    """Evenly spaced standstill start of one cell's ring (see ``build_rings``)."""
-    return build_rings(config, [cell_fleet(config, density, p, combo_id, intensity, s_max)],
-                       [combo_id], [seed])
-
-
 def _arc(d: np.ndarray, ring: float) -> np.ndarray:
     """``d % ring`` in place, bit for bit, for ``d`` in (-ring, ring).
 
@@ -410,13 +402,3 @@ def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
                             a=np.ascontiguousarray(log.a[:, cols]),
                             violations=by_ring[r],
                             errors={0: log.errors[r]} if r in log.errors else {})
-
-
-def run(config: SimConfig, density: float, p: float, combo_id: int,
-        intensity: float = 1.0, s_max: int = 4, seed: int | None = None) -> TrajectoryLog:
-    """One cell (see ``init_state``); raises SimulationError if the ring fails."""
-    log = run_state(init_state(config, density, p, combo_id, intensity, s_max, seed),
-                    config)
-    if log.errors:
-        raise SimulationError(log.errors[0])
-    return log

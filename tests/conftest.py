@@ -1,4 +1,4 @@
-"""Shared helpers: hand-made ring states and the acceptance verdict log."""
+"""Shared helpers: one-cell runs, hand-made ring states and the acceptance verdict log."""
 
 from itertools import accumulate
 
@@ -22,14 +22,42 @@ def pytest_terminal_summary(terminalreporter):
 
 from dataclasses import dataclass
 
+from platoonflow import ring as engine
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, ControlContext,
                                      Strategy, equilibrium_gap)
+from platoonflow.energy import sample_rates, summarize
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import STRATEGIES
 from platoonflow.ring import GAP_FLOOR, RingState, SimulationError
 
 HV, LV1, LV2, PV = VehicleClass
 CLASSES = list(VehicleClass)  # role code -> class
+
+
+# One cell on its own ring, the way the sweep builds and runs each of a
+# chunk's rings. The engine is looked up through its module at call time,
+# so a test that wraps ``ring.build_rings`` builds its states here too.
+
+def init_state(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
+    """Evenly spaced standstill start of one cell's ring."""
+    fleet = engine.cell_fleet(config, density, p, combo_id, intensity, s_max)
+    return engine.build_rings(config, [fleet], [combo_id], [seed])
+
+
+def run(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
+    """Log of one cell's run; raises SimulationError if the ring fails."""
+    log = engine.run_state(init_state(config, density, p, combo_id, intensity, s_max, seed),
+                           config)
+    if log.errors:
+        raise SimulationError(log.errors[0])
+    return log
+
+
+def reduce_log(log):
+    """(FuelResult, per-pollutant g/km) of one log's samples, each rate's plain mean."""
+    if log.v.size == 0:
+        raise ValueError("log holds no samples")
+    return summarize([np.mean(rate) for rate in sample_rates(log.v, log.a)])
 
 
 def uniform_state(x, v, strategy, h=H_FOLLOWER):

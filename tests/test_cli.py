@@ -1,9 +1,12 @@
 """Command-line entry points and the flat config-file loader."""
 
+import numpy as np
 import pytest
 
-from platoonflow.cli import _grid, build_parser, main
+from platoonflow.cli import build_parser, main
 from platoonflow.csvio import read_metrics_csv
+from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
+                                     verify_stability)
 
 
 def test_sweep_writes_metrics(tmp_path, capsys):
@@ -181,6 +184,26 @@ def test_grids_end_at_stop(tmp_path):
     assert len(_grid(0.01, 0.99, 0.01)) == 99
     assert len(_grid(0.0, 33.3, 0.1)) == 334
     assert len(_grid(1.0, 33.0, 1.0)) == 33
+
+
+def test_cli_defaults_are_the_library_defaults():
+    _, subs = build_parser()
+    prob = subs["verify-prob"].parse_args([])
+    stab = subs["verify-stability"].parse_args([])
+    # the grids each library function visits when given none
+    p_lib = [c["p"] for c in verify_probability_model(n_vehicles=1, runs=1,
+                                                      intensities=(1.0,)).curves
+             if c["cls"] == "LV1"]
+    v_lib = [v for v, _, _ in verify_stability()["vtg2_region"]]
+    for cli, lib, spelled in (
+            (_grid(prob.p_start, prob.p_stop, prob.p_step), p_lib,
+             np.arange(0.01, 0.995, 0.01)),
+            (_grid(stab.v_start, stab.v_stop, stab.v_step), v_lib,
+             np.arange(0.0, 33.31, 0.1))):
+        bits = cli.view(np.int64).tolist()
+        assert bits == np.array(lib).view(np.int64).tolist()
+        assert bits == spelled.view(np.int64).tolist()
+    assert subs["sweep"].parse_args([]).jobs == SweepSpec.jobs
 
 
 def test_config_file_supplies_defaults(tmp_path):

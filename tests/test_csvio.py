@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run
 
 from platoonflow import csvio
 from platoonflow.csvio import (METRICS_HEADER, format_value, write_csv,
                                write_curves_csv, write_metrics_csv,
                                write_region_csv, write_trajectory_csv,
                                write_violations_csv)
-from platoonflow.ring import SimConfig, Violation, run
+from platoonflow.ring import SimConfig, Violation
 
 
 def test_format_value():

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import stack
+from conftest import init_state, reduce_log, stack
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
-from platoonflow.energy import POLLUTANTS, fleet_emissions, fleet_fuel
+from platoonflow.energy import POLLUTANTS
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS, SweepSpec, _chunks,
                                      cell_seed, emit_plot_data, enumerate_cells,
-                                     run_cell, run_chunk, run_sweep,
+                                     run_chunk, run_sweep,
                                      verify_probability_model,
                                      verify_stability)
 
@@ -56,7 +56,7 @@ def test_enumerate_cells_order():
 
 def test_run_cell_produces_metrics_row():
     spec = SweepSpec(**DESK)
-    row = run_cell(spec, 15.0, 0.8, 1)
+    row = run_chunk(spec, [(15.0, 0.8, 1)])[0]
     assert set(row) == set(METRICS_HEADER)
     assert row["status"] == "ok"
     assert row["combo"] == 1
@@ -70,7 +70,7 @@ def test_run_cell_produces_metrics_row():
 
 def test_run_cell_error_row(capsys):
     spec = SweepSpec(**DESK)
-    row = run_cell(spec, 250.0, 1.0, 1)  # spacing below vehicle length
+    row = run_chunk(spec, [(250.0, 1.0, 1)])[0]  # spacing below vehicle length
     assert row["status"] == "error"
     assert math.isnan(row["nff_g_per_km"])
     assert math.isnan(row["mean_speed_mps"])
@@ -91,9 +91,41 @@ def test_non_finite_spec_gives_error_row_not_abort(capsys):
 
 def test_run_cell_saves_trajectories(tmp_path):
     spec = SweepSpec(**DESK)
-    run_cell(spec, 15.0, 0.8, 1, save_dir=tmp_path)
+    run_chunk(spec, [(15.0, 0.8, 1)], tmp_path)
     assert (tmp_path / "cell_c1_p0.8_d15_trajectory.csv").exists()
     assert (tmp_path / "cell_c1_p0.8_d15_violations.csv").exists()
+
+
+def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
+    spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(0.8,), combos=(5,))
+    build_rings = ring.build_rings
+
+    def disturbed(config, fleets, *args):
+        # densities on the 1 km ring are vehicle counts
+        state = build_rings(config, fleets, *args)
+        for fleet, start in zip(fleets, state.starts):
+            if fleet.n_vehicles == 25:  # dropped
+                state.v[start + 4] = math.nan
+            if fleet.n_vehicles == 35:  # logs violations, behind the dropped ring
+                state.x[start + 2] = (state.x[start + 1] - 4.5) % config.ring_length
+        return state
+
+    monkeypatch.setattr(ring, "build_rings", disturbed)
+    cells = enumerate_cells(spec)
+    rows = run_chunk(spec, cells, tmp_path / "chunk")
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    for cell in cells:
+        run_chunk(spec, [cell], tmp_path / "alone")
+    names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
+    assert names == [f"cell_c5_p0.8_d{d}_{kind}.csv" for d in (15, 35)
+                     for kind in ("trajectory", "violations")]
+    assert names == sorted(path.name for path in (tmp_path / "alone").iterdir())
+    for name in names:
+        assert (tmp_path / "chunk" / name).read_bytes() == (
+            tmp_path / "alone" / name).read_bytes()
+    violations = (tmp_path / "chunk" / "cell_c5_p0.8_d35_violations.csv").read_text()
+    assert len(violations.splitlines()) > 1
+    capsys.readouterr()
 
 
 def test_run_sweep_sorted_and_reproducible(tmp_path):
@@ -126,7 +158,8 @@ def test_run_sweep_parallel_matches_serial(capsys):
     serial = run_sweep(spec)
     assert serial == run_sweep(dataclasses.replace(spec, jobs=2))
     # chunking changes no number: every row is its cell run alone
-    assert serial == [run_cell(spec, r["density"], r["p"], r["combo"]) for r in serial]
+    assert serial == [run_chunk(spec, [(r["density"], r["p"], r["combo"])])[0]
+                      for r in serial]
     err = capsys.readouterr().err
     assert f"sweep: {len(serial)}/{len(serial)} cells" in err
     assert "ETA" in err
@@ -189,7 +222,7 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
     cells = enumerate_cells(spec)
     rows = run_chunk(spec, cells)
     # the same rings run and split, each reduced on its own
-    kept = [(row, ring.init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
+    kept = [(row, init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
             for row, (d, p, c) in zip(rows, cells) if d != 250.0]
     states = [state for _, state in kept]
     stacked = stack(states)
@@ -202,7 +235,7 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
         if part.errors:
             assert row["status"] == "error"
             continue
-        fuel, emissions = fleet_fuel(part), fleet_emissions(part)
+        fuel, emissions = reduce_log(part)
         assert row["status"] == "ok"
         assert (row["mean_speed_mps"], row["mean_nfr"], row["nff_g_per_km"]) == (
             fuel.mean_speed, fuel.mean_nfr, fuel.nff)
@@ -247,6 +280,10 @@ def test_verify_probability_model_rejects_bad_counts():
         verify_probability_model(n_vehicles=0, runs=10)
     with pytest.raises(ValueError):
         verify_probability_model(n_vehicles=10, runs=0)
+    with pytest.raises(ValueError, match="p_grid is empty"):
+        verify_probability_model(n_vehicles=10, runs=2, p_grid=[])
+    with pytest.raises(ValueError, match=r"p_grid repeats a value: \[0.5, 0.5\]"):
+        verify_probability_model(n_vehicles=10, runs=2, p_grid=[0.5, 0.5])
 
 
 def test_verify_stability_report():

@@ -7,7 +7,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoons,
-                      reference_advance, stack, uniform_state)
+                      init_state, reference_advance, run, stack, uniform_state)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
 from platoonflow.platoons import COMBOS, STRATEGIES
 from platoonflow.ring import (GAP_FLOOR, SimConfig, SimulationError, build_rings,
-                              cell_fleet, init_state, run, run_state, split_log)
+                              cell_fleet, run_state, split_log)
 
 
 def hand_config(ring, **kw):
