@@ -69,7 +69,8 @@ def nfr(power):
     """Normalized fuel rate as a function of VSP."""
     power = np.asarray(power, dtype=float)
     burning = 1.71 * np.power(np.maximum(power, 0.0), 0.42)
-    return np.where(power > 0.0, burning, np.where(power < 0.0, 1.0, 0.0))
+    # NaN fails both tests and keeps burning's NaN; -0.0 == 0.0 idles
+    return np.where(power < 0.0, 1.0, np.where(power == 0.0, 0.0, burning))
 
 
 def emission_rate(v, a, pollutant: str):
@@ -126,6 +127,9 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
     v_arr = np.asarray(v_grid, dtype=float)
     if v_arr.size == 0:
         raise ValueError("empty speed grid")
+    bad = v_arr[~np.isfinite(v_arr)]
+    if bad.size:
+        raise ValueError(f"equilibrium curves need finite speeds, got {float(bad[0])!r}")
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
     rows = []

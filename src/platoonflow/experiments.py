@@ -7,14 +7,17 @@ stable hash, and a cell that fails on its own values becomes a status
 row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-The sweep cuts the cells, in order, into chunks of about CHUNK_VEHICLES
-vehicles and steps each chunk's rings together in one engine run
-(``ring.build_rings``); a ring's numbers do not depend on what it is
-stacked with, so chunking changes no output byte. The chunk's log is then
-reduced to metrics rows by groups of rings, one ``energy.sample_rates``
-pass per group, each ring's means summed over its own contiguous
-samples as if it had run alone. ``--jobs`` spreads chunks over worker
-processes, and a progress line per chunk goes to stderr.
+The sweep cuts the cells, in order, into chunks and steps each chunk's
+rings together in one engine run (``ring.build_rings``). A chunk holds
+up to CHUNK_VEHICLES vehicles, fewer where its stored samples would
+pass CHUNK_SAMPLES (never fewer than CHUNK_FLOOR for that) or where a
+``--jobs`` share of the sweep is smaller. A ring's numbers do not depend
+on what it is stacked with, so chunking changes no output byte. The
+chunk's log is then reduced to metrics rows by groups of rings, one
+``energy.sample_rates`` pass per group, each ring's means summed over
+its own contiguous samples as if it had run alone. ``--jobs`` spreads
+chunks over worker processes, and a progress line per chunk goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -49,13 +52,19 @@ P_GRID = (0.01, 0.99, 0.01)  # penetrations of verify_probability_model
 V_GRID = (0.0, 33.3, 0.1)    # equilibrium speeds of verify_stability, m/s
 
 # Vehicles stepped together in one engine run. Larger chunks spread the
-# per-step numpy dispatch over more vehicles, with diminishing returns
-# past ~1000, while the stored samples grow as chunk x samples x 24 B
-# per worker (~44 MB at the default 3600 s horizon). The reduction takes
-# the rings' samples in groups of about _REDUCE_SAMPLES, so its transient
+# per-step numpy dispatch over more vehicles: on mixed default-grid chunks
+# (2-CPU Xeon VM) a vehicle-step costs ~119 ns at 1024 vehicles, 78 at
+# 2048, 57 at 4096 and 54.5 at 8192, so CHUNK_VEHICLES sits at the knee.
+# The stored x, v and a grow as chunk x samples x 24 B per worker, so a
+# chunk also holds at most CHUNK_SAMPLES vehicle-samples, but never fewer
+# than CHUNK_FLOOR vehicles for that: the default 3600 s horizon (1800
+# samples) gets CHUNK_FLOOR vehicles (~44 MB). The reduction takes the
+# rings' samples in groups of about _REDUCE_SAMPLES, so its transient
 # arrays (a few MB) do not grow with the horizon: a default 980-vehicle
 # chunk reduced as one group peaked at 170 MB, against 86 MB in groups.
-CHUNK_VEHICLES = 1024
+CHUNK_VEHICLES = 4096
+CHUNK_FLOOR = 1024
+CHUNK_SAMPLES = CHUNK_FLOOR * 1800
 _REDUCE_SAMPLES = 1 << 17  # samples per sample_rates call, unless one ring has more
 
 
@@ -204,15 +213,27 @@ def _batches(items: list, sizes: list[float], cap: float):
         yield batch
 
 
+def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
+    """Most vehicles in one chunk of a sweep of ``vehicles`` in all.
+
+    As many as CHUNK_SAMPLES stored samples allow, within CHUNK_FLOOR and
+    CHUNK_VEHICLES, and no more than a ``spec.jobs`` share of the sweep,
+    so each worker gets a chunk when the sweep is small.
+    """
+    by_samples = CHUNK_SAMPLES // len(spec.sim.sample_steps)
+    cap = min(CHUNK_VEHICLES, max(CHUNK_FLOOR, by_samples), math.ceil(vehicles / spec.jobs))
+    return max(1, cap)
+
+
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
-    """Consecutive runs of cells holding at most about CHUNK_VEHICLES vehicles.
+    """Consecutive runs of cells holding at most ``_chunk_cap`` vehicles.
 
     A cell larger than the cap runs alone; a cell whose size is not a
     positive finite number counts as empty, since it becomes an error row.
     """
     sizes = [d * spec.sim.ring_length / 1000.0 for d, _, _ in cells]
-    return _batches(cells, [n if 0.0 < n < math.inf else 0.0 for n in sizes],
-                    CHUNK_VEHICLES)
+    sizes = [n if 0.0 < n < math.inf else 0.0 for n in sizes]
+    return _batches(cells, sizes, _chunk_cap(spec, sum(sizes)))
 
 
 def _gather(results, total: int) -> list[dict]:

@@ -99,6 +99,13 @@ class SimConfig:
                 raise ValueError(f"{name} {getattr(self, name)} is not a whole number "
                                  f"of time steps dt={self.dt}")
 
+    @property
+    def sample_steps(self) -> range:
+        """Indices of the steps a run records: every ``record_every``-th
+        step from the end of the warmup to the end of the horizon."""
+        return range(round(self.warmup / self.dt), round(self.duration / self.dt),
+                     self.record_every)
+
 
 @dataclass
 class RingState:
@@ -342,9 +349,8 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     speed in [0, v_max] (a NaN speed fails at the step instead).
     """
     _check_start(state, config)
-    steps = round(config.duration / config.dt)
-    warmup_steps = round(config.warmup / config.dt)
-    times = np.arange(warmup_steps, steps, config.record_every) * config.dt
+    sampled = config.sample_steps
+    times = np.arange(sampled.start, sampled.stop, sampled.step) * config.dt
     xs, vs, accs = (np.empty((times.size, state.n)) for _ in range(3))
     violations: list[Violation] = []
     errors: dict[int, str] = {}
@@ -352,8 +358,8 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     table = _build_table(state, range(len(state.starts)))
     x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
     row = 0
-    for k in range(steps):
-        if k >= warmup_steps and (k - warmup_steps) % config.record_every == 0:
+    for k in range(sampled.stop):
+        if k in sampled:
             cols = table.cols if errors else slice(None)
             xs[row, cols] = x
             vs[row, cols] = v

@@ -1,6 +1,7 @@
 """Fuel and emission post-processing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_nfr_regimes():
     assert float(nfr(1.0)) == pytest.approx(1.71, abs=1e-12)
     assert float(nfr(1.622)) == pytest.approx(2.0951613181342945, abs=1e-12)
     assert 0.0 < float(nfr(1e-9)) < 0.1
+
+
+def test_nfr_bits_on_finite_powers_and_nan_through():
+    power = np.array([-1e3, -5.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-9,
+                      0.3, 1.0, 1.622, 40.0, 1e300])
+    # the formula before NaN went through: burning above 0, 1 below, else 0
+    burning = 1.71 * np.power(np.maximum(power, 0.0), 0.42)
+    before = np.where(power > 0.0, burning, np.where(power < 0.0, 1.0, 0.0))
+    assert np.array_equal(nfr(power).view(np.int64), before.view(np.int64))
+    assert np.isnan(nfr(math.nan))
+    assert np.array_equal(np.isnan(nfr([1.0, math.nan, -1.0])), [False, True, False])
 
 
 def test_nfr_monotone_when_burning():
@@ -179,3 +191,8 @@ def test_equilibrium_curves_rejects_bad_grids():
         equilibrium_curves([0.0, 10.0])
     with pytest.raises(ValueError):
         equilibrium_curves([-5.0])
+    for bad in (math.nan, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"finite speeds, got {bad!r}"):
+                equilibrium_curves([10.0, bad])

@@ -11,7 +11,8 @@ from conftest import init_state, reduce_log, stack
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import POLLUTANTS
-from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS, SweepSpec, _chunks,
+from platoonflow.experiments import (CHUNK_FLOOR, CHUNK_SAMPLES, CHUNK_VEHICLES, PLOT_METRICS,
+                                     SweepSpec, _batches, _chunk_cap, _chunks,
                                      cell_seed, emit_plot_data, enumerate_cells,
                                      run_chunk, run_sweep,
                                      verify_probability_model,
@@ -149,12 +150,14 @@ def test_run_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
     # dense cells fill several chunks, so two workers each step some
-    spec = small_spec(densities=(95.0, 100.0), penetrations=(0.0, 0.6, 1.0),
+    spec = small_spec(densities=(95.0, 100.0), penetrations=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
                       combos=tuple(range(1, 11)),
                       sim=ring.SimConfig(duration=10.0, warmup=5.0))
-    chunks = list(_chunks(spec, enumerate_cells(spec)))
+    cells = enumerate_cells(spec)
+    chunks = list(_chunks(spec, cells))
     assert len(chunks) >= 3
-    assert all(sum(d for d, _, _ in chunk) <= CHUNK_VEHICLES for chunk in chunks)
+    cap = _chunk_cap(spec, sum(d for d, _, _ in cells))
+    assert all(sum(d for d, _, _ in chunk) <= cap for chunk in chunks)
     serial = run_sweep(spec)
     assert serial == run_sweep(dataclasses.replace(spec, jobs=2))
     # chunking changes no number: every row is its cell run alone
@@ -163,6 +166,57 @@ def test_run_sweep_parallel_matches_serial(capsys):
     err = capsys.readouterr().err
     assert f"sweep: {len(serial)}/{len(serial)} cells" in err
     assert "ETA" in err
+
+
+def test_default_grid_chunks_as_under_a_fixed_1024_cap():
+    spec = SweepSpec()
+    cells = enumerate_cells(spec)
+    assert list(_chunks(spec, cells)) == list(_batches(cells, [d for d, _, _ in cells], 1024))
+
+
+CHUNK_SIMS = {
+    "short": ring.SimConfig(duration=60.0, warmup=30.0),
+    "default": ring.SimConfig(),
+    "long": ring.SimConfig(duration=7200.0, warmup=0.0),
+    "every step": ring.SimConfig(record_every=1),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("horizon", list(CHUNK_SIMS))
+@pytest.mark.parametrize("densities", [SweepSpec.densities, (15.0, 25.0)])
+def test_chunks_keep_within_their_cap(densities, horizon, jobs):
+    spec = SweepSpec(densities=densities, sim=CHUNK_SIMS[horizon], jobs=jobs)
+    cells = enumerate_cells(spec)
+    vehicles = sum(d for d, _, _ in cells)
+    cap = _chunk_cap(spec, vehicles)
+    chunks = list(_chunks(spec, cells))
+    assert [cell for chunk in chunks for cell in chunk] == cells
+    assert all(sum(d for d, _, _ in chunk) <= cap for chunk in chunks)
+    assert cap <= CHUNK_VEHICLES
+    # below the floor only to give every worker a share
+    assert cap >= min(CHUNK_FLOOR, math.ceil(vehicles / jobs))
+    # above it only while the stored samples stay within the budget
+    assert cap <= CHUNK_FLOOR or cap * len(spec.sim.sample_steps) <= CHUNK_SAMPLES
+
+
+def test_small_short_sweep_gives_each_worker_a_chunk():
+    spec = SweepSpec(densities=(100.0,), penetrations=(0.0, 0.25, 0.5, 0.75, 1.0),
+                     combos=(1, 2, 3, 4), sim=ring.SimConfig(duration=10.0, warmup=5.0),
+                     jobs=2)
+    cells = enumerate_cells(spec)
+    assert sum(d for d, _, _ in cells) == 2000.0  # fits one chunk at jobs=1
+    assert len(list(_chunks(dataclasses.replace(spec, jobs=1), cells))) == 1
+    assert len(list(_chunks(spec, cells))) >= 2
+
+
+def test_cell_larger_than_the_cap_runs_alone():
+    spec = SweepSpec(sim=ring.SimConfig(ring_length=50_000.0, duration=60.0, warmup=30.0))
+    cells = [(5.0, 0.0, 1), (100.0, 0.0, 1), (5.0, 0.0, 2)]  # 250, 5000, 250 vehicles
+    assert _chunk_cap(spec, 5500.0) == CHUNK_VEHICLES
+    assert list(_chunks(spec, cells)) == [[cells[0]], [cells[1]], [cells[2]]]
+    cells = [(5.0, 0.0, 1), (5.0, 0.0, 2), (100.0, 0.0, 1)]
+    assert list(_chunks(spec, cells)) == [cells[:2], [cells[2]]]
 
 
 def test_horizon_off_the_step_grid_gives_error_row():

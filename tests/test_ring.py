@@ -242,6 +242,22 @@ def test_run_sampling_grid():
     assert log.times[-1] == pytest.approx(9.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dt, duration, warmup, every, steps",
+                         [(0.1, 10.0, 5.0, 10, range(50, 100, 10)),
+                          (0.1, 3600.0, 1800.0, 10, range(18000, 36000, 10)),
+                          (0.3, 2.1, 0.9, 1, range(3, 7)),
+                          (0.1, 10.0, 0.0, 3, range(0, 100, 3))])
+def test_sample_steps_are_the_recorded_steps(dt, duration, warmup, every, steps):
+    cfg = SimConfig(dt=dt, duration=duration, warmup=warmup, record_every=every)
+    assert cfg.sample_steps == steps
+    if duration <= 10.0:
+        log = run(cfg, 20.0, 0.0, 1)
+        assert log.x.shape == (len(steps), 20)
+        # each time is its step index times dt, as an int64 product
+        want = np.arange(steps.start, steps.stop, steps.step, dtype=np.int64) * dt
+        assert np.array_equal(log.times.view(np.int64), want.view(np.int64))
+
+
 def test_run_deterministic():
     cfg = SimConfig(duration=30.0, warmup=0.0)
     a = run(cfg, 30.0, 0.5, 7, intensity=0.3, seed=4)
