@@ -4,8 +4,10 @@ Floats are serialized with 9 significant digits and rows carry no
 timestamps or environment state, so re-running a deterministic
 experiment reproduces files byte for byte. Every writer funnels through
 one routine that checks its own schema before touching the disk, except
-the trajectory writer: its schema is fixed, and it formats its rows in
-blocks with the same digits to keep memory flat on long runs.
+the trajectory writer: its schema is fixed, and it writes with the same
+digits from a per-ring row template, filling in each sample's time once
+and formatting a block of samples at a time to keep memory flat on long
+runs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 from .ring import TrajectoryLog
 
 TRAJECTORY_HEADER = ("t", "vehicle_index", "x", "v", "a")
-_TRAJECTORY_ROW = "%.9g,%d,%.9g,%.9g,%.9g\n"  # format_value of (float, int, float...)
-_TRAJECTORY_BLOCK_ROWS = 1 << 15  # rows formatted per write
+_TRAJECTORY_BLOCK_ROWS = 1 << 14  # rows formatted per write; sets the writer's peak memory
 METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr",
                   "nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km",
                   "pm_g_per_km", "violations")
@@ -84,23 +85,29 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
 def write_trajectory_csv(log: TrajectoryLog, path: str | Path) -> Path:
     """One row per (sample, vehicle), in that order, formatted as format_value does.
 
-    Rows are formatted from one template a block of samples at a time, so
-    the file never exists as a list of per-value Python rows.
+    The n rows of one sample share a template, ``"<t>,<j>,%.9g,%.9g,%.9g\\n"``
+    for j = 0..n-1, built once per call with each vehicle index written in.
+    Each sample formats its time once, joins it into the template's
+    ``<t>`` slots, and fills the rest with its interleaved x, v and a in
+    one ``%``. Samples are converted a block at a time, so the file never
+    exists as a list of per-value Python rows.
     """
     if np.any(np.diff(log.times) < 0.0):
         raise ValueError("trajectory sample times are not non-decreasing")
     m, n = log.x.shape
     per_block = max(1, _TRAJECTORY_BLOCK_ROWS // max(n, 1))
+    # "%.9g" never yields "%", so a formatted time joined in stays literal
+    after_t = ["", *(f",{j},%.9g,%.9g,%.9g\n" for j in range(n))]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
         for lo in range(0, m, per_block):
             hi = min(lo + per_block, m)
-            rows = zip(np.repeat(log.times[lo:hi], n).tolist(), list(range(n)) * (hi - lo),
-                       log.x[lo:hi].ravel().tolist(), log.v[lo:hi].ravel().tolist(),
-                       log.a[lo:hi].ravel().tolist())
-            fh.write("".join(map(_TRAJECTORY_ROW.__mod__, rows)))
+            xva = np.stack((log.x[lo:hi], log.v[lo:hi], log.a[lo:hi]), axis=2)
+            fh.write("".join(("%.9g" % t).join(after_t) % tuple(values) for t, values
+                             in zip(log.times[lo:hi].tolist(),
+                                    xva.reshape(hi - lo, 3 * n).tolist())))
     return path
 
 

@@ -165,6 +165,15 @@ def _reduce_rings(rows: list[dict], sizes: list[int], log: ring.TrajectoryLog) -
             row["status"] = "stalled" if fuel.stalled else "ok"
 
 
+def _name_value(value: float) -> str:
+    """``value`` in a file name: ``:g`` where it reads back exactly, else repr.
+
+    Two cells never share a name, so neither overwrites the other's files.
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
               save_dir: str | Path | None = None) -> list[dict]:
     """Simulate cells together in one engine run; one metrics row per cell."""
@@ -189,7 +198,8 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     if save_dir is not None:
         for row, part in zip(running, ring.split_log(log, state)):
             if not part.errors:
-                stem = f"cell_c{row['combo']}_p{row['p']:g}_d{row['density']:g}"
+                stem = (f"cell_c{row['combo']}_p{_name_value(row['p'])}"
+                        f"_d{_name_value(row['density'])}")
                 write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
                 write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
     _reduce_rings(running, [fleet.n_vehicles for fleet in fleets], log)

@@ -1,6 +1,7 @@
 """CSV serialization: formatting, schema checks, per-artifact writers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from platoonflow.csvio import (METRICS_HEADER, format_value, write_csv,
                                write_curves_csv, write_metrics_csv,
                                write_region_csv, write_trajectory_csv,
                                write_violations_csv)
-from platoonflow.ring import SimConfig, Violation
+from platoonflow.ring import SimConfig, TrajectoryLog, Violation
 
 
 def test_format_value():
@@ -72,10 +73,38 @@ def test_trajectory_writer_header_and_rows(tmp_path):
     assert len(lines) == 1 + log.times.size * 10
 
 
-@pytest.mark.parametrize("block_rows", [1, 25, 1 << 15])
-def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, block_rows):
-    log = run(SimConfig(duration=3.0, warmup=0.0, record_every=2), 10.0, 0.8, 5)
-    log.x[1, 2], log.v[2, 3], log.a[3, 4] = math.nan, -0.0, 1e-300
+# printed in exponent notation, rounded across a power of ten at nine
+# digits, or at the ends of the float range
+_AWKWARD = (3.25e-5, -7.5e-7, 9.999999996e-5, -9.999999996e-5, 999999999.6, 1e16,
+            math.inf, -math.inf, math.nan, -0.0, 1e-300, 5e-324, 1.7976931348623157e308)
+
+
+def _awkward_log(m, n):
+    """An m-sample, n-vehicle log of values of every magnitude, each awkward one included."""
+    rng = np.random.default_rng(m * 1000 + n)
+    x, v, a = (rng.choice([-1.0, 1.0], (m, n)) * 10.0 ** rng.uniform(-8, 10, (m, n))
+               for _ in range(3))
+    for k, value in enumerate(_AWKWARD):
+        (x, v, a)[k % 3].flat[k % (m * n)] = value
+    times = 10.0 ** rng.uniform(-6, 9, m)
+    times[:2] = 9.999999996e-5, 999999999.6
+    return TrajectoryLog(times=np.sort(times), x=x, v=v, a=a, violations=[])
+
+
+@pytest.mark.parametrize("shape, block_rows", [
+    *(pytest.param(None, rows, id=str(rows)) for rows in (1, 25, 1 << 15)),
+    # one vehicle; 7 samples are not a whole number of 3-sample blocks
+    pytest.param((7, 1), 3, id="awkward-7x1-3"),
+    # more vehicles than a block has rows
+    pytest.param((5, 40), 25, id="awkward-5x40-25"),
+    pytest.param((30, 95), 1 << 14, id="awkward-30x95-16384"),
+])
+def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, shape, block_rows):
+    if shape is None:
+        log = run(SimConfig(duration=3.0, warmup=0.0, record_every=2), 10.0, 0.8, 5)
+        log.x[1, 2], log.v[2, 3], log.a[3, 4] = math.nan, -0.0, 1e-300
+    else:
+        log = _awkward_log(*shape)
     monkeypatch.setattr(csvio, "_TRAJECTORY_BLOCK_ROWS", block_rows)
     fast = write_trajectory_csv(log, tmp_path / "fast.csv")
     rows = [(float(t), veh, float(log.x[i, veh]), float(log.v[i, veh]),
@@ -87,6 +116,21 @@ def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, block_rows)
     log.times[3] = 0.0
     with pytest.raises(ValueError, match="non-decreasing"):
         write_trajectory_csv(log, tmp_path / "bad.csv")
+
+
+def test_trajectory_writer_memory_is_flat_in_the_samples(tmp_path):
+    # the peak is one block's rows, whatever the length of the log
+    peaks = []
+    for m in (1000, 4000):
+        log = _awkward_log(m, 95)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(log, tmp_path / f"traj_{m}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert peaks[1] < (tmp_path / "traj_4000.csv").stat().st_size / 4, peaks
 
 
 def test_violations_writer(tmp_path):

@@ -97,6 +97,16 @@ def test_run_cell_saves_trajectories(tmp_path):
     assert (tmp_path / "cell_c1_p0.8_d15_violations.csv").exists()
 
 
+def test_saved_cells_never_share_a_file(tmp_path):
+    # both densities print as 15 under :g; the second is named by its repr
+    spec = SweepSpec(densities=(15.0, 15.0000001), penetrations=(0.8,), combos=(1,),
+                     **DESK)
+    assert len(run_sweep(spec, tmp_path)) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"cell_c1_p0.8_d{d}_{kind}.csv" for d in ("15", "15.0000001")
+        for kind in ("trajectory", "violations"))
+
+
 def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
     spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(0.8,), combos=(5,))
     build_rings = ring.build_rings
