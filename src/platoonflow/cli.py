@@ -36,8 +36,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         if not tok:
             continue
         if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in tok.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"range {tok!r} runs backwards")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(tok))
     return tuple(out)
@@ -83,7 +85,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        default=SweepSpec.densities, help="veh/km, comma separated")
     sweep.add_argument("--penetrations", type=_float_list,
                        default=SweepSpec.penetrations)
-    sweep.add_argument("--combos", type=_int_list, default=SweepSpec.combos,
+    # parsed with the other sweep values, so a bad range is an error like theirs
+    sweep.add_argument("--combos", default=",".join(map(str, SweepSpec.combos)),
                        help="strategy combo ids, e.g. 1,4,7 or 1-10")
     sweep.add_argument("--ring-length", type=float, default=SimConfig.ring_length)
     sweep.add_argument("--dt", type=float, default=SimConfig.dt)
@@ -122,7 +125,7 @@ def _cmd_sweep(args) -> int:
                     warmup=args.warmup, record_every=args.record_every)
     spec = SweepSpec(densities=tuple(args.densities),
                      penetrations=tuple(args.penetrations),
-                     combos=tuple(args.combos), sim=sim, base_seed=args.seed,
+                     combos=_int_list(args.combos), sim=sim, base_seed=args.seed,
                      jobs=args.jobs)
     outdir = Path(args.outdir)
     save_dir = outdir / "trajectories" if args.save_trajectories else None

@@ -15,9 +15,11 @@ pass CHUNK_SAMPLES (never fewer than CHUNK_FLOOR for that) or where a
 on what it is stacked with, so chunking changes no output byte. The
 chunk's log is then reduced to metrics rows by groups of rings, one
 ``energy.sample_rates`` pass per group, each ring's means summed over
-its own contiguous samples as if it had run alone. ``--jobs`` spreads
-chunks over worker processes, and a progress line per chunk goes to
-stderr.
+its own contiguous samples as if it had run alone; a ring that failed
+in the engine run (its state masked to NaN, see ``ring``) becomes an
+error row. ``--jobs`` spreads chunks over at most that many worker
+processes, no more than there are chunks, and a progress line per
+chunk goes to stderr.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _fail(row: dict, reason) -> None:
 def _reduce_rings(rows: list[dict], sizes: list[int], log: ring.TrajectoryLog) -> None:
     """Fill each ring's metrics row from its columns of a stacked run's log.
 
-    A dropped ring's row becomes an error row. The others are reduced in
+    A failed ring's row becomes an error row. The others are reduced in
     groups of consecutive rings of at most about _REDUCE_SAMPLES samples.
     """
     bounds = list(accumulate(sizes, initial=0))
@@ -264,8 +266,9 @@ def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
     calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    workers = min(spec.jobs, len(chunks))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = _gather(pool.map(*calls), len(cells))
     else:
         rows = _gather(map(*calls), len(cells))

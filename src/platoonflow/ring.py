@@ -23,6 +23,11 @@ Every operation is elementwise or gathers inside one ring, so each
 ring's numbers are bit for bit those of a run alone; ``split_log`` cuts
 the stacked log back into per-ring logs.
 
+A ring whose desired acceleration goes non-finite fails alone:
+``run_state`` sets its x, v and a to NaN and steps on. Every gather
+(predecessor, CS leader, BS rear gap) reads inside one ring, so the
+NaN cannot leave it and the other rings keep their bits.
+
 Positions stay in [0, ring_length) and speeds in [0, v_max], and
 ``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_state``
 checks the start state, and each step keeps both ranges. So a
@@ -49,17 +54,6 @@ from .fleet import FleetSpec, draw_flags, role_codes, round_half_up
 from .platoons import COMBOS, STRATEGIES, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
-
-
-class SimulationError(RuntimeError):
-    """Raised when the state stops being numerically meaningful.
-
-    ``ring`` is the index, in its stacked state, of the ring that failed.
-    """
-
-    def __init__(self, message: str, ring: int = 0) -> None:
-        super().__init__(message)
-        self.ring = ring
 
 
 @dataclass(frozen=True)
@@ -140,14 +134,15 @@ class TrajectoryLog:
     v: np.ndarray      # (m, n)
     a: np.ndarray      # (m, n)
     violations: list[Violation]
-    # ring index -> SimulationError message of each ring dropped mid-run;
-    # its columns hold NaN from the failing step on
+    # ring index -> why each failed ring stopped: the first vehicle whose
+    # desired acceleration went non-finite; its columns hold NaN from the
+    # sample after the failing step on
     errors: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _Members:
-    """The vehicles one law drives and the wiring it reads, as packed indices.
+    """The vehicles one law drives and the wiring it reads, as state indices.
 
     Only CS members read a platoon leader and only BS members a rear gap,
     so the other laws carry None there, as their ControlContext does.
@@ -163,55 +158,42 @@ class _Members:
 
 @dataclass(frozen=True)
 class _VehicleTable:
-    """Per-vehicle control wiring of the rings stepped in one run.
+    """Per-vehicle control wiring of every ring of a state.
 
-    ``pred`` and the bookkeeping columns have one entry per stepped
-    vehicle; each law present gets its members and the wiring it reads
-    (``_Members``). Rings are packed in the order they were listed, each
-    in one contiguous slice.
+    ``pred`` has one entry per vehicle; each law present gets its members
+    and the wiring it reads (``_Members``), all as indices in the state.
     """
 
     pred: np.ndarray    # predecessor index
     laws: tuple[_Members, ...]  # one per strategy present
     alone: np.ndarray   # vehicles that are the only one on their ring
-    ring: np.ndarray    # ring index in the state
-    first: np.ndarray   # packed index of the ring's first vehicle
-    cols: np.ndarray    # index in the state, which is the column in the log
+    bounds: np.ndarray  # first vehicle of each ring, then the vehicle count
 
 
-def _build_table(state: RingState, rings: Sequence[int]) -> _VehicleTable:
-    """Wiring of the listed rings of ``state``, packed in that order."""
+def _build_table(state: RingState) -> _VehicleTable:
+    """Wiring of ``state``'s rings, indexing the state itself."""
     bounds = np.array((*state.starts, state.n))
-    rings = np.asarray(rings, dtype=np.intp)
-    sizes = bounds[rings + 1] - bounds[rings]
-    starts = np.cumsum(sizes) - sizes  # packed index of each ring's first vehicle
-    ring, first = np.repeat(rings, sizes), np.repeat(starts, sizes)
-    own = np.arange(ring.size)
-    cols = bounds[ring] + own - first
-    packed = np.empty(state.n, dtype=np.intp)
-    packed[cols] = own
-    pred = own - 1
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    pred = np.arange(state.n) - 1
     pred[starts] = starts + sizes - 1
-    strategy = state.strategy[cols]
     # looked up per run, not at import, so module-level wrappers take effect
     law_of = {Strategy.HV: hv_accel, Strategy.CTG: ctg_accel, Strategy.VTG1: vtg1_accel,
               Strategy.VTG2: vtg2_accel, Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
     laws = []
     for code, s in enumerate(STRATEGIES):
-        idx = np.flatnonzero(strategy == code)
+        idx = np.flatnonzero(state.strategy == code)
         if not idx.size:
             continue
-        at = cols[idx]  # the members' indices in the state
         law, wiring = law_of[s], {}
         if s is Strategy.CTG:
-            law = partial(law, h=state.h[at])
+            law = partial(law, h=state.h[idx])
         elif s is Strategy.CS:
-            wiring = dict(leader=packed[state.leader[at]], hops=state.hops[at])
+            wiring = dict(leader=state.leader[idx], hops=state.hops[idx])
         elif s is Strategy.BS:
-            wiring = dict(rear=packed[state.rear[at]])
+            wiring = dict(rear=state.rear[idx])
         laws.append(_Members(law, idx, pred[idx], **wiring))
     return _VehicleTable(pred=pred, laws=tuple(laws), alone=starts[sizes == 1],
-                         ring=ring, first=first, cols=cols)
+                         bounds=bounds)
 
 
 def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
@@ -285,10 +267,10 @@ def _lap(x: np.ndarray, ring: float) -> np.ndarray:
 
 def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
              table: _VehicleTable):
-    """One synchronous step; returns new arrays plus observed violations.
-
-    It wraps without a float remainder, so it needs the position and
-    speed ranges of the module docstring.
+    """One synchronous step; returns new arrays, observed violations and
+    ring -> message naming the first vehicle with a non-finite desired
+    acceleration, for each ring not already NaN. It wraps without a
+    float remainder, so it needs the ranges of the module docstring.
     """
     ring = config.ring_length
     dx = _arc(x[table.pred] - x, ring)
@@ -309,20 +291,23 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
             ctx.follower_gap = gap_c[m.rear]
         u[i] = m.law(ctx)
 
+    failed: dict[int, str] = {}
     if not np.isfinite(u).all():
-        i = int(np.flatnonzero(~np.isfinite(u))[0])
-        j = table.pred[i]
-        raise SimulationError(
-            f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
-            f"v={float(v[i])!r} gap={float(gap_c[i])!r} v_pred={float(v[j])!r} "
-            f"a_pred={float(a[j])!r}", ring=int(table.ring[i]))
+        at = np.flatnonzero(~np.isfinite(u) & ~np.isnan(x))  # NaN x: failed before
+        rings, first = np.unique(np.searchsorted(table.bounds, at, "right") - 1,
+                                 return_index=True)
+        for r, i in zip(rings.tolist(), at[first].tolist()):
+            j = table.pred[i]
+            failed[r] = (f"non-finite desired acceleration for vehicle {i - table.bounds[r]}: "
+                         f"v={float(v[i])!r} gap={float(gap_c[i])!r} v_pred={float(v[j])!r} "
+                         f"a_pred={float(a[j])!r}")
 
     a_cmd = u.clip(config.a_min, config.a_max, out=u)
     v_new = v + a_cmd * config.dt
     v_new.clip(0.0, config.v_max, out=v_new)
     x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
-    return x_new, v_new, a_eff, viol, gap[viol]
+    return x_new, v_new, a_eff, viol, gap[viol], failed
 
 
 def _check_start(state: RingState, config: SimConfig) -> None:
@@ -343,8 +328,9 @@ def _check_start(state: RingState, config: SimConfig) -> None:
 def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     """Integrate every ring of a prepared state and record post-warmup samples.
 
-    A ring whose desired acceleration goes non-finite is dropped at that
-    step: its message goes to ``errors`` and the other rings step on
+    A ring whose desired acceleration goes non-finite fails at that step:
+    its message goes to ``errors``, its violations of that step are
+    dropped and its state turns NaN, while the other rings step on
     unchanged. Every position must lie in [0, ring_length) and every
     speed in [0, v_max] (a NaN speed fails at the step instead).
     """
@@ -355,35 +341,24 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
     violations: list[Violation] = []
     errors: dict[int, str] = {}
 
-    table = _build_table(state, range(len(state.starts)))
+    table = _build_table(state)
     x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
     row = 0
     for k in range(sampled.stop):
         if k in sampled:
-            cols = table.cols if errors else slice(None)
-            xs[row, cols] = x
-            vs[row, cols] = v
-            accs[row, cols] = a
+            xs[row], vs[row], accs[row] = x, v, a
             row += 1
-        while True:
-            try:
-                x, v, a, vi, vg = _advance(x, v, a, config, table)
-                break
-            except SimulationError as err:
-                # drop the ring and retry the step without it
-                errors[err.ring] = str(err)
-                gone = table.ring == err.ring
-                for log_array in (xs, vs, accs):
-                    log_array[row:, table.cols[gone]] = np.nan
-                x, v, a = x[~gone], v[~gone], a[~gone]
-                table = _build_table(state, [r for r in range(len(state.starts))
-                                             if r not in errors])
+        x, v, a, vi, vg, failed = _advance(x, v, a, config, table)
+        if failed:
+            errors.update(failed)
+            for r in failed:
+                gone = slice(table.bounds[r], table.bounds[r + 1])
+                x[gone] = v[gone] = a[gone] = np.nan
+            kept = ~np.isnan(x[vi])
+            vi, vg = vi[kept], vg[kept]
         if vi.size:
             t = k * config.dt
-            violations.extend(Violation(t, int(i), float(gp))
-                              for i, gp in zip(table.cols[vi], vg))
-        if not x.size:
-            break
+            violations.extend(Violation(t, int(i), float(gp)) for i, gp in zip(vi, vg))
     return TrajectoryLog(times=times, x=xs, v=vs, a=accs,
                          violations=violations, errors=errors)
 
@@ -393,7 +368,7 @@ def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
 
     Each ring's samples are copied into C-contiguous (m, n) arrays, so a
     reduction over them sums in the same order as over a ring run alone.
-    A dropped ring's log carries its message as ``errors[0]``.
+    A failed ring's log carries its message as ``errors[0]``.
     """
     bounds = [*state.starts, state.n]
     by_ring: list[list[Violation]] = [[] for _ in state.starts]

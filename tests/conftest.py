@@ -28,10 +28,18 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, Contr
 from platoonflow.energy import sample_rates, summarize
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import STRATEGIES
-from platoonflow.ring import GAP_FLOOR, RingState, SimulationError
+from platoonflow.ring import GAP_FLOOR, RingState
 
 HV, LV1, LV2, PV = VehicleClass
 CLASSES = list(VehicleClass)  # role code -> class
+
+
+class SimulationError(RuntimeError):
+    """A ring's run stopped being numerically meaningful.
+
+    The engine records such a ring's message in ``TrajectoryLog.errors``
+    and steps on; the one-ring helpers raise it instead.
+    """
 
 
 # One cell on its own ring, the way the sweep builds and runs each of a
@@ -236,10 +244,10 @@ def reference_advance(x, v, a, config, table):
     if bad.size:
         i = int(bad[0])
         j = table.pred[i]
+        first = table.bounds[np.searchsorted(table.bounds, i, "right") - 1]
         raise SimulationError(
-            f"non-finite desired acceleration for vehicle {i - table.first[i]}: "
-            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} "
-            f"a_pred={a[j]!r}", ring=int(table.ring[i]))
+            f"non-finite desired acceleration for vehicle {i - first}: "
+            f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} a_pred={a[j]!r}")
 
     a_cmd = np.clip(u, config.a_min, config.a_max)
     v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)

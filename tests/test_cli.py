@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from platoonflow.cli import build_parser, main
+from platoonflow.cli import _int_list, build_parser, main
 from platoonflow.csvio import read_metrics_csv
 from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
                                      verify_stability)
@@ -54,7 +54,9 @@ def test_combo_ranges_expand(tmp_path, capsys):
     assert [r["combo"] for r in rows] == [1, 2, 3]
 
     # an empty, repeating or NaN axis is an error, not an empty, doubled or NaN table
-    for axes, message in ((["--combos", "10-1"], "combos is empty"),
+    for axes, message in ((["--combos", "10-1"], "range '10-1' runs backwards"),
+                          (["--combos", "1,5-3"], "range '5-3' runs backwards"),
+                          (["--combos", ","], "combos is empty"),
                           (["--combos", "1,1"], "combos repeats"),
                           (["--densities", "15,15.0", "--combos", "1"], "densities repeats"),
                           (["--densities", "nan,nan", "--combos", "1"], "densities holds NaN"),
@@ -203,7 +205,9 @@ def test_cli_defaults_are_the_library_defaults():
         bits = cli.view(np.int64).tolist()
         assert bits == np.array(lib).view(np.int64).tolist()
         assert bits == spelled.view(np.int64).tolist()
-    assert subs["sweep"].parse_args([]).jobs == SweepSpec.jobs
+    sweep = subs["sweep"].parse_args([])
+    assert sweep.jobs == SweepSpec.jobs
+    assert _int_list(sweep.combos) == SweepSpec.combos
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -178,6 +178,35 @@ def test_run_sweep_parallel_matches_serial(capsys):
     assert "ETA" in err
 
 
+class FakePool:
+    """ProcessPoolExecutor stand-in that records its size and maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, *calls):
+        return map(*calls)
+
+
+@pytest.mark.parametrize("densities, workers", [((15.0,), []), ((15.0, 25.0, 35.0), [3])])
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys, densities, workers):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    spec = small_spec(densities=densities, penetrations=(1.0,), combos=(1,))
+    serial = run_sweep(spec)
+    assert FakePool.sizes == []
+    assert run_sweep(dataclasses.replace(spec, jobs=500)) == serial
+    assert FakePool.sizes == workers
+
+
 def test_default_grid_chunks_as_under_a_fixed_1024_cap():
     spec = SweepSpec()
     cells = enumerate_cells(spec)

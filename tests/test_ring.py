@@ -6,8 +6,9 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from conftest import (CLASSES, assign_strategies, equilibrium_flow, form_platoons,
-                      init_state, reference_advance, run, stack, uniform_state)
+from conftest import (CLASSES, SimulationError, assign_strategies, equilibrium_flow,
+                      form_platoons, init_state, reference_advance, run, stack,
+                      uniform_state)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,8 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
                                      ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
 from platoonflow.platoons import COMBOS, STRATEGIES
-from platoonflow.ring import (GAP_FLOOR, SimConfig, SimulationError, build_rings,
-                              cell_fleet, run_state, split_log)
+from platoonflow.ring import (GAP_FLOOR, SimConfig, build_rings, cell_fleet, run_state,
+                              split_log)
 
 
 def hand_config(ring, **kw):
@@ -424,6 +425,12 @@ def test_ring_invariants(density, p, combo_id, intensity, v_max, seed):
 STACK_CONFIG = SimConfig(duration=20.0, warmup=5.0, record_every=2)
 
 
+def overlapped(state):
+    """``state`` with vehicle 2 overlapping vehicle 1, so violations are logged."""
+    state.x[2] = (state.x[1] - 4.5) % STACK_CONFIG.ring_length
+    return state
+
+
 def stack_cells():
     """A lone vehicle, then every combo at p 0, 0.6 and 1 over several densities."""
     cfg = STACK_CONFIG
@@ -431,8 +438,7 @@ def stack_cells():
     for k, (combo_id, p) in enumerate((c, p) for c in sorted(COMBOS) for p in (0.0, 0.6, 1.0)):
         states.append(init_state(cfg, (15.0, 40.0, 95.0, 60.0)[k % 4], p, combo_id, seed=k))
     for state in states[1::3]:
-        # vehicle 2 overlaps vehicle 1, so violations are logged
-        state.x[2] = (state.x[1] - 4.5) % cfg.ring_length
+        overlapped(state)
     return states
 
 
@@ -481,6 +487,83 @@ def test_stack_drops_only_the_failing_ring():
     assert_same_log(parts[2], solo[2])
     assert parts[1].errors == {0: solo[1].errors[0]}
     assert np.all(np.isnan(parts[1].v[1:]))
+
+
+V_FAIL = 10.0  # m/s
+
+
+@pytest.fixture
+def ctg_fails_fast(monkeypatch):
+    """ctg_accel, but NaN for a vehicle faster than V_FAIL.
+
+    A ring with a CTG vehicle then fails at the step that vehicle first
+    passes V_FAIL, and every step after it would fail too.
+    """
+    law = engine.ctg_accel
+
+    def failing(ctx, *args, **kwargs):
+        return np.where(ctx.v > V_FAIL, np.nan, law(ctx, *args, **kwargs))
+    monkeypatch.setattr(engine, "ctg_accel", failing)
+
+
+def assert_masked(states, failing):
+    """Step ``states`` stacked; the rings in ``failing`` fail, the others run on.
+
+    Every ring's log equals its solo run bit for bit. A failed ring keeps
+    its own message and its samples are finite up to the failure and NaN
+    from then on. Returns the first NaN sample row of each failed ring.
+    """
+    solo = [run_state(state, STACK_CONFIG) for state in states]
+    log = run_state(stack(states), STACK_CONFIG)
+    assert sorted(log.errors) == sorted(failing)
+    rows = {}
+    for r, (part, alone) in enumerate(zip(split_log(log, stack(states)), solo)):
+        if r not in failing:
+            assert_same_log(part, alone)
+            continue
+        assert list(alone.errors) == [0]
+        assert alone.errors[0].startswith("non-finite desired acceleration for vehicle ")
+        assert log.errors[r] == alone.errors[0] and part.errors == alone.errors
+        for name in ("times", "x", "v", "a"):
+            assert np.array_equal(as_bits(getattr(part, name)),
+                                  as_bits(getattr(alone, name))), name
+        assert part.violations == alone.violations
+        dead = np.isnan(part.v).all(axis=1)
+        assert dead.any()
+        rows[r] = row = int(np.argmax(dead))
+        for values in (part.x, part.v, part.a):
+            assert np.isfinite(values[:row]).all() and np.isnan(values[row:]).all()
+    return rows
+
+
+def test_stack_masks_a_ring_that_fails_mid_run(ctg_fails_fast):
+    cfg = STACK_CONFIG
+    states = [init_state(cfg, 40.0, 0.6, 2, seed=1), init_state(cfg, 40.0, 0.6, 1, seed=2),
+              overlapped(init_state(cfg, 95.0, 0.6, 4, seed=3))]
+    rows = assert_masked(states, [1])
+    assert 0 < rows[1] < len(cfg.sample_steps)
+
+
+def test_stack_masks_two_rings_that_fail_at_one_step(ctg_fails_fast):
+    cfg = STACK_CONFIG
+    states = [init_state(cfg, 15.0, 1.0, 1), init_state(cfg, 60.0, 0.6, 3, seed=4),
+              init_state(cfg, 40.0, 0.6, 6, seed=5)]
+    rows = assert_masked(states, [0, 2])
+    assert 0 < rows[0] == rows[2] < len(cfg.sample_steps)
+
+
+def test_stack_masks_every_ring(ctg_fails_fast):
+    cfg = STACK_CONFIG
+    states = [init_state(cfg, 15.0, 1.0, 1), overlapped(init_state(cfg, 95.0, 1.0, 5)),
+              init_state(cfg, 60.0, 1.0, 8), overlapped(init_state(cfg, 40.0, 0.0, 1))]
+    # the last ring fails at the first step, which drops that step's violations
+    assert run_state(states[3], cfg).violations
+    states[3].v[3] = math.nan
+    rows = assert_masked(states, [0, 1, 2, 3])
+    assert rows[3] == 0 < rows[0] < rows[1] < len(cfg.sample_steps)
+    assert run_state(states[3], cfg).violations == []
+    # violations before a mid-run failure stay
+    assert run_state(states[1], cfg).violations
 
 
 def test_each_law_steps_only_its_members(monkeypatch):
@@ -536,14 +619,15 @@ def test_advance_matches_remainder_reference():
     cfg = SimConfig(ring_length=400.0, duration=1.0, warmup=0.0)
     state = perturbed_chunk(cfg, np.random.default_rng(8))
     assert {int(c) for c in state.strategy} == set(range(len(STRATEGIES)))
-    table = engine._build_table(state, range(len(state.starts)))
+    table = engine._build_table(state)
     assert table.alone.size == 1
     new = [state.x.copy(), state.v.copy(), state.a.copy()]
     ref = [state.x.copy(), state.v.copy(), state.a.copy()]
     laps = violations = 0
     for _ in range(300):
         x = new[0]
-        *new, vi, vg = engine._advance(*new, cfg, table)
+        *new, vi, vg, failed = engine._advance(*new, cfg, table)
+        assert failed == {}
         *ref, ri, rg = reference_advance(*ref, cfg, table)
         for got, want in zip(new, ref):
             assert np.array_equal(as_bits(got), as_bits(want))
