@@ -14,12 +14,14 @@ as the long options); explicit command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 from .csvio import (read_metrics_csv, write_class_curves_csv, write_curves_csv, write_fit_csv,
                     write_metrics_csv, write_region_csv, write_stability_csv)
 from .energy import equilibrium_curves
+from . import experiments
 from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_sweep,
                           verify_probability_model, verify_stability)
 from .ring import SimConfig
@@ -35,13 +37,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         tok = tok.strip()
         if not tok:
             continue
-        if "-" in tok[1:]:
-            lo, hi = (int(end) for end in tok.split("-", 1))
-            if hi < lo:
-                raise ValueError(f"range {tok!r} runs backwards")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(tok))
+        try:
+            ends = tok.split("-", 1) if "-" in tok[1:] else (tok, tok)
+            lo, hi = (int(end) for end in ends)
+        except ValueError:
+            raise ValueError(f"--combos {tok!r} is neither a combo id nor a range") from None
+        if hi < lo:
+            raise ValueError(f"range {tok!r} runs backwards")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
@@ -98,12 +101,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sweep.add_argument("--save-trajectories", action="store_true")
 
     prob = add("verify-prob", "class frequencies vs the closed-form model")
-    prob.add_argument("--vehicles", type=int, default=100)
-    prob.add_argument("--runs", type=int, default=200)
+    # read through the experiments module, so a wrapper set on this
+    # module's name for the function does not hide its signature
+    lib = {name: param.default for name, param
+           in inspect.signature(experiments.verify_probability_model).parameters.items()}
+    prob.add_argument("--vehicles", type=int, default=lib["n_vehicles"])
+    prob.add_argument("--runs", type=int, default=lib["runs"])
     for bound, default in zip(("start", "stop", "step"), P_GRID):
         prob.add_argument(f"--p-{bound}", type=float, default=default)
-    prob.add_argument("--intensities", type=_float_list, default=(0.0, 1.0))
-    prob.add_argument("--seed", type=int, default=0)
+    prob.add_argument("--intensities", type=_float_list, default=lib["intensities"])
+    prob.add_argument("--seed", type=int, default=lib["seed"])
 
     stab = add("verify-stability", "string-stability margin report")
     for bound, default in zip(("start", "stop", "step"), V_GRID):

@@ -13,13 +13,13 @@ up to CHUNK_VEHICLES vehicles, fewer where its stored samples would
 pass CHUNK_SAMPLES (never fewer than CHUNK_FLOOR for that) or where a
 ``--jobs`` share of the sweep is smaller. A ring's numbers do not depend
 on what it is stacked with, so chunking changes no output byte. The
-chunk's log is then reduced to metrics rows by groups of rings, one
-``energy.sample_rates`` pass per group, each ring's means summed over
-its own contiguous samples as if it had run alone; a ring that failed
-in the engine run (its state masked to NaN, see ``ring``) becomes an
-error row. ``--jobs`` spreads chunks over at most that many worker
-processes, no more than there are chunks, and a progress line per
-chunk goes to stderr.
+chunk's log is cut into rings once (``ring.split_log``) and walked in
+order: a ring that failed in the engine run (its state masked to NaN,
+see ``ring``) becomes an error row, a saved ring writes its files, and
+the others are reduced by groups, one ``energy.sample_rates`` pass per
+group, each ring's means summed in C order as if it had run alone.
+``--jobs`` spreads chunks over at most that many worker processes, no
+more than there are chunks, and a progress line per chunk goes to stderr.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import hashlib
 import math
 import sys
 import time
-from bisect import bisect_right
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -121,50 +119,39 @@ def enumerate_cells(spec: SweepSpec) -> list[tuple[float, float, int]]:
             for d in sorted(spec.densities)]
 
 
-def _nan_metrics() -> dict:
-    out = {"mean_speed_mps": math.nan, "mean_nfr": math.nan,
-           "nff_g_per_km": math.nan, "violations": 0}
-    for pol in POLLUTANTS:
-        out[f"{pol}_g_per_km"] = math.nan
-    return out
+def _set_metrics(row: dict, means, violations: int = 0, status: str | None = None) -> None:
+    """Fill a row's metrics from its ``sample_rates`` means; status "ok" or "stalled"."""
+    fuel, emissions = summarize(means)
+    row.update(mean_speed_mps=fuel.mean_speed, mean_nfr=fuel.mean_nfr,
+               nff_g_per_km=fuel.nff, violations=violations)
+    for pol, value in emissions.items():
+        row[f"{pol}_g_per_km"] = value
+    row["status"] = status or ("stalled" if fuel.stalled else "ok")
 
 
 def _fail(row: dict, reason) -> None:
     print(f"cell combo={row['combo']} p={row['p']:g} density={row['density']:g} "
           f"failed: {reason}", file=sys.stderr)
-    row.update(_nan_metrics())
-    row["status"] = "error"
+    # NaN means give NaN metrics
+    _set_metrics(row, [math.nan] * (2 + len(POLLUTANTS)), status="error")
 
 
-def _reduce_rings(rows: list[dict], sizes: list[int], log: ring.TrajectoryLog) -> None:
-    """Fill each ring's metrics row from its columns of a stacked run's log.
+def _reduce_rings(group: list[tuple[dict, ring.TrajectoryLog]]) -> None:
+    """Fill the metrics rows of (row, ring log) pairs in one ``sample_rates`` pass.
 
-    A failed ring's row becomes an error row. The others are reduced in
-    groups of consecutive rings of at most about _REDUCE_SAMPLES samples.
+    ``np.concatenate`` with ``axis=None`` flattens each ring's (m, n)
+    view in C order, as ``np.ravel`` does the log of a ring run alone, so
+    each ring's samples lie back to back in the same order and its means
+    sum in the same order.
     """
-    bounds = list(accumulate(sizes, initial=0))
-    violations = Counter(bisect_right(bounds, viol.vehicle) - 1 for viol in log.violations)
-    for r, message in sorted(log.errors.items()):
-        _fail(rows[r], message)
-    samples = [log.times.size * n for n in sizes]  # per ring
-    done = [r for r in range(len(sizes)) if r not in log.errors]
-    for group in _batches(done, [samples[r] for r in done], _REDUCE_SAMPLES):
-        # each ring's samples C-contiguous and back to back, so its means
-        # sum in the same order as over the ring run alone
-        v, a = (np.concatenate([arr[:, bounds[r]:bounds[r + 1]] for r in group], axis=None)
-                for arr in (log.v, log.a))
-        ends = list(accumulate(samples[r] for r in group))
-        # np.add.reduce sums pairwise as np.mean does (reduceat would not)
-        means = [[np.add.reduce(rate[lo:hi]) / (hi - lo) for lo, hi in zip([0, *ends], ends)]
-                 for rate in sample_rates(v, a)]
-        for r, ring_means in zip(group, zip(*means)):
-            fuel, emissions = summarize(ring_means)
-            row = rows[r]
-            row.update(mean_speed_mps=fuel.mean_speed, mean_nfr=fuel.mean_nfr,
-                       nff_g_per_km=fuel.nff, violations=violations[r])
-            for pol, value in emissions.items():
-                row[f"{pol}_g_per_km"] = value
-            row["status"] = "stalled" if fuel.stalled else "ok"
+    v, a = (np.concatenate([getattr(part, name) for _, part in group], axis=None)
+            for name in ("v", "a"))
+    ends = list(accumulate(part.v.size for _, part in group))
+    # np.add.reduce sums pairwise as np.mean does (reduceat would not)
+    means = [[np.add.reduce(rate[lo:hi]) / (hi - lo) for lo, hi in zip([0, *ends], ends)]
+             for rate in sample_rates(v, a)]
+    for (row, part), ring_means in zip(group, zip(*means)):
+        _set_metrics(row, ring_means, len(part.violations))
 
 
 def _name_value(value: float) -> str:
@@ -179,32 +166,33 @@ def _name_value(value: float) -> str:
 def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
               save_dir: str | Path | None = None) -> list[dict]:
     """Simulate cells together in one engine run; one metrics row per cell."""
-    rows: list[dict] = []
-    running: list[dict] = []
-    fleets, combos, seeds = [], [], []
-    for density, p, combo in cells:
-        row = {"combo": combo, "p": p, "density": density}
-        rows.append(row)
+    rows = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
+    running, fleets = [], []
+    for row in rows:
         try:
-            fleets.append(ring.cell_fleet(spec.sim, density, p, combo))
+            fleets.append(ring.cell_fleet(spec.sim, row["density"], row["p"], row["combo"]))
         except ValueError as exc:
             _fail(row, exc)
             continue
         running.append(row)
-        combos.append(combo)
-        seeds.append(cell_seed(spec.base_seed, density, p, combo))
     if not running:
         return rows
-    state = ring.build_rings(spec.sim, fleets, combos, seeds)
-    log = ring.run_state(state, spec.sim)
-    if save_dir is not None:
-        for row, part in zip(running, ring.split_log(log, state)):
-            if not part.errors:
-                stem = (f"cell_c{row['combo']}_p{_name_value(row['p'])}"
-                        f"_d{_name_value(row['density'])}")
-                write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
-                write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
-    _reduce_rings(running, [fleet.n_vehicles for fleet in fleets], log)
+    seeds = [cell_seed(spec.base_seed, row["density"], row["p"], row["combo"])
+             for row in running]
+    state = ring.build_rings(spec.sim, fleets, [row["combo"] for row in running], seeds)
+    done = []
+    for row, part in zip(running, ring.split_log(ring.run_state(state, spec.sim), state)):
+        if part.errors:
+            _fail(row, part.errors[0])
+            continue
+        if save_dir is not None:
+            stem = (f"cell_c{row['combo']}_p{_name_value(row['p'])}"
+                    f"_d{_name_value(row['density'])}")
+            write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
+            write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
+        done.append((row, part))
+    for group in _batches(done, [part.v.size for _, part in done], _REDUCE_SAMPLES):
+        _reduce_rings(group)
     return rows
 
 
@@ -262,18 +250,15 @@ def _gather(results, total: int) -> list[dict]:
 
 
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:
-    """All cells of the grid, rows sorted by (combo, p, density)."""
+    """All cells of the grid, rows in ``enumerate_cells`` order."""
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
     calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
     workers = min(spec.jobs, len(chunks))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = _gather(pool.map(*calls), len(cells))
-    else:
-        rows = _gather(map(*calls), len(cells))
-    rows.sort(key=lambda r: (r["combo"], r["p"], r["density"]))
-    return rows
+            return _gather(pool.map(*calls), len(cells))
+    return _gather(map(*calls), len(cells))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ over arrays laid back to back, with index columns pointing into each
 ring's own slice, so one kernel call under one config steps them all.
 Every operation is elementwise or gathers inside one ring, so each
 ring's numbers are bit for bit those of a run alone; ``split_log`` cuts
-the stacked log back into per-ring logs.
+the stacked log back into per-ring logs of views, which flatten in C
+order to each ring's samples in the order of its run alone.
 
 A ring whose desired acceleration goes non-finite fails alone:
 ``run_state`` sets its x, v and a to NaN and steps on. Every gather
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .controllers import (VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
+from .controllers import (V_FREE, VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from .fleet import FleetSpec, draw_flags, role_codes, round_half_up
 from .platoons import COMBOS, STRATEGIES, wire
@@ -65,7 +66,7 @@ class SimConfig:
     duration: float = 3600.0       # s
     warmup: float = 1800.0         # s discarded before sampling
     record_every: int = 10         # steps between samples
-    v_max: float = 33.3            # m/s
+    v_max: float = V_FREE          # m/s
     a_max: float = 1.0             # m/s^2
     a_min: float = -5.0            # m/s^2
 
@@ -366,9 +367,12 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
 def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
     """Per-ring logs of a run on ``state``, in ring order.
 
-    Each ring's samples are copied into C-contiguous (m, n) arrays, so a
-    reduction over them sums in the same order as over a ring run alone.
-    A failed ring's log carries its message as ``errors[0]``.
+    Each ring's x, v and a are (m, n) views of the stacked columns, not
+    copies. Flattened in C order (``np.ravel``, ``np.concatenate`` with
+    ``axis=None``, ``np.stack``), a view yields its samples in the same
+    order as the log of the ring run alone, so a reduction over them sums
+    in the same order. A failed ring's log carries its message as
+    ``errors[0]``.
     """
     bounds = [*state.starts, state.n]
     by_ring: list[list[Violation]] = [[] for _ in state.starts]
@@ -377,9 +381,6 @@ def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
         by_ring[r].append(Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
     for r in range(len(state.starts)):
         cols = slice(bounds[r], bounds[r + 1])
-        yield TrajectoryLog(times=log.times,
-                            x=np.ascontiguousarray(log.x[:, cols]),
-                            v=np.ascontiguousarray(log.v[:, cols]),
-                            a=np.ascontiguousarray(log.a[:, cols]),
-                            violations=by_ring[r],
+        yield TrajectoryLog(times=log.times, x=log.x[:, cols], v=log.v[:, cols],
+                            a=log.a[:, cols], violations=by_ring[r],
                             errors={0: log.errors[r]} if r in log.errors else {})

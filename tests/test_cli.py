@@ -1,5 +1,7 @@
 """Command-line entry points and the flat config-file loader."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,9 @@ def test_combo_ranges_expand(tmp_path, capsys):
     # an empty, repeating or NaN axis is an error, not an empty, doubled or NaN table
     for axes, message in ((["--combos", "10-1"], "range '10-1' runs backwards"),
                           (["--combos", "1,5-3"], "range '5-3' runs backwards"),
+                          (["--combos", "1-x"], "--combos '1-x' is neither"),
+                          (["--combos", "x"], "--combos 'x' is neither"),
+                          (["--combos", "1-"], "--combos '1-' is neither"),
                           (["--combos", ","], "combos is empty"),
                           (["--combos", "1,1"], "combos repeats"),
                           (["--densities", "15,15.0", "--combos", "1"], "densities repeats"),
@@ -205,6 +210,10 @@ def test_cli_defaults_are_the_library_defaults():
         bits = cli.view(np.int64).tolist()
         assert bits == np.array(lib).view(np.int64).tolist()
         assert bits == spelled.view(np.int64).tolist()
+    lib = inspect.signature(verify_probability_model).parameters
+    for option, param in (("vehicles", "n_vehicles"), ("runs", "runs"),
+                          ("intensities", "intensities"), ("seed", "seed")):
+        assert getattr(prob, option) == lib[param].default, option
     sweep = subs["sweep"].parse_args([])
     assert sweep.jobs == SweepSpec.jobs
     assert _int_list(sweep.combos) == SweepSpec.combos

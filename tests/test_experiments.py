@@ -154,6 +154,16 @@ def test_run_sweep_sorted_and_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_sweep_rows_in_cell_order(capsys):
+    # unsorted axes, an infeasible density and two workers, each with a chunk
+    spec = SweepSpec(densities=(25.0, 250.0, 15.0), penetrations=(1.0, 0.0),
+                     combos=(3, 1), jobs=2, **DESK)
+    rows = run_sweep(spec)
+    assert [(r["density"], r["p"], r["combo"]) for r in rows] == enumerate_cells(spec)
+    assert [r["status"] for r in rows].count("error") == 4
+    capsys.readouterr()
+
+
 def test_run_sweep_parallel_matches_serial(capsys):
     serial = run_sweep(small_spec(jobs=1))
     parallel = run_sweep(small_spec(jobs=2))

@@ -7,7 +7,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from conftest import (CLASSES, SimulationError, assign_strategies, equilibrium_flow,
-                      form_platoons, init_state, reference_advance, run, stack,
+                      form_platoons, init_state, reduce_log, reference_advance, run, stack,
                       uniform_state)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -445,7 +445,8 @@ def stack_cells():
 def assert_same_log(part, solo):
     for name in ("times", "x", "v", "a"):
         assert np.array_equal(getattr(part, name), getattr(solo, name)), name
-    assert part.x.flags.c_contiguous and part.v.flags.c_contiguous
+    # a reduction over the part sums in the same order as over the solo run
+    assert repr(reduce_log(part)) == repr(reduce_log(solo))
     assert part.violations == solo.violations
     assert part.errors == solo.errors
 
@@ -460,6 +461,10 @@ def test_stacked_rings_match_solo_runs():
     for state, part in zip(states, parts):
         assert_same_log(part, run_state(state, STACK_CONFIG))
     assert sum(len(part.violations) for part in parts) > 0
+    # the parts are views of the stacked columns, not copies
+    for part in parts:
+        for name in ("x", "v", "a"):
+            assert np.shares_memory(getattr(part, name), getattr(log, name)), name
     # the lone vehicle sees one lap of free road and accelerates at a_max
     lone = parts[0]
     assert lone.x.shape[1] == 1
