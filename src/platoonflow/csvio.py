@@ -4,10 +4,9 @@ Floats are serialized with 9 significant digits and rows carry no
 timestamps or environment state, so re-running a deterministic
 experiment reproduces files byte for byte. Every writer funnels through
 one routine that checks its own schema before touching the disk, except
-the trajectory writer: its schema is fixed, and it writes with the same
-digits from a per-ring row template, filling in each sample's time once
-and formatting a block of samples at a time to keep memory flat on long
-runs.
+the trajectory rows: their schema is fixed, and ``append_trajectory``
+writes them with the same digits from a per-ring row template. A sweep
+appends each block of a run to a ring's file as it comes.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ring import TrajectoryLog
+from .ring import TrajectoryLog, Violation
 
 TRAJECTORY_HEADER = ("t", "vehicle_index", "x", "v", "a")
+TRAJECTORY_HEAD = ",".join(TRAJECTORY_HEADER) + "\n"
 _TRAJECTORY_BLOCK_ROWS = 1 << 14  # rows formatted per write; sets the writer's peak memory
 METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr",
                   "nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km",
@@ -83,36 +83,38 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    """One row per (sample, vehicle), in that order, formatted as format_value does.
-
-    The n rows of one sample share a template, ``"<t>,<j>,%.9g,%.9g,%.9g\\n"``
-    for j = 0..n-1, built once per call with each vehicle index written in.
-    Each sample formats its time once, joins it into the template's
-    ``<t>`` slots, and fills the rest with its interleaved x, v and a in
-    one ``%``. Samples are converted a block at a time, so the file never
-    exists as a list of per-value Python rows.
-    """
+    """One row per (sample, vehicle) of a stored log, in that order."""
     if np.any(np.diff(log.times) < 0.0):
         raise ValueError("trajectory sample times are not non-decreasing")
-    m, n = log.x.shape
-    per_block = max(1, _TRAJECTORY_BLOCK_ROWS // max(n, 1))
-    # "%.9g" never yields "%", so a formatted time joined in stays literal
-    after_t = ["", *(f",{j},%.9g,%.9g,%.9g\n" for j in range(n))]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for lo in range(0, m, per_block):
-            hi = min(lo + per_block, m)
-            xva = np.stack((log.x[lo:hi], log.v[lo:hi], log.a[lo:hi]), axis=2)
-            fh.write("".join(("%.9g" % t).join(after_t) % tuple(values) for t, values
-                             in zip(log.times[lo:hi].tolist(),
-                                    xva.reshape(hi - lo, 3 * n).tolist())))
+        fh.write(TRAJECTORY_HEAD)
+        append_trajectory(fh, log.times, log.x, log.v, log.a)
     return path
 
 
-def write_violations_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    rows = [(v.t, v.vehicle, v.gap) for v in log.violations]
+def append_trajectory(fh, times, x, v, a) -> None:
+    """Write one ring's rows of the samples ``times`` with (m, n) x, v and a.
+
+    The rows of a sample share a template, ``"<t>,<j>,%.9g,%.9g,%.9g\\n"``
+    for j = 0..n-1: its time, formatted once, is joined into the ``<t>``
+    slots and its interleaved x, v and a fill the rest in one ``%``, as
+    format_value would. Blocks of samples are converted at a time.
+    """
+    m, n = x.shape
+    per_block = max(1, _TRAJECTORY_BLOCK_ROWS // max(n, 1))
+    # "%.9g" never yields "%", so a formatted time joined in stays literal
+    after_t = ["", *(f",{j},%.9g,%.9g,%.9g\n" for j in range(n))]
+    for lo in range(0, m, per_block):
+        hi = min(lo + per_block, m)
+        xva = np.stack((x[lo:hi], v[lo:hi], a[lo:hi]), axis=2)
+        fh.write("".join(("%.9g" % t).join(after_t) % tuple(values) for t, values
+                         in zip(times[lo:hi].tolist(), xva.reshape(hi - lo, 3 * n).tolist())))
+
+
+def write_violations_csv(violations: Sequence[Violation], path: str | Path) -> Path:
+    rows = [(v.t, v.vehicle, v.gap) for v in violations]
     return write_csv(path, ("t", "follower_index", "gap"), rows, key_cols=(0,))
 
 

@@ -7,19 +7,16 @@ stable hash, and a cell that fails on its own values becomes a status
 row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-The sweep cuts the cells, in order, into chunks and steps each chunk's
-rings together in one engine run (``ring.build_rings``). A chunk holds
-up to CHUNK_VEHICLES vehicles, fewer where its stored samples would
-pass CHUNK_SAMPLES (never fewer than CHUNK_FLOOR for that) or where a
-``--jobs`` share of the sweep is smaller. A ring's numbers do not depend
-on what it is stacked with, so chunking changes no output byte. The
-chunk's log is cut into rings once (``ring.split_log``) and walked in
-order: a ring that failed in the engine run (its state masked to NaN,
-see ``ring``) becomes an error row, a saved ring writes its files, and
-the others are reduced by groups, one ``energy.sample_rates`` pass per
-group, each ring's means summed in C order as if it had run alone.
-``--jobs`` spreads chunks over at most that many worker processes, no
-more than there are chunks, and a progress line per chunk goes to stderr.
+The sweep cuts the cells, in order, into chunks of up to CHUNK_VEHICLES
+vehicles (fewer where a ``--jobs`` share of the sweep is smaller) and
+steps each chunk's rings together in one engine run. Its samples come in
+blocks (``ring.run_blocks``): one ``energy.sample_rates`` pass per block
+adds to each ring's rate sums, and a saved ring's rows are appended to
+its file. A ring's sums depend only on its own samples and the block
+length, not on what it is stacked with, so chunking changes no output
+byte. A ring that fails in the run (masked to NaN, see ``ring``) becomes
+an error row and leaves no file. ``--jobs`` spreads chunks over at most
+that many worker processes, and a progress line per chunk goes to stderr.
 """
 
 from __future__ import annotations
@@ -28,18 +25,19 @@ import hashlib
 import math
 import sys
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
-from .csvio import write_csv, write_trajectory_csv, write_violations_csv
+from .csvio import TRAJECTORY_HEAD, append_trajectory, write_csv, write_violations_csv
 from .energy import POLLUTANTS, sample_rates, summarize
 from .fleet import (FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
+from .platoons import COMBOS
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 from .stability import (equilibrium_partials, stability_region, string_stable)
 
@@ -55,17 +53,8 @@ V_GRID = (0.0, 33.3, 0.1)    # equilibrium speeds of verify_stability, m/s
 # per-step numpy dispatch over more vehicles: on mixed default-grid chunks
 # (2-CPU Xeon VM) a vehicle-step costs ~119 ns at 1024 vehicles, 78 at
 # 2048, 57 at 4096 and 54.5 at 8192, so CHUNK_VEHICLES sits at the knee.
-# The stored x, v and a grow as chunk x samples x 24 B per worker, so a
-# chunk also holds at most CHUNK_SAMPLES vehicle-samples, but never fewer
-# than CHUNK_FLOOR vehicles for that: the default 3600 s horizon (1800
-# samples) gets CHUNK_FLOOR vehicles (~44 MB). The reduction takes the
-# rings' samples in groups of about _REDUCE_SAMPLES, so its transient
-# arrays (a few MB) do not grow with the horizon: a default 980-vehicle
-# chunk reduced as one group peaked at 170 MB, against 86 MB in groups.
+# A chunk's samples stream through in blocks, so no horizon limits it.
 CHUNK_VEHICLES = 4096
-CHUNK_FLOOR = 1024
-CHUNK_SAMPLES = CHUNK_FLOOR * 1800
-_REDUCE_SAMPLES = 1 << 17  # samples per sample_rates call, unless one ring has more
 
 
 @dataclass(frozen=True)
@@ -87,6 +76,9 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} holds NaN: {axis}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"sweep axis {name} repeats a value: {axis}")
+        if unknown := [c for c in self.combos if c not in COMBOS]:
+            raise ValueError(f"unknown strategy combo {unknown[0]}; valid combos are "
+                             f"{', '.join(map(str, sorted(COMBOS)))}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
@@ -136,24 +128,6 @@ def _fail(row: dict, reason) -> None:
     _set_metrics(row, [math.nan] * (2 + len(POLLUTANTS)), status="error")
 
 
-def _reduce_rings(group: list[tuple[dict, ring.TrajectoryLog]]) -> None:
-    """Fill the metrics rows of (row, ring log) pairs in one ``sample_rates`` pass.
-
-    ``np.concatenate`` with ``axis=None`` flattens each ring's (m, n)
-    view in C order, as ``np.ravel`` does the log of a ring run alone, so
-    each ring's samples lie back to back in the same order and its means
-    sum in the same order.
-    """
-    v, a = (np.concatenate([getattr(part, name) for _, part in group], axis=None)
-            for name in ("v", "a"))
-    ends = list(accumulate(part.v.size for _, part in group))
-    # np.add.reduce sums pairwise as np.mean does (reduceat would not)
-    means = [[np.add.reduce(rate[lo:hi]) / (hi - lo) for lo, hi in zip([0, *ends], ends)]
-             for rate in sample_rates(v, a)]
-    for (row, part), ring_means in zip(group, zip(*means)):
-        _set_metrics(row, ring_means, len(part.violations))
-
-
 def _name_value(value: float) -> str:
     """``value`` in a file name: ``:g`` where it reads back exactly, else repr.
 
@@ -165,7 +139,12 @@ def _name_value(value: float) -> str:
 
 def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
               save_dir: str | Path | None = None) -> list[dict]:
-    """Simulate cells together in one engine run; one metrics row per cell."""
+    """Simulate cells together in one engine run; one metrics row per cell.
+
+    With ``save_dir``, each ring's rows go to ``<stem>_trajectory.csv.partial``
+    block by block; when the run ends, a failed ring's file is removed and
+    the others are renamed and get their violations file.
+    """
     rows = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
     running, fleets = [], []
     for row in rows:
@@ -180,19 +159,44 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     seeds = [cell_seed(spec.base_seed, row["density"], row["p"], row["combo"])
              for row in running]
     state = ring.build_rings(spec.sim, fleets, [row["combo"] for row in running], seeds)
-    done = []
-    for row, part in zip(running, ring.split_log(ring.run_state(state, spec.sim), state)):
-        if part.errors:
-            _fail(row, part.errors[0])
-            continue
-        if save_dir is not None:
-            stem = (f"cell_c{row['combo']}_p{_name_value(row['p'])}"
-                    f"_d{_name_value(row['density'])}")
-            write_trajectory_csv(part, Path(save_dir) / f"{stem}_trajectory.csv")
-            write_violations_csv(part, Path(save_dir) / f"{stem}_violations.csv")
-        done.append((row, part))
-    for group in _batches(done, [part.v.size for _, part in done], _REDUCE_SAMPLES):
-        _reduce_rings(group)
+    bounds = [*state.starts, state.n]
+    sums = np.zeros((2 + len(POLLUTANTS), len(running)))
+    violations: list[list[ring.Violation]] = [[] for _ in running]
+    errors: dict[int, str] = {}
+    stems = [] if save_dir is None else [
+        Path(save_dir, f"cell_c{row['combo']}_p{_name_value(row['p'])}"
+                       f"_d{_name_value(row['density'])}") for row in running]
+    for stem in stems:
+        stem.parent.mkdir(parents=True, exist_ok=True)
+        Path(f"{stem}_trajectory.csv.partial").write_text(TRAJECTORY_HEAD)
+    for block in ring.run_blocks(state, spec.sim):
+        # a ring's sum depends on its own samples alone: its vehicles per
+        # sample by reduceat, then its samples as one contiguous row
+        for total, rate in zip(sums, sample_rates(block.v, block.a)):
+            per_sample = np.add.reduceat(rate.reshape(block.v.shape), state.starts, axis=1)
+            total += np.add.reduce(np.ascontiguousarray(per_sample.T), axis=1)
+        for viol in block.violations:
+            r = bisect_right(bounds, viol.vehicle) - 1
+            violations[r].append(ring.Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
+        errors.update(block.errors)
+        for r, stem in enumerate(stems):
+            if r not in errors:
+                cols = slice(bounds[r], bounds[r + 1])
+                with open(f"{stem}_trajectory.csv.partial", "a") as fh:
+                    append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
+                                      block.a[:, cols])
+    for r, (row, fleet) in enumerate(zip(running, fleets)):
+        if r in errors:
+            _fail(row, errors[r])
+        else:
+            samples = len(spec.sim.sample_steps) * fleet.n_vehicles
+            _set_metrics(row, sums[:, r] / samples, len(violations[r]))
+    for r, stem in enumerate(stems):
+        if r in errors:
+            Path(f"{stem}_trajectory.csv.partial").unlink()
+        else:
+            Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
+            write_violations_csv(violations[r], f"{stem}_violations.csv")
     return rows
 
 
@@ -216,13 +220,10 @@ def _batches(items: list, sizes: list[float], cap: float):
 def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
     """Most vehicles in one chunk of a sweep of ``vehicles`` in all.
 
-    As many as CHUNK_SAMPLES stored samples allow, within CHUNK_FLOOR and
-    CHUNK_VEHICLES, and no more than a ``spec.jobs`` share of the sweep,
+    CHUNK_VEHICLES, but no more than a ``spec.jobs`` share of the sweep,
     so each worker gets a chunk when the sweep is small.
     """
-    by_samples = CHUNK_SAMPLES // len(spec.sim.sample_steps)
-    cap = min(CHUNK_VEHICLES, max(CHUNK_FLOOR, by_samples), math.ceil(vehicles / spec.jobs))
-    return max(1, cap)
+    return max(1, min(CHUNK_VEHICLES, math.ceil(vehicles / spec.jobs)))
 
 
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):

@@ -20,17 +20,19 @@ ring's flags, then labels, wires and places all of them in one pass
 over arrays laid back to back, with index columns pointing into each
 ring's own slice, so one kernel call under one config steps them all.
 Every operation is elementwise or gathers inside one ring, so each
-ring's numbers are bit for bit those of a run alone; ``split_log`` cuts
-the stacked log back into per-ring logs of views, which flatten in C
-order to each ring's samples in the order of its run alone.
+ring's numbers are bit for bit those of a run alone.
 
-A ring whose desired acceleration goes non-finite fails alone:
-``run_state`` sets its x, v and a to NaN and steps on. Every gather
+``run_blocks``, the one step loop, yields the post-warmup samples in
+reused blocks, so a consumer that reduces or writes them as they come
+holds no whole-horizon log; ``run_state`` keeps them all in one log.
+
+A ring whose desired acceleration goes non-finite fails alone: the loop
+sets its x, v and a to NaN and steps on. Every gather
 (predecessor, CS leader, BS rear gap) reads inside one ring, so the
 NaN cannot leave it and the other rings keep their bits.
 
 Positions stay in [0, ring_length) and speeds in [0, v_max], and
-``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_state``
+``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_blocks``
 checks the start state, and each step keeps both ranges. So a
 difference of two positions lies in (-ring_length, ring_length) and a
 step moves a vehicle forward by less than one lap. Both wrap by one
@@ -41,7 +43,6 @@ a float remainder.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
@@ -55,6 +56,7 @@ from .fleet import FleetSpec, draw_flags, role_codes, round_half_up
 from .platoons import COMBOS, STRATEGIES, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
+BLOCK_SAMPLES = 16  # per block of run_blocks; 1.5 MB of buffers at 4096 vehicles
 
 
 @dataclass(frozen=True)
@@ -326,28 +328,33 @@ def _check_start(state: RingState, config: SimConfig) -> None:
                          f"[0, v_max {config.v_max}]")
 
 
-def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
-    """Integrate every ring of a prepared state and record post-warmup samples.
+def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
+    """Integrate every ring of a prepared state, yielding its samples in blocks.
 
-    A ring whose desired acceleration goes non-finite fails at that step:
-    its message goes to ``errors``, its violations of that step are
-    dropped and its state turns NaN, while the other rings step on
-    unchanged. Every position must lie in [0, ring_length) and every
+    A block holds up to BLOCK_SAMPLES post-warmup samples as (b, n) views
+    of buffers that the next block overwrites, and the violations and
+    ring failures (``errors``) since the previous block, or up to the end
+    for the last. A ring whose desired acceleration goes non-finite fails
+    at that step: its message goes to ``errors``, its violations of that
+    step are dropped and its state turns NaN, while the other rings step
+    on unchanged. Every position must lie in [0, ring_length) and every
     speed in [0, v_max] (a NaN speed fails at the step instead).
     """
     _check_start(state, config)
     sampled = config.sample_steps
-    times = np.arange(sampled.start, sampled.stop, sampled.step) * config.dt
-    xs, vs, accs = (np.empty((times.size, state.n)) for _ in range(3))
+    size = min(BLOCK_SAMPLES, len(sampled))
+    ks, xs, vs, accs = np.empty(size), *(np.empty((size, state.n)) for _ in range(3))
     violations: list[Violation] = []
     errors: dict[int, str] = {}
-
     table = _build_table(state)
     x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
-    row = 0
+    row = 0  # samples in this block
     for k in range(sampled.stop):
         if k in sampled:
-            xs[row], vs[row], accs[row] = x, v, a
+            if row == size:
+                yield TrajectoryLog(ks * config.dt, xs, vs, accs, violations, errors)
+                row, violations, errors = 0, [], {}
+            ks[row], xs[row], vs[row], accs[row] = k, x, v, a
             row += 1
         x, v, a, vi, vg, failed = _advance(x, v, a, config, table)
         if failed:
@@ -360,27 +367,15 @@ def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
         if vi.size:
             t = k * config.dt
             violations.extend(Violation(t, int(i), float(gp)) for i, gp in zip(vi, vg))
-    return TrajectoryLog(times=times, x=xs, v=vs, a=accs,
-                         violations=violations, errors=errors)
+    yield TrajectoryLog(ks[:row] * config.dt, xs[:row], vs[:row], accs[:row], violations, errors)
 
 
-def split_log(log: TrajectoryLog, state: RingState) -> Iterator[TrajectoryLog]:
-    """Per-ring logs of a run on ``state``, in ring order.
-
-    Each ring's x, v and a are (m, n) views of the stacked columns, not
-    copies. Flattened in C order (``np.ravel``, ``np.concatenate`` with
-    ``axis=None``, ``np.stack``), a view yields its samples in the same
-    order as the log of the ring run alone, so a reduction over them sums
-    in the same order. A failed ring's log carries its message as
-    ``errors[0]``.
-    """
-    bounds = [*state.starts, state.n]
-    by_ring: list[list[Violation]] = [[] for _ in state.starts]
-    for viol in log.violations:
-        r = bisect_right(bounds, viol.vehicle) - 1
-        by_ring[r].append(Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
-    for r in range(len(state.starts)):
-        cols = slice(bounds[r], bounds[r + 1])
-        yield TrajectoryLog(times=log.times, x=log.x[:, cols], v=log.v[:, cols],
-                            a=log.a[:, cols], violations=by_ring[r],
-                            errors={0: log.errors[r]} if r in log.errors else {})
+def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
+    """The whole log of ``run_blocks``: every sample, violation and failure kept."""
+    blocks = [(b.times, b.x.copy(), b.v.copy(), b.a.copy(), b.violations, b.errors)
+              for b in run_blocks(state, config)]
+    times, x, v, a, violations, errors = zip(*blocks)
+    return TrajectoryLog(times=np.concatenate(times), x=np.concatenate(x),
+                         v=np.concatenate(v), a=np.concatenate(a),
+                         violations=[w for part in violations for w in part],
+                         errors={r: e for part in errors for r, e in part.items()})

@@ -1,5 +1,6 @@
 """Shared helpers: one-cell runs, hand-made ring states and the acceptance verdict log."""
 
+from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -28,7 +29,7 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, Contr
 from platoonflow.energy import sample_rates, summarize
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import STRATEGIES
-from platoonflow.ring import GAP_FLOOR, RingState
+from platoonflow.ring import GAP_FLOOR, RingState, TrajectoryLog, Violation
 
 HV, LV1, LV2, PV = VehicleClass
 CLASSES = list(VehicleClass)  # role code -> class
@@ -59,6 +60,26 @@ def run(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
     if log.errors:
         raise SimulationError(log.errors[0])
     return log
+
+
+def split_log(log, state):
+    """Per-ring logs of a run on ``state``, in ring order.
+
+    Each ring's x, v and a are (m, n) views of the stacked columns, not
+    copies; flattened in C order, a view yields its samples in the order
+    of the log of the ring run alone. A failed ring's log carries its
+    message as ``errors[0]``.
+    """
+    bounds = [*state.starts, state.n]
+    by_ring = [[] for _ in state.starts]
+    for viol in log.violations:
+        r = bisect_right(bounds, viol.vehicle) - 1
+        by_ring[r].append(Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
+    for r in range(len(state.starts)):
+        cols = slice(bounds[r], bounds[r + 1])
+        yield TrajectoryLog(times=log.times, x=log.x[:, cols], v=log.v[:, cols],
+                            a=log.a[:, cols], violations=by_ring[r],
+                            errors={0: log.errors[r]} if r in log.errors else {})
 
 
 def reduce_log(log):

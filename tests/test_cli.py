@@ -66,7 +66,12 @@ def test_combo_ranges_expand(tmp_path, capsys):
                           (["--densities", "15,15.0", "--combos", "1"], "densities repeats"),
                           (["--densities", "nan,nan", "--combos", "1"], "densities holds NaN"),
                           (["--penetrations", "nan", "--combos", "1"],
-                           "penetrations holds NaN")):
+                           "penetrations holds NaN"),
+                          # a combo id outside 1-10 fails before any cell runs
+                          (["--combos", "11"], "unknown strategy combo 11; valid combos are "
+                                               "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
+                          (["--combos", "0"], "unknown strategy combo 0"),
+                          (["--combos", "9-11"], "unknown strategy combo 11")):
         code = main(["sweep", "--densities", "15", "--penetrations", "1", *axes,
                      "--duration", "30", "--warmup", "0", "--outdir", str(tmp_path / "bad")])
         assert code == 1

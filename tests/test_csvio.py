@@ -136,7 +136,7 @@ def test_trajectory_writer_memory_is_flat_in_the_samples(tmp_path):
 def test_violations_writer(tmp_path):
     log = run(SimConfig(duration=1.0, warmup=0.0), 10.0, 0.0, 1)
     log.violations.extend([Violation(0.5, 3, -0.25), Violation(0.7, 1, -0.5)])
-    path = write_violations_csv(log, tmp_path / "v.csv")
+    path = write_violations_csv(log.violations, tmp_path / "v.csv")
     lines = path.read_text().splitlines()
     assert lines == ["t,follower_index,gap", "0.5,3,-0.25", "0.7,1,-0.5"]
 

@@ -3,15 +3,16 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import init_state, reduce_log, stack
+from conftest import init_state, reduce_log, split_log, stack
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import POLLUTANTS
-from platoonflow.experiments import (CHUNK_FLOOR, CHUNK_SAMPLES, CHUNK_VEHICLES, PLOT_METRICS,
+from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
                                      SweepSpec, _batches, _chunk_cap, _chunks,
                                      cell_seed, emit_plot_data, enumerate_cells,
                                      run_chunk, run_sweep,
@@ -20,12 +21,27 @@ from platoonflow.experiments import (CHUNK_FLOOR, CHUNK_SAMPLES, CHUNK_VEHICLES,
 
 DESK = dict(sim=ring.SimConfig(duration=60.0, warmup=30.0))
 
+# Means sum block by block (each ring's vehicles per sample, then its
+# samples per block, then the blocks in turn), where a reduction over a
+# stored log sums all of a ring's samples in one pairwise pass. Their
+# rounding differs by about (vehicles per ring + blocks) x 1.1e-16; the
+# worst seen on default-grid chunks was 4.8e-15 relative.
+SUM_RTOL = 1e-12
+
 
 def small_spec(**kw):
     base = dict(densities=(15.0, 25.0), penetrations=(0.0, 1.0),
                 combos=(1, 3), **DESK)
     base.update(kw)
     return SweepSpec(**base)
+
+
+@pytest.mark.parametrize("combos, bad", [((11,), 11), ((0,), 0), ((9, 10, 11), 11),
+                                         ((-1, 1), -1)])
+def test_sweep_spec_rejects_unknown_combos(combos, bad):
+    with pytest.raises(ValueError, match=f"unknown strategy combo {bad}; valid combos are "
+                                         "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"):
+        SweepSpec(combos=combos)
 
 
 def test_cell_seed_matches_digest():
@@ -139,6 +155,75 @@ def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+V_FAIL = 10.0  # m/s
+
+
+def test_ring_that_fails_mid_run_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # ctg_accel, but NaN for a vehicle faster than V_FAIL: the combo 1 ring
+    # fails once its CTG vehicles pass it, after a first block was written
+    law = ring.ctg_accel
+    monkeypatch.setattr(ring, "ctg_accel", lambda ctx, *args, **kwargs: np.where(
+        ctx.v > V_FAIL, np.nan, law(ctx, *args, **kwargs)))
+    spec = SweepSpec(sim=ring.SimConfig(duration=20.0, warmup=0.0, record_every=1))
+    cells = [(40.0, 0.6, 2), (40.0, 0.6, 1), (95.0, 0.6, 4)]
+    failing = ring.run_state(init_state(spec.sim, *cells[1]), spec.sim)
+    assert failing.errors
+    assert np.isnan(failing.v).all(axis=1).argmax() > ring.BLOCK_SAMPLES
+    rows = run_chunk(spec, cells, tmp_path / "chunk")
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    for cell in cells:
+        run_chunk(spec, [cell], tmp_path / "alone")
+    names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
+    assert names == [f"cell_c{c}_p0.6_d{d}_{kind}.csv" for c, d in ((2, 40), (4, 95))
+                     for kind in ("trajectory", "violations")]
+    assert names == sorted(path.name for path in (tmp_path / "alone").iterdir())
+    for name in names:
+        assert (tmp_path / "chunk" / name).read_bytes() == (
+            tmp_path / "alone" / name).read_bytes()
+    assert "failed: non-finite desired acceleration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("save", [False, True])
+def test_chunk_memory_is_flat_in_the_horizon(tmp_path, save):
+    # the peak is a few blocks' buffers and rows, whatever the horizon
+    cells = [(15.0, 0.6, 3), (25.0, 0.4, 5)]
+    peaks = []
+    for duration in (50.0, 200.0):
+        spec = SweepSpec(sim=ring.SimConfig(duration=duration, warmup=0.0, record_every=1))
+        tracemalloc.start()
+        try:
+            rows = run_chunk(spec, cells, tmp_path / f"{duration:g}" if save else None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    # a stored x, v and a of the long run alone would take 40 * 2000 * 24 B
+    assert peaks[1] < 40 * 2000 * 24 / 4, peaks
+
+
+def test_block_length_changes_no_file(monkeypatch, tmp_path):
+    spec = small_spec(densities=(15.0, 25.0, 95.0), penetrations=(0.4,), combos=(5, 7),
+                      sim=ring.SimConfig(duration=20.0, warmup=8.0, record_every=3))
+    cells = enumerate_cells(spec)
+    runs = {}
+    for block in (1, 7, ring.BLOCK_SAMPLES):
+        monkeypatch.setattr(ring, "BLOCK_SAMPLES", block)
+        runs[block] = run_chunk(spec, cells, tmp_path / str(block))
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert len(names) == 2 * len(cells)
+    for block, rows in runs.items():
+        assert sorted(path.name for path in (tmp_path / str(block)).iterdir()) == names
+        for name in names:
+            assert (tmp_path / str(block) / name).read_bytes() == (
+                tmp_path / "1" / name).read_bytes()
+        for row, first in zip(rows, runs[1]):
+            assert row["status"] == first["status"] == "ok"
+            assert row["violations"] == first["violations"]
+            for key in METRICS_HEADER[4:-1]:
+                assert row[key] == pytest.approx(first[key], rel=SUM_RTOL, abs=0.0), key
+
+
 def test_run_sweep_sorted_and_reproducible(tmp_path):
     spec = small_spec()
     rows = run_sweep(spec)
@@ -217,10 +302,16 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys, densities, wo
     assert FakePool.sizes == workers
 
 
-def test_default_grid_chunks_as_under_a_fixed_1024_cap():
-    spec = SweepSpec()
-    cells = enumerate_cells(spec)
-    assert list(_chunks(spec, cells)) == list(_batches(cells, [d for d, _, _ in cells], 1024))
+def test_default_grid_chunks_under_a_4096_cap():
+    # 63000 vehicles: about 16 chunks of at most 4096, with one worker or two
+    for jobs in (1, 2):
+        spec = SweepSpec(jobs=jobs)
+        cells = enumerate_cells(spec)
+        sizes = [d for d, _, _ in cells]
+        assert _chunk_cap(spec, sum(sizes)) == CHUNK_VEHICLES == 4096
+        chunks = list(_chunks(spec, cells))
+        assert chunks == list(_batches(cells, sizes, 4096))
+        assert 16 <= len(chunks) <= 17
 
 
 CHUNK_SIMS = {
@@ -242,11 +333,8 @@ def test_chunks_keep_within_their_cap(densities, horizon, jobs):
     chunks = list(_chunks(spec, cells))
     assert [cell for chunk in chunks for cell in chunk] == cells
     assert all(sum(d for d, _, _ in chunk) <= cap for chunk in chunks)
-    assert cap <= CHUNK_VEHICLES
-    # below the floor only to give every worker a share
-    assert cap >= min(CHUNK_FLOOR, math.ceil(vehicles / jobs))
-    # above it only while the stored samples stay within the budget
-    assert cap <= CHUNK_FLOOR or cap * len(spec.sim.sample_steps) <= CHUNK_SAMPLES
+    # the horizon does not matter: samples stream through in blocks
+    assert cap == min(CHUNK_VEHICLES, math.ceil(vehicles / jobs))
 
 
 def test_small_short_sweep_gives_each_worker_a_chunk():
@@ -295,17 +383,15 @@ def test_diverging_cell_fails_alone(monkeypatch, capsys):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("budget, groups", [(None, 1), (400, 20)])
-def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups):
-    # five samples per vehicle; at 400 samples per group the 10, 15 and
-    # 20-vehicle rings of a combo share one group and the 95-vehicle ring
-    # (475 samples) is reduced alone
-    if budget is not None:
-        monkeypatch.setattr(experiments, "_REDUCE_SAMPLES", budget)
-    calls = []
+@pytest.mark.parametrize("block, calls", [(None, 1), (1, 5)])
+def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
+    # five samples per vehicle: one block at the default length, five at 1
+    if block is not None:
+        monkeypatch.setattr(ring, "BLOCK_SAMPLES", block)
+    sizes = []
     sample_rates = experiments.sample_rates
     monkeypatch.setattr(experiments, "sample_rates",
-                        lambda v, a: calls.append(v.size) or sample_rates(v, a))
+                        lambda v, a: sizes.append(v.size) or sample_rates(v, a))
     spec = SweepSpec(densities=(10.0, 15.0, 20.0, 95.0, 250.0), penetrations=(0.6,),
                      combos=tuple(range(1, 11)),
                      sim=ring.SimConfig(duration=20.0, warmup=10.0, record_every=20))
@@ -315,7 +401,7 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
         # densities on the 1 km ring are vehicle counts
         state = build_rings(config, fleets, combos, seeds)
         for fleet, combo, start in zip(fleets, combos, state.starts):
-            if (fleet.n_vehicles, combo) == (15, 4):  # dropped inside a group
+            if (fleet.n_vehicles, combo) == (15, 4):  # dropped
                 state.v[start + 2] = math.nan
             if fleet.n_vehicles == 95 and combo in (5, 7):  # logs violations
                 state.x[start + 2] = (state.x[start + 1] - 4.5) % config.ring_length
@@ -329,8 +415,9 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
             for row, (d, p, c) in zip(rows, cells) if d != 250.0]
     states = [state for _, state in kept]
     stacked = stack(states)
-    parts = list(ring.split_log(ring.run_state(stacked, spec.sim), stacked))
-    assert len(calls) == groups
+    parts = list(split_log(ring.run_state(stacked, spec.sim), stacked))
+    assert len(sizes) == calls  # one sample_rates pass per block
+    assert sum(sizes) == 5 * stacked.n
     assert [r["status"] for r in rows if r["density"] == 250.0] == ["error"] * 10
     assert sum(bool(part.errors) for part in parts) == 1
     assert sum(len(part.violations) for part in parts) > 0
@@ -340,10 +427,10 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, budget, groups
             continue
         fuel, emissions = reduce_log(part)
         assert row["status"] == "ok"
-        assert (row["mean_speed_mps"], row["mean_nfr"], row["nff_g_per_km"]) == (
-            fuel.mean_speed, fuel.mean_nfr, fuel.nff)
-        assert [row[f"{pol}_g_per_km"] for pol in POLLUTANTS] == [
-            emissions[pol] for pol in POLLUTANTS]
+        assert [row["mean_speed_mps"], row["mean_nfr"], row["nff_g_per_km"]] == pytest.approx(
+            [fuel.mean_speed, fuel.mean_nfr, fuel.nff], rel=SUM_RTOL, abs=0.0)
+        assert [row[f"{pol}_g_per_km"] for pol in POLLUTANTS] == pytest.approx(
+            [emissions[pol] for pol in POLLUTANTS], rel=SUM_RTOL, abs=0.0)
         assert row["violations"] == len(part.violations)
     capsys.readouterr()
 
