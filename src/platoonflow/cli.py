@@ -63,10 +63,15 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if action.nargs == 0:  # store_true flag
-            values[action.dest] = raw.lower() in ("1", "true", "yes")
-        else:
-            values[action.dest] = (action.type or str)(raw)
+        try:
+            if action.nargs != 0:
+                values[action.dest] = (action.type or str)(raw)
+            elif raw.lower() in ("1", "true", "yes", "0", "false", "no"):  # store_true flag
+                values[action.dest] = raw.lower() in ("1", "true", "yes")
+            else:
+                raise ValueError(f"expected true or false, got {raw!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

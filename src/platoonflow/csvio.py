@@ -4,9 +4,10 @@ Floats are serialized with 9 significant digits and rows carry no
 timestamps or environment state, so re-running a deterministic
 experiment reproduces files byte for byte. Every writer funnels through
 one routine that checks its own schema before touching the disk, except
-the trajectory rows: their schema is fixed, and ``append_trajectory``
-writes them with the same digits from a per-ring row template. A sweep
-appends each block of a run to a ring's file as it comes.
+the trajectory rows: their schema is fixed, and a sweep appends each
+block of a run to a ring's file as it comes, through ``append_trajectory``
+with the same digits from a per-ring row template; no writer takes a
+whole stored log.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ring import TrajectoryLog, Violation
+from .ring import Violation
 
-TRAJECTORY_HEADER = ("t", "vehicle_index", "x", "v", "a")
-TRAJECTORY_HEAD = ",".join(TRAJECTORY_HEADER) + "\n"
+TRAJECTORY_HEAD = "t,vehicle_index,x,v,a\n"
 _TRAJECTORY_BLOCK_ROWS = 1 << 14  # rows formatted per write; sets the writer's peak memory
 METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr",
                   "nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km",
@@ -69,29 +69,24 @@ def write_metrics_csv(rows: Sequence[dict], path: str | Path) -> Path:
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:
+    """Rows of a metrics table; a bad header or row is a ValueError naming its line."""
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = dict(rec)
-            row["combo"] = int(rec["combo"])
-            for key in rec:
-                if key in ("combo", "status"):
-                    continue
-                row[key] = float(rec[key])
+        reader = csv.reader(fh)
+        if (header := tuple(next(reader, ()))) != METRICS_HEADER:
+            raise ValueError(f"{path}:1: expected header {','.join(METRICS_HEADER)}, "
+                             f"got {','.join(header)!r}")
+        for rec in reader:
+            try:
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} fields, header has {len(header)}")
+                row = dict(zip(header, rec))
+                row.update((key, int(row[key]) if key == "combo" else float(row[key]))
+                           for key in header if key != "status")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             rows.append(row)
     return rows
-
-
-def write_trajectory_csv(log: TrajectoryLog, path: str | Path) -> Path:
-    """One row per (sample, vehicle) of a stored log, in that order."""
-    if np.any(np.diff(log.times) < 0.0):
-        raise ValueError("trajectory sample times are not non-decreasing")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(TRAJECTORY_HEAD)
-        append_trajectory(fh, log.times, log.x, log.v, log.a)
-    return path
 
 
 def append_trajectory(fh, times, x, v, a) -> None:

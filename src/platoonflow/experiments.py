@@ -76,6 +76,12 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} holds NaN: {axis}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"sweep axis {name} repeats a value: {axis}")
+        if bad := [d for d in self.densities if not 0.0 < d < math.inf]:
+            raise ValueError(f"sweep axis densities holds {bad[0]}; a density must be "
+                             "positive and finite")
+        if bad := [p for p in self.penetrations if not 0.0 <= p <= 1.0]:
+            raise ValueError(f"sweep axis penetrations holds {bad[0]}; a penetration must "
+                             "lie in [0, 1]")
         if unknown := [c for c in self.combos if c not in COMBOS]:
             raise ValueError(f"unknown strategy combo {unknown[0]}; valid combos are "
                              f"{', '.join(map(str, sorted(COMBOS)))}")
@@ -166,9 +172,10 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     stems = [] if save_dir is None else [
         Path(save_dir, f"cell_c{row['combo']}_p{_name_value(row['p'])}"
                        f"_d{_name_value(row['density'])}") for row in running]
-    for stem in stems:
-        stem.parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{stem}_trajectory.csv.partial").write_text(TRAJECTORY_HEAD)
+    partials = [Path(f"{stem}_trajectory.csv.partial") for stem in stems]
+    for partial in partials:
+        partial.parent.mkdir(parents=True, exist_ok=True)
+        partial.write_text(TRAJECTORY_HEAD)
     for block in ring.run_blocks(state, spec.sim):
         # a ring's sum depends on its own samples alone: its vehicles per
         # sample by reduceat, then its samples as one contiguous row
@@ -179,10 +186,10 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
             r = bisect_right(bounds, viol.vehicle) - 1
             violations[r].append(ring.Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
         errors.update(block.errors)
-        for r, stem in enumerate(stems):
+        for r, partial in enumerate(partials):
             if r not in errors:
                 cols = slice(bounds[r], bounds[r + 1])
-                with open(f"{stem}_trajectory.csv.partial", "a") as fh:
+                with open(partial, "a") as fh:
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
     for r, (row, fleet) in enumerate(zip(running, fleets)):
@@ -191,11 +198,11 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
         else:
             samples = len(spec.sim.sample_steps) * fleet.n_vehicles
             _set_metrics(row, sums[:, r] / samples, len(violations[r]))
-    for r, stem in enumerate(stems):
+    for r, (stem, partial) in enumerate(zip(stems, partials)):
         if r in errors:
-            Path(f"{stem}_trajectory.csv.partial").unlink()
+            partial.unlink()
         else:
-            Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
+            partial.replace(f"{stem}_trajectory.csv")
             write_violations_csv(violations[r], f"{stem}_violations.csv")
     return rows
 

@@ -24,7 +24,7 @@ ring's numbers are bit for bit those of a run alone.
 
 ``run_blocks``, the one step loop, yields the post-warmup samples in
 reused blocks, so a consumer that reduces or writes them as they come
-holds no whole-horizon log; ``run_state`` keeps them all in one log.
+holds no whole-horizon log.
 
 A ring whose desired acceleration goes non-finite fails alone: the loop
 sets its x, v and a to NaN and steps on. Every gather
@@ -369,13 +369,3 @@ def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
             violations.extend(Violation(t, int(i), float(gp)) for i, gp in zip(vi, vg))
     yield TrajectoryLog(ks[:row] * config.dt, xs[:row], vs[:row], accs[:row], violations, errors)
 
-
-def run_state(state: RingState, config: SimConfig) -> TrajectoryLog:
-    """The whole log of ``run_blocks``: every sample, violation and failure kept."""
-    blocks = [(b.times, b.x.copy(), b.v.copy(), b.a.copy(), b.violations, b.errors)
-              for b in run_blocks(state, config)]
-    times, x, v, a, violations, errors = zip(*blocks)
-    return TrajectoryLog(times=np.concatenate(times), x=np.concatenate(x),
-                         v=np.concatenate(v), a=np.concatenate(a),
-                         violations=[w for part in violations for w in part],
-                         errors={r: e for part in errors for r, e in part.items()})

@@ -44,8 +44,10 @@ class SimulationError(RuntimeError):
 
 
 # One cell on its own ring, the way the sweep builds and runs each of a
-# chunk's rings. The engine is looked up through its module at call time,
-# so a test that wraps ``ring.build_rings`` builds its states here too.
+# chunk's rings, and the whole log of a run, the reference the streamed
+# blocks are checked against. The engine is looked up through its module
+# at call time, so a test that wraps ``ring.build_rings`` or
+# ``ring.run_blocks`` runs its states here too.
 
 def init_state(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
     """Evenly spaced standstill start of one cell's ring."""
@@ -55,11 +57,21 @@ def init_state(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
 
 def run(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
     """Log of one cell's run; raises SimulationError if the ring fails."""
-    log = engine.run_state(init_state(config, density, p, combo_id, intensity, s_max, seed),
-                           config)
+    log = run_state(init_state(config, density, p, combo_id, intensity, s_max, seed), config)
     if log.errors:
         raise SimulationError(log.errors[0])
     return log
+
+
+def run_state(state, config):
+    """The whole log of ``ring.run_blocks``: every sample, violation and failure kept."""
+    blocks = [(b.times, b.x.copy(), b.v.copy(), b.a.copy(), b.violations, b.errors)
+              for b in engine.run_blocks(state, config)]
+    times, x, v, a, violations, errors = zip(*blocks)
+    return TrajectoryLog(times=np.concatenate(times), x=np.concatenate(x),
+                         v=np.concatenate(v), a=np.concatenate(a),
+                         violations=[w for part in violations for w in part],
+                         errors={r: e for part in errors for r, e in part.items()})
 
 
 def split_log(log, state):

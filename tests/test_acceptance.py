@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 import conftest
-from conftest import equilibrium_flow
+from conftest import equilibrium_flow, run_state
 
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, ControlContext,
                                      Strategy, ctg_accel, desired_spacing,
@@ -21,7 +21,7 @@ from platoonflow.experiments import (SweepSpec, _chunks, emit_plot_data, run_chu
                                      run_sweep, verify_probability_model,
                                      verify_stability)
 from platoonflow.fleet import class_probabilities
-from platoonflow.ring import SimConfig, run_state
+from platoonflow.ring import SimConfig
 from platoonflow.stability import (equilibrium_partials, string_stable,
                                    transfer_magnitude)
 

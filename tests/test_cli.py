@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from platoonflow.cli import _int_list, build_parser, main
-from platoonflow.csvio import read_metrics_csv
+from platoonflow.csvio import METRICS_HEADER, read_metrics_csv
 from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
                                      verify_stability)
 
@@ -55,7 +55,8 @@ def test_combo_ranges_expand(tmp_path, capsys):
     rows = read_metrics_csv(out / "metrics.csv")
     assert [r["combo"] for r in rows] == [1, 2, 3]
 
-    # an empty, repeating or NaN axis is an error, not an empty, doubled or NaN table
+    # an empty, repeating, NaN or out-of-range axis is an error, not an empty,
+    # doubled, NaN or all-error table
     for axes, message in ((["--combos", "10-1"], "range '10-1' runs backwards"),
                           (["--combos", "1,5-3"], "range '5-3' runs backwards"),
                           (["--combos", "1-x"], "--combos '1-x' is neither"),
@@ -67,6 +68,13 @@ def test_combo_ranges_expand(tmp_path, capsys):
                           (["--densities", "nan,nan", "--combos", "1"], "densities holds NaN"),
                           (["--penetrations", "nan", "--combos", "1"],
                            "penetrations holds NaN"),
+                          (["--penetrations", "1.5", "--combos", "1"], "sweep axis "
+                           "penetrations holds 1.5; a penetration must lie in [0, 1]"),
+                          (["--penetrations=-0.2", "--combos", "1"], "penetrations holds -0.2"),
+                          (["--densities=-5,0,inf", "--combos", "1"], "sweep axis densities "
+                           "holds -5.0; a density must be positive and finite"),
+                          (["--densities", "0", "--combos", "1"], "densities holds 0.0"),
+                          (["--densities", "15,inf", "--combos", "1"], "densities holds inf"),
                           # a combo id outside 1-10 fails before any cell runs
                           (["--combos", "11"], "unknown strategy combo 11; valid combos are "
                                                "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
@@ -98,6 +106,27 @@ def test_plot_data_missing_file(tmp_path, capsys):
                  "--outdir", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, code, message", [
+    pytest.param("", 1, "metrics.csv:1: expected header density,p,combo,", id="empty-file"),
+    pytest.param("density,p,status\n15,0.8,ok\n", 1, "got 'density,p,status'",
+                 id="no-combo-column"),
+    pytest.param(",".join(METRICS_HEADER) + "\n15,0.8,1\n", 1,
+                 "metrics.csv:2: 3 fields, header has 12", id="short-row"),
+    pytest.param(",".join(METRICS_HEADER) + "\n" + ",".join(["1"] * 13) + "\n", 1,
+                 "metrics.csv:2: 13 fields, header has 12", id="long-row"),
+    pytest.param(",".join(METRICS_HEADER) + "\n", 0, "metrics table is empty",
+                 id="header-only"),
+])
+def test_plot_data_malformed_metrics(tmp_path, capsys, text, code, message):
+    # a metrics file from outside the program is checked, not trusted
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(text)
+    assert main(["plot-data", "--metrics", str(metrics), "--outdir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1  # one line, no traceback
+    assert err.startswith("error: ") == (code == 1)
 
 
 def test_verify_prob_cmd(tmp_path, capsys):
@@ -226,13 +255,15 @@ def test_cli_defaults_are_the_library_defaults():
 
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# desk-size run\ndensities=55\nduration=60\nwarmup=30\n")
+    cfg.write_text("# desk-size run\ndensities=55\nduration=60\nwarmup=30\n"
+                   "save-trajectories=Yes\n")
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(cfg), "--penetrations", "1",
                  "--combos", "1", "--outdir", str(out)])
     assert code == 0
     rows = read_metrics_csv(out / "metrics.csv")
     assert [r["density"] for r in rows] == [55.0]
+    assert (out / "trajectories" / "cell_c1_p1_d55_trajectory.csv").exists()
 
     # an explicit flag wins over the config value; = form also accepted
     out2 = tmp_path / "out2"
@@ -253,6 +284,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
         code = main([verb, "--config", str(cfg), "--outdir", str(tmp_path)])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_file_bad_value(tmp_path, capsys):
+    # a value its option cannot convert names the file, the line and the key
+    cfg = tmp_path / "cfg.txt"
+    for text, message in (("jobs=abc\n", "1: jobs: invalid literal for int() with base 10: 'abc'"),
+                          ("# desk\n\ndensities=1,x\n",
+                           "3: densities: could not convert string to float: 'x'"),
+                          # a misspelled flag value is not read as false
+                          ("save-trajectories=ture\n",
+                           "1: save-trajectories: expected true or false, got 'ture'")):
+        cfg.write_text(text)
+        code = main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not (tmp_path / "bad").exists()
 
 
 def test_build_parser_lists_all_verbs():

@@ -8,11 +8,10 @@ import pytest
 from conftest import run
 
 from platoonflow import csvio
-from platoonflow.csvio import (METRICS_HEADER, format_value, write_csv,
-                               write_curves_csv, write_metrics_csv,
-                               write_region_csv, write_trajectory_csv,
-                               write_violations_csv)
-from platoonflow.ring import SimConfig, TrajectoryLog, Violation
+from platoonflow.csvio import (METRICS_HEADER, TRAJECTORY_HEAD, append_trajectory,
+                               format_value, write_csv, write_curves_csv, write_metrics_csv,
+                               write_region_csv, write_violations_csv)
+from platoonflow.ring import BLOCK_SAMPLES, SimConfig, TrajectoryLog, Violation
 
 
 def test_format_value():
@@ -65,14 +64,6 @@ def test_write_metrics_csv_header(tmp_path):
     assert lines[1].split(",")[3] == "ok"
 
 
-def test_trajectory_writer_header_and_rows(tmp_path):
-    log = run(SimConfig(duration=2.0, warmup=0.0, record_every=10), 10.0, 0.8, 5)
-    path = write_trajectory_csv(log, tmp_path / "traj.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,vehicle_index,x,v,a"
-    assert len(lines) == 1 + log.times.size * 10
-
-
 # printed in exponent notation, rounded across a power of ten at nine
 # digits, or at the ends of the float range
 _AWKWARD = (3.25e-5, -7.5e-7, 9.999999996e-5, -9.999999996e-5, 999999999.6, 1e16,
@@ -106,31 +97,34 @@ def test_trajectory_writer_matches_row_writer(tmp_path, monkeypatch, shape, bloc
     else:
         log = _awkward_log(*shape)
     monkeypatch.setattr(csvio, "_TRAJECTORY_BLOCK_ROWS", block_rows)
-    fast = write_trajectory_csv(log, tmp_path / "fast.csv")
+    fast = tmp_path / "fast.csv"
+    with open(fast, "w") as fh:  # as a sweep writes a ring's file
+        fh.write(TRAJECTORY_HEAD)
+        for lo in range(0, log.times.size, BLOCK_SAMPLES):
+            hi = lo + BLOCK_SAMPLES
+            append_trajectory(fh, log.times[lo:hi], log.x[lo:hi], log.v[lo:hi], log.a[lo:hi])
     rows = [(float(t), veh, float(log.x[i, veh]), float(log.v[i, veh]),
              float(log.a[i, veh]))
             for i, t in enumerate(log.times) for veh in range(log.x.shape[1])]
     ref = write_csv(tmp_path / "ref.csv", ("t", "vehicle_index", "x", "v", "a"), rows)
     assert fast.read_bytes() == ref.read_bytes()
 
-    log.times[3] = 0.0
-    with pytest.raises(ValueError, match="non-decreasing"):
-        write_trajectory_csv(log, tmp_path / "bad.csv")
 
-
-def test_trajectory_writer_memory_is_flat_in_the_samples(tmp_path):
-    # the peak is one block's rows, whatever the length of the log
+def test_trajectory_writer_memory_is_flat_in_the_rows(tmp_path, monkeypatch):
+    # the peak is one sub-block's rows, however many rows a block holds;
+    # a sub-block is never less than one sample, so n stays within the bound
+    monkeypatch.setattr(csvio, "_TRAJECTORY_BLOCK_ROWS", 1024)
     peaks = []
-    for m in (1000, 4000):
-        log = _awkward_log(m, 95)
-        tracemalloc.start()
-        try:
-            write_trajectory_csv(log, tmp_path / f"traj_{m}.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    for n in (100, 400):
+        log = _awkward_log(BLOCK_SAMPLES, n)
+        with open(tmp_path / f"traj_{n}.csv", "w") as fh:
+            tracemalloc.start()
+            try:
+                append_trajectory(fh, log.times, log.x, log.v, log.a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
-    assert peaks[1] < (tmp_path / "traj_4000.csv").stat().st_size / 4, peaks
 
 
 def test_violations_writer(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import init_state, reduce_log, split_log, stack
+from conftest import init_state, reduce_log, run_state, split_log, stack
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
@@ -109,7 +109,9 @@ def test_non_finite_spec_gives_error_row_not_abort(capsys):
 def test_run_cell_saves_trajectories(tmp_path):
     spec = SweepSpec(**DESK)
     run_chunk(spec, [(15.0, 0.8, 1)], tmp_path)
-    assert (tmp_path / "cell_c1_p0.8_d15_trajectory.csv").exists()
+    lines = (tmp_path / "cell_c1_p0.8_d15_trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,vehicle_index,x,v,a"
+    assert len(lines) == 1 + len(spec.sim.sample_steps) * 15  # 15 vehicles on 1 km
     assert (tmp_path / "cell_c1_p0.8_d15_violations.csv").exists()
 
 
@@ -166,7 +168,7 @@ def test_ring_that_fails_mid_run_leaves_no_file(monkeypatch, tmp_path, capsys):
         ctx.v > V_FAIL, np.nan, law(ctx, *args, **kwargs)))
     spec = SweepSpec(sim=ring.SimConfig(duration=20.0, warmup=0.0, record_every=1))
     cells = [(40.0, 0.6, 2), (40.0, 0.6, 1), (95.0, 0.6, 4)]
-    failing = ring.run_state(init_state(spec.sim, *cells[1]), spec.sim)
+    failing = run_state(init_state(spec.sim, *cells[1]), spec.sim)
     assert failing.errors
     assert np.isnan(failing.v).all(axis=1).argmax() > ring.BLOCK_SAMPLES
     rows = run_chunk(spec, cells, tmp_path / "chunk")
@@ -415,7 +417,7 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
             for row, (d, p, c) in zip(rows, cells) if d != 250.0]
     states = [state for _, state in kept]
     stacked = stack(states)
-    parts = list(split_log(ring.run_state(stacked, spec.sim), stacked))
+    parts = list(split_log(run_state(stacked, spec.sim), stacked))
     assert len(sizes) == calls  # one sample_rates pass per block
     assert sum(sizes) == 5 * stacked.n
     assert [r["status"] for r in rows if r["density"] == 250.0] == ["error"] * 10

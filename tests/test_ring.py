@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import (CLASSES, SimulationError, assign_strategies, equilibrium_flow,
                       form_platoons, init_state, reduce_log, reference_advance, run,
-                      split_log, stack, uniform_state)
+                      run_state, split_log, stack, uniform_state)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH,
                                      ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
 from platoonflow.platoons import COMBOS, STRATEGIES
-from platoonflow.ring import GAP_FLOOR, SimConfig, build_rings, cell_fleet, run_state
+from platoonflow.ring import GAP_FLOOR, SimConfig, build_rings, cell_fleet
 
 
 def hand_config(ring, **kw):
