@@ -64,6 +64,17 @@ def test_write_metrics_csv_header(tmp_path):
     assert lines[1].split(",")[3] == "ok"
 
 
+def test_trajectory_writer_header_and_rows(tmp_path):
+    log = run(SimConfig(duration=2.0, warmup=0.0, record_every=10), 10.0, 0.8, 5)
+    path = tmp_path / "traj.csv"
+    with open(path, "w") as fh:
+        fh.write(TRAJECTORY_HEAD)
+        append_trajectory(fh, log.times, log.x, log.v, log.a)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,vehicle_index,x,v,a"
+    assert len(lines) == 1 + log.times.size * 10
+
+
 # printed in exponent notation, rounded across a power of ten at nine
 # digits, or at the ends of the float range
 _AWKWARD = (3.25e-5, -7.5e-7, 9.999999996e-5, -9.999999996e-5, 999999999.6, 1e16,
