@@ -140,6 +140,7 @@ def _cmd_sweep(args) -> int:
                      combos=_int_list(args.combos), sim=sim, base_seed=args.seed,
                      jobs=args.jobs)
     outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)  # an unusable outdir fails before any cell runs
     save_dir = outdir / "trajectories" if args.save_trajectories else None
     rows = run_sweep(spec, save_dir=save_dir)
     path = write_metrics_csv(rows, outdir / "metrics.csv")

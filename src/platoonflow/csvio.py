@@ -69,8 +69,9 @@ def write_metrics_csv(rows: Sequence[dict], path: str | Path) -> Path:
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:
-    """Rows of a metrics table; a bad header or row is a ValueError naming its line."""
-    rows = []
+    """Rows of a metrics table; a bad header or row, or a repeated cell, is a
+    ValueError naming its line."""
+    rows, seen = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if (header := tuple(next(reader, ()))) != METRICS_HEADER:
@@ -83,6 +84,10 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
                 row = dict(zip(header, rec))
                 row.update((key, int(row[key]) if key == "combo" else float(row[key]))
                            for key in header if key != "status")
+                first = seen.setdefault((row["combo"], row["p"], row["density"]),
+                                        reader.line_num)
+                if first != reader.line_num:
+                    raise ValueError(f"repeats the density, p and combo of line {first}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             rows.append(row)

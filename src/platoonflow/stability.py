@@ -8,7 +8,9 @@ disturbance transfer function between consecutive vehicles
 
 whose magnitude must not exceed 1 at any frequency. With the
 feedforward weight k in [0, 1] that reduces to a single scalar margin
-evaluated at zero frequency.
+evaluated at zero frequency. The partials read the gains the
+controllers module holds as constants; only the CTG time gap h is an
+argument.
 
 The bidirectional model is nonlinear with rear coupling and is not
 covered. The constant-spacing law is evaluated on its
@@ -23,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .controllers import (CsGains, LinearGains, Strategy, Vtg1Params,
-                          Vtg2Params, H_FOLLOWER)
+from .controllers import (CS_Q1, CS_Q2, CS_Q3, H_FOLLOWER, K_E, K_FF, K_V, VTG1_C1,
+                          VTG1_MU, VTG2_D, VTG2_M, Strategy)
 
 CS_CAVEAT = "predecessor-coupled terms only; leader feedback treated as exogenous"
 
@@ -50,10 +52,6 @@ class StabilityResult:
 
 
 def equilibrium_partials(strategy: Strategy, v_e: float, *,
-                         gains: LinearGains = LinearGains(),
-                         vtg1: Vtg1Params = Vtg1Params(),
-                         vtg2: Vtg2Params = Vtg2Params(),
-                         cs: CsGains = CsGains(),
                          h: float = H_FOLLOWER) -> EquilibriumPartials:
     """Linearize one law at speed v_e.
 
@@ -62,21 +60,16 @@ def equilibrium_partials(strategy: Strategy, v_e: float, *,
     k_e * mu on g_dv and loses it from g_v.
     """
     if strategy is Strategy.CTG:
-        return EquilibriumPartials(-gains.k_e * h, gains.k_e, gains.k_v,
-                                   gains.k, v_e)
+        return EquilibriumPartials(-K_E * h, K_E, K_V, K_FF, v_e)
     if strategy is Strategy.VTG1:
-        return EquilibriumPartials(-gains.k_e * vtg1.c1, gains.k_e,
-                                   gains.k_e * vtg1.mu + gains.k_v,
-                                   gains.k, v_e)
+        return EquilibriumPartials(-K_E * VTG1_C1, K_E, K_E * VTG1_MU + K_V, K_FF, v_e)
     if strategy is Strategy.VTG2:
-        g_v = -gains.k_e * (vtg2.d / (2.0 * vtg2.m)) * np.exp(v_e / (2.0 * vtg2.m))
-        return EquilibriumPartials(float(g_v), gains.k_e, gains.k_v,
-                                   gains.k, v_e)
+        g_v = -K_E * (VTG2_D / (2.0 * VTG2_M)) * np.exp(v_e / (2.0 * VTG2_M))
+        return EquilibriumPartials(float(g_v), K_E, K_V, K_FF, v_e)
     if strategy is Strategy.CS:
-        scale = 1.0 / (1.0 + cs.q3)
-        return EquilibriumPartials(0.0, cs.q1 * cs.q2 * scale,
-                                   (cs.q1 + cs.q2) * scale, scale, v_e,
-                                   caveat=CS_CAVEAT)
+        scale = 1.0 / (1.0 + CS_Q3)
+        return EquilibriumPartials(0.0, CS_Q1 * CS_Q2 * scale, (CS_Q1 + CS_Q2) * scale,
+                                   scale, v_e, caveat=CS_CAVEAT)
     raise ValueError(f"string stability analysis does not cover {strategy}")
 
 
@@ -102,11 +95,11 @@ def string_stable(partials: EquilibriumPartials) -> StabilityResult:
                            k_in_range=k_ok, caveat=partials.caveat)
 
 
-def stability_region(strategy: Strategy, v_grid: Sequence[float] | np.ndarray,
-                     **kwargs) -> list[tuple[float, float, bool]]:
+def stability_region(strategy: Strategy,
+                     v_grid: Sequence[float] | np.ndarray) -> list[tuple[float, float, bool]]:
     """(v_e, margin, stable) rows over a speed grid."""
     rows = []
     for v_e in np.asarray(v_grid, dtype=float):
-        res = string_stable(equilibrium_partials(strategy, float(v_e), **kwargs))
+        res = string_stable(equilibrium_partials(strategy, float(v_e)))
         rows.append((float(v_e), res.margin, res.stable))
     return rows

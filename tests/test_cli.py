@@ -46,6 +46,18 @@ def test_sweep_writes_metrics(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
 
 
+def test_sweep_unusable_outdir_fails_before_any_cell(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["sweep", "--densities", "15,55", "--penetrations", "0.4,1",
+                 "--combos", "1-2", "--duration", "30", "--warmup", "0",
+                 "--outdir", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sweep:" not in err
+
+
 def test_combo_ranges_expand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--densities", "15", "--penetrations", "1",
@@ -118,6 +130,10 @@ def test_plot_data_missing_file(tmp_path, capsys):
                  "metrics.csv:2: 13 fields, header has 12", id="long-row"),
     pytest.param(",".join(METRICS_HEADER) + "\n", 0, "metrics table is empty",
                  id="header-only"),
+    pytest.param(",".join(METRICS_HEADER) + "\n" + "15,1,1,ok" + ",1" * 8 + "\n"
+                 + "15,1,1,ok" + ",2" * 8 + "\n", 1,
+                 "metrics.csv:3: repeats the density, p and combo of line 2",
+                 id="repeated-cell"),
 ])
 def test_plot_data_malformed_metrics(tmp_path, capsys, text, code, message):
     # a metrics file from outside the program is checked, not trusted

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from platoonflow.controllers import (H_FOLLOWER, H_LEADER, HV_PARAMS,
-                                     MIN_SPACING, SPEED_FLOOR, V_FREE,
-                                     VEHICLE_LENGTH, BdbmParams,
-                                     ControlContext, CsGains, LinearGains,
-                                     Strategy, Vtg1Params, Vtg2Params,
-                                     bdbm_accel, cs_accel, ctg_accel,
-                                     desired_spacing, equilibrium_gap,
+from platoonflow.controllers import (BS_A_MAX, BS_B_COMF, BS_LAMBDA, BS_T_GAP, CS_Q1,
+                                     CS_Q2, CS_Q3, CS_Q4, H_FOLLOWER, H_LEADER, K_E,
+                                     K_FF, K_V, MIN_SPACING, SPEED_FLOOR, V_FREE,
+                                     VEHICLE_LENGTH, VTG1_C1, VTG1_MU, VTG2_D, VTG2_M,
+                                     ControlContext, Strategy, bdbm_accel, cs_accel,
+                                     ctg_accel, desired_spacing, equilibrium_gap,
                                      hv_accel, vtg1_accel, vtg2_accel)
 
 
@@ -62,18 +61,11 @@ def equilibrium_context(strategy, v, h=H_FOLLOWER):
 
 
 def test_parameter_defaults():
-    cs = CsGains()
-    assert (cs.q1, cs.q2, cs.q3, cs.q4, cs.d_pair) == (0.4, 0.1, 0.9, 0.6, 0.0)
-    lin = LinearGains()
-    assert (lin.k_e, lin.k_v, lin.k) == (0.1, 0.98, 0.7)
-    v1 = Vtg1Params()
-    assert (v1.c1, v1.mu, v1.eta) == (0.6, 0.1, 0.3)
-    v2 = Vtg2Params()
-    assert (v2.d, v2.m) == (7.0, 8.83)
-    b = BdbmParams()
-    assert (b.v_free, b.t_gap, b.a_max, b.b_comf, b.d0, b.lam) == (
-        33.3, 2.5, 1.0, 2.0, 2.0, 0.5)
-    assert HV_PARAMS.lam == 0.0
+    assert (CS_Q1, CS_Q2, CS_Q3, CS_Q4) == (0.4, 0.1, 0.9, 0.6)
+    assert (K_E, K_V, K_FF) == (0.1, 0.98, 0.7)
+    assert (VTG1_C1, VTG1_MU) == (0.6, 0.1)
+    assert (VTG2_D, VTG2_M) == (7.0, 8.83)
+    assert (BS_T_GAP, BS_A_MAX, BS_B_COMF, BS_LAMBDA) == (2.5, 1.0, 2.0, 0.5)
     assert (V_FREE, VEHICLE_LENGTH, MIN_SPACING) == (33.3, 5.0, 2.0)
     assert (H_LEADER, H_FOLLOWER) == (1.1, 0.6)
 
@@ -84,9 +76,11 @@ def test_strategy_enum_round_trip():
 
 
 def test_vtg1_params_feasibility():
-    with pytest.raises(ValueError):
-        Vtg1Params(c1=0.2, eta=0.3)
-    Vtg1Params(c1=0.51, eta=0.3)  # just inside the bound
+    # the base gap must absorb an actuation lag eta even at the closest approach
+    eta = 0.3  # s
+    bound = 2.0 * eta - min(VTG1_MU, (VEHICLE_LENGTH + MIN_SPACING) / V_FREE)
+    assert VTG1_C1 > bound
+    assert not 0.2 > bound  # a base gap of 0.2 s would violate it
 
 
 def test_desired_spacing_examples():
@@ -338,8 +332,7 @@ def test_hv_is_bdbm_without_rear_coupling():
                              gap=rng.uniform(0.1, 120.0),
                              v_pred=rng.uniform(0.0, 33.3), a_pred=0.0,
                              follower_gap=rng.uniform(0.1, 120.0))
-        assert float(hv_accel(ctx)) == float(
-            bdbm_accel(ctx, BdbmParams(lam=0.0)))
+        assert float(hv_accel(ctx)) == float(bdbm_accel(ctx, lam=0.0))
 
 
 def test_hv_matches_idm_reference():
@@ -365,15 +358,14 @@ def test_bdbm_rear_coupling_monotone():
     # desired spacing, so acceleration falls as the weight increases.
     ctx_args = dict(v=15.0, gap=40.0, v_pred=15.0, a_pred=0.0,
                     follower_gap=45.0)
-    outs = [float(bdbm_accel(ControlContext(**ctx_args),
-                             BdbmParams(lam=lam)))
+    outs = [float(bdbm_accel(ControlContext(**ctx_args), lam=lam))
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(a > b for a, b in zip(outs, outs[1:]))
     # balanced rear gap makes the weight irrelevant
     ctx = ControlContext(v=15.0, gap=40.0, v_pred=15.0, a_pred=0.0,
                          follower_gap=40.0)
-    assert float(bdbm_accel(ctx, BdbmParams(lam=0.9))) == pytest.approx(
-        float(bdbm_accel(ctx, BdbmParams(lam=0.0))), abs=1e-12)
+    assert float(bdbm_accel(ctx, lam=0.9)) == pytest.approx(
+        float(bdbm_accel(ctx, lam=0.0)), abs=1e-12)
 
 
 def test_all_laws_finite_on_random_inputs():
