@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .csvio import (read_metrics_csv, write_class_curves_csv, write_curves_csv, write_fit_csv,
@@ -96,11 +97,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     # parsed with the other sweep values, so a bad range is an error like theirs
     sweep.add_argument("--combos", default=",".join(map(str, SweepSpec.combos)),
                        help="strategy combo ids, e.g. 1,4,7 or 1-10")
-    sweep.add_argument("--ring-length", type=float, default=SimConfig.ring_length)
-    sweep.add_argument("--dt", type=float, default=SimConfig.dt)
-    sweep.add_argument("--duration", type=float, default=SimConfig.duration)
-    sweep.add_argument("--warmup", type=float, default=SimConfig.warmup)
-    sweep.add_argument("--record-every", type=int, default=SimConfig.record_every)
+    for f in fields(SimConfig):  # the engine settings, one option each
+        sweep.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                           default=f.default)
     sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed)
     sweep.add_argument("--jobs", type=int, default=SweepSpec.jobs)
     sweep.add_argument("--save-trajectories", action="store_true")
@@ -133,14 +132,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _cmd_sweep(args) -> int:
-    sim = SimConfig(ring_length=args.ring_length, dt=args.dt, duration=args.duration,
-                    warmup=args.warmup, record_every=args.record_every)
+    sim = SimConfig(**{f.name: getattr(args, f.name) for f in fields(SimConfig)})
     spec = SweepSpec(densities=tuple(args.densities),
                      penetrations=tuple(args.penetrations),
                      combos=_int_list(args.combos), sim=sim, base_seed=args.seed,
                      jobs=args.jobs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)  # an unusable outdir fails before any cell runs
+    open(outdir / "metrics.csv", "a").close()  # so does its metrics file; "a" keeps its rows
     save_dir = outdir / "trajectories" if args.save_trajectories else None
     rows = run_sweep(spec, save_dir=save_dir)
     path = write_metrics_csv(rows, outdir / "metrics.csv")

@@ -81,7 +81,7 @@ VTG2_M = 8.83                          # speed constant, m/s
 
 # bidirectional model (BS); its jam clearance is MIN_SPACING, its free speed V_FREE
 BS_T_GAP = 2.5   # desired time gap, s
-BS_A_MAX = 1.0   # model acceleration, m/s^2 (not the actuator limit SimConfig.a_max)
+BS_A_MAX = 1.0   # model acceleration, m/s^2 (not the actuator limit ring.A_MAX)
 BS_B_COMF = 2.0  # comfortable deceleration, m/s^2
 BS_LAMBDA = 0.5  # bidirectional weight; 0 recovers the human model
 

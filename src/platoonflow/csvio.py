@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .energy import POLLUTANTS
 from .ring import Violation
 
 TRAJECTORY_HEAD = "t,vehicle_index,x,v,a\n"
 _TRAJECTORY_BLOCK_ROWS = 1 << 14  # rows formatted per write; sets the writer's peak memory
-METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr",
-                  "nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km",
-                  "pm_g_per_km", "violations")
+_PER_KM = ("nff_g_per_km", *(f"{pol}_g_per_km" for pol in POLLUTANTS))
+METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr", *_PER_KM,
+                  "violations")
 
 
 def format_value(value) -> str:
@@ -130,8 +131,7 @@ def write_region_csv(rows: Sequence[tuple[float, float, bool]],
 
 
 def write_curves_csv(rows: Sequence[dict], path: str | Path) -> Path:
-    header = ("v_mps", "nfr", "nff_g_per_km", "co2_g_per_km", "nox_g_per_km",
-              "voc_g_per_km", "pm_g_per_km")
+    header = ("v_mps", "nfr", *_PER_KM)
     table = [[r[k] for k in header] for r in rows]
     return write_csv(path, header, table, key_cols=(0,))
 

@@ -15,14 +15,15 @@ adds to each ring's rate sums, and a saved ring's rows are appended to
 its file. A ring's sums depend only on its own samples and the block
 length, not on what it is stacked with, so chunking changes no output
 byte. A ring that fails in the run (masked to NaN, see ``ring``) becomes
-an error row and leaves no file. ``--jobs`` spreads chunks over at most
-that many worker processes, and a progress line per chunk goes to stderr.
+an error row and leaves no file. ``--jobs`` and the CPU count cap the
+worker processes, and a progress line per chunk goes to stderr.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import sys
 import time
 from bisect import bisect_right
@@ -35,15 +36,13 @@ import numpy as np
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
 from .csvio import TRAJECTORY_HEAD, append_trajectory, write_csv, write_violations_csv
 from .energy import POLLUTANTS, sample_rates, summarize
-from .fleet import (FleetSpec, class_probabilities, draw_flags,
+from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
 from .platoons import COMBOS
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 from .stability import (equilibrium_partials, stability_region, string_stable)
 
-PLOT_METRICS = {"nff": "nff_g_per_km", "co2": "co2_g_per_km",
-                "nox": "nox_g_per_km", "voc": "voc_g_per_km",
-                "pm": "pm_g_per_km"}
+PLOT_METRICS = {"nff": "nff_g_per_km", **{pol: f"{pol}_g_per_km" for pol in POLLUTANTS}}
 PLOT_DENSITIES = (15.0, 55.0, 95.0)
 # (start, stop, step) of the default grids of the verification reports
 P_GRID = (0.01, 0.99, 0.01)  # penetrations of verify_probability_model
@@ -262,7 +261,7 @@ def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
     calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
-    workers = min(spec.jobs, len(chunks))  # a pool starts all its workers at once
+    workers = min(spec.jobs, len(chunks), os.cpu_count() or 1)  # a pool starts all at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _gather(pool.map(*calls), len(cells))
@@ -277,7 +276,7 @@ class ProbabilityVerification:
 
 def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              p_grid=None, intensities=(0.0, 1.0),
-                             s_max: int = 4, seed: int = 0) -> ProbabilityVerification:
+                             seed: int = 0) -> ProbabilityVerification:
     """Empirical class frequencies of sampled rings against the closed form."""
     if p_grid is None:
         p_grid = _grid(*P_GRID)
@@ -305,10 +304,10 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
             # runs * c / (runs * n) are the same correctly rounded quotient
             seeds = ([None] if intensity == 1.0
                      else [cell_seed(seed, intensity, p, r) for r in range(runs)])
-            flags = draw_flags(FleetSpec(n_vehicles, p, intensity, s_max), seeds)
+            flags = draw_flags(FleetSpec(n_vehicles, p, intensity), seeds)
             dist = empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * len(seeds),
-                                                     s_max))
-            model = class_probabilities(p, intensity, s_max)
+                                                     S_MAX))
+            model = class_probabilities(p, intensity, S_MAX)
             for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
                                ("LV2", dist.p_lv2, model.p_lv2),
                                ("PV", dist.p_pv, model.p_pv)):

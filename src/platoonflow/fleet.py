@@ -41,6 +41,7 @@ class VehicleClass(Enum):
 # role codes are positions in VehicleClass order
 _CLASSES = tuple(VehicleClass)
 _HV, _LV1, _LV2, _PV = (np.int8(i) for i in range(len(_CLASSES)))
+S_MAX = 4  # platoon size cap of every ring; role_codes takes any cap as an input
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class FleetSpec:
     n_vehicles: int
     p: float           # CAV penetration rate, 0..1
     intensity: float   # platoon intensity O, 0..1
-    s_max: int = 4     # platoon size cap
 
     def __post_init__(self) -> None:
         if self.n_vehicles < 1:
@@ -57,8 +57,6 @@ class FleetSpec:
             raise ValueError(f"penetration p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError(f"intensity must be in [0, 1], got {self.intensity}")
-        if self.s_max < 1:
-            raise ValueError(f"platoon size cap must be >= 1, got {self.s_max}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     return ClassProbabilities(p_lv1, p_lv2, p_pv, 1.0 - p)
 
 
-def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int = 4) -> np.ndarray:
+def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int) -> np.ndarray:
     """Platoon role codes of circular CAV/HV rings, in VehicleClass order.
 
     ``flags`` holds the rings' CAV flags back to back (True for a CAV)

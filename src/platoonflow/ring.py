@@ -12,8 +12,9 @@ and evaluates it with the exact function from the controllers module,
 so the engine cannot drift from the unit-tested formulas and no law
 computes a vehicle it does not drive.
 
-A ``SimConfig`` holds only the engine settings (ring length, time
-step, horizon, sampling, actuator limits); a cell's own values (density,
+A ``SimConfig`` holds the engine settings a run may vary (ring length,
+time step, horizon, sampling); the actuator limits, the speed cap and
+the platoon size cap are constants. A cell's own values (density,
 penetration, combo, fleet layout) are checked by ``cell_fleet``. One
 state can hold several independent rings: ``build_rings`` draws each
 ring's flags, then labels, wires and places all of them in one pass
@@ -31,8 +32,8 @@ sets its x, v and a to NaN and steps on. Every gather
 (predecessor, CS leader, BS rear gap) reads inside one ring, so the
 NaN cannot leave it and the other rings keep their bits.
 
-Positions stay in [0, ring_length) and speeds in [0, v_max], and
-``SimConfig`` keeps ``v_max * dt`` below the ring length. ``run_blocks``
+Positions stay in [0, ring_length) and speeds in [0, V_FREE], and
+``SimConfig`` keeps ``V_FREE * dt`` below the ring length. ``run_blocks``
 checks the start state, and each step keeps both ranges. So a
 difference of two positions lies in (-ring_length, ring_length) and a
 step moves a vehicle forward by less than one lap. Both wrap by one
@@ -52,10 +53,12 @@ import numpy as np
 
 from .controllers import (V_FREE, VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
-from .fleet import FleetSpec, draw_flags, role_codes, round_half_up
+from .fleet import S_MAX, FleetSpec, draw_flags, role_codes, round_half_up
 from .platoons import COMBOS, STRATEGIES, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
+A_MAX = 1.0   # actuator limit, m/s^2 (not the model's BS_A_MAX)
+A_MIN = -5.0  # actuator limit, m/s^2
 BLOCK_SAMPLES = 16  # per block of run_blocks; 1.5 MB of buffers at 4096 vehicles
 
 
@@ -68,12 +71,9 @@ class SimConfig:
     duration: float = 3600.0       # s
     warmup: float = 1800.0         # s discarded before sampling
     record_every: int = 10         # steps between samples
-    v_max: float = V_FREE          # m/s
-    a_max: float = 1.0             # m/s^2
-    a_min: float = -5.0            # m/s^2
 
     def __post_init__(self) -> None:
-        for name in ("ring_length", "dt", "duration", "warmup", "v_max", "a_max", "a_min"):
+        for name in ("ring_length", "dt", "duration", "warmup"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -82,10 +82,8 @@ class SimConfig:
         if not 0.0 <= self.warmup < self.duration:
             raise ValueError(f"warmup {self.warmup} outside [0, duration {self.duration}), "
                              "so no sample would be recorded")
-        if self.v_max <= 0 or self.a_max <= 0 or self.a_min >= 0:
-            raise ValueError("need v_max > 0, a_max > 0, a_min < 0")
-        if self.v_max * self.dt >= self.ring_length:
-            raise ValueError(f"one step at v_max {self.v_max} m/s over dt {self.dt} s "
+        if V_FREE * self.dt >= self.ring_length:
+            raise ValueError(f"one step at v_max {V_FREE} m/s over dt {self.dt} s "
                              f"covers the whole ring of {self.ring_length} m")
         if not isinstance(self.record_every, Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be a whole number >= 1, "
@@ -200,7 +198,7 @@ def _build_table(state: RingState) -> _VehicleTable:
 
 
 def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
-               intensity: float = 1.0, s_max: int = 4) -> FleetSpec:
+               intensity: float = 1.0) -> FleetSpec:
     """The fleet of one cell's ring, after checking the cell's values.
 
     ``density`` is in veh/km and ``p`` is the CAV penetration. Raises
@@ -220,7 +218,7 @@ def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
     if spacing < VEHICLE_LENGTH:
         raise ValueError(f"density {density} needs spacing {spacing:.2f} m "
                          f"< vehicle length {VEHICLE_LENGTH} m")
-    return FleetSpec(n, p, intensity, s_max)
+    return FleetSpec(n, p, intensity)
 
 
 def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Sequence[int],
@@ -229,17 +227,13 @@ def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Seque
 
     Each ring has a fleet from ``cell_fleet``, a combo and a seed, which
     draws its layout below full intensity and is not read at 1. The
-    rings share one platoon size cap; their flags are labeled and wired
-    in one pass.
+    rings' flags are labeled and wired in one pass.
     """
-    caps = {fleet.s_max for fleet in fleets}
-    if len(caps) != 1:
-        raise ValueError(f"need rings with one platoon size cap, got {sorted(caps)}")
     sizes = np.array([fleet.n_vehicles for fleet in fleets])
     starts = np.cumsum(sizes) - sizes
     flags = np.concatenate([draw_flags(fleet, [seed]) for fleet, seed in zip(fleets, seeds)],
                            axis=None)
-    strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, *caps), sizes,
+    strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes,
                                            [COMBOS[c] for c in combo_ids])
     k = np.arange(flags.size) - np.repeat(starts, sizes)  # index in the ring
     x = (-np.repeat(config.ring_length / sizes, sizes) * k) % config.ring_length
@@ -305,9 +299,9 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
                          f"v={float(v[i])!r} gap={float(gap_c[i])!r} v_pred={float(v[j])!r} "
                          f"a_pred={float(a[j])!r}")
 
-    a_cmd = u.clip(config.a_min, config.a_max, out=u)
+    a_cmd = u.clip(A_MIN, A_MAX, out=u)
     v_new = v + a_cmd * config.dt
-    v_new.clip(0.0, config.v_max, out=v_new)
+    v_new.clip(0.0, V_FREE, out=v_new)
     x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
     return x_new, v_new, a_eff, viol, gap[viol], failed
@@ -321,11 +315,11 @@ def _check_start(state: RingState, config: SimConfig) -> None:
         i = int(off[0])
         raise ValueError(f"position {float(state.x[i])!r} of vehicle {i} is outside "
                          f"[0, ring_length {ring})")
-    off = np.flatnonzero((state.v < 0.0) | (state.v > config.v_max))
+    off = np.flatnonzero((state.v < 0.0) | (state.v > V_FREE))
     if off.size:
         i = int(off[0])
         raise ValueError(f"speed {float(state.v[i])!r} of vehicle {i} is outside "
-                         f"[0, v_max {config.v_max}]")
+                         f"[0, v_max {V_FREE}]")
 
 
 def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
@@ -338,7 +332,7 @@ def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
     at that step: its message goes to ``errors``, its violations of that
     step are dropped and its state turns NaN, while the other rings step
     on unchanged. Every position must lie in [0, ring_length) and every
-    speed in [0, v_max] (a NaN speed fails at the step instead).
+    speed in [0, V_FREE] (a NaN speed fails at the step instead).
     """
     _check_start(state, config)
     sampled = config.sample_steps

@@ -24,8 +24,8 @@ def pytest_terminal_summary(terminalreporter):
 from dataclasses import dataclass
 
 from platoonflow import ring as engine
-from platoonflow.controllers import (H_FOLLOWER, H_LEADER, VEHICLE_LENGTH, ControlContext,
-                                     Strategy, equilibrium_gap)
+from platoonflow.controllers import (H_FOLLOWER, H_LEADER, V_FREE, VEHICLE_LENGTH,
+                                     ControlContext, Strategy, equilibrium_gap)
 from platoonflow.energy import sample_rates, summarize
 from platoonflow.fleet import VehicleClass
 from platoonflow.platoons import STRATEGIES
@@ -49,15 +49,15 @@ class SimulationError(RuntimeError):
 # at call time, so a test that wraps ``ring.build_rings`` or
 # ``ring.run_blocks`` runs its states here too.
 
-def init_state(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
+def init_state(config, density, p, combo_id, intensity=1.0, seed=None):
     """Evenly spaced standstill start of one cell's ring."""
-    fleet = engine.cell_fleet(config, density, p, combo_id, intensity, s_max)
+    fleet = engine.cell_fleet(config, density, p, combo_id, intensity)
     return engine.build_rings(config, [fleet], [combo_id], [seed])
 
 
-def run(config, density, p, combo_id, intensity=1.0, s_max=4, seed=None):
+def run(config, density, p, combo_id, intensity=1.0, seed=None):
     """Log of one cell's run; raises SimulationError if the ring fails."""
-    log = run_state(init_state(config, density, p, combo_id, intensity, s_max, seed), config)
+    log = run_state(init_state(config, density, p, combo_id, intensity, seed), config)
     if log.errors:
         raise SimulationError(log.errors[0])
     return log
@@ -282,8 +282,8 @@ def reference_advance(x, v, a, config, table):
             f"non-finite desired acceleration for vehicle {i - first}: "
             f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} a_pred={a[j]!r}")
 
-    a_cmd = np.clip(u, config.a_min, config.a_max)
-    v_new = np.clip(v + a_cmd * config.dt, 0.0, config.v_max)
+    a_cmd = np.clip(u, engine.A_MIN, engine.A_MAX)
+    v_new = np.clip(v + a_cmd * config.dt, 0.0, V_FREE)
     x_new = (x + 0.5 * (v + v_new) * config.dt) % ring
     a_eff = (v_new - v) / config.dt
     return x_new, v_new, a_eff, viol, gap[viol]

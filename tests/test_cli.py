@@ -1,6 +1,7 @@
 """Command-line entry points and the flat config-file loader."""
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from platoonflow.cli import _int_list, build_parser, main
 from platoonflow.csvio import METRICS_HEADER, read_metrics_csv
 from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
                                      verify_stability)
+from platoonflow.ring import SimConfig
 
 
 def test_sweep_writes_metrics(tmp_path, capsys):
@@ -52,6 +54,18 @@ def test_sweep_unusable_outdir_fails_before_any_cell(tmp_path, capsys):
     code = main(["sweep", "--densities", "15,55", "--penetrations", "0.4,1",
                  "--combos", "1-2", "--duration", "30", "--warmup", "0",
                  "--outdir", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sweep:" not in err
+
+
+def test_sweep_unwritable_metrics_fails_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    code = main(["sweep", "--densities", "15,55", "--penetrations", "0.4,1",
+                 "--combos", "1-2", "--duration", "30", "--warmup", "0",
+                 "--outdir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -267,6 +281,13 @@ def test_cli_defaults_are_the_library_defaults():
     sweep = subs["sweep"].parse_args([])
     assert sweep.jobs == SweepSpec.jobs
     assert _int_list(sweep.combos) == SweepSpec.combos
+    # the engine options are the SimConfig fields, with their defaults
+    engine = {name: value for name, value in vars(sweep).items()
+              if name not in ("config", "outdir", "densities", "penetrations", "combos",
+                              "seed", "jobs", "save_trajectories")}
+    assert engine == {f.name: f.default for f in fields(SimConfig)}
+    assert [type(value) for value in engine.values()] == [type(f.default)
+                                                          for f in fields(SimConfig)]
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -297,9 +297,22 @@ class FakePool:
 def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys, densities, workers):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # the chunks bind
     spec = small_spec(densities=densities, penetrations=(1.0,), combos=(1,))
     serial = run_sweep(spec)
     assert FakePool.sizes == []
+    assert run_sweep(dataclasses.replace(spec, jobs=500)) == serial
+    assert FakePool.sizes == workers
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
+def test_pool_has_no_more_workers_than_cpus(monkeypatch, capsys, cpus, workers):
+    # 3 chunks and 500 jobs: the CPU count binds; an unknown count means one
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(1.0,), combos=(1,))
+    serial = run_sweep(spec)
     assert run_sweep(dataclasses.replace(spec, jobs=500)) == serial
     assert FakePool.sizes == workers
 

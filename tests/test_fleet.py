@@ -26,10 +26,9 @@ def labels_of(is_cav, s_max):
     return [CLASSES[c] for c in role_codes(np.array(is_cav, dtype=bool), [len(is_cav)], s_max)]
 
 
-def draw_labels(spec, seed):
+def draw_labels(spec, seed, s_max=4):
     """One ring drawn by draw_flags and labeled by role_codes."""
-    return [CLASSES[c] for c in role_codes(draw_flags(spec, [seed]), [spec.n_vehicles],
-                                           spec.s_max)]
+    return [CLASSES[c] for c in role_codes(draw_flags(spec, [seed]), [spec.n_vehicles], s_max)]
 
 
 def reference_label_roles(is_cav, s_max):
@@ -195,7 +194,7 @@ def test_class_probabilities_match_naive_oracle():
 def test_class_probabilities_monte_carlo():
     # Long random sequences at a point verified by hand; frequencies of
     # each role must approach the closed-form shares.
-    spec = FleetSpec(n_vehicles=5000, p=0.5, intensity=0.0, s_max=4)
+    spec = FleetSpec(n_vehicles=5000, p=0.5, intensity=0.0)
     emp = empirical_distribution(role_codes(draw_flags(spec, range(200)), [5000] * 200, 4))
     probs = class_probabilities(0.5, 0.0, 4)
     assert emp.p_lv1 == pytest.approx(probs.p_lv1, abs=0.005)
@@ -234,7 +233,7 @@ def test_generate_sequence_block_layout():
     # Full clustering is deterministic: HV block then the CAV block in
     # platoon chunks. The chunk behind the last HV starts with a leader
     # that follows an HV, the later chunk heads follow CAVs.
-    spec = FleetSpec(n_vehicles=10, p=0.8, intensity=1.0, s_max=4)
+    spec = FleetSpec(n_vehicles=10, p=0.8, intensity=1.0)
     seq = draw_labels(spec, seed=0)
     assert seq == [HV, HV, LV1, PV, PV, PV, LV2, PV, PV, PV]
     # Seed is irrelevant at full intensity.
@@ -242,12 +241,12 @@ def test_generate_sequence_block_layout():
 
 
 def test_generate_sequence_all_hv():
-    spec = FleetSpec(n_vehicles=5, p=0.0, intensity=0.0, s_max=4)
+    spec = FleetSpec(n_vehicles=5, p=0.0, intensity=0.0)
     assert draw_labels(spec, seed=3) == [HV] * 5
 
 
 def test_generate_sequence_seeding():
-    spec = FleetSpec(n_vehicles=400, p=0.5, intensity=0.3, s_max=4)
+    spec = FleetSpec(n_vehicles=400, p=0.5, intensity=0.3)
     a = draw_labels(spec, seed=5)
     b = draw_labels(spec, seed=5)
     c = draw_labels(spec, seed=6)
@@ -260,8 +259,7 @@ def test_generate_sequence_cav_count_tracks_p():
     # so average over many sequences instead of trusting a single one.
     for p in (0.2, 0.5, 0.8):
         for intensity in (0.0, 0.5, 0.9):
-            spec = FleetSpec(n_vehicles=1000, p=p, intensity=intensity,
-                             s_max=4)
+            spec = FleetSpec(n_vehicles=1000, p=p, intensity=intensity)
             total = 0
             for seed in range(50):
                 seq = draw_labels(spec, seed=seed)
@@ -326,11 +324,11 @@ def test_generate_sequence_adjacency_invariants():
     rng = random.Random(29)
     for _ in range(100):
         spec = FleetSpec(n_vehicles=rng.randint(2, 60),
-                         p=rng.random(), intensity=rng.random(),
-                         s_max=rng.randint(1, 6))
-        seq = draw_labels(spec, seed=rng.randint(0, 10 ** 6))
+                         p=rng.random(), intensity=rng.random())
+        s_max = rng.randint(1, 6)
+        seq = draw_labels(spec, seed=rng.randint(0, 10 ** 6), s_max=s_max)
         if any(c is not HV for c in seq):
-            _check_adjacency(seq, spec.s_max)
+            _check_adjacency(seq, s_max)
 
 
 def test_empirical_distribution_counts():
@@ -350,7 +348,7 @@ def test_empirical_distribution_empty_raises():
 
 
 def test_empirical_block_layout_frequencies():
-    spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
+    spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0)
     emp = empirical_distribution(role_codes(draw_flags(spec, [0]), [100], 4))
     assert emp.p_lv1 == pytest.approx(0.01, abs=1e-12)
     assert emp.p_lv2 == pytest.approx(0.19, abs=1e-12)
@@ -390,7 +388,7 @@ def test_monte_carlo_error_shrinks_with_samples():
     probs = class_probabilities(0.5, 0.0, 4)
 
     def l2_error(n_seqs, base_seed):
-        spec = FleetSpec(n_vehicles=100, p=0.5, intensity=0.0, s_max=4)
+        spec = FleetSpec(n_vehicles=100, p=0.5, intensity=0.0)
         seeds = range(base_seed, base_seed + n_seqs)
         emp = empirical_distribution(role_codes(draw_flags(spec, seeds), [100] * n_seqs, 4))
         return math.sqrt((emp.p_lv1 - probs.p_lv1) ** 2
@@ -436,7 +434,7 @@ def test_role_codes_match_per_vehicle_loop(case):
 def test_role_codes_rejects_sizes_that_do_not_split_the_flags():
     for sizes in ([3, 3], [2, 2], [5, 0], [], [[5]]):
         with pytest.raises(ValueError, match="do not split 5 vehicles"):
-            role_codes(np.ones(5, dtype=bool), sizes)
+            role_codes(np.ones(5, dtype=bool), sizes, 4)
     with pytest.raises(ValueError, match="size cap"):
         role_codes(np.ones(5, dtype=bool), [5], 0)
 
@@ -447,7 +445,7 @@ def test_draw_flags_matches_scalar_walk(intensity):
     assert 1.0 - (1.0 - 0.1) < 0.1
     seeds = [*range(30), cell_seed(7, intensity, 0.5, 3)]
     for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
-        spec = FleetSpec(50, p, intensity, 4)
+        spec = FleetSpec(50, p, intensity)
         flags = draw_flags(spec, seeds)
         assert flags.dtype == bool and flags.shape == (len(seeds), 50)
         for row, seed in zip(flags.tolist(), seeds):
@@ -531,7 +529,7 @@ def test_verify_probability_model_matches_reference_path():
         emp = {"LV1": [], "LV2": [], "PV": []}
         theo = {"LV1": [], "LV2": [], "PV": []}
         for p in p_grid:
-            spec = FleetSpec(37, p, intensity, 4)
+            spec = FleetSpec(37, p, intensity)
             dist = reference_distribution(
                 [reference_label_roles(reference_flags(spec, cell_seed(5, intensity, p, r)), 4)
                  for r in range(15)])

@@ -80,7 +80,7 @@ def test_form_platoons_wraparound():
 
 
 def test_form_platoons_block_fleet():
-    spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0, s_max=4)
+    spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0)
     labels = [CLASSES[c] for c in role_codes(draw_flags(spec, [0]), [100], 4)]
     platoons = form_platoons(labels)
     assert len(platoons) == 20
