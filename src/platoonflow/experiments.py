@@ -7,16 +7,29 @@ stable hash, and a cell that fails on its own values becomes a status
 row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-The sweep cuts the cells, in order, into chunks of up to CHUNK_VEHICLES
-vehicles (fewer where a ``--jobs`` share of the sweep is smaller) and
-steps each chunk's rings together in one engine run. Its samples come in
-blocks (``ring.run_blocks``): one ``energy.sample_rates`` pass per block
-adds to each ring's rate sums, and a saved ring's rows are appended to
-its file. A ring's sums depend only on its own samples and the block
-length, not on what it is stacked with, so chunking changes no output
-byte. A ring that fails in the run (masked to NaN, see ``ring``) becomes
-an error row and leaves no file. ``--jobs`` and the CPU count cap the
-worker processes, and a progress line per chunk goes to stderr.
+The sweep cuts the cells it steps (see below), in order, into chunks of
+up to CHUNK_VEHICLES vehicles (fewer where a ``--jobs`` share of the
+sweep is smaller) and steps each chunk's rings together in one engine
+run. Its samples come in blocks (``ring.run_blocks``): one
+``energy.sample_rates`` pass per block adds to each ring's rate sums,
+and a saved ring's rows are appended to its file. A ring's sums depend
+only on its own samples and the block length, not on what it is stacked
+with, so chunking changes no output byte. A ring that fails in the run
+(masked to NaN, see ``ring``) becomes an error row and leaves no file.
+``--jobs`` and the CPU count cap the worker processes, and a progress
+line per chunk goes to stderr.
+
+A sweep steps each distinct ring once. Two cells with the same
+``ring.ring_key`` get the same columns from ``build_rings``, and a
+ring's numbers do not depend on its chunk, so only the first such cell
+is stepped; each later one gets that cell's row under its own labels,
+its own failure line if the ring failed, and its own copies of the
+saved files. On the default grid, 1014 of the 1200 cells are distinct
+rings, holding 53,520 of its 63,000 vehicles: the 200 cells at p 0 are
+20 all-human rings, and six cells at 5 veh/km and p 0.2 repeat a
+one-CAV ring that only its leader law tells apart. The benchmark's
+``grid_short`` has that grid's shape and share; its ``traj_dump`` (95
+veh/km, p 1, combos 1 and 7) holds no two cells with the same ring.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import shutil
 import sys
 import time
 from bisect import bisect_right
@@ -142,6 +156,12 @@ def _name_value(value: float) -> str:
     return short if float(short) == value else repr(float(value))
 
 
+def _stem(save_dir: str | Path, row: dict) -> Path:
+    """Path of a saved cell's files, less their ``_<kind>.csv`` ending."""
+    return Path(save_dir, f"cell_c{row['combo']}_p{_name_value(row['p'])}"
+                          f"_d{_name_value(row['density'])}")
+
+
 def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
               save_dir: str | Path | None = None) -> list[dict]:
     """Simulate cells together in one engine run; one metrics row per cell.
@@ -150,17 +170,24 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     block by block; when the run ends, a failed ring's file is removed and
     the others are renamed and get their violations file.
     """
+    return _step_chunk(spec, cells, save_dir)[0]
+
+
+def _step_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
+                save_dir: str | Path | None) -> tuple[list[dict], dict[int, str]]:
+    """``run_chunk``'s rows, and cell index -> why its ring failed in the run."""
     rows = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
-    running, fleets = [], []
-    for row in rows:
+    fleets, cell_of = [], []  # each ring's fleet and cell index
+    for i, row in enumerate(rows):
         try:
             fleets.append(ring.cell_fleet(spec.sim, row["density"], row["p"], row["combo"]))
         except ValueError as exc:
             _fail(row, exc)
             continue
-        running.append(row)
-    if not running:
-        return rows
+        cell_of.append(i)
+    if not fleets:
+        return rows, {}
+    running = [rows[i] for i in cell_of]
     seeds = [cell_seed(spec.base_seed, row["density"], row["p"], row["combo"])
              for row in running]
     state = ring.build_rings(spec.sim, fleets, [row["combo"] for row in running], seeds)
@@ -168,9 +195,7 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
     sums = np.zeros((2 + len(POLLUTANTS), len(running)))
     violations: list[list[ring.Violation]] = [[] for _ in running]
     errors: dict[int, str] = {}
-    stems = [] if save_dir is None else [
-        Path(save_dir, f"cell_c{row['combo']}_p{_name_value(row['p'])}"
-                       f"_d{_name_value(row['density'])}") for row in running]
+    stems = [] if save_dir is None else [_stem(save_dir, row) for row in running]
     partials = [Path(f"{stem}_trajectory.csv.partial") for stem in stems]
     for partial in partials:
         partial.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +228,7 @@ def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
         else:
             partial.replace(f"{stem}_trajectory.csv")
             write_violations_csv(violations[r], f"{stem}_violations.csv")
-    return rows
+    return rows, {cell_of[r]: reason for r, reason in errors.items()}
 
 
 def _batches(items: list, sizes: list[float], cap: float):
@@ -243,29 +268,97 @@ def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     return _batches(cells, sizes, _chunk_cap(spec, sum(sizes)))
 
 
-def _gather(results, total: int) -> list[dict]:
-    """Rows of finished chunks, with a progress line per chunk on stderr."""
-    rows: list[dict] = []
+def _ring_of(spec: SweepSpec, cell: tuple[float, float, int]) -> tuple | None:
+    """``ring.ring_key`` of a cell's ring, or None for a cell no ring can hold."""
+    density, p, combo = cell
+    try:
+        fleet = ring.cell_fleet(spec.sim, density, p, combo)
+    except ValueError:
+        return None
+    return ring.ring_key(fleet, combo, cell_seed(spec.base_seed, density, p, combo))
+
+
+def _distinct(spec: SweepSpec, cells: list[tuple[float, float, int]]):
+    """Indices of the cells to step, and stepped cell -> the later cells with its ring.
+
+    A cell no ring can hold is stepped: its chunk makes its error row.
+    """
+    first: dict[tuple, int] = {}
+    stepped: list[int] = []
+    copies: dict[int, list[int]] = {}
+    for i, cell in enumerate(cells):
+        key = _ring_of(spec, cell)
+        j = i if key is None else first.setdefault(key, i)
+        if j == i:
+            stepped.append(i)
+        else:
+            copies.setdefault(j, []).append(i)
+    return stepped, copies
+
+
+def _copy_cell(row: dict, cell: tuple[float, float, int], reason: str | None,
+               save_dir: str | Path | None) -> dict:
+    """Row of ``cell`` from ``row``, that of a stepped cell with the same ring.
+
+    A failed ring gives the copy its own error line and no file; else,
+    with ``save_dir``, the copy gets its own copies of the stepped cell's
+    files, the trajectory by way of a ``.partial`` file as ``run_chunk``
+    writes it.
+    """
+    density, p, combo = cell
+    copy = {**row, "combo": combo, "p": p, "density": density}
+    if reason is not None:
+        _fail(copy, reason)
+    elif save_dir is not None:
+        source, stem = _stem(save_dir, row), _stem(save_dir, copy)
+        partial = Path(f"{stem}_trajectory.csv.partial")
+        shutil.copyfile(f"{source}_trajectory.csv", partial)
+        partial.replace(f"{stem}_trajectory.csv")
+        shutil.copyfile(f"{source}_violations.csv", f"{stem}_violations.csv")
+    return copy
+
+
+def _gather(results, cells: list[tuple[float, float, int]], stepped: list[int],
+            copies: dict[int, list[int]], save_dir: str | Path | None) -> list[dict]:
+    """Rows of all cells from the chunks of the ``stepped`` cells, in order.
+
+    As a chunk returns, each of its rows also makes the rows of its
+    cell's copies, and a progress line counting both goes to stderr.
+    """
+    rows: list = [None] * len(cells)
+    done = 0
+    todo = iter(stepped)
     start = time.perf_counter()
-    for chunk_rows in results:
-        rows.extend(chunk_rows)
+    for chunk_rows, reasons in results:
+        for k, row in enumerate(chunk_rows):
+            i = next(todo)
+            rows[i] = row
+            for j in copies.get(i, ()):
+                rows[j] = _copy_cell(row, cells[j], reasons.get(k), save_dir)
+            done += 1 + len(copies.get(i, ()))
         elapsed = time.perf_counter() - start
-        eta = elapsed * (total - len(rows)) / len(rows)
-        print(f"sweep: {len(rows)}/{total} cells, {elapsed:.1f} s elapsed, "
+        eta = elapsed * (len(cells) - done) / done
+        print(f"sweep: {done}/{len(cells)} cells, {elapsed:.1f} s elapsed, "
               f"ETA {eta:.1f} s", file=sys.stderr)
     return rows
 
 
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:
-    """All cells of the grid, rows in ``enumerate_cells`` order."""
+    """All cells of the grid, rows in ``enumerate_cells`` order.
+
+    Cells with the same ring (equal ``ring.ring_key``) step once: the
+    first of them runs in a chunk, and each later one gets that row under
+    its own labels and, with ``save_dir``, copies of its files.
+    """
     cells = enumerate_cells(spec)
-    chunks = list(_chunks(spec, cells))
-    calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
+    stepped, copies = _distinct(spec, cells)
+    chunks = list(_chunks(spec, [cells[i] for i in stepped]))
+    calls = (_step_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
     workers = min(spec.jobs, len(chunks), os.cpu_count() or 1)  # a pool starts all at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _gather(pool.map(*calls), len(cells))
-    return _gather(map(*calls), len(cells))
+            return _gather(pool.map(*calls), cells, stepped, copies, save_dir)
+    return _gather(map(*calls), cells, stepped, copies, save_dir)
 
 
 @dataclass(frozen=True)

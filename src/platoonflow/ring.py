@@ -5,12 +5,17 @@ previous step, then positions and speeds advance together under a
 clamped Euler rule. A state carries each vehicle's control wiring as
 columns (strategy code, CTG time gap, platoon leader and hops, rear-gap
 source), built from the fleet's role codes by ``platoons.wire``. Once
-per run they become a vehicle table with the predecessors and, for
-each strategy present, its members and the wiring they read. Every step
-gathers one small ControlContext per strategy from its members alone
-and evaluates it with the exact function from the controllers module,
-so the engine cannot drift from the unit-tested formulas and no law
-computes a vehicle it does not drive.
+per run they become a vehicle table in kernel order: the vehicles
+sorted by strategy code, stably, so each law drives one contiguous
+slice, in state order within it. Every step gathers the predecessors'
+position, speed and acceleration once for all vehicles; each law then
+reads and writes its own slice, gathers only the wiring it alone reads
+(CS leader, BS rear gap), and is evaluated by the exact function from
+the controllers module, so the engine cannot drift from the unit-tested
+formulas and no law computes a vehicle it does not drive. The kernel
+order stays inside the engine: violations and failures name vehicles by
+their state index, and ``run_blocks`` puts each sample back in state
+order.
 
 A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
@@ -20,8 +25,11 @@ state can hold several independent rings: ``build_rings`` draws each
 ring's flags, then labels, wires and places all of them in one pass
 over arrays laid back to back, with index columns pointing into each
 ring's own slice, so one kernel call under one config steps them all.
-Every operation is elementwise or gathers inside one ring, so each
-ring's numbers are bit for bit those of a run alone.
+Every operation is elementwise or gathers inside one ring, so a
+vehicle's numbers depend neither on where the kernel order puts it nor
+on the rings stepped with it: each ring's numbers are bit for bit those
+of a run alone, and two rings with the same ``ring_key`` run to the
+same bits.
 
 ``run_blocks``, the one step loop, yields the post-warmup samples in
 reused blocks, so a consumer that reduces or writes them as they come
@@ -143,58 +151,66 @@ class TrajectoryLog:
 
 @dataclass(frozen=True)
 class _Members:
-    """The vehicles one law drives and the wiring it reads, as state indices.
+    """The slice of kernel slots one law drives and the wiring it reads.
 
     Only CS members read a platoon leader and only BS members a rear gap,
     so the other laws carry None there, as their ControlContext does.
     """
 
     law: Callable
-    idx: np.ndarray                    # the members
-    pred: np.ndarray                   # their predecessors
-    leader: np.ndarray | None = None   # CS platoon leader
+    at: slice                          # the members' slots
+    leader: np.ndarray | None = None   # CS platoon leader's slot
     hops: np.ndarray | None = None     # CS gaps between leader and self
-    rear: np.ndarray | None = None     # BS: whose front gap is the rear gap
+    rear: np.ndarray | None = None     # BS: slot whose front gap is the rear gap
 
 
 @dataclass(frozen=True)
 class _VehicleTable:
-    """Per-vehicle control wiring of every ring of a state.
+    """Per-vehicle control wiring of every ring of a state, in kernel order.
 
-    ``pred`` has one entry per vehicle; each law present gets its members
-    and the wiring it reads (``_Members``), all as indices in the state.
+    Slot k of the kernel holds state vehicle ``order[k]``, and state
+    vehicle i sits in slot ``slot[i]``. ``pred`` has one entry per slot;
+    each law present gets its slice and the wiring it reads
+    (``_Members``), all as slots.
     """
 
-    pred: np.ndarray    # predecessor index
+    pred: np.ndarray    # predecessor's slot
     laws: tuple[_Members, ...]  # one per strategy present
-    alone: np.ndarray   # vehicles that are the only one on their ring
-    bounds: np.ndarray  # first vehicle of each ring, then the vehicle count
+    alone: np.ndarray   # slots of vehicles that are the only one on their ring
+    bounds: np.ndarray  # first vehicle of each ring, then the vehicle count (state order)
+    order: np.ndarray   # state index of each slot
+    slot: np.ndarray    # slot of each state index
 
 
 def _build_table(state: RingState) -> _VehicleTable:
-    """Wiring of ``state``'s rings, indexing the state itself."""
+    """Wiring of ``state``'s rings with the vehicles sorted by law."""
     bounds = np.array((*state.starts, state.n))
     starts, sizes = bounds[:-1], np.diff(bounds)
     pred = np.arange(state.n) - 1
     pred[starts] = starts + sizes - 1
+    order = np.argsort(state.strategy, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(state.n)
+    edges = np.searchsorted(state.strategy[order], np.arange(len(STRATEGIES) + 1)).tolist()
     # looked up per run, not at import, so module-level wrappers take effect
     law_of = {Strategy.HV: hv_accel, Strategy.CTG: ctg_accel, Strategy.VTG1: vtg1_accel,
               Strategy.VTG2: vtg2_accel, Strategy.CS: cs_accel, Strategy.BS: bdbm_accel}
     laws = []
     for code, s in enumerate(STRATEGIES):
-        idx = np.flatnonzero(state.strategy == code)
-        if not idx.size:
+        lo, hi = edges[code], edges[code + 1]
+        if lo == hi:
             continue
+        members = order[lo:hi]
         law, wiring = law_of[s], {}
         if s is Strategy.CTG:
-            law = partial(law, h=state.h[idx])
+            law = partial(law, h=state.h[members])
         elif s is Strategy.CS:
-            wiring = dict(leader=state.leader[idx], hops=state.hops[idx])
+            wiring = dict(leader=slot[state.leader[members]], hops=state.hops[members])
         elif s is Strategy.BS:
-            wiring = dict(rear=state.rear[idx])
-        laws.append(_Members(law, idx, pred[idx], **wiring))
-    return _VehicleTable(pred=pred, laws=tuple(laws), alone=starts[sizes == 1],
-                         bounds=bounds)
+            wiring = dict(rear=slot[state.rear[members]])
+        laws.append(_Members(law, slice(lo, hi), **wiring))
+    return _VehicleTable(pred=slot[pred[order]], laws=tuple(laws),
+                         alone=slot[starts[sizes == 1]], bounds=bounds, order=order, slot=slot)
 
 
 def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
@@ -241,6 +257,23 @@ def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Seque
                      leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
 
 
+def ring_key(fleet: FleetSpec, combo_id: int, seed: int | None) -> tuple:
+    """Everything ``build_rings`` reads of one ring, as a hashable key.
+
+    That is the vehicle count, the CAV flag row, the leader law if the
+    ring holds a CAV and the follower law if it holds two or more: with
+    one CAV its platoon has no follower, and a BS leader's rear-gap
+    source is its own follower whatever the follower law. Rings with
+    equal keys get the same columns, bit for bit, and so, stepped under
+    one config, the same numbers.
+    """
+    flags = draw_flags(fleet, [seed])[0]
+    cavs = np.count_nonzero(flags)
+    combo = COMBOS[combo_id]
+    return (fleet.n_vehicles, flags.tobytes(), combo.lv if cavs else None,
+            combo.pv if cavs > 1 else None)
+
+
 def _arc(d: np.ndarray, ring: float) -> np.ndarray:
     """``d % ring`` in place, bit for bit, for ``d`` in (-ring, ring).
 
@@ -264,47 +297,58 @@ def _lap(x: np.ndarray, ring: float) -> np.ndarray:
 
 def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
              table: _VehicleTable):
-    """One synchronous step; returns new arrays, observed violations and
-    ring -> message naming the first vehicle with a non-finite desired
-    acceleration, for each ring not already NaN. It wraps without a
-    float remainder, so it needs the ranges of the module docstring.
+    """One synchronous step of kernel-order arrays; returns new arrays in
+    kernel order, the observed violations (state indices, ascending) with
+    their gaps, and ring -> message naming the first vehicle with a
+    non-finite desired acceleration, for each ring not already NaN. It
+    wraps without a float remainder, so it needs the ranges of the
+    module docstring.
     """
     ring = config.ring_length
-    dx = _arc(x[table.pred] - x, ring)
+    pred = table.pred
+    dx = _arc(x[pred] - x, ring)
     if table.alone.size:
         dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
     gap = dx - VEHICLE_LENGTH
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
+    v_pred, a_pred = v[pred], a[pred]
 
     u = np.zeros(x.size)
     for m in table.laws:
-        i = m.idx
-        ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[m.pred], a_pred=a[m.pred])
+        s = m.at
+        ctx = ControlContext(v=v[s], gap=gap_c[s], v_pred=v_pred[s], a_pred=a_pred[s])
         if m.leader is not None:
-            ctx.leader_dx = _arc(x[m.leader] - x[i], ring)
+            ctx.leader_dx = _arc(x[m.leader] - x[s], ring)
             ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[m.leader], a[m.leader], m.hops
         if m.rear is not None:
             ctx.follower_gap = gap_c[m.rear]
-        u[i] = m.law(ctx)
+        u[s] = m.law(ctx)
 
     failed: dict[int, str] = {}
     if not np.isfinite(u).all():
-        at = np.flatnonzero(~np.isfinite(u) & ~np.isnan(x))  # NaN x: failed before
+        # state indices; NaN x: failed before
+        at = np.sort(table.order[~np.isfinite(u) & ~np.isnan(x)])
         rings, first = np.unique(np.searchsorted(table.bounds, at, "right") - 1,
                                  return_index=True)
         for r, i in zip(rings.tolist(), at[first].tolist()):
-            j = table.pred[i]
+            k = table.slot[i]
+            j = pred[k]
             failed[r] = (f"non-finite desired acceleration for vehicle {i - table.bounds[r]}: "
-                         f"v={float(v[i])!r} gap={float(gap_c[i])!r} v_pred={float(v[j])!r} "
+                         f"v={float(v[k])!r} gap={float(gap_c[k])!r} v_pred={float(v[j])!r} "
                          f"a_pred={float(a[j])!r}")
+    viol_gap = gap[viol]
+    if viol.size:
+        viol = table.order[viol]
+        by_vehicle = viol.argsort()
+        viol, viol_gap = viol[by_vehicle], viol_gap[by_vehicle]
 
     a_cmd = u.clip(A_MIN, A_MAX, out=u)
     v_new = v + a_cmd * config.dt
     v_new.clip(0.0, V_FREE, out=v_new)
     x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
-    return x_new, v_new, a_eff, viol, gap[viol], failed
+    return x_new, v_new, a_eff, viol, viol_gap, failed
 
 
 def _check_start(state: RingState, config: SimConfig) -> None:
@@ -341,22 +385,24 @@ def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
     violations: list[Violation] = []
     errors: dict[int, str] = {}
     table = _build_table(state)
-    x, v, a = state.x.copy(), state.v.copy(), state.a.copy()
+    x, v, a = state.x[table.order], state.v[table.order], state.a[table.order]
     row = 0  # samples in this block
     for k in range(sampled.stop):
         if k in sampled:
             if row == size:
                 yield TrajectoryLog(ks * config.dt, xs, vs, accs, violations, errors)
                 row, violations, errors = 0, [], {}
-            ks[row], xs[row], vs[row], accs[row] = k, x, v, a
+            # back to state order, into the block's reused rows
+            slot = table.slot
+            ks[row], xs[row], vs[row], accs[row] = k, x[slot], v[slot], a[slot]
             row += 1
         x, v, a, vi, vg, failed = _advance(x, v, a, config, table)
         if failed:
             errors.update(failed)
             for r in failed:
-                gone = slice(table.bounds[r], table.bounds[r + 1])
+                gone = table.slot[table.bounds[r]:table.bounds[r + 1]]
                 x[gone] = v[gone] = a[gone] = np.nan
-            kept = ~np.isnan(x[vi])
+            kept = ~np.isnan(x[table.slot[vi]])
             vi, vg = vi[kept], vg[kept]
         if vi.size:
             t = k * config.dt

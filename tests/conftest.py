@@ -22,6 +22,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from dataclasses import dataclass
+from functools import partial
 
 from platoonflow import ring as engine
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, V_FREE, VEHICLE_LENGTH,
@@ -250,34 +251,50 @@ def reference_columns(codes, combo, s_max):
 
 
 # The step kernel as it was before the ring wraps lost their float
-# remainder: every wrap is a ``%``. Kept as the reference ``ring._advance``
-# is checked against, bit for bit.
+# remainder and the laws their contiguous slices: every wrap is a ``%``,
+# and each law gathers its members, found from the state's own columns in
+# state order. Kept as the reference ``ring._advance`` is checked against,
+# bit for bit, through the kernel's permutation.
 
-def reference_advance(x, v, a, config, table):
-    """One synchronous step; returns new arrays plus observed violations."""
+def reference_advance(x, v, a, config, state):
+    """One synchronous step of ``state``'s rings from state-order arrays;
+    returns new arrays plus observed violations."""
     ring = config.ring_length
-    dx = (x[table.pred] - x) % ring
-    dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
+    bounds = np.array((*state.starts, state.n))
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    pred = np.arange(state.n) - 1
+    pred[starts] = starts + sizes - 1
+    dx = (x[pred] - x) % ring
+    dx[starts[sizes == 1]] = ring  # a lone vehicle follows itself one lap ahead
     gap = dx - VEHICLE_LENGTH
     viol = np.flatnonzero(gap < 0.0)
     gap_c = np.maximum(gap, GAP_FLOOR)
 
+    law_of = {Strategy.HV: engine.hv_accel, Strategy.CTG: engine.ctg_accel,
+              Strategy.VTG1: engine.vtg1_accel, Strategy.VTG2: engine.vtg2_accel,
+              Strategy.CS: engine.cs_accel, Strategy.BS: engine.bdbm_accel}
     u = np.zeros(x.size)
-    for m in table.laws:
-        i = m.idx
-        ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[m.pred], a_pred=a[m.pred])
-        if m.leader is not None:
-            ctx.leader_dx = (x[m.leader] - x[i]) % ring
-            ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[m.leader], a[m.leader], m.hops
-        if m.rear is not None:
-            ctx.follower_gap = gap_c[m.rear]
-        u[i] = m.law(ctx)
+    for code, strategy in enumerate(STRATEGIES):
+        i = np.flatnonzero(state.strategy == code)
+        if not i.size:
+            continue
+        law = law_of[strategy]
+        ctx = ControlContext(v=v[i], gap=gap_c[i], v_pred=v[pred[i]], a_pred=a[pred[i]])
+        if strategy is Strategy.CTG:
+            law = partial(law, h=state.h[i])
+        elif strategy is Strategy.CS:
+            leader = state.leader[i]
+            ctx.leader_dx = (x[leader] - x[i]) % ring
+            ctx.v_leader, ctx.a_leader, ctx.leader_hops = v[leader], a[leader], state.hops[i]
+        elif strategy is Strategy.BS:
+            ctx.follower_gap = gap_c[state.rear[i]]
+        u[i] = law(ctx)
 
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         i = int(bad[0])
-        j = table.pred[i]
-        first = table.bounds[np.searchsorted(table.bounds, i, "right") - 1]
+        j = pred[i]
+        first = bounds[np.searchsorted(bounds, i, "right") - 1]
         raise SimulationError(
             f"non-finite desired acceleration for vehicle {i - first}: "
             f"v={v[i]!r} gap={gap_c[i]!r} v_pred={v[j]!r} a_pred={a[j]!r}")

@@ -275,6 +275,68 @@ def test_run_sweep_parallel_matches_serial(capsys):
     assert "ETA" in err
 
 
+def test_default_grid_steps_each_distinct_ring_once():
+    spec = SweepSpec()
+    cells = enumerate_cells(spec)
+    stepped, copies = experiments._distinct(spec, cells)
+    # 20 all-human rings stand for the 200 cells at p 0, and the one-CAV
+    # rings at 5 veh/km and p 0.2 differ in their leader law alone
+    assert (len(cells), len(stepped)) == (1200, 1014)
+    assert (sum(d for d, _, _ in cells), sum(cells[i][0] for i in stepped)) == (63000, 53520)
+    assert sorted(stepped + [j for later in copies.values() for j in later]) == list(range(1200))
+    assert all(i < j for i, later in copies.items() for j in later)
+    assert len(list(_chunks(spec, [cells[i] for i in stepped]))) == 14
+    # the trajectory benchmark's two dense p 1 cells are distinct rings
+    spec = SweepSpec(densities=(95.0,), penetrations=(1.0,), combos=(1, 7))
+    assert experiments._distinct(spec, enumerate_cells(spec)) == ([0, 1], {})
+
+
+def test_copies_match_their_cells_run_alone(monkeypatch, tmp_path, capsys):
+    # p 0 rings are all human; at 5 veh/km and p 0.2 one CAV leads alone,
+    # with BS as leader law in combos 4 and 10
+    spec = small_spec(densities=(5.0, 15.0), penetrations=(0.0, 0.2), combos=(1, 4, 10))
+    cells = enumerate_cells(spec)
+    build_rings = ring.build_rings
+    built = []
+    monkeypatch.setattr(ring, "build_rings",
+                        lambda config, fleets, *args: built.extend(fleets)
+                        or build_rings(config, fleets, *args))
+    rows = run_sweep(spec, tmp_path / "sweep")
+    assert len(built) == 2 + 2 + 3  # rings at p 0; at 5, then 15 veh/km at p 0.2
+    assert rows == [run_chunk(spec, [cell], tmp_path / "alone")[0] for cell in cells]
+    names = sorted(path.name for path in (tmp_path / "alone").iterdir())
+    assert len(names) == 2 * len(cells)
+    assert names == sorted(path.name for path in (tmp_path / "sweep").iterdir())
+    for name in names:
+        assert (tmp_path / "sweep" / name).read_bytes() == (
+            tmp_path / "alone" / name).read_bytes()
+    assert f"sweep: {len(cells)}/{len(cells)} cells" in capsys.readouterr().err
+
+
+def test_copies_of_a_failed_ring_fail_alike(monkeypatch, tmp_path, capsys):
+    spec = small_spec(densities=(15.0, 25.0), penetrations=(0.0,), combos=(1, 2, 3))
+    build_rings = ring.build_rings
+
+    def poisoned(config, fleets, *args):
+        state = build_rings(config, fleets, *args)
+        for fleet, start in zip(fleets, state.starts):
+            if fleet.n_vehicles == 25:  # density 25 on the 1 km ring
+                state.v[start + 4] = math.nan
+        return state
+
+    monkeypatch.setattr(ring, "build_rings", poisoned)
+    rows = run_sweep(spec, tmp_path)
+    assert [(r["combo"], r["density"], r["status"]) for r in rows] == [
+        (c, d, "ok" if d == 15.0 else "error") for c in (1, 2, 3) for d in (15.0, 25.0)]
+    err = capsys.readouterr().err
+    for combo in (1, 2, 3):
+        assert err.count(f"cell combo={combo} p=0 density=25 failed: non-finite desired "
+                         "acceleration for vehicle 4") == 1
+    assert "sweep: 6/6 cells" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"cell_c{c}_p0_d15_{kind}.csv" for c in (1, 2, 3) for kind in ("trajectory", "violations"))
+
+
 class FakePool:
     """ProcessPoolExecutor stand-in that records its size and maps in process."""
 

@@ -130,6 +130,66 @@ def test_built_rings_are_one_ring_states_side_by_side():
     assert np.any((state.strategy == code(Strategy.BS)) & (state.rear > np.arange(state.n) + 1))
 
 
+# A cell's values, from a few each: p 0 is all human at any intensity and
+# combo, a small p puts one CAV on a small ring, 15 and 15.0000001 veh/km
+# place the same count, and at intensity 1 the seed draws nothing.
+KEY_VALUES = dict(density=st.sampled_from([5.0, 10.0, 15.0, 15.0000001, 40.0]),
+                  p=st.sampled_from([0.0, 0.04, 0.1, 0.2, 1.0]) | st.floats(0.0, 1.0),
+                  combo_id=st.sampled_from(sorted(COMBOS)),
+                  intensity=st.sampled_from([0.0, 0.7, 1.0]), seed=st.integers(0, 3))
+
+
+@st.composite
+def cell_pairs(draw):
+    """Two cells that differ in at most one value, so they often build one ring."""
+    first = {name: draw(values) for name, values in KEY_VALUES.items()}
+    name = draw(st.sampled_from(sorted(KEY_VALUES)))
+    return first, {**first, name: draw(KEY_VALUES[name])}
+
+
+ONE_BS_LEADER = dict(density=5.0, p=0.2, combo_id=4, intensity=1.0, seed=0)
+TWO_CAVS = dict(density=10.0, p=0.2, combo_id=1, intensity=1.0, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_pairs())
+# one CAV, a BS leader: its rear-gap source does not depend on the follower law
+@example((ONE_BS_LEADER, {**ONE_BS_LEADER, "combo_id": 10}))
+# two CAVs, one platoon: CTG or CS drives its follower
+@example((TWO_CAVS, {**TWO_CAVS, "combo_id": 5}))
+def test_equal_ring_keys_build_equal_columns(pair):
+    cfg = SimConfig()
+    keys, states = [], []
+    for cell in pair:
+        fleet = cell_fleet(cfg, cell["density"], cell["p"], cell["combo_id"], cell["intensity"])
+        keys.append(engine.ring_key(fleet, cell["combo_id"], cell["seed"]))
+        states.append(build_rings(cfg, [fleet], [cell["combo_id"]], [cell["seed"]]))
+    event(f"equal keys: {keys[0] == keys[1]}")
+    if keys[0] != keys[1]:
+        return
+    for name in ("x", "strategy", "h", "leader", "hops", "rear"):
+        got, want = (getattr(state, name) for state in states)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name  # values and float bits
+
+
+def test_ring_key_names_only_the_laws_a_vehicle_drives():
+    cfg = SimConfig()
+
+    def key(density, p, combo_id):
+        return engine.ring_key(cell_fleet(cfg, density, p, combo_id), combo_id, None)
+
+    # all human: no law but HV's; one CAV: only its leader law
+    assert len({key(15.0, 0.0, combo_id) for combo_id in COMBOS}) == 1
+    assert key(5.0, 0.2, 4) == key(5.0, 0.2, 10)  # BS leaders; BS or CS followers
+    assert key(5.0, 0.2, 2) == key(5.0, 0.2, 6) == key(5.0, 0.2, 7)  # VTG1 leaders
+    assert key(5.0, 0.2, 1) != key(5.0, 0.2, 2)
+    # two CAVs: the follower law counts too, as do the count and the layout
+    assert key(10.0, 0.2, 4) != key(10.0, 0.2, 10)
+    assert key(10.0, 0.2, 4) != key(15.0, 0.2, 4) != key(15.0, 0.4, 4)
+    assert key(15.0, 0.0, 1) == key(15.0000001, 0.0, 1)
+
+
 CELL = dict(density=20.0, p=1.0, combo_id=1)
 
 
@@ -625,16 +685,18 @@ def test_advance_matches_remainder_reference():
     assert {int(c) for c in state.strategy} == set(range(len(STRATEGIES)))
     table = engine._build_table(state)
     assert table.alone.size == 1
-    new = [state.x.copy(), state.v.copy(), state.a.copy()]
+    # the laws' slots are not the state order
+    assert not np.array_equal(table.order, np.arange(state.n))
+    new = [state.x[table.order], state.v[table.order], state.a[table.order]]
     ref = [state.x.copy(), state.v.copy(), state.a.copy()]
     laps = violations = 0
     for _ in range(300):
         x = new[0]
         *new, vi, vg, failed = engine._advance(*new, cfg, table)
         assert failed == {}
-        *ref, ri, rg = reference_advance(*ref, cfg, table)
+        *ref, ri, rg = reference_advance(*ref, cfg, state)
         for got, want in zip(new, ref):
-            assert np.array_equal(as_bits(got), as_bits(want))
+            assert np.array_equal(as_bits(got[table.slot]), as_bits(want))
         assert np.array_equal(vi, ri) and np.array_equal(as_bits(vg), as_bits(rg))
         laps += np.count_nonzero(new[0] < x)
         violations += vi.size
