@@ -7,29 +7,32 @@ stable hash, and a cell that fails on its own values becomes a status
 row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-The sweep cuts the cells it steps (see below), in order, into chunks of
-up to CHUNK_VEHICLES vehicles (fewer where a ``--jobs`` share of the
-sweep is smaller) and steps each chunk's rings together in one engine
-run. Its samples come in blocks (``ring.run_blocks``): one
-``energy.sample_rates`` pass per block adds to each ring's rate sums,
-and a saved ring's rows are appended to its file. A ring's sums depend
-only on its own samples and the block length, not on what it is stacked
-with, so chunking changes no output byte. A ring that fails in the run
-(masked to NaN, see ``ring``) becomes an error row and leaves no file.
-``--jobs`` and the CPU count cap the worker processes, and a progress
-line per chunk goes to stderr.
-
 A sweep steps each distinct ring once. Two cells with the same
 ``ring.ring_key`` get the same columns from ``build_rings``, and a
-ring's numbers do not depend on its chunk, so only the first such cell
-is stepped; each later one gets that cell's row under its own labels,
-its own failure line if the ring failed, and its own copies of the
-saved files. On the default grid, 1014 of the 1200 cells are distinct
-rings, holding 53,520 of its 63,000 vehicles: the 200 cells at p 0 are
-20 all-human rings, and six cells at 5 veh/km and p 0.2 repeat a
-one-CAV ring that only its leader law tells apart. The benchmark's
-``grid_short`` has that grid's shape and share; its ``traj_dump`` (95
-veh/km, p 1, combos 1 and 7) holds no two cells with the same ring.
+ring's numbers do not depend on its chunk, so the sweep groups the
+cells of each ring and builds the ring from its first cell. The worker
+that steps a ring writes every cell of it: the ring's row under the
+cell's own labels, or the cell's own failure line if the ring failed,
+and, with saved trajectories, the cell's own copy of the ring's files.
+On the default grid, 1014 of the 1200 cells are distinct rings, holding
+53,520 of its 63,000 vehicles: the 200 cells at p 0 are 20 all-human
+rings, and six cells at 5 veh/km and p 0.2 repeat a one-CAV ring that
+only its leader law tells apart. The benchmark's ``grid_short`` has
+that grid's shape and share; its ``traj_dump`` (95 veh/km, p 1,
+combos 1 and 7) holds no two cells with the same ring.
+
+The sweep cuts the rings, in order, into chunks of up to CHUNK_VEHICLES
+vehicles (fewer where a ``--jobs`` share of the sweep is smaller),
+counting each ring's vehicles once, and steps each chunk's rings
+together in one engine run. Its samples come in blocks
+(``ring.run_blocks``): one ``energy.sample_rates`` pass per block adds
+to each ring's rate sums, and a saved ring's rows are appended to its
+file. A ring's sums depend only on its own samples and the block
+length, not on what it is stacked with, so chunking changes no output
+byte. A ring that fails in the run (masked to NaN, see ``ring``) gives
+each of its cells an error row and leaves no file. ``--jobs`` and the
+CPU count cap the worker processes, and a progress line per chunk goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -148,9 +151,10 @@ def _fail(row: dict, reason) -> None:
 
 
 def _name_value(value: float) -> str:
-    """``value`` in a file name: ``:g`` where it reads back exactly, else repr.
+    """``value`` in a file or column name: ``:g`` where it reads back exactly, else repr.
 
-    Two cells never share a name, so neither overwrites the other's files.
+    Two cells never share a name, so neither overwrites the other's
+    files, and no two pivot columns share a header.
     """
     short = f"{value:g}"
     return short if float(short) == value else repr(float(value))
@@ -162,41 +166,43 @@ def _stem(save_dir: str | Path, row: dict) -> Path:
                           f"_d{_name_value(row['density'])}")
 
 
-def run_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
+def run_chunk(spec: SweepSpec, rings: list[list[tuple[float, float, int]]],
               save_dir: str | Path | None = None) -> list[dict]:
-    """Simulate cells together in one engine run; one metrics row per cell.
+    """Step the rings of a chunk together in one engine run; one metrics row per cell.
 
-    With ``save_dir``, each ring's rows go to ``<stem>_trajectory.csv.partial``
-    block by block; when the run ends, a failed ring's file is removed and
-    the others are renamed and get their violations file.
+    ``rings`` lists the cells of each ring (see ``_chunks``); a ring is
+    built from its first cell, and every cell of it gets the ring's row
+    under its own labels, or its own failure line if the ring fails.
+    With ``save_dir``, each ring's rows go to its first cell's
+    ``<stem>_trajectory.csv.partial`` block by block; when the run ends,
+    a failed ring's file is removed, and each cell of the other rings
+    gets its own copy of the file, by way of its own ``.partial`` file,
+    and its own violations file.
     """
-    return _step_chunk(spec, cells, save_dir)[0]
-
-
-def _step_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
-                save_dir: str | Path | None) -> tuple[list[dict], dict[int, str]]:
-    """``run_chunk``'s rows, and cell index -> why its ring failed in the run."""
-    rows = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
-    fleets, cell_of = [], []  # each ring's fleet and cell index
-    for i, row in enumerate(rows):
+    rows: list[dict] = []
+    fleets, firsts, running = [], [], []  # each stepped ring's fleet, first cell and rows
+    for cells in rings:
+        group = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
+        rows.extend(group)
         try:
-            fleets.append(ring.cell_fleet(spec.sim, row["density"], row["p"], row["combo"]))
+            fleets.append(ring.cell_fleet(spec.sim, *cells[0]))
         except ValueError as exc:
-            _fail(row, exc)
+            for row in group:
+                _fail(row, exc)
             continue
-        cell_of.append(i)
+        firsts.append(cells[0])
+        running.append(group)
     if not fleets:
-        return rows, {}
-    running = [rows[i] for i in cell_of]
-    seeds = [cell_seed(spec.base_seed, row["density"], row["p"], row["combo"])
-             for row in running]
-    state = ring.build_rings(spec.sim, fleets, [row["combo"] for row in running], seeds)
+        return rows
+    seeds = [cell_seed(spec.base_seed, *cell) for cell in firsts]
+    state = ring.build_rings(spec.sim, fleets, [combo for _, _, combo in firsts], seeds)
     bounds = [*state.starts, state.n]
     sums = np.zeros((2 + len(POLLUTANTS), len(running)))
     violations: list[list[ring.Violation]] = [[] for _ in running]
     errors: dict[int, str] = {}
-    stems = [] if save_dir is None else [_stem(save_dir, row) for row in running]
-    partials = [Path(f"{stem}_trajectory.csv.partial") for stem in stems]
+    stems = [] if save_dir is None else [[_stem(save_dir, row) for row in group]
+                                         for group in running]
+    partials = [Path(f"{cell_stems[0]}_trajectory.csv.partial") for cell_stems in stems]
     for partial in partials:
         partial.parent.mkdir(parents=True, exist_ok=True)
         partial.write_text(TRAJECTORY_HEAD)
@@ -216,19 +222,23 @@ def _step_chunk(spec: SweepSpec, cells: list[tuple[float, float, int]],
                 with open(partial, "a") as fh:
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
-    for r, (row, fleet) in enumerate(zip(running, fleets)):
-        if r in errors:
-            _fail(row, errors[r])
-        else:
-            samples = len(spec.sim.sample_steps) * fleet.n_vehicles
-            _set_metrics(row, sums[:, r] / samples, len(violations[r]))
-    for r, (stem, partial) in enumerate(zip(stems, partials)):
+    for r, (group, fleet) in enumerate(zip(running, fleets)):
+        means = sums[:, r] / (len(spec.sim.sample_steps) * fleet.n_vehicles)
+        for row in group:
+            if r in errors:
+                _fail(row, errors[r])
+            else:
+                _set_metrics(row, means, len(violations[r]))
+    for r, (cell_stems, partial) in enumerate(zip(stems, partials)):
         if r in errors:
             partial.unlink()
-        else:
-            partial.replace(f"{stem}_trajectory.csv")
+            continue
+        for stem in cell_stems[1:]:
+            shutil.copyfile(partial, f"{stem}_trajectory.csv.partial")
+        for stem in cell_stems:
+            Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
             write_violations_csv(violations[r], f"{stem}_violations.csv")
-    return rows, {cell_of[r]: reason for r, reason in errors.items()}
+    return rows
 
 
 def _batches(items: list, sizes: list[float], cap: float):
@@ -258,107 +268,52 @@ def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
 
 
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
-    """Consecutive runs of cells holding at most ``_chunk_cap`` vehicles.
+    """The cells' rings, in consecutive runs holding at most ``_chunk_cap`` vehicles.
 
-    A cell larger than the cap runs alone; a cell whose size is not a
-    positive finite number counts as empty, since it becomes an error row.
+    A ring is the list of the cells with one ``ring.ring_key``, in the
+    order its first cell appears, and its size is its vehicle count; a
+    ring larger than the cap runs alone. A cell no ring can hold is a
+    ring of its own of size 0: its chunk makes its error row.
     """
-    sizes = [d * spec.sim.ring_length / 1000.0 for d, _, _ in cells]
-    sizes = [n if 0.0 < n < math.inf else 0.0 for n in sizes]
-    return _batches(cells, sizes, _chunk_cap(spec, sum(sizes)))
-
-
-def _ring_of(spec: SweepSpec, cell: tuple[float, float, int]) -> tuple | None:
-    """``ring.ring_key`` of a cell's ring, or None for a cell no ring can hold."""
-    density, p, combo = cell
-    try:
-        fleet = ring.cell_fleet(spec.sim, density, p, combo)
-    except ValueError:
-        return None
-    return ring.ring_key(fleet, combo, cell_seed(spec.base_seed, density, p, combo))
-
-
-def _distinct(spec: SweepSpec, cells: list[tuple[float, float, int]]):
-    """Indices of the cells to step, and stepped cell -> the later cells with its ring.
-
-    A cell no ring can hold is stepped: its chunk makes its error row.
-    """
-    first: dict[tuple, int] = {}
-    stepped: list[int] = []
-    copies: dict[int, list[int]] = {}
-    for i, cell in enumerate(cells):
-        key = _ring_of(spec, cell)
-        j = i if key is None else first.setdefault(key, i)
-        if j == i:
-            stepped.append(i)
+    rings: dict = {}  # ring key -> its cells
+    sizes: list[int] = []  # vehicles of each ring
+    for i, (density, p, combo) in enumerate(cells):
+        try:
+            fleet = ring.cell_fleet(spec.sim, density, p, combo)
+        except ValueError:
+            key, size = i, 0  # a cell index is no ring key
         else:
-            copies.setdefault(j, []).append(i)
-    return stepped, copies
+            key = ring.ring_key(fleet, combo, cell_seed(spec.base_seed, density, p, combo))
+            size = fleet.n_vehicles
+        if key not in rings:
+            sizes.append(size)
+        rings.setdefault(key, []).append((density, p, combo))
+    return _batches(list(rings.values()), sizes, _chunk_cap(spec, sum(sizes)))
 
 
-def _copy_cell(row: dict, cell: tuple[float, float, int], reason: str | None,
-               save_dir: str | Path | None) -> dict:
-    """Row of ``cell`` from ``row``, that of a stepped cell with the same ring.
-
-    A failed ring gives the copy its own error line and no file; else,
-    with ``save_dir``, the copy gets its own copies of the stepped cell's
-    files, the trajectory by way of a ``.partial`` file as ``run_chunk``
-    writes it.
-    """
-    density, p, combo = cell
-    copy = {**row, "combo": combo, "p": p, "density": density}
-    if reason is not None:
-        _fail(copy, reason)
-    elif save_dir is not None:
-        source, stem = _stem(save_dir, row), _stem(save_dir, copy)
-        partial = Path(f"{stem}_trajectory.csv.partial")
-        shutil.copyfile(f"{source}_trajectory.csv", partial)
-        partial.replace(f"{stem}_trajectory.csv")
-        shutil.copyfile(f"{source}_violations.csv", f"{stem}_violations.csv")
-    return copy
-
-
-def _gather(results, cells: list[tuple[float, float, int]], stepped: list[int],
-            copies: dict[int, list[int]], save_dir: str | Path | None) -> list[dict]:
-    """Rows of all cells from the chunks of the ``stepped`` cells, in order.
-
-    As a chunk returns, each of its rows also makes the rows of its
-    cell's copies, and a progress line counting both goes to stderr.
-    """
-    rows: list = [None] * len(cells)
-    done = 0
-    todo = iter(stepped)
+def _gather(results, total: int) -> list[dict]:
+    """Rows of finished chunks in ``enumerate_cells`` order; a progress line per chunk."""
+    rows: list[dict] = []
     start = time.perf_counter()
-    for chunk_rows, reasons in results:
-        for k, row in enumerate(chunk_rows):
-            i = next(todo)
-            rows[i] = row
-            for j in copies.get(i, ()):
-                rows[j] = _copy_cell(row, cells[j], reasons.get(k), save_dir)
-            done += 1 + len(copies.get(i, ()))
+    for chunk_rows in results:
+        rows.extend(chunk_rows)
         elapsed = time.perf_counter() - start
-        eta = elapsed * (len(cells) - done) / done
-        print(f"sweep: {done}/{len(cells)} cells, {elapsed:.1f} s elapsed, "
+        eta = elapsed * (total - len(rows)) / len(rows)
+        print(f"sweep: {len(rows)}/{total} cells, {elapsed:.1f} s elapsed, "
               f"ETA {eta:.1f} s", file=sys.stderr)
-    return rows
+    return sorted(rows, key=lambda row: (row["combo"], row["p"], row["density"]))
 
 
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:
-    """All cells of the grid, rows in ``enumerate_cells`` order.
-
-    Cells with the same ring (equal ``ring.ring_key``) step once: the
-    first of them runs in a chunk, and each later one gets that row under
-    its own labels and, with ``save_dir``, copies of its files.
-    """
+    """All cells of the grid, rows in ``enumerate_cells`` order."""
     cells = enumerate_cells(spec)
-    stepped, copies = _distinct(spec, cells)
-    chunks = list(_chunks(spec, [cells[i] for i in stepped]))
-    calls = (_step_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
+    chunks = list(_chunks(spec, cells))
+    calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
     workers = min(spec.jobs, len(chunks), os.cpu_count() or 1)  # a pool starts all at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _gather(pool.map(*calls), cells, stepped, copies, save_dir)
-    return _gather(map(*calls), cells, stepped, copies, save_dir)
+            return _gather(pool.map(*calls), len(cells))
+    return _gather(map(*calls), len(cells))
 
 
 @dataclass(frozen=True)
@@ -468,7 +423,7 @@ def emit_plot_data(rows: list[dict], outdir: str | Path) -> list[Path]:
         return math.nan if r is None else r[metric_col]
 
     for short, col in PLOT_METRICS.items():
-        header = ["density"] + [f"combo{c}_p{p:g}" for c in combos for p in pens]
+        header = ["density"] + [f"combo{c}_p{_name_value(p)}" for c in combos for p in pens]
         table = [[d] + [value(col, c, p, d) for c in combos for p in pens]
                  for d in densities]
         paths.append(write_csv(outdir / f"{short}_vs_density.csv", header, table,

@@ -105,7 +105,10 @@ def test_combo_ranges_expand(tmp_path, capsys):
                           (["--combos", "11"], "unknown strategy combo 11; valid combos are "
                                                "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
                           (["--combos", "0"], "unknown strategy combo 0"),
-                          (["--combos", "9-11"], "unknown strategy combo 11")):
+                          (["--combos", "9-11"], "unknown strategy combo 11"),
+                          # an endpoint is checked before the range is expanded
+                          (["--combos", "1-1000000000000000"], "--combos '1-1000000000000000': "
+                           "unknown strategy combo 1000000000000000; valid combos are")):
         code = main(["sweep", "--densities", "15", "--penetrations", "1", *axes,
                      "--duration", "30", "--warmup", "0", "--outdir", str(tmp_path / "bad")])
         assert code == 1
@@ -125,6 +128,20 @@ def test_plot_data_roundtrip(tmp_path):
     assert (plots / "nff_vs_density.csv").exists()
     assert (plots / "co2_vs_p_d15.csv").exists()
     assert (plots / "co2_vs_p_d55.csv").exists()
+
+
+def test_plot_data_keeps_close_penetrations_apart(tmp_path):
+    # both penetrations print as 0.1 under :g; the second column is named by its repr
+    out = tmp_path / "out"
+    assert main(["sweep", "--densities", "15", "--penetrations", "0.1,0.1000001",
+                 "--combos", "1", "--duration", "30", "--warmup", "0",
+                 "--outdir", str(out)]) == 0
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--metrics", str(out / "metrics.csv"),
+                 "--outdir", str(plots)]) == 0
+    lines = (plots / "nff_vs_density.csv").read_text().splitlines()
+    assert lines[0] == "density,combo1_p0.1,combo1_p0.1000001"
+    assert len(lines) == 2
 
 
 def test_plot_data_missing_file(tmp_path, capsys):

@@ -13,7 +13,7 @@ from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import POLLUTANTS
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
-                                     SweepSpec, _batches, _chunk_cap, _chunks,
+                                     SweepSpec, _chunk_cap, _chunks,
                                      cell_seed, emit_plot_data, enumerate_cells,
                                      run_chunk, run_sweep,
                                      verify_probability_model,
@@ -34,6 +34,30 @@ def small_spec(**kw):
                 combos=(1, 3), **DESK)
     base.update(kw)
     return SweepSpec(**base)
+
+
+def alone(cells):
+    """``run_chunk``'s rings of cells each stepped on its own."""
+    return [[cell] for cell in cells]
+
+
+def check_chunks(spec, cells, chunks):
+    """Assert that every cell sits in exactly one chunk, that all cells of a
+    ring share one ``ring_key`` and no other ring has it, and that no chunk
+    steps more than its cap; return the number of rings and of vehicles
+    stepped."""
+    rings = [cells_ for chunk in chunks for cells_ in chunk]
+    assert sorted(cell for cells_ in rings for cell in cells_) == sorted(cells)
+    keys = [{ring.ring_key(ring.cell_fleet(spec.sim, *cell), cell[2],
+                           cell_seed(spec.base_seed, *cell)) for cell in cells_}
+            for cells_ in rings]
+    assert all(len(key) == 1 for key in keys)
+    assert len(set.union(*keys)) == len(rings)
+    sizes = [ring.cell_fleet(spec.sim, *cells_[0]).n_vehicles for cells_ in rings]
+    cap = _chunk_cap(spec, sum(sizes))
+    stepped = iter(sizes)
+    assert all(sum(next(stepped) for _ in chunk) <= cap for chunk in chunks)
+    return len(rings), sum(sizes)
 
 
 @pytest.mark.parametrize("combos, bad", [((11,), 11), ((0,), 0), ((9, 10, 11), 11),
@@ -73,7 +97,7 @@ def test_enumerate_cells_order():
 
 def test_run_cell_produces_metrics_row():
     spec = SweepSpec(**DESK)
-    row = run_chunk(spec, [(15.0, 0.8, 1)])[0]
+    row = run_chunk(spec, [[(15.0, 0.8, 1)]])[0]
     assert set(row) == set(METRICS_HEADER)
     assert row["status"] == "ok"
     assert row["combo"] == 1
@@ -87,7 +111,7 @@ def test_run_cell_produces_metrics_row():
 
 def test_run_cell_error_row(capsys):
     spec = SweepSpec(**DESK)
-    row = run_chunk(spec, [(250.0, 1.0, 1)])[0]  # spacing below vehicle length
+    row = run_chunk(spec, [[(250.0, 1.0, 1)]])[0]  # spacing below vehicle length
     assert row["status"] == "error"
     assert math.isnan(row["nff_g_per_km"])
     assert math.isnan(row["mean_speed_mps"])
@@ -108,7 +132,7 @@ def test_non_finite_spec_gives_error_row_not_abort(capsys):
 
 def test_run_cell_saves_trajectories(tmp_path):
     spec = SweepSpec(**DESK)
-    run_chunk(spec, [(15.0, 0.8, 1)], tmp_path)
+    run_chunk(spec, [[(15.0, 0.8, 1)]], tmp_path)
     lines = (tmp_path / "cell_c1_p0.8_d15_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,vehicle_index,x,v,a"
     assert len(lines) == 1 + len(spec.sim.sample_steps) * 15  # 15 vehicles on 1 km
@@ -141,10 +165,10 @@ def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(ring, "build_rings", disturbed)
     cells = enumerate_cells(spec)
-    rows = run_chunk(spec, cells, tmp_path / "chunk")
+    rows = run_chunk(spec, alone(cells), tmp_path / "chunk")
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     for cell in cells:
-        run_chunk(spec, [cell], tmp_path / "alone")
+        run_chunk(spec, [[cell]], tmp_path / "alone")
     names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
     assert names == [f"cell_c5_p0.8_d{d}_{kind}.csv" for d in (15, 35)
                      for kind in ("trajectory", "violations")]
@@ -171,10 +195,10 @@ def test_ring_that_fails_mid_run_leaves_no_file(monkeypatch, tmp_path, capsys):
     failing = run_state(init_state(spec.sim, *cells[1]), spec.sim)
     assert failing.errors
     assert np.isnan(failing.v).all(axis=1).argmax() > ring.BLOCK_SAMPLES
-    rows = run_chunk(spec, cells, tmp_path / "chunk")
+    rows = run_chunk(spec, alone(cells), tmp_path / "chunk")
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     for cell in cells:
-        run_chunk(spec, [cell], tmp_path / "alone")
+        run_chunk(spec, [[cell]], tmp_path / "alone")
     names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
     assert names == [f"cell_c{c}_p0.6_d{d}_{kind}.csv" for c, d in ((2, 40), (4, 95))
                      for kind in ("trajectory", "violations")]
@@ -194,7 +218,7 @@ def test_chunk_memory_is_flat_in_the_horizon(tmp_path, save):
         spec = SweepSpec(sim=ring.SimConfig(duration=duration, warmup=0.0, record_every=1))
         tracemalloc.start()
         try:
-            rows = run_chunk(spec, cells, tmp_path / f"{duration:g}" if save else None)
+            rows = run_chunk(spec, alone(cells), tmp_path / f"{duration:g}" if save else None)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -211,7 +235,7 @@ def test_block_length_changes_no_file(monkeypatch, tmp_path):
     runs = {}
     for block in (1, 7, ring.BLOCK_SAMPLES):
         monkeypatch.setattr(ring, "BLOCK_SAMPLES", block)
-        runs[block] = run_chunk(spec, cells, tmp_path / str(block))
+        runs[block] = run_chunk(spec, alone(cells), tmp_path / str(block))
     names = sorted(path.name for path in (tmp_path / "1").iterdir())
     assert len(names) == 2 * len(cells)
     for block, rows in runs.items():
@@ -263,12 +287,11 @@ def test_run_sweep_parallel_matches_serial(capsys):
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
     assert len(chunks) >= 3
-    cap = _chunk_cap(spec, sum(d for d, _, _ in cells))
-    assert all(sum(d for d, _, _ in chunk) <= cap for chunk in chunks)
+    check_chunks(spec, cells, chunks)
     serial = run_sweep(spec)
     assert serial == run_sweep(dataclasses.replace(spec, jobs=2))
     # chunking changes no number: every row is its cell run alone
-    assert serial == [run_chunk(spec, [(r["density"], r["p"], r["combo"])])[0]
+    assert serial == [run_chunk(spec, [[(r["density"], r["p"], r["combo"])]])[0]
                       for r in serial]
     err = capsys.readouterr().err
     assert f"sweep: {len(serial)}/{len(serial)} cells" in err
@@ -278,17 +301,26 @@ def test_run_sweep_parallel_matches_serial(capsys):
 def test_default_grid_steps_each_distinct_ring_once():
     spec = SweepSpec()
     cells = enumerate_cells(spec)
-    stepped, copies = experiments._distinct(spec, cells)
+    chunks = list(_chunks(spec, cells))
+    assert check_chunks(spec, cells, chunks) == (1014, 53520)
+    # a ring lists its cells in cell order, and the rings follow their first cells
+    rings = [cells_ for chunk in chunks for cells_ in chunk]
+    order = {cell: i for i, cell in enumerate(cells)}
+    assert all(cells_ == sorted(cells_, key=order.get) for cells_ in rings)
+    assert [cells_[0] for cells_ in rings] == sorted((cells_[0] for cells_ in rings),
+                                                     key=order.get)
     # 20 all-human rings stand for the 200 cells at p 0, and the one-CAV
     # rings at 5 veh/km and p 0.2 differ in their leader law alone
-    assert (len(cells), len(stepped)) == (1200, 1014)
-    assert (sum(d for d, _, _ in cells), sum(cells[i][0] for i in stepped)) == (63000, 53520)
-    assert sorted(stepped + [j for later in copies.values() for j in later]) == list(range(1200))
-    assert all(i < j for i, later in copies.items() for j in later)
-    assert len(list(_chunks(spec, [cells[i] for i in stepped]))) == 14
+    shared = {}
+    for cells_ in rings:
+        if len(cells_) > 1:
+            density, p, _ = cells_[0]
+            shared.setdefault((p, density), []).append([c for _, _, c in cells_])
+    assert shared == {**{(0.0, d): [list(range(1, 11))] for d in spec.densities},
+                      (0.2, 5.0): [[1, 5], [2, 6, 7], [3, 8, 9], [4, 10]]}
     # the trajectory benchmark's two dense p 1 cells are distinct rings
     spec = SweepSpec(densities=(95.0,), penetrations=(1.0,), combos=(1, 7))
-    assert experiments._distinct(spec, enumerate_cells(spec)) == ([0, 1], {})
+    assert list(_chunks(spec, enumerate_cells(spec))) == [[[(95.0, 1.0, 1)], [(95.0, 1.0, 7)]]]
 
 
 def test_copies_match_their_cells_run_alone(monkeypatch, tmp_path, capsys):
@@ -303,7 +335,7 @@ def test_copies_match_their_cells_run_alone(monkeypatch, tmp_path, capsys):
                         or build_rings(config, fleets, *args))
     rows = run_sweep(spec, tmp_path / "sweep")
     assert len(built) == 2 + 2 + 3  # rings at p 0; at 5, then 15 veh/km at p 0.2
-    assert rows == [run_chunk(spec, [cell], tmp_path / "alone")[0] for cell in cells]
+    assert rows == [run_chunk(spec, [[cell]], tmp_path / "alone")[0] for cell in cells]
     names = sorted(path.name for path in (tmp_path / "alone").iterdir())
     assert len(names) == 2 * len(cells)
     assert names == sorted(path.name for path in (tmp_path / "sweep").iterdir())
@@ -380,15 +412,14 @@ def test_pool_has_no_more_workers_than_cpus(monkeypatch, capsys, cpus, workers):
 
 
 def test_default_grid_chunks_under_a_4096_cap():
-    # 63000 vehicles: about 16 chunks of at most 4096, with one worker or two
+    # 53,520 distinct vehicles: 14 chunks of at most 4096, with one worker or two
     for jobs in (1, 2):
         spec = SweepSpec(jobs=jobs)
         cells = enumerate_cells(spec)
-        sizes = [d for d, _, _ in cells]
-        assert _chunk_cap(spec, sum(sizes)) == CHUNK_VEHICLES == 4096
         chunks = list(_chunks(spec, cells))
-        assert chunks == list(_batches(cells, sizes, 4096))
-        assert 16 <= len(chunks) <= 17
+        assert check_chunks(spec, cells, chunks) == (1014, 53520)
+        assert _chunk_cap(spec, 53520) == CHUNK_VEHICLES == 4096
+        assert len(chunks) == 14
 
 
 CHUNK_SIMS = {
@@ -405,13 +436,9 @@ CHUNK_SIMS = {
 def test_chunks_keep_within_their_cap(densities, horizon, jobs):
     spec = SweepSpec(densities=densities, sim=CHUNK_SIMS[horizon], jobs=jobs)
     cells = enumerate_cells(spec)
-    vehicles = sum(d for d, _, _ in cells)
-    cap = _chunk_cap(spec, vehicles)
-    chunks = list(_chunks(spec, cells))
-    assert [cell for chunk in chunks for cell in chunk] == cells
-    assert all(sum(d for d, _, _ in chunk) <= cap for chunk in chunks)
+    _, vehicles = check_chunks(spec, cells, list(_chunks(spec, cells)))
     # the horizon does not matter: samples stream through in blocks
-    assert cap == min(CHUNK_VEHICLES, math.ceil(vehicles / jobs))
+    assert _chunk_cap(spec, vehicles) == min(CHUNK_VEHICLES, math.ceil(vehicles / jobs))
 
 
 def test_small_short_sweep_gives_each_worker_a_chunk():
@@ -426,11 +453,14 @@ def test_small_short_sweep_gives_each_worker_a_chunk():
 
 def test_cell_larger_than_the_cap_runs_alone():
     spec = SweepSpec(sim=ring.SimConfig(ring_length=50_000.0, duration=60.0, warmup=30.0))
-    cells = [(5.0, 0.0, 1), (100.0, 0.0, 1), (5.0, 0.0, 2)]  # 250, 5000, 250 vehicles
+    cells = [(5.0, 1.0, 1), (100.0, 1.0, 1), (5.0, 1.0, 2)]  # 250, 5000, 250 vehicles
     assert _chunk_cap(spec, 5500.0) == CHUNK_VEHICLES
-    assert list(_chunks(spec, cells)) == [[cells[0]], [cells[1]], [cells[2]]]
-    cells = [(5.0, 0.0, 1), (5.0, 0.0, 2), (100.0, 0.0, 1)]
-    assert list(_chunks(spec, cells)) == [cells[:2], [cells[2]]]
+    assert list(_chunks(spec, cells)) == [[[cells[0]]], [[cells[1]]], [[cells[2]]]]
+    cells = [(5.0, 1.0, 1), (5.0, 1.0, 2), (100.0, 1.0, 1)]
+    assert list(_chunks(spec, cells)) == [[[cells[0]], [cells[1]]], [[cells[2]]]]
+    # at p 0 both small cells are one all-human ring of 250 vehicles
+    cells = [(5.0, 0.0, 1), (100.0, 0.0, 1), (5.0, 0.0, 2)]
+    assert list(_chunks(spec, cells)) == [[[cells[0], cells[2]]], [[cells[1]]]]
 
 
 def test_horizon_off_the_step_grid_gives_error_row():
@@ -486,7 +516,7 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
 
     monkeypatch.setattr(ring, "build_rings", disturbed)
     cells = enumerate_cells(spec)
-    rows = run_chunk(spec, cells)
+    rows = run_chunk(spec, alone(cells))
     # the same rings run and split, each reduced on its own
     kept = [(row, init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
             for row, (d, p, c) in zip(rows, cells) if d != 250.0]
