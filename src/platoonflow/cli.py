@@ -28,6 +28,8 @@ from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_
 from .platoons import COMBOS
 from .ring import SimConfig
 
+JOBS_HELP = "worker processes (default: one per CPU); no output depends on it"
+
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -105,7 +107,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sweep.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
                            default=f.default)
     sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed)
-    sweep.add_argument("--jobs", type=int, default=SweepSpec.jobs)
+    sweep.add_argument("--jobs", type=int, default=SweepSpec.jobs, help=JOBS_HELP)
     sweep.add_argument("--save-trajectories", action="store_true")
 
     prob = add("verify-prob", "class frequencies vs the closed-form model")
@@ -119,6 +121,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prob.add_argument(f"--p-{bound}", type=float, default=default)
     prob.add_argument("--intensities", type=_float_list, default=lib["intensities"])
     prob.add_argument("--seed", type=int, default=lib["seed"])
+    prob.add_argument("--jobs", type=int, default=lib["jobs"], help=JOBS_HELP)
 
     stab = add("verify-stability", "string-stability margin report")
     for bound, default in zip(("start", "stop", "step"), V_GRID):
@@ -157,7 +160,7 @@ def _cmd_verify_prob(args) -> int:
     report = verify_probability_model(n_vehicles=args.vehicles, runs=args.runs,
                                       p_grid=p_grid,
                                       intensities=tuple(args.intensities),
-                                      seed=args.seed)
+                                      seed=args.seed, jobs=args.jobs)
     outdir = Path(args.outdir)
     write_fit_csv(report.fits, outdir / "probability_fit.csv")
     write_class_curves_csv(report.curves, outdir / "probability_curves.csv")

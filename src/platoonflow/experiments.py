@@ -30,9 +30,13 @@ to each ring's rate sums, and a saved ring's rows are appended to its
 file. A ring's sums depend only on its own samples and the block
 length, not on what it is stacked with, so chunking changes no output
 byte. A ring that fails in the run (masked to NaN, see ``ring``) gives
-each of its cells an error row and leaves no file. ``--jobs`` and the
-CPU count cap the worker processes, and a progress line per chunk goes
-to stderr.
+each of its cells an error row and leaves no file. A progress line per
+chunk goes to stderr.
+
+The sweep's chunks and ``verify_probability_model``'s batches of grid
+points go to one worker pool (``_pool_map``): ``jobs`` workers, one per
+CPU unless told otherwise (JOBS), but no more than there are tasks or
+CPUs, and none when that leaves one. No output byte depends on it.
 """
 
 from __future__ import annotations
@@ -46,12 +50,14 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
-from .csvio import TRAJECTORY_HEAD, append_trajectory, write_csv, write_violations_csv
+from .csvio import (TRAJECTORY_HEAD, append_trajectory, format_value, write_csv,
+                    write_violations_csv)
 from .energy import POLLUTANTS, sample_rates, summarize
 from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
@@ -71,6 +77,13 @@ V_GRID = (0.0, 33.3, 0.1)    # equilibrium speeds of verify_stability, m/s
 # 2048, 57 at 4096 and 54.5 at 8192, so CHUNK_VEHICLES sits at the knee.
 # A chunk's samples stream through in blocks, so no horizon limits it.
 CHUNK_VEHICLES = 4096
+# Worker processes of sweep and verify_probability_model unless told
+# otherwise: one per CPU. No output byte depends on it.
+JOBS = os.cpu_count() or 1
+# verify_probability_model's batches of grid points per worker: its
+# intensity-1 points cost next to nothing, so one batch per worker
+# would leave some workers idle
+BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class SweepSpec:
     combos: tuple[int, ...] = tuple(range(1, 11))
     sim: ring.SimConfig = ring.SimConfig()
     base_seed: int = 42
-    jobs: int = 1
+    jobs: int = JOBS
 
     def __post_init__(self) -> None:
         for name in ("densities", "penetrations", "combos"):
@@ -92,6 +105,13 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} holds NaN: {axis}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"sweep axis {name} repeats a value: {axis}")
+            printed: dict[str, float] = {}  # metrics.csv labels each row by these texts
+            for value in axis:
+                text = format_value(value)
+                other = printed.setdefault(text, value)
+                if other != value:
+                    raise ValueError(f"sweep axis {name} holds {other!r} and {value!r}, "
+                                     f"which metrics.csv writes alike as {text}")
         if bad := [d for d in self.densities if not 0.0 < d < math.inf]:
             raise ValueError(f"sweep axis densities holds {bad[0]}; a density must be "
                              "positive and finite")
@@ -304,16 +324,26 @@ def _gather(results, total: int) -> list[dict]:
     return sorted(rows, key=lambda row: (row["combo"], row["p"], row["density"]))
 
 
+def _pool_map(jobs: int, fn, tasks: list):
+    """``map(fn, tasks)``, on min(jobs, tasks, CPU count) worker processes.
+
+    With one worker it maps in this process. A pool starts all its
+    workers at once, so it never has more than tasks or CPUs.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks)
+
+
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:
     """All cells of the grid, rows in ``enumerate_cells`` order."""
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
-    calls = (run_chunk, [spec] * len(chunks), chunks, [save_dir] * len(chunks))
-    workers = min(spec.jobs, len(chunks), os.cpu_count() or 1)  # a pool starts all at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _gather(pool.map(*calls), len(cells))
-    return _gather(map(*calls), len(cells))
+    return _gather(_pool_map(spec.jobs, partial(run_chunk, spec, save_dir=save_dir), chunks),
+                   len(cells))
 
 
 @dataclass(frozen=True)
@@ -322,10 +352,30 @@ class ProbabilityVerification:
     curves: list[dict]  # intensity, p, class, empirical, theoretical
 
 
+def _shares(n_vehicles: int, runs: int, seed: int, points: list[tuple[float, float]]):
+    """Empirical class shares of each (intensity, p) point, over ``runs`` rings each."""
+    shares = []
+    for intensity, p in points:
+        # Full intensity reads no seed and draws the same ring every
+        # run, so one ring gives the same shares: c / n and
+        # runs * c / (runs * n) are the same correctly rounded quotient
+        seeds = ([None] if intensity == 1.0
+                 else [cell_seed(seed, intensity, p, r) for r in range(runs)])
+        flags = draw_flags(FleetSpec(n_vehicles, p, intensity), seeds)
+        shares.append(empirical_distribution(
+            role_codes(flags.ravel(), [n_vehicles] * len(seeds), S_MAX)))
+    return shares
+
+
 def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              p_grid=None, intensities=(0.0, 1.0),
-                             seed: int = 0) -> ProbabilityVerification:
-    """Empirical class frequencies of sampled rings against the closed form."""
+                             seed: int = 0, jobs: int = JOBS) -> ProbabilityVerification:
+    """Empirical class frequencies of sampled rings against the closed form.
+
+    The (intensity, p) points are drawn in consecutive batches, several
+    per worker (see ``_pool_map``); a point's shares do not depend on
+    its batch or worker.
+    """
     if p_grid is None:
         p_grid = _grid(*P_GRID)
     p_grid = [float(p) for p in p_grid]
@@ -340,6 +390,14 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         raise ValueError("p_grid is empty")
     if len(set(p_grid)) < len(p_grid):
         raise ValueError(f"p_grid repeats a value: {p_grid}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    points = [(intensity, p) for intensity in intensities for p in p_grid]
+    size = math.ceil(len(points) / (BATCHES_PER_WORKER * jobs))
+    batches = [points[i:i + size] for i in range(0, len(points), size)]
+    drawn = iter([share for shares in _pool_map(jobs, partial(_shares, n_vehicles, runs, seed),
+                                                batches)
+                  for share in shares])
     fits: list[dict] = []
     curves: list[dict] = []
     class_names = ("LV1", "LV2", "PV")
@@ -347,14 +405,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         emp = {name: [] for name in class_names}
         theo = {name: [] for name in class_names}
         for p in p_grid:
-            # Full intensity reads no seed and draws the same ring every
-            # run, so one ring gives the same shares: c / n and
-            # runs * c / (runs * n) are the same correctly rounded quotient
-            seeds = ([None] if intensity == 1.0
-                     else [cell_seed(seed, intensity, p, r) for r in range(runs)])
-            flags = draw_flags(FleetSpec(n_vehicles, p, intensity), seeds)
-            dist = empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * len(seeds),
-                                                     S_MAX))
+            dist = next(drawn)
             model = class_probabilities(p, intensity, S_MAX)
             for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
                                ("LV2", dist.p_lv2, model.p_lv2),

@@ -1,6 +1,7 @@
 """Command-line entry points and the flat config-file loader."""
 
 import inspect
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -116,6 +117,18 @@ def test_combo_ranges_expand(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
 
 
+def test_sweep_rejects_values_metrics_csv_prints_alike(tmp_path, capsys):
+    # both penetrations would be written as 0.1: two rows with one set of labels
+    code = main(["sweep", "--densities", "15", "--penetrations", "0.1,0.1000000001",
+                 "--combos", "1", "--duration", "20", "--warmup", "10",
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: sweep axis penetrations holds 0.1 and 0.1000000001, which "
+                   "metrics.csv writes alike as 0.1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_data_roundtrip(tmp_path):
     out = tmp_path / "out"
     main(["sweep", "--densities", "15,55", "--penetrations", "0,1",
@@ -212,6 +225,15 @@ def test_verify_prob_rejects_empty_or_repeated_intensities(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
 
 
+def test_verify_prob_rejects_jobs_below_one(tmp_path, capsys):
+    for jobs in ("0", "-3"):
+        code = main(["verify-prob", "--vehicles", "20", "--runs", "2", "--jobs", jobs,
+                     "--outdir", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "bad").exists()
+
+
 def test_verify_stability_cmd(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify-stability", "--outdir", str(out)])
@@ -295,6 +317,8 @@ def test_cli_defaults_are_the_library_defaults():
     for option, param in (("vehicles", "n_vehicles"), ("runs", "runs"),
                           ("intensities", "intensities"), ("seed", "seed")):
         assert getattr(prob, option) == lib[param].default, option
+    # one worker default for both batch verbs: one per CPU
+    assert prob.jobs == lib["jobs"].default == SweepSpec.jobs == (os.cpu_count() or 1)
     sweep = subs["sweep"].parse_args([])
     assert sweep.jobs == SweepSpec.jobs
     assert _int_list(sweep.combos) == SweepSpec.combos

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import POLLUTANTS
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
-                                     SweepSpec, _chunk_cap, _chunks,
+                                     SweepSpec, _chunk_cap, _chunks, _grid,
                                      cell_seed, emit_plot_data, enumerate_cells,
                                      run_chunk, run_sweep,
                                      verify_probability_model,
@@ -31,7 +32,7 @@ SUM_RTOL = 1e-12
 
 def small_spec(**kw):
     base = dict(densities=(15.0, 25.0), penetrations=(0.0, 1.0),
-                combos=(1, 3), **DESK)
+                combos=(1, 3), jobs=1, **DESK)
     base.update(kw)
     return SweepSpec(**base)
 
@@ -66,6 +67,17 @@ def test_sweep_spec_rejects_unknown_combos(combos, bad):
     with pytest.raises(ValueError, match=f"unknown strategy combo {bad}; valid combos are "
                                          "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"):
         SweepSpec(combos=combos)
+
+
+@pytest.mark.parametrize("axis, values, printed", [
+    ("penetrations", (0.1, 0.1000000001), "0.1"),
+    ("densities", (25.0, 15.000000001, 15.0), "15")])
+def test_sweep_spec_rejects_values_metrics_csv_prints_alike(axis, values, printed):
+    # metrics.csv writes 9 significant digits: two rows would share their labels
+    with pytest.raises(ValueError, match=re.escape(
+            f"sweep axis {axis} holds {values[-2]!r} and {values[-1]!r}, which "
+            f"metrics.csv writes alike as {printed}")):
+        SweepSpec(**{axis: values})
 
 
 def test_cell_seed_matches_digest():
@@ -299,7 +311,7 @@ def test_run_sweep_parallel_matches_serial(capsys):
 
 
 def test_default_grid_steps_each_distinct_ring_once():
-    spec = SweepSpec()
+    spec = SweepSpec(jobs=1)
     cells = enumerate_cells(spec)
     chunks = list(_chunks(spec, cells))
     assert check_chunks(spec, cells, chunks) == (1014, 53520)
@@ -319,7 +331,7 @@ def test_default_grid_steps_each_distinct_ring_once():
     assert shared == {**{(0.0, d): [list(range(1, 11))] for d in spec.densities},
                       (0.2, 5.0): [[1, 5], [2, 6, 7], [3, 8, 9], [4, 10]]}
     # the trajectory benchmark's two dense p 1 cells are distinct rings
-    spec = SweepSpec(densities=(95.0,), penetrations=(1.0,), combos=(1, 7))
+    spec = SweepSpec(densities=(95.0,), penetrations=(1.0,), combos=(1, 7), jobs=1)
     assert list(_chunks(spec, enumerate_cells(spec))) == [[[(95.0, 1.0, 1)], [(95.0, 1.0, 7)]]]
 
 
@@ -452,7 +464,8 @@ def test_small_short_sweep_gives_each_worker_a_chunk():
 
 
 def test_cell_larger_than_the_cap_runs_alone():
-    spec = SweepSpec(sim=ring.SimConfig(ring_length=50_000.0, duration=60.0, warmup=30.0))
+    spec = SweepSpec(sim=ring.SimConfig(ring_length=50_000.0, duration=60.0, warmup=30.0),
+                     jobs=1)
     cells = [(5.0, 1.0, 1), (100.0, 1.0, 1), (5.0, 1.0, 2)]  # 250, 5000, 250 vehicles
     assert _chunk_cap(spec, 5500.0) == CHUNK_VEHICLES
     assert list(_chunks(spec, cells)) == [[[cells[0]]], [[cells[1]]], [[cells[2]]]]
@@ -581,6 +594,35 @@ def test_verify_probability_model_rejects_bad_counts():
         verify_probability_model(n_vehicles=10, runs=2, p_grid=[])
     with pytest.raises(ValueError, match=r"p_grid repeats a value: \[0.5, 0.5\]"):
         verify_probability_model(n_vehicles=10, runs=2, p_grid=[0.5, 0.5])
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        verify_probability_model(n_vehicles=10, runs=2, jobs=0)
+
+
+def test_verify_probability_model_is_the_same_at_any_jobs():
+    # the points are drawn in batches across workers and put back in grid order
+    args = dict(n_vehicles=37, runs=15, p_grid=_grid(0.05, 0.95, 0.1),
+                intensities=(0.0, 0.35, 1.0), seed=5)
+    serial = verify_probability_model(**args, jobs=1)
+    for jobs in (2, 500):
+        pooled = verify_probability_model(**args, jobs=jobs)
+        assert repr(pooled.fits) == repr(serial.fits)
+        assert repr(pooled.curves) == repr(serial.curves)
+
+
+@pytest.mark.parametrize("cpus, points, workers", [
+    (64, 10, [3]),  # jobs binds
+    (64, 1, []),    # one point is one batch
+    (1, 10, []),
+    (None, 10, [])])  # an unknown CPU count means one
+def test_verify_probability_model_pool_size(monkeypatch, cpus, points, workers):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    args = dict(n_vehicles=20, runs=5, p_grid=_grid(0.1, 0.1 * points, 0.1),
+                intensities=(0.0,))
+    pooled = verify_probability_model(**args, jobs=3)
+    assert FakePool.sizes == workers
+    assert repr(pooled) == repr(verify_probability_model(**args, jobs=1))
 
 
 def test_verify_stability_report():
