@@ -7,13 +7,17 @@ stable hash, and a cell that fails on its own values becomes a status
 row instead of killing the sweep. Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-A sweep steps each distinct ring once. Two cells with the same
-``ring.ring_key`` get the same columns from ``build_rings``, and a
-ring's numbers do not depend on its chunk, so the sweep groups the
-cells of each ring and builds the ring from its first cell. The worker
-that steps a ring writes every cell of it: the ring's row under the
-cell's own labels, or the cell's own failure line if the ring failed,
-and, with saved trajectories, the cell's own copy of the ring's files.
+A sweep draws each cell's ring once and steps each distinct ring once.
+One pass over the cells in the parent (``_chunks``) checks each cell's
+fleet, seeds it and draws its CAV flag row; a cell no ring can hold
+gets its error row and failure line there, before any chunk runs. Two
+cells with the same ``ring.ring_key`` get the same columns from
+``build_rings``, and a ring's numbers do not depend on its chunk, so
+the pass groups the cells of each ring, and a worker gets each ring's
+flag row, vehicle count and cells. The worker that steps a ring writes
+every cell of it: the ring's row under the cell's own labels, or the
+cell's own failure line if the ring failed, and, with saved
+trajectories, the cell's own copy of the ring's files.
 On the default grid, 1014 of the 1200 cells are distinct rings, holding
 53,520 of its 63,000 vehicles: the 200 cells at p 0 are 20 all-human
 rings, and six cells at 5 veh/km and p 0.2 repeat a one-CAV ring that
@@ -22,7 +26,7 @@ that grid's shape and share; its ``traj_dump`` (95 veh/km, p 1,
 combos 1 and 7) holds no two cells with the same ring.
 
 The sweep cuts the rings, in order, into chunks of up to CHUNK_VEHICLES
-vehicles (fewer where a ``--jobs`` share of the sweep is smaller),
+vehicles (fewer where one worker's share of the sweep is smaller),
 counting each ring's vehicles once, and steps each chunk's rings
 together in one engine run. Its samples come in blocks
 (``ring.run_blocks``): one ``energy.sample_rates`` pass per block adds
@@ -35,8 +39,10 @@ chunk goes to stderr.
 
 The sweep's chunks and ``verify_probability_model``'s batches of grid
 points go to one worker pool (``_pool_map``): ``jobs`` workers, one per
-CPU unless told otherwise (JOBS), but no more than there are tasks or
-CPUs, and none when that leaves one. No output byte depends on it.
+CPU unless told otherwise (JOBS), but no more than there are CPUs
+(``_workers``) or tasks, and none when that leaves one. A ``jobs``
+above the CPU count plans the same chunks and batches as the CPU
+count, and runs them on as many workers. No output byte depends on it.
 """
 
 from __future__ import annotations
@@ -186,47 +192,36 @@ def _stem(save_dir: str | Path, row: dict) -> Path:
                           f"_d{_name_value(row['density'])}")
 
 
-def run_chunk(spec: SweepSpec, rings: list[list[tuple[float, float, int]]],
+def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
               save_dir: str | Path | None = None) -> list[dict]:
     """Step the rings of a chunk together in one engine run; one metrics row per cell.
 
-    ``rings`` lists the cells of each ring (see ``_chunks``); a ring is
-    built from its first cell, and every cell of it gets the ring's row
-    under its own labels, or its own failure line if the ring fails.
-    With ``save_dir``, each ring's rows go to its first cell's
+    ``chunk`` is the rings' flag rows back to back and each ring's
+    vehicle count and cells (see ``_chunks``). A ring runs under its
+    first cell's combo, and every cell of it gets the ring's row under
+    its own labels, or its own failure line if the ring fails. With
+    ``save_dir``, each ring's rows go to its first cell's
     ``<stem>_trajectory.csv.partial`` block by block; when the run ends,
     a failed ring's file is removed, and each cell of the other rings
     gets its own copy of the file, by way of its own ``.partial`` file,
     and its own violations file.
     """
-    rows: list[dict] = []
-    fleets, firsts, running = [], [], []  # each stepped ring's fleet, first cell and rows
-    for cells in rings:
-        group = [{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
-        rows.extend(group)
-        try:
-            fleets.append(ring.cell_fleet(spec.sim, *cells[0]))
-        except ValueError as exc:
-            for row in group:
-                _fail(row, exc)
-            continue
-        firsts.append(cells[0])
-        running.append(group)
-    if not fleets:
-        return rows
-    seeds = [cell_seed(spec.base_seed, *cell) for cell in firsts]
-    state = ring.build_rings(spec.sim, fleets, [combo for _, _, combo in firsts], seeds)
+    flags, rings = chunk
+    groups = [[{"combo": combo, "p": p, "density": density} for density, p, combo in cells]
+              for _, cells in rings]
+    state = ring.build_rings(sim, flags, [size for size, _ in rings],
+                             [group[0]["combo"] for group in groups])
     bounds = [*state.starts, state.n]
-    sums = np.zeros((2 + len(POLLUTANTS), len(running)))
-    violations: list[list[ring.Violation]] = [[] for _ in running]
+    sums = np.zeros((2 + len(POLLUTANTS), len(rings)))
+    violations: list[list[ring.Violation]] = [[] for _ in rings]
     errors: dict[int, str] = {}
     stems = [] if save_dir is None else [[_stem(save_dir, row) for row in group]
-                                         for group in running]
+                                         for group in groups]
     partials = [Path(f"{cell_stems[0]}_trajectory.csv.partial") for cell_stems in stems]
     for partial in partials:
         partial.parent.mkdir(parents=True, exist_ok=True)
         partial.write_text(TRAJECTORY_HEAD)
-    for block in ring.run_blocks(state, spec.sim):
+    for block in ring.run_blocks(state, sim):
         # a ring's sum depends on its own samples alone: its vehicles per
         # sample by reduceat, then its samples as one contiguous row
         for total, rate in zip(sums, sample_rates(block.v, block.a)):
@@ -242,8 +237,8 @@ def run_chunk(spec: SweepSpec, rings: list[list[tuple[float, float, int]]],
                 with open(partial, "a") as fh:
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
-    for r, (group, fleet) in enumerate(zip(running, fleets)):
-        means = sums[:, r] / (len(spec.sim.sample_steps) * fleet.n_vehicles)
+    for r, ((size, _), group) in enumerate(zip(rings, groups)):
+        means = sums[:, r] / (len(sim.sample_steps) * size)
         for row in group:
             if r in errors:
                 _fail(row, errors[r])
@@ -258,62 +253,68 @@ def run_chunk(spec: SweepSpec, rings: list[list[tuple[float, float, int]]],
         for stem in cell_stems:
             Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
             write_violations_csv(violations[r], f"{stem}_violations.csv")
-    return rows
+    return [row for group in groups for row in group]
 
 
-def _batches(items: list, sizes: list[float], cap: float):
-    """Consecutive runs of items whose sizes sum to at most ``cap``.
-
-    An item larger than the cap goes alone.
-    """
-    batch: list = []
-    total = 0.0
-    for item, size in zip(items, sizes):
-        if batch and total + size > cap:
-            yield batch
-            batch, total = [], 0.0
-        batch.append(item)
-        total += size
-    if batch:
-        yield batch
+def _workers(jobs: int) -> int:
+    """Worker processes of ``jobs`` on this machine: no more than its CPUs."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
     """Most vehicles in one chunk of a sweep of ``vehicles`` in all.
 
-    CHUNK_VEHICLES, but no more than a ``spec.jobs`` share of the sweep,
+    CHUNK_VEHICLES, but no more than one worker's share of the sweep,
     so each worker gets a chunk when the sweep is small.
     """
-    return max(1, min(CHUNK_VEHICLES, math.ceil(vehicles / spec.jobs)))
+    return max(1, min(CHUNK_VEHICLES, math.ceil(vehicles / _workers(spec.jobs))))
 
 
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
-    """The cells' rings, in consecutive runs holding at most ``_chunk_cap`` vehicles.
+    """The error rows of the cells no ring can hold, and the other cells' chunks.
 
-    A ring is the list of the cells with one ``ring.ring_key``, in the
-    order its first cell appears, and its size is its vehicle count; a
-    ring larger than the cap runs alone. A cell no ring can hold is a
-    ring of its own of size 0: its chunk makes its error row.
+    Here, and only here, a cell becomes a ring: its fleet is checked
+    (``ring.cell_fleet``), seeded and its flag row drawn, once. A cell
+    the check rejects gets its error row and failure line at once. The
+    cells with one ``ring.ring_key`` are one ring, listed in the order
+    its first cell appears. The rings, in order, go in consecutive
+    chunks holding at most ``_chunk_cap`` vehicles; a ring larger than
+    the cap goes alone. A chunk is its rings' flag rows back to back, as
+    one array, and each ring's vehicle count and cells.
     """
-    rings: dict = {}  # ring key -> its cells
-    sizes: list[int] = []  # vehicles of each ring
-    for i, (density, p, combo) in enumerate(cells):
+    failed: list[dict] = []
+    rings: dict = {}  # ring key -> its flag row and cells
+    for density, p, combo in cells:
         try:
             fleet = ring.cell_fleet(spec.sim, density, p, combo)
-        except ValueError:
-            key, size = i, 0  # a cell index is no ring key
-        else:
-            key = ring.ring_key(fleet, combo, cell_seed(spec.base_seed, density, p, combo))
-            size = fleet.n_vehicles
-        if key not in rings:
-            sizes.append(size)
-        rings.setdefault(key, []).append((density, p, combo))
-    return _batches(list(rings.values()), sizes, _chunk_cap(spec, sum(sizes)))
+        except ValueError as exc:
+            row = {"combo": combo, "p": p, "density": density}
+            _fail(row, exc)
+            failed.append(row)
+            continue
+        flags = draw_flags(fleet, [cell_seed(spec.base_seed, density, p, combo)])[0]
+        rings.setdefault(ring.ring_key(flags, combo), (flags, []))[1].append((density, p, combo))
+    cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
+    batches: list[list] = []
+    total = cap  # every ring holds a vehicle, so the first opens a chunk
+    for flags, ring_cells in rings.values():
+        if total + flags.size > cap:
+            batches.append([])
+            total = 0
+        batches[-1].append((flags, ring_cells))
+        total += flags.size
+    return failed, [(np.concatenate([flags for flags, _ in batch]),
+                     [(flags.size, ring_cells) for flags, ring_cells in batch])
+                    for batch in batches]
 
 
-def _gather(results, total: int) -> list[dict]:
-    """Rows of finished chunks in ``enumerate_cells`` order; a progress line per chunk."""
-    rows: list[dict] = []
+def _gather(rows: list[dict], results, total: int) -> list[dict]:
+    """``rows`` and the rows of finished chunks in ``enumerate_cells`` order.
+
+    A progress line per chunk, or one if there is none.
+    """
+    if len(rows) == total:  # every cell failed its checks: no chunk
+        results = [[]]
     start = time.perf_counter()
     for chunk_rows in results:
         rows.extend(chunk_rows)
@@ -325,13 +326,13 @@ def _gather(results, total: int) -> list[dict]:
 
 
 def _pool_map(jobs: int, fn, tasks: list):
-    """``map(fn, tasks)``, on min(jobs, tasks, CPU count) worker processes.
+    """``map(fn, tasks)``, on ``_workers(jobs)`` worker processes, or fewer.
 
-    With one worker it maps in this process. A pool starts all its
-    workers at once, so it never has more than tasks or CPUs.
+    With one worker or none it maps in this process. A pool starts all
+    its workers at once, so it never has more than tasks.
     """
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
+    workers = min(_workers(jobs), len(tasks))
+    if workers <= 1:
         yield from map(fn, tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -341,9 +342,9 @@ def _pool_map(jobs: int, fn, tasks: list):
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:
     """All cells of the grid, rows in ``enumerate_cells`` order."""
     cells = enumerate_cells(spec)
-    chunks = list(_chunks(spec, cells))
-    return _gather(_pool_map(spec.jobs, partial(run_chunk, spec, save_dir=save_dir), chunks),
-                   len(cells))
+    failed, chunks = _chunks(spec, cells)
+    return _gather(failed, _pool_map(spec.jobs, partial(run_chunk, spec.sim, save_dir=save_dir),
+                                     chunks), len(cells))
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
-    size = math.ceil(len(points) / (BATCHES_PER_WORKER * jobs))
+    size = math.ceil(len(points) / (BATCHES_PER_WORKER * _workers(jobs)))
     batches = [points[i:i + size] for i in range(0, len(points), size)]
     drawn = iter([share for shares in _pool_map(jobs, partial(_shares, n_vehicles, runs, seed),
                                                 batches)

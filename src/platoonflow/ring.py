@@ -20,11 +20,12 @@ order.
 A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
 the platoon size cap are constants. A cell's own values (density,
-penetration, combo, fleet layout) are checked by ``cell_fleet``. One
-state can hold several independent rings: ``build_rings`` draws each
-ring's flags, then labels, wires and places all of them in one pass
-over arrays laid back to back, with index columns pointing into each
-ring's own slice, so one kernel call under one config steps them all.
+penetration, combo, fleet layout) are checked by ``cell_fleet``; the
+sweep then draws each cell's CAV flag row once (``fleet.draw_flags``)
+and hands the rows on. One state can hold several independent rings:
+``build_rings`` labels, wires and places the rings of flag rows laid
+back to back in one pass, with index columns pointing into each ring's
+own slice, so one kernel call under one config steps them all.
 Every operation is elementwise or gathers inside one ring, so a
 vehicle's numbers depend neither on where the kernel order puts it nor
 on the rings stepped with it: each ring's numbers are bit for bit those
@@ -61,7 +62,7 @@ import numpy as np
 
 from .controllers import (V_FREE, VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
-from .fleet import S_MAX, FleetSpec, draw_flags, role_codes, round_half_up
+from .fleet import S_MAX, FleetSpec, role_codes, round_half_up
 from .platoons import COMBOS, STRATEGIES, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
@@ -237,18 +238,16 @@ def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
     return FleetSpec(n, p, intensity)
 
 
-def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Sequence[int],
-                seeds: Sequence[int | None]) -> RingState:
+def build_rings(config: SimConfig, flags: np.ndarray, sizes: Sequence[int],
+                combo_ids: Sequence[int]) -> RingState:
     """Evenly spaced standstill starts of rings, stacked in one state.
 
-    Each ring has a fleet from ``cell_fleet``, a combo and a seed, which
-    draws its layout below full intensity and is not read at 1. The
-    rings' flags are labeled and wired in one pass.
+    ``flags`` holds the rings' CAV flag rows (``fleet.draw_flags``) back
+    to back, ``sizes`` the vehicles of each ring and ``combo_ids`` its
+    combo, in order. The rings are labeled and wired in one pass.
     """
-    sizes = np.array([fleet.n_vehicles for fleet in fleets])
+    sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
-    flags = np.concatenate([draw_flags(fleet, [seed]) for fleet, seed in zip(fleets, seeds)],
-                           axis=None)
     strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes,
                                            [COMBOS[c] for c in combo_ids])
     k = np.arange(flags.size) - np.repeat(starts, sizes)  # index in the ring
@@ -257,21 +256,19 @@ def build_rings(config: SimConfig, fleets: Sequence[FleetSpec], combo_ids: Seque
                      leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
 
 
-def ring_key(fleet: FleetSpec, combo_id: int, seed: int | None) -> tuple:
+def ring_key(flags: np.ndarray, combo_id: int) -> tuple:
     """Everything ``build_rings`` reads of one ring, as a hashable key.
 
-    That is the vehicle count, the CAV flag row, the leader law if the
-    ring holds a CAV and the follower law if it holds two or more: with
-    one CAV its platoon has no follower, and a BS leader's rear-gap
-    source is its own follower whatever the follower law. Rings with
-    equal keys get the same columns, bit for bit, and so, stepped under
-    one config, the same numbers.
+    That is the ring's CAV flag row, which also gives its vehicle count,
+    the leader law if the ring holds a CAV and the follower law if it
+    holds two or more: with one CAV its platoon has no follower, and a
+    BS leader's rear-gap source is its own follower whatever the follower
+    law. Rings with equal keys get the same columns, bit for bit, and so,
+    stepped under one config, the same numbers.
     """
-    flags = draw_flags(fleet, [seed])[0]
     cavs = np.count_nonzero(flags)
     combo = COMBOS[combo_id]
-    return (fleet.n_vehicles, flags.tobytes(), combo.lv if cavs else None,
-            combo.pv if cavs > 1 else None)
+    return (flags.tobytes(), combo.lv if cavs else None, combo.pv if cavs > 1 else None)
 
 
 def _arc(d: np.ndarray, ring: float) -> np.ndarray:

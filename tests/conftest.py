@@ -28,7 +28,7 @@ from platoonflow import ring as engine
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, V_FREE, VEHICLE_LENGTH,
                                      ControlContext, Strategy, equilibrium_gap)
 from platoonflow.energy import sample_rates, summarize
-from platoonflow.fleet import VehicleClass
+from platoonflow.fleet import VehicleClass, draw_flags
 from platoonflow.platoons import STRATEGIES
 from platoonflow.ring import GAP_FLOOR, RingState, TrajectoryLog, Violation
 
@@ -53,7 +53,8 @@ class SimulationError(RuntimeError):
 def init_state(config, density, p, combo_id, intensity=1.0, seed=None):
     """Evenly spaced standstill start of one cell's ring."""
     fleet = engine.cell_fleet(config, density, p, combo_id, intensity)
-    return engine.build_rings(config, [fleet], [combo_id], [seed])
+    return engine.build_rings(config, draw_flags(fleet, [seed])[0], [fleet.n_vehicles],
+                              [combo_id])
 
 
 def run(config, density, p, combo_id, intensity=1.0, seed=None):

@@ -46,7 +46,7 @@ def desk():
              + [(95.0, 1.0, c) for c in range(1, 11)])
     start = time.perf_counter()
     rows = {(r["combo"], r["p"], r["density"]): r
-            for chunk in _chunks(spec, cells) for r in run_chunk(spec, chunk)}
+            for chunk in _chunks(spec, cells)[1] for r in run_chunk(spec.sim, chunk)}
     elapsed = time.perf_counter() - start
     return {"rows": rows, "elapsed": elapsed}
 

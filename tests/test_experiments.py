@@ -13,6 +13,7 @@ from conftest import init_state, reduce_log, run_state, split_log, stack
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import POLLUTANTS
+from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
                                      SweepSpec, _chunk_cap, _chunks, _grid,
                                      cell_seed, emit_plot_data, enumerate_cells,
@@ -37,27 +38,42 @@ def small_spec(**kw):
     return SweepSpec(**base)
 
 
-def alone(cells):
-    """``run_chunk``'s rings of cells each stepped on its own."""
-    return [[cell] for cell in cells]
+def alone(spec, cells):
+    """``run_chunk``'s chunk of ``cells``, each a ring of its own."""
+    failed, chunks = _chunks(dataclasses.replace(spec, jobs=1), cells)
+    [(flags, rings)] = chunks
+    assert not failed and [cells_ for _, cells_ in rings] == [[cell] for cell in cells]
+    return flags, rings
+
+
+def plan(chunks):
+    """The cells of each ring of each chunk."""
+    return [[cells_ for _, cells_ in rings] for _, rings in chunks]
+
+
+def flag_row(spec, cell):
+    """A cell's CAV flag row, drawn as the sweep draws it."""
+    return draw_flags(ring.cell_fleet(spec.sim, *cell), [cell_seed(spec.base_seed, *cell)])[0]
 
 
 def check_chunks(spec, cells, chunks):
     """Assert that every cell sits in exactly one chunk, that all cells of a
-    ring share one ``ring_key`` and no other ring has it, and that no chunk
-    steps more than its cap; return the number of rings and of vehicles
-    stepped."""
-    rings = [cells_ for chunk in chunks for cells_ in chunk]
+    ring share one ``ring_key`` and no other ring has it, that each chunk
+    holds its rings' vehicle counts and flag rows, and that no chunk steps
+    more than its cap; return the number of rings and of vehicles stepped."""
+    rings = [cells_ for cells_chunk in plan(chunks) for cells_ in cells_chunk]
     assert sorted(cell for cells_ in rings for cell in cells_) == sorted(cells)
-    keys = [{ring.ring_key(ring.cell_fleet(spec.sim, *cell), cell[2],
-                           cell_seed(spec.base_seed, *cell)) for cell in cells_}
+    keys = [{ring.ring_key(flag_row(spec, cell), cell[2]) for cell in cells_}
             for cells_ in rings]
     assert all(len(key) == 1 for key in keys)
     assert len(set.union(*keys)) == len(rings)
-    sizes = [ring.cell_fleet(spec.sim, *cells_[0]).n_vehicles for cells_ in rings]
+    for flags, chunk_rings in chunks:
+        rows = [flag_row(spec, cells_[0]) for _, cells_ in chunk_rings]
+        assert [size for size, _ in chunk_rings] == [row.size for row in rows]
+        assert flags.tobytes() == np.concatenate(rows).tobytes()
+    sizes = [size for _, chunk_rings in chunks for size, _ in chunk_rings]
     cap = _chunk_cap(spec, sum(sizes))
-    stepped = iter(sizes)
-    assert all(sum(next(stepped) for _ in chunk) <= cap for chunk in chunks)
+    assert all(sum(size for size, _ in chunk_rings) <= cap for _, chunk_rings in chunks)
     return len(rings), sum(sizes)
 
 
@@ -109,7 +125,7 @@ def test_enumerate_cells_order():
 
 def test_run_cell_produces_metrics_row():
     spec = SweepSpec(**DESK)
-    row = run_chunk(spec, [[(15.0, 0.8, 1)]])[0]
+    row = run_chunk(spec.sim, alone(spec, [(15.0, 0.8, 1)]))[0]
     assert set(row) == set(METRICS_HEADER)
     assert row["status"] == "ok"
     assert row["combo"] == 1
@@ -123,7 +139,8 @@ def test_run_cell_produces_metrics_row():
 
 def test_run_cell_error_row(capsys):
     spec = SweepSpec(**DESK)
-    row = run_chunk(spec, [[(250.0, 1.0, 1)]])[0]  # spacing below vehicle length
+    [row], chunks = _chunks(spec, [(250.0, 1.0, 1)])  # spacing below vehicle length
+    assert chunks == []
     assert row["status"] == "error"
     assert math.isnan(row["nff_g_per_km"])
     assert math.isnan(row["mean_speed_mps"])
@@ -144,7 +161,7 @@ def test_non_finite_spec_gives_error_row_not_abort(capsys):
 
 def test_run_cell_saves_trajectories(tmp_path):
     spec = SweepSpec(**DESK)
-    run_chunk(spec, [[(15.0, 0.8, 1)]], tmp_path)
+    run_chunk(spec.sim, alone(spec, [(15.0, 0.8, 1)]), tmp_path)
     lines = (tmp_path / "cell_c1_p0.8_d15_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,vehicle_index,x,v,a"
     assert len(lines) == 1 + len(spec.sim.sample_steps) * 15  # 15 vehicles on 1 km
@@ -165,22 +182,22 @@ def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
     spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(0.8,), combos=(5,))
     build_rings = ring.build_rings
 
-    def disturbed(config, fleets, *args):
+    def disturbed(config, flags, sizes, *args):
         # densities on the 1 km ring are vehicle counts
-        state = build_rings(config, fleets, *args)
-        for fleet, start in zip(fleets, state.starts):
-            if fleet.n_vehicles == 25:  # dropped
+        state = build_rings(config, flags, sizes, *args)
+        for size, start in zip(sizes, state.starts):
+            if size == 25:  # dropped
                 state.v[start + 4] = math.nan
-            if fleet.n_vehicles == 35:  # logs violations, behind the dropped ring
+            if size == 35:  # logs violations, behind the dropped ring
                 state.x[start + 2] = (state.x[start + 1] - 4.5) % config.ring_length
         return state
 
     monkeypatch.setattr(ring, "build_rings", disturbed)
     cells = enumerate_cells(spec)
-    rows = run_chunk(spec, alone(cells), tmp_path / "chunk")
+    rows = run_chunk(spec.sim, alone(spec, cells), tmp_path / "chunk")
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     for cell in cells:
-        run_chunk(spec, [[cell]], tmp_path / "alone")
+        run_chunk(spec.sim, alone(spec, [cell]), tmp_path / "alone")
     names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
     assert names == [f"cell_c5_p0.8_d{d}_{kind}.csv" for d in (15, 35)
                      for kind in ("trajectory", "violations")]
@@ -207,10 +224,10 @@ def test_ring_that_fails_mid_run_leaves_no_file(monkeypatch, tmp_path, capsys):
     failing = run_state(init_state(spec.sim, *cells[1]), spec.sim)
     assert failing.errors
     assert np.isnan(failing.v).all(axis=1).argmax() > ring.BLOCK_SAMPLES
-    rows = run_chunk(spec, alone(cells), tmp_path / "chunk")
+    rows = run_chunk(spec.sim, alone(spec, cells), tmp_path / "chunk")
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     for cell in cells:
-        run_chunk(spec, [[cell]], tmp_path / "alone")
+        run_chunk(spec.sim, alone(spec, [cell]), tmp_path / "alone")
     names = sorted(path.name for path in (tmp_path / "chunk").iterdir())
     assert names == [f"cell_c{c}_p0.6_d{d}_{kind}.csv" for c, d in ((2, 40), (4, 95))
                      for kind in ("trajectory", "violations")]
@@ -230,7 +247,8 @@ def test_chunk_memory_is_flat_in_the_horizon(tmp_path, save):
         spec = SweepSpec(sim=ring.SimConfig(duration=duration, warmup=0.0, record_every=1))
         tracemalloc.start()
         try:
-            rows = run_chunk(spec, alone(cells), tmp_path / f"{duration:g}" if save else None)
+            rows = run_chunk(spec.sim, alone(spec, cells),
+                             tmp_path / f"{duration:g}" if save else None)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -247,7 +265,7 @@ def test_block_length_changes_no_file(monkeypatch, tmp_path):
     runs = {}
     for block in (1, 7, ring.BLOCK_SAMPLES):
         monkeypatch.setattr(ring, "BLOCK_SAMPLES", block)
-        runs[block] = run_chunk(spec, alone(cells), tmp_path / str(block))
+        runs[block] = run_chunk(spec.sim, alone(spec, cells), tmp_path / str(block))
     names = sorted(path.name for path in (tmp_path / "1").iterdir())
     assert len(names) == 2 * len(cells)
     for block, rows in runs.items():
@@ -297,13 +315,13 @@ def test_run_sweep_parallel_matches_serial(capsys):
                       combos=tuple(range(1, 11)),
                       sim=ring.SimConfig(duration=10.0, warmup=5.0))
     cells = enumerate_cells(spec)
-    chunks = list(_chunks(spec, cells))
+    chunks = _chunks(spec, cells)[1]
     assert len(chunks) >= 3
     check_chunks(spec, cells, chunks)
     serial = run_sweep(spec)
     assert serial == run_sweep(dataclasses.replace(spec, jobs=2))
     # chunking changes no number: every row is its cell run alone
-    assert serial == [run_chunk(spec, [[(r["density"], r["p"], r["combo"])]])[0]
+    assert serial == [run_chunk(spec.sim, alone(spec, [(r["density"], r["p"], r["combo"])]))[0]
                       for r in serial]
     err = capsys.readouterr().err
     assert f"sweep: {len(serial)}/{len(serial)} cells" in err
@@ -313,10 +331,10 @@ def test_run_sweep_parallel_matches_serial(capsys):
 def test_default_grid_steps_each_distinct_ring_once():
     spec = SweepSpec(jobs=1)
     cells = enumerate_cells(spec)
-    chunks = list(_chunks(spec, cells))
+    chunks = _chunks(spec, cells)[1]
     assert check_chunks(spec, cells, chunks) == (1014, 53520)
     # a ring lists its cells in cell order, and the rings follow their first cells
-    rings = [cells_ for chunk in chunks for cells_ in chunk]
+    rings = [cells_ for cells_chunk in plan(chunks) for cells_ in cells_chunk]
     order = {cell: i for i, cell in enumerate(cells)}
     assert all(cells_ == sorted(cells_, key=order.get) for cells_ in rings)
     assert [cells_[0] for cells_ in rings] == sorted((cells_[0] for cells_ in rings),
@@ -332,7 +350,8 @@ def test_default_grid_steps_each_distinct_ring_once():
                       (0.2, 5.0): [[1, 5], [2, 6, 7], [3, 8, 9], [4, 10]]}
     # the trajectory benchmark's two dense p 1 cells are distinct rings
     spec = SweepSpec(densities=(95.0,), penetrations=(1.0,), combos=(1, 7), jobs=1)
-    assert list(_chunks(spec, enumerate_cells(spec))) == [[[(95.0, 1.0, 1)], [(95.0, 1.0, 7)]]]
+    assert plan(_chunks(spec, enumerate_cells(spec))[1]) == [[[(95.0, 1.0, 1)],
+                                                             [(95.0, 1.0, 7)]]]
 
 
 def test_copies_match_their_cells_run_alone(monkeypatch, tmp_path, capsys):
@@ -343,11 +362,12 @@ def test_copies_match_their_cells_run_alone(monkeypatch, tmp_path, capsys):
     build_rings = ring.build_rings
     built = []
     monkeypatch.setattr(ring, "build_rings",
-                        lambda config, fleets, *args: built.extend(fleets)
-                        or build_rings(config, fleets, *args))
+                        lambda config, flags, sizes, *args: built.extend(sizes)
+                        or build_rings(config, flags, sizes, *args))
     rows = run_sweep(spec, tmp_path / "sweep")
     assert len(built) == 2 + 2 + 3  # rings at p 0; at 5, then 15 veh/km at p 0.2
-    assert rows == [run_chunk(spec, [[cell]], tmp_path / "alone")[0] for cell in cells]
+    assert rows == [run_chunk(spec.sim, alone(spec, [cell]), tmp_path / "alone")[0]
+                    for cell in cells]
     names = sorted(path.name for path in (tmp_path / "alone").iterdir())
     assert len(names) == 2 * len(cells)
     assert names == sorted(path.name for path in (tmp_path / "sweep").iterdir())
@@ -361,10 +381,10 @@ def test_copies_of_a_failed_ring_fail_alike(monkeypatch, tmp_path, capsys):
     spec = small_spec(densities=(15.0, 25.0), penetrations=(0.0,), combos=(1, 2, 3))
     build_rings = ring.build_rings
 
-    def poisoned(config, fleets, *args):
-        state = build_rings(config, fleets, *args)
-        for fleet, start in zip(fleets, state.starts):
-            if fleet.n_vehicles == 25:  # density 25 on the 1 km ring
+    def poisoned(config, flags, sizes, *args):
+        state = build_rings(config, flags, sizes, *args)
+        for size, start in zip(sizes, state.starts):
+            if size == 25:  # density 25 on the 1 km ring
                 state.v[start + 4] = math.nan
         return state
 
@@ -423,12 +443,106 @@ def test_pool_has_no_more_workers_than_cpus(monkeypatch, capsys, cpus, workers):
     assert FakePool.sizes == workers
 
 
+def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
+    # 64 jobs on 2 CPUs run 2 workers, so they cut the work as 2 jobs do
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    spec = small_spec(densities=(10.0, 15.0, 20.0, 25.0), penetrations=(1.0,), combos=(1, 2))
+    cells = enumerate_cells(spec)
+    chunks = {jobs: _chunks(dataclasses.replace(spec, jobs=jobs), cells)[1] for jobs in (2, 64)}
+    assert plan(chunks[64]) == plan(chunks[2]) == [[[cell] for cell in cells[:4]],
+                                                   [[cell] for cell in cells[4:]]]
+    assert [flags.tobytes() for flags, _ in chunks[64]] == [
+        flags.tobytes() for flags, _ in chunks[2]]
+    batches = []
+    monkeypatch.setattr(experiments, "_pool_map",
+                        lambda jobs, fn, tasks: batches.append(tasks) or map(fn, tasks))
+    reports = [verify_probability_model(n_vehicles=20, runs=3, p_grid=np.arange(1, 9) / 10,
+                                        jobs=jobs) for jobs in (2, 64)]
+    assert reports[0] == reports[1]
+    # 16 points in four batches per worker
+    assert batches[0] == batches[1] and [len(batch) for batch in batches[0]] == [2] * 8
+
+
+def test_each_cell_is_drawn_once(monkeypatch, capsys):
+    # p 0 makes one all-human ring of the three combos at each density, and
+    # 250 veh/km no ring at all: each cell's fleet is checked once, and each
+    # feasible cell seeded and drawn once, all before any chunk runs
+    spec = small_spec(densities=(15.0, 25.0, 250.0), penetrations=(0.0, 0.6),
+                      combos=(1, 2, 3))
+    cells = enumerate_cells(spec)
+    feasible = [cell for cell in cells if cell[0] != 250.0]
+    calls = {"cell_fleet": [], "cell_seed": [], "draw_flags": [], "run_chunk": []}
+    running = []  # non-empty while run_chunk runs
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, bool(running)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ring, "cell_fleet", counted("cell_fleet", ring.cell_fleet))
+    monkeypatch.setattr(experiments, "cell_seed", counted("cell_seed", experiments.cell_seed))
+    monkeypatch.setattr(experiments, "draw_flags", counted("draw_flags", experiments.draw_flags))
+    run_chunk = experiments.run_chunk
+
+    def stepped(*args, **kwargs):
+        calls["run_chunk"].append(args)
+        running.append(True)
+        try:
+            return run_chunk(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(experiments, "run_chunk", stepped)
+    rows = run_sweep(spec)
+    assert [r["status"] == "error" for r in rows] == [c[0] == 250.0 for c in cells]
+    assert len(calls["run_chunk"]) == 1
+    assert sorted(args[1:4] for args, _ in calls["cell_fleet"]) == sorted(cells)
+    assert sorted(args[1:4] for args, _ in calls["cell_seed"]) == sorted(feasible)
+    seeds = [cell_seed(spec.base_seed, *cell) for cell in feasible]
+    assert sorted(args[1][0] for args, _ in calls["draw_flags"]) == sorted(seeds)
+    assert not any(inside for name in ("cell_fleet", "cell_seed", "draw_flags")
+                   for _, inside in calls[name])
+
+
+def test_infeasible_cells_fail_once_before_any_progress(capsys):
+    # 250 and 5000 vehicles on a 50 km ring: each ring its own chunk under
+    # the 4096 cap, and 250 veh/km, which no ring holds, follows them
+    spec = SweepSpec(densities=(5.0, 100.0, 250.0), penetrations=(1.0,), combos=(1, 2),
+                     sim=ring.SimConfig(ring_length=50_000.0, duration=2.0, warmup=1.0),
+                     jobs=1)
+    assert len(_chunks(spec, enumerate_cells(spec))[1]) == 4
+    capsys.readouterr()
+    rows = run_sweep(spec)
+    assert [r["status"] for r in rows] == ["ok", "ok", "error"] * 2
+    lines = capsys.readouterr().err.splitlines()
+    first_progress = next(i for i, line in enumerate(lines) if line.startswith("sweep:"))
+    for combo in (1, 2):
+        failed = [i for i, line in enumerate(lines)
+                  if line.startswith(f"cell combo={combo} p=1 density=250 failed: ")]
+        assert len(failed) == 1 and failed[0] < first_progress
+    assert lines[-1].startswith("sweep: 6/6 cells")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_of_infeasible_cells_alone(monkeypatch, capsys, jobs):
+    # no cell holds a ring, so no chunk runs and no pool starts
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    spec = SweepSpec(densities=(250.0,), penetrations=(0.4,), combos=(1, 2), jobs=jobs)
+    rows = run_sweep(spec)
+    assert [(r["combo"], r["status"]) for r in rows] == [(1, "error"), (2, "error")]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" failed: ")[0] for line in lines[:2]] == [
+        "cell combo=1 p=0.4 density=250", "cell combo=2 p=0.4 density=250"]
+    assert len(lines) == 3 and lines[-1].startswith("sweep: 2/2 cells")
+
+
 def test_default_grid_chunks_under_a_4096_cap():
     # 53,520 distinct vehicles: 14 chunks of at most 4096, with one worker or two
     for jobs in (1, 2):
         spec = SweepSpec(jobs=jobs)
         cells = enumerate_cells(spec)
-        chunks = list(_chunks(spec, cells))
+        chunks = _chunks(spec, cells)[1]
         assert check_chunks(spec, cells, chunks) == (1014, 53520)
         assert _chunk_cap(spec, 53520) == CHUNK_VEHICLES == 4096
         assert len(chunks) == 14
@@ -445,22 +559,24 @@ CHUNK_SIMS = {
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 @pytest.mark.parametrize("horizon", list(CHUNK_SIMS))
 @pytest.mark.parametrize("densities", [SweepSpec.densities, (15.0, 25.0)])
-def test_chunks_keep_within_their_cap(densities, horizon, jobs):
+def test_chunks_keep_within_their_cap(monkeypatch, densities, horizon, jobs):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # the jobs bind
     spec = SweepSpec(densities=densities, sim=CHUNK_SIMS[horizon], jobs=jobs)
     cells = enumerate_cells(spec)
-    _, vehicles = check_chunks(spec, cells, list(_chunks(spec, cells)))
+    _, vehicles = check_chunks(spec, cells, _chunks(spec, cells)[1])
     # the horizon does not matter: samples stream through in blocks
     assert _chunk_cap(spec, vehicles) == min(CHUNK_VEHICLES, math.ceil(vehicles / jobs))
 
 
-def test_small_short_sweep_gives_each_worker_a_chunk():
+def test_small_short_sweep_gives_each_worker_a_chunk(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     spec = SweepSpec(densities=(100.0,), penetrations=(0.0, 0.25, 0.5, 0.75, 1.0),
                      combos=(1, 2, 3, 4), sim=ring.SimConfig(duration=10.0, warmup=5.0),
                      jobs=2)
     cells = enumerate_cells(spec)
     assert sum(d for d, _, _ in cells) == 2000.0  # fits one chunk at jobs=1
-    assert len(list(_chunks(dataclasses.replace(spec, jobs=1), cells))) == 1
-    assert len(list(_chunks(spec, cells))) >= 2
+    assert len(_chunks(dataclasses.replace(spec, jobs=1), cells)[1]) == 1
+    assert len(_chunks(spec, cells)[1]) >= 2
 
 
 def test_cell_larger_than_the_cap_runs_alone():
@@ -468,12 +584,12 @@ def test_cell_larger_than_the_cap_runs_alone():
                      jobs=1)
     cells = [(5.0, 1.0, 1), (100.0, 1.0, 1), (5.0, 1.0, 2)]  # 250, 5000, 250 vehicles
     assert _chunk_cap(spec, 5500.0) == CHUNK_VEHICLES
-    assert list(_chunks(spec, cells)) == [[[cells[0]]], [[cells[1]]], [[cells[2]]]]
+    assert plan(_chunks(spec, cells)[1]) == [[[cells[0]]], [[cells[1]]], [[cells[2]]]]
     cells = [(5.0, 1.0, 1), (5.0, 1.0, 2), (100.0, 1.0, 1)]
-    assert list(_chunks(spec, cells)) == [[[cells[0]], [cells[1]]], [[cells[2]]]]
+    assert plan(_chunks(spec, cells)[1]) == [[[cells[0]], [cells[1]]], [[cells[2]]]]
     # at p 0 both small cells are one all-human ring of 250 vehicles
     cells = [(5.0, 0.0, 1), (100.0, 0.0, 1), (5.0, 0.0, 2)]
-    assert list(_chunks(spec, cells)) == [[[cells[0], cells[2]]], [[cells[1]]]]
+    assert plan(_chunks(spec, cells)[1]) == [[[cells[0], cells[2]]], [[cells[1]]]]
 
 
 def test_horizon_off_the_step_grid_gives_error_row():
@@ -487,10 +603,10 @@ def test_diverging_cell_fails_alone(monkeypatch, capsys):
     clean = run_sweep(spec)
     build_rings = ring.build_rings
 
-    def poisoned(config, fleets, *args):
-        state = build_rings(config, fleets, *args)
-        for fleet, start in zip(fleets, state.starts):
-            if fleet.n_vehicles == 25:  # density 25 on the 1 km ring
+    def poisoned(config, flags, sizes, *args):
+        state = build_rings(config, flags, sizes, *args)
+        for size, start in zip(sizes, state.starts):
+            if size == 25:  # density 25 on the 1 km ring
                 state.v[start + 4] = math.nan
         return state
 
@@ -517,28 +633,30 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
                      sim=ring.SimConfig(duration=20.0, warmup=10.0, record_every=20))
     build_rings = ring.build_rings
 
-    def disturbed(config, fleets, combos, seeds):
+    def disturbed(config, flags, sizes, combos):
         # densities on the 1 km ring are vehicle counts
-        state = build_rings(config, fleets, combos, seeds)
-        for fleet, combo, start in zip(fleets, combos, state.starts):
-            if (fleet.n_vehicles, combo) == (15, 4):  # dropped
+        state = build_rings(config, flags, sizes, combos)
+        for size, combo, start in zip(sizes, combos, state.starts):
+            if (size, combo) == (15, 4):  # dropped
                 state.v[start + 2] = math.nan
-            if fleet.n_vehicles == 95 and combo in (5, 7):  # logs violations
+            if size == 95 and combo in (5, 7):  # logs violations
                 state.x[start + 2] = (state.x[start + 1] - 4.5) % config.ring_length
         return state
 
     monkeypatch.setattr(ring, "build_rings", disturbed)
     cells = enumerate_cells(spec)
-    rows = run_chunk(spec, alone(cells))
+    failed, _ = _chunks(spec, cells)
+    feasible = [cell for cell in cells if cell[0] != 250.0]
+    rows = run_chunk(spec.sim, alone(spec, feasible))
     # the same rings run and split, each reduced on its own
     kept = [(row, init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
-            for row, (d, p, c) in zip(rows, cells) if d != 250.0]
+            for row, (d, p, c) in zip(rows, feasible)]
     states = [state for _, state in kept]
     stacked = stack(states)
     parts = list(split_log(run_state(stacked, spec.sim), stacked))
     assert len(sizes) == calls  # one sample_rates pass per block
     assert sum(sizes) == 5 * stacked.n
-    assert [r["status"] for r in rows if r["density"] == 250.0] == ["error"] * 10
+    assert [(r["density"], r["status"]) for r in failed] == [(250.0, "error")] * 10
     assert sum(bool(part.errors) for part in parts) == 1
     assert sum(len(part.violations) for part in parts) > 0
     for (row, _), part in zip(kept, parts):

@@ -104,17 +104,18 @@ def test_built_rings_are_one_ring_states_side_by_side():
     cells = [(15.0, 0.3, 5, 0.4, 7), (250.0, 0.5, 1, 0.4, 1), (40.0, 0.8, 10, 0.8, 3),
              (1.0, 1.0, 4, 1.0, None), (0.1, 0.5, 2, 0.5, 2), (95.0, 0.6, 9, 0.0, 11),
              (60.0, 0.5, 11, 0.3, 5), (55.0, 0.7, 7, 0.3, 12), (20.0, 0.5, 4, 0.9, 4)]
-    fleets, kept = [], []
+    rows, kept = [], []
     for density, p, combo_id, intensity, seed in cells:
         try:
-            fleets.append(cell_fleet(cfg, density, p, combo_id, intensity))
+            rows.append(draw_flags(cell_fleet(cfg, density, p, combo_id, intensity), [seed])[0])
         except ValueError:
             continue
         kept.append((density, p, combo_id, intensity, seed))
     assert len(kept) == 6
-    state = build_rings(cfg, fleets, [c[2] for c in kept], [c[4] for c in kept])
+    state = build_rings(cfg, np.concatenate(rows), [row.size for row in rows],
+                        [c[2] for c in kept])
     bounds = [*state.starts, state.n]
-    assert state.n == sum(fleet.n_vehicles for fleet in fleets)
+    assert state.n == sum(row.size for row in rows)
     for r, (density, p, combo_id, intensity, seed) in enumerate(kept):
         alone = init_state(cfg, density, p, combo_id, intensity, seed)
         assert alone.starts == (0,)
@@ -162,8 +163,9 @@ def test_equal_ring_keys_build_equal_columns(pair):
     keys, states = [], []
     for cell in pair:
         fleet = cell_fleet(cfg, cell["density"], cell["p"], cell["combo_id"], cell["intensity"])
-        keys.append(engine.ring_key(fleet, cell["combo_id"], cell["seed"]))
-        states.append(build_rings(cfg, [fleet], [cell["combo_id"]], [cell["seed"]]))
+        flags = draw_flags(fleet, [cell["seed"]])[0]
+        keys.append(engine.ring_key(flags, cell["combo_id"]))
+        states.append(build_rings(cfg, flags, [flags.size], [cell["combo_id"]]))
     event(f"equal keys: {keys[0] == keys[1]}")
     if keys[0] != keys[1]:
         return
@@ -177,7 +179,8 @@ def test_ring_key_names_only_the_laws_a_vehicle_drives():
     cfg = SimConfig()
 
     def key(density, p, combo_id):
-        return engine.ring_key(cell_fleet(cfg, density, p, combo_id), combo_id, None)
+        return engine.ring_key(draw_flags(cell_fleet(cfg, density, p, combo_id), [None])[0],
+                               combo_id)
 
     # all human: no law but HV's; one CAV: only its leader law
     assert len({key(15.0, 0.0, combo_id) for combo_id in COMBOS}) == 1
