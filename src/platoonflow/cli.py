@@ -15,9 +15,17 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+# Before the first import that loads numpy: its OpenBLAS starts a thread
+# per further CPU, each spinning on a core for about 0.1 s, and no
+# command does linear algebra. A value the user set still wins, and
+# importing only the other modules leaves a library caller's environment
+# as it was.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .csvio import (read_metrics_csv, write_class_curves_csv, write_curves_csv, write_fit_csv,
                     write_metrics_csv, write_region_csv, write_stability_csv)

@@ -111,13 +111,11 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} holds NaN: {axis}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"sweep axis {name} repeats a value: {axis}")
-            printed: dict[str, float] = {}  # metrics.csv labels each row by these texts
-            for value in axis:
-                text = format_value(value)
-                other = printed.setdefault(text, value)
-                if other != value:
-                    raise ValueError(f"sweep axis {name} holds {other!r} and {value!r}, "
-                                     f"which metrics.csv writes alike as {text}")
+            # metrics.csv labels each row by these texts
+            if alike := _printed_alike(axis, format_value):
+                other, value, text = alike
+                raise ValueError(f"sweep axis {name} holds {other!r} and {value!r}, "
+                                 f"which metrics.csv writes alike as {text}")
         if bad := [d for d in self.densities if not 0.0 < d < math.inf]:
             raise ValueError(f"sweep axis densities holds {bad[0]}; a density must be "
                              "positive and finite")
@@ -131,10 +129,40 @@ class SweepSpec:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
+def _key_text(value: float) -> str:
+    """``value`` in a seed key: two values that print alike share their seeds."""
+    return f"{value:.6g}"
+
+
+def cell_seeds(base_seed: int, density: float, p: float, lasts) -> list[int]:
+    """Stable seed of the key ``base_seed:density:p:last`` for each of ``lasts``.
+
+    Process hashes are salted, so use a digest. The keys' shared prefix
+    is hashed once, and a copy of its state is extended by each last key.
+    """
+    prefix = hashlib.sha256(f"{base_seed}:{_key_text(density)}:{_key_text(p)}:".encode())
+    seeds = []
+    for last in lasts:
+        digest = prefix.copy()
+        digest.update(f"{last}".encode())
+        seeds.append(int.from_bytes(digest.digest()[:8], "big"))
+    return seeds
+
+
 def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
-    """Stable per-cell seed; process hashes are salted, so use a digest."""
-    key = f"{base_seed}:{density:.6g}:{p:.6g}:{combo}"
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    """A sweep cell's seed: ``cell_seeds`` with the combo as the last key."""
+    return cell_seeds(base_seed, density, p, (combo,))[0]
+
+
+def _printed_alike(values, form):
+    """The first two values ``form`` prints alike, and that text; None if there are none."""
+    printed: dict[str, float] = {}
+    for value in values:
+        text = form(value)
+        other = printed.setdefault(text, value)
+        if other != value:
+            return other, value, text
+    return None
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -360,8 +388,7 @@ def _shares(n_vehicles: int, runs: int, seed: int, points: list[tuple[float, flo
         # Full intensity reads no seed and draws the same ring every
         # run, so one ring gives the same shares: c / n and
         # runs * c / (runs * n) are the same correctly rounded quotient
-        seeds = ([None] if intensity == 1.0
-                 else [cell_seed(seed, intensity, p, r) for r in range(runs)])
+        seeds = [None] if intensity == 1.0 else cell_seeds(seed, intensity, p, range(runs))
         flags = draw_flags(FleetSpec(n_vehicles, p, intensity), seeds)
         shares.append(empirical_distribution(
             role_codes(flags.ravel(), [n_vehicles] * len(seeds), S_MAX)))
@@ -391,6 +418,13 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         raise ValueError("p_grid is empty")
     if len(set(p_grid)) < len(p_grid):
         raise ValueError(f"p_grid repeats a value: {p_grid}")
+    # a point's seeds come from its values' key texts (cell_seeds), so two
+    # values that print alike would draw one sample twice
+    for name, values in (("intensities", intensities), ("p_grid", p_grid)):
+        if alike := _printed_alike(values, _key_text):
+            other, value, text = alike
+            raise ValueError(f"{name}: {other!r} and {value!r} print alike as {text} "
+                             "in seed keys")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]

@@ -2,11 +2,15 @@
 
 import inspect
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platoonflow
 from platoonflow.cli import _int_list, build_parser, main
 from platoonflow.csvio import METRICS_HEADER, read_metrics_csv
 from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
@@ -225,6 +229,18 @@ def test_verify_prob_rejects_empty_or_repeated_intensities(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
 
 
+def test_verify_prob_rejects_p_values_seed_keys_print_alike(tmp_path, capsys):
+    # 0.5 and 0.5000002 would draw one sample, written as two curve rows
+    code = main(["verify-prob", "--intensities", "0", "--runs", "50", "--p-start", "0.5",
+                 "--p-stop", "0.5000004", "--p-step", "0.0000002",
+                 "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p_grid: 0.5 and 0.5000002 print alike as 0.5")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "bad").exists()
+
+
 def test_verify_prob_rejects_jobs_below_one(tmp_path, capsys):
     for jobs in ("0", "-3"):
         code = main(["verify-prob", "--vehicles", "20", "--runs", "2", "--jobs", jobs,
@@ -378,6 +394,38 @@ def test_config_file_bad_value(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
         assert not (tmp_path / "bad").exists()
+
+
+def import_cli(preset):
+    """OPENBLAS_NUM_THREADS and the thread count (-1 where there is no
+    /proc/self/task) of a fresh interpreter after ``import platoonflow.cli``,
+    started with OPENBLAS_NUM_THREADS unset or set to ``preset``."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(platoonflow.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import os, platoonflow.cli\n"
+            "task = '/proc/self/task'\n"
+            "threads = len(os.listdir(task)) if os.path.isdir(task) else -1\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    value, threads = proc.stdout.split()
+    return value, int(threads)
+
+
+@pytest.mark.parametrize("preset, value", [(None, "1"), ("3", "3")])
+def test_cli_sets_one_blas_thread_unless_told_otherwise(preset, value):
+    # no command does linear algebra; a value the caller set still wins
+    assert import_cli(preset)[0] == value
+
+
+def test_cli_import_starts_no_blas_thread():
+    threads = import_cli(None)[1]
+    if threads == -1:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == 1
 
 
 def test_build_parser_lists_all_verbs():

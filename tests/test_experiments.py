@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import init_state, reduce_log, run_state, split_log, stack
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
@@ -16,7 +18,8 @@ from platoonflow.energy import POLLUTANTS
 from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
                                      SweepSpec, _chunk_cap, _chunks, _grid,
-                                     cell_seed, emit_plot_data, enumerate_cells,
+                                     cell_seed, cell_seeds, emit_plot_data,
+                                     enumerate_cells,
                                      run_chunk, run_sweep,
                                      verify_probability_model,
                                      verify_stability)
@@ -96,13 +99,21 @@ def test_sweep_spec_rejects_values_metrics_csv_prints_alike(axis, values, printe
         SweepSpec(**{axis: values})
 
 
-def test_cell_seed_matches_digest():
+@given(base=st.integers(-2 ** 80, 2 ** 80), density=st.floats(0.0, 300.0),
+       p=st.floats(0.0, 1.0), lasts=st.lists(st.integers(0, 10 ** 6), max_size=20))
+@example(base=-3, density=15.0, p=0.0, lasts=range(1000))
+@example(base=2 ** 70 + 1, density=95.0, p=1.0, lasts=range(1000))
+def test_cell_seed_matches_digest(base, density, p, lasts):
     # independent transcription of the derivation
     def reference(base, density, p, combo):
         key = f"{base}:{density:.6g}:{p:.6g}:{combo}"
         return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8],
                               "big")
 
+    # one hash of the shared prefix, extended by each key, gives the same ints
+    expected = [reference(base, density, p, last) for last in lasts]
+    assert cell_seeds(base, density, p, lasts) == expected
+    assert [cell_seed(base, density, p, last) for last in lasts] == expected
     assert cell_seed(42, 15.0, 0.8, 1) == reference(42, 15.0, 0.8, 1)
     assert cell_seed(42, 15.0, 0.8, 1) == cell_seed(42, 15.0, 0.8, 1)
     seen = {cell_seed(42, d, p, c)
@@ -714,6 +725,16 @@ def test_verify_probability_model_rejects_bad_counts():
         verify_probability_model(n_vehicles=10, runs=2, p_grid=[0.5, 0.5])
     with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
         verify_probability_model(n_vehicles=10, runs=2, jobs=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(p_grid=(0.5, 0.5000002, 0.5000004)), "p_grid: 0.5 and 0.5000002 print alike as 0.5"),
+    (dict(intensities=(0.0, 0.1, 0.1000000001)),
+     "intensities: 0.1 and 0.1000000001 print alike as 0.1")], ids=["p_grid", "intensities"])
+def test_verify_probability_model_rejects_values_seed_keys_print_alike(args, message):
+    # such points would get the same seeds: one sample shown as several
+    with pytest.raises(ValueError, match=re.escape(f"{message} in seed keys")):
+        verify_probability_model(n_vehicles=10, runs=2, **args)
 
 
 def test_verify_probability_model_is_the_same_at_any_jobs():
