@@ -110,13 +110,16 @@ def desired_spacing(strategy: Strategy, v: float | np.ndarray, *,
 
 
 def equilibrium_gap(strategy: Strategy, v: float, *, h: float = H_FOLLOWER) -> float:
-    """Gap at which a homogeneous flow holds speed v with zero acceleration."""
+    """Gap at which a homogeneous flow holds speed v with zero acceleration.
+
+    BS is treated as HV. That holds only where the rear gap BS reads
+    equals its own gap, as in a uniform flow, so that its bidirectional
+    term vanishes.
+    """
     if strategy in (Strategy.BS, Strategy.HV):
         if not 0.0 <= v < V_FREE:
             raise ValueError(f"no bidirectional-model equilibrium at v={v}")
         return (MIN_SPACING + v * BS_T_GAP) / math.sqrt(1.0 - (v / V_FREE) ** 4)
-    if strategy is Strategy.VTG1:
-        return VTG1_C1 * v + MIN_SPACING
     return float(desired_spacing(strategy, v, h=h))
 
 

@@ -3,13 +3,17 @@
 Fuel uses vehicle specific power mapped to a normalized fuel rate:
 positive power burns 1.71 * VSP^0.42 times the idle rate, negative
 power coasts at the idle rate (1), and exactly zero power maps to 0,
-the limit of the positive branch. Per-distance fuel is
-3600 * mean rate / mean speed with the speed in km/h, so the figure
-reads as grams-equivalent per km. Emission rates are quadratic fits in
-speed and acceleration, clipped at zero, with a separate coefficient
-row for decelerations below -0.5 m/s^2 where the fit has one; that row
-is evaluated only for the pollutants (nox, voc) whose braking row
-differs from the cruise row.
+the limit of the positive branch. So positive VSP below 0.279 W/kg, as
+in a steady cruise below 2.091 m/s, burns less than idle, and the map
+is concave: at one mean power a ring that oscillates burns less than
+one that holds steady. Both favour crawling and unsteady traffic,
+unlike field data, where damping stop-and-go waves lowers fuel.
+Per-distance fuel is 3600 * mean rate / mean speed with the speed in
+km/h, so the figure reads as grams-equivalent per km. Emission rates
+are quadratic fits in speed and acceleration, clipped at zero, with a
+separate coefficient row for decelerations below -0.5 m/s^2 where the
+fit has one; that row is evaluated only for the pollutants (nox, voc)
+whose braking row differs from the cruise row.
 
 ``sample_rates`` computes every per-sample rate the metrics average, and
 ``summarize`` turns their means into per-km figures; the sweep applies
@@ -69,7 +73,8 @@ def nfr(power):
     """Normalized fuel rate as a function of VSP."""
     power = np.asarray(power, dtype=float)
     burning = 1.71 * np.power(np.maximum(power, 0.0), 0.42)
-    # NaN fails both tests and keeps burning's NaN; -0.0 == 0.0 idles
+    # NaN fails both tests and keeps burning's NaN; -0.0 == 0.0, so it
+    # burns 0 like +0.0, not the idle 1
     return np.where(power < 0.0, 1.0, np.where(power == 0.0, 0.0, burning))
 
 

@@ -53,7 +53,6 @@ import os
 import shutil
 import sys
 import time
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -243,10 +242,11 @@ def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
     sums = np.zeros((2 + len(POLLUTANTS), len(rings)))
     violations: list[list[ring.Violation]] = [[] for _ in rings]
     errors: dict[int, str] = {}
-    stems = [] if save_dir is None else [[_stem(save_dir, row) for row in group]
-                                         for group in groups]
-    partials = [Path(f"{cell_stems[0]}_trajectory.csv.partial") for cell_stems in stems]
-    for partial in partials:
+    stems = [[] if save_dir is None else [_stem(save_dir, row) for row in group]
+             for group in groups]
+    partials = {r: Path(f"{cell_stems[0]}_trajectory.csv.partial")
+                for r, cell_stems in enumerate(stems) if cell_stems}
+    for partial in partials.values():
         partial.parent.mkdir(parents=True, exist_ok=True)
         partial.write_text(TRAJECTORY_HEAD)
     for block in ring.run_blocks(state, sim):
@@ -256,31 +256,29 @@ def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
             per_sample = np.add.reduceat(rate.reshape(block.v.shape), state.starts, axis=1)
             total += np.add.reduce(np.ascontiguousarray(per_sample.T), axis=1)
         for viol in block.violations:
-            r = bisect_right(bounds, viol.vehicle) - 1
-            violations[r].append(ring.Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
+            violations[viol.ring].append(viol)
         errors.update(block.errors)
-        for r, partial in enumerate(partials):
+        for r, partial in partials.items():
             if r not in errors:
                 cols = slice(bounds[r], bounds[r + 1])
                 with open(partial, "a") as fh:
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
-    for r, ((size, _), group) in enumerate(zip(rings, groups)):
+    for r, ((size, _), group, cell_stems) in enumerate(zip(rings, groups, stems)):
         means = sums[:, r] / (len(sim.sample_steps) * size)
         for row in group:
             if r in errors:
                 _fail(row, errors[r])
             else:
                 _set_metrics(row, means, len(violations[r]))
-    for r, (cell_stems, partial) in enumerate(zip(stems, partials)):
-        if r in errors:
-            partial.unlink()
-            continue
-        for stem in cell_stems[1:]:
-            shutil.copyfile(partial, f"{stem}_trajectory.csv.partial")
-        for stem in cell_stems:
-            Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
-            write_violations_csv(violations[r], f"{stem}_violations.csv")
+        if r in errors and cell_stems:
+            partials[r].unlink()
+        elif cell_stems:
+            for stem in cell_stems[1:]:
+                shutil.copyfile(partials[r], f"{stem}_trajectory.csv.partial")
+            for stem in cell_stems:
+                Path(f"{stem}_trajectory.csv.partial").replace(f"{stem}_trajectory.csv")
+                write_violations_csv(violations[r], f"{stem}_violations.csv")
     return [row for group in groups for row in group]
 
 

@@ -18,7 +18,6 @@ role codes in VehicleClass order (HV, LV1, LV2, PV), and
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -120,10 +119,6 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
         return ClassProbabilities((1.0 - p) * t.t_ha, 0.0, 0.0, 1.0 - p)
     if t.t_ah == 0.0:
         # intensity 1 or p 1: a single contiguous CAV block
-        if intensity != 1.0:
-            logging.getLogger(__name__).debug(
-                "t_AA = 1 at p=%g, O=%g: geometric-run branch degenerate, "
-                "using the block-chunking form", p, intensity)
         return ClassProbabilities(0.0, p / s_max, (s_max - 1) * p / s_max, 1.0 - p)
     # log1p/expm1 keep 1 - t_aa^S accurate when t_ah is tiny (intensity -> 1)
     log_taa = math.log1p(-t.t_ah)

@@ -13,9 +13,9 @@ reads and writes its own slice, gathers only the wiring it alone reads
 (CS leader, BS rear gap), and is evaluated by the exact function from
 the controllers module, so the engine cannot drift from the unit-tested
 formulas and no law computes a vehicle it does not drive. The kernel
-order stays inside the engine: violations and failures name vehicles by
-their state index, and ``run_blocks`` puts each sample back in state
-order.
+order stays inside the engine: violations and failures name a vehicle
+by its ring and its number within that ring, and ``run_blocks`` puts
+each sample back in state order.
 
 A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
@@ -133,8 +133,9 @@ class RingState:
 @dataclass(frozen=True)
 class Violation:
     t: float
-    vehicle: int  # follower index
+    vehicle: int  # the follower's number within its ring
     gap: float    # negative clear distance observed, m
+    ring: int = 0  # the ring's index in the state
 
 
 @dataclass
@@ -307,7 +308,7 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
     if table.alone.size:
         dx[table.alone] = ring  # a lone vehicle follows itself one lap ahead
     gap = dx - VEHICLE_LENGTH
-    viol = np.flatnonzero(gap < 0.0)
+    viol = np.sort(table.order[gap < 0.0])
     gap_c = np.maximum(gap, GAP_FLOOR)
     v_pred, a_pred = v[pred], a[pred]
 
@@ -334,18 +335,13 @@ def _advance(x: np.ndarray, v: np.ndarray, a: np.ndarray, config: SimConfig,
             failed[r] = (f"non-finite desired acceleration for vehicle {i - table.bounds[r]}: "
                          f"v={float(v[k])!r} gap={float(gap_c[k])!r} v_pred={float(v[j])!r} "
                          f"a_pred={float(a[j])!r}")
-    viol_gap = gap[viol]
-    if viol.size:
-        viol = table.order[viol]
-        by_vehicle = viol.argsort()
-        viol, viol_gap = viol[by_vehicle], viol_gap[by_vehicle]
 
     a_cmd = u.clip(A_MIN, A_MAX, out=u)
     v_new = v + a_cmd * config.dt
     v_new.clip(0.0, V_FREE, out=v_new)
     x_new = _lap(x + 0.5 * (v + v_new) * config.dt, ring)
     a_eff = (v_new - v) / config.dt
-    return x_new, v_new, a_eff, viol, viol_gap, failed
+    return x_new, v_new, a_eff, viol, gap[table.slot[viol]], failed
 
 
 def _check_start(state: RingState, config: SimConfig) -> None:
@@ -369,8 +365,9 @@ def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
     A block holds up to BLOCK_SAMPLES post-warmup samples as (b, n) views
     of buffers that the next block overwrites, and the violations and
     ring failures (``errors``) since the previous block, or up to the end
-    for the last. A ring whose desired acceleration goes non-finite fails
-    at that step: its message goes to ``errors``, its violations of that
+    for the last; a violation names its ring and the follower's number
+    in it. A ring whose desired acceleration goes non-finite fails at
+    that step: its message goes to ``errors``, its violations of that
     step are dropped and its state turns NaN, while the other rings step
     on unchanged. Every position must lie in [0, ring_length) and every
     speed in [0, V_FREE] (a NaN speed fails at the step instead).
@@ -394,15 +391,14 @@ def run_blocks(state: RingState, config: SimConfig) -> Iterator[TrajectoryLog]:
             ks[row], xs[row], vs[row], accs[row] = k, x[slot], v[slot], a[slot]
             row += 1
         x, v, a, vi, vg, failed = _advance(x, v, a, config, table)
-        if failed:
-            errors.update(failed)
-            for r in failed:
-                gone = table.slot[table.bounds[r]:table.bounds[r + 1]]
-                x[gone] = v[gone] = a[gone] = np.nan
-            kept = ~np.isnan(x[table.slot[vi]])
-            vi, vg = vi[kept], vg[kept]
+        errors.update(failed)
+        for r in failed:
+            gone = table.slot[table.bounds[r]:table.bounds[r + 1]]
+            x[gone] = v[gone] = a[gone] = np.nan
         if vi.size:
-            t = k * config.dt
-            violations.extend(Violation(t, int(i), float(gp)) for i, gp in zip(vi, vg))
+            rings = np.searchsorted(table.bounds, vi, "right") - 1
+            violations.extend(Violation(k * config.dt, i, gp, r) for i, gp, r in zip(
+                (vi - table.bounds[rings]).tolist(), vg.tolist(), rings.tolist())
+                if r not in failed)
     yield TrajectoryLog(ks[:row] * config.dt, xs[:row], vs[:row], accs[:row], violations, errors)
 

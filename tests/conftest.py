@@ -1,6 +1,5 @@
 """Shared helpers: one-cell runs, hand-made ring states and the acceptance verdict log."""
 
-from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -21,7 +20,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in VERDICTS:
             terminalreporter.write_line(line)
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from platoonflow import ring as engine
@@ -30,7 +29,7 @@ from platoonflow.controllers import (H_FOLLOWER, H_LEADER, V_FREE, VEHICLE_LENGT
 from platoonflow.energy import sample_rates, summarize
 from platoonflow.fleet import VehicleClass, draw_flags
 from platoonflow.platoons import STRATEGIES
-from platoonflow.ring import GAP_FLOOR, RingState, TrajectoryLog, Violation
+from platoonflow.ring import GAP_FLOOR, RingState, TrajectoryLog
 
 HV, LV1, LV2, PV = VehicleClass
 CLASSES = list(VehicleClass)  # role code -> class
@@ -82,13 +81,13 @@ def split_log(log, state):
     Each ring's x, v and a are (m, n) views of the stacked columns, not
     copies; flattened in C order, a view yields its samples in the order
     of the log of the ring run alone. A failed ring's log carries its
-    message as ``errors[0]``.
+    message as ``errors[0]``, and its violations name ring 0, as a ring
+    run alone does.
     """
     bounds = [*state.starts, state.n]
     by_ring = [[] for _ in state.starts]
     for viol in log.violations:
-        r = bisect_right(bounds, viol.vehicle) - 1
-        by_ring[r].append(Violation(viol.t, viol.vehicle - bounds[r], viol.gap))
+        by_ring[viol.ring].append(replace(viol, ring=0))
     for r in range(len(state.starts)):
         cols = slice(bounds[r], bounds[r + 1])
         yield TrajectoryLog(times=log.times, x=log.x[:, cols], v=log.v[:, cols],

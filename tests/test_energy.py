@@ -66,6 +66,39 @@ def test_nfr_monotone_when_burning():
     assert np.all(np.diff(vals) > 0.0)
 
 
+# VSP at which the burning branch meets the idle rate: 1.71 * VSP^0.42 == 1
+NFR_IDLE_CROSSOVER = (1.0 / 1.71) ** (1.0 / 0.42)  # W/kg
+
+
+def test_nfr_crosses_idle_at_0_279_w_per_kg():
+    assert NFR_IDLE_CROSSOVER == pytest.approx(0.27877, abs=5e-6)
+    assert float(nfr(NFR_IDLE_CROSSOVER)) == pytest.approx(1.0, abs=1e-15)
+    # positive power below the crossover burns less than idle, above it more
+    below = np.linspace(1e-6, NFR_IDLE_CROSSOVER * (1.0 - 1e-9), 200)
+    assert np.all(nfr(below) < 1.0)
+    assert float(nfr(NFR_IDLE_CROSSOVER * (1.0 + 1e-9))) > 1.0
+    # braking idles at 1, zero power of either sign burns 0, not idle
+    assert float(nfr(-1e-12)) == 1.0
+    assert float(nfr(-0.0)) == 0.0 and float(nfr(0.0)) == 0.0
+    assert 0.0 < float(nfr(1e-12)) < 1e-4
+
+
+def test_steady_cruise_below_2_091_mps_burns_less_than_idle():
+    slow = np.linspace(1e-3, 2.0909, 300)
+    assert np.all(nfr(vsp(slow, 0.0)) < 1.0)
+    assert float(nfr(vsp(2.091, 0.0))) > 1.0
+    assert float(nfr(vsp(0.0, 0.0))) == 0.0  # standing still burns nothing
+
+
+def test_nfr_concave_on_positive_power():
+    # Jensen: at one mean power, a spread of powers burns less than holding it
+    low, high = 0.1, 4.0
+    assert float(nfr((low + high) / 2)) == pytest.approx(2.3117067017, abs=1e-9)
+    assert (float(nfr(low)) + float(nfr(high))) / 2 == pytest.approx(1.8555548051, abs=1e-9)
+    grid = np.linspace(0.01, 40.0, 500)
+    assert np.all(np.diff(nfr(grid), 2) < 0.0)
+
+
 def test_emission_rate_pinned_values():
     assert float(emission_rate(20.0, 0.0, "co2")) == pytest.approx(
         2.617, abs=1e-12)

@@ -523,6 +523,22 @@ def test_stacked_rings_match_solo_runs():
     for state, part in zip(states, parts):
         assert_same_log(part, run_state(state, STACK_CONFIG))
     assert sum(len(part.violations) for part in parts) > 0
+    # the raw stacked log names each violation by its ring and the
+    # follower's number in it: the gap recomputed from that ring's columns
+    # of the step's sample, taken here at every step, is the logged gap
+    every = dataclasses.replace(STACK_CONFIG, warmup=0.0, record_every=1)
+    full = run_state(stack(states), every)
+    assert full.violations == log.violations
+    bounds = [*stack(states).starts, log.x.shape[1]]
+    row_of = {t: k for k, t in enumerate(full.times.tolist())}
+    for viol in log.violations:
+        assert 0 <= viol.ring < len(states)
+        assert 0 <= viol.vehicle < states[viol.ring].n
+        x = full.x[row_of[viol.t], bounds[viol.ring]:bounds[viol.ring + 1]]
+        dx = (x[viol.vehicle - 1] - x[viol.vehicle]) % STACK_CONFIG.ring_length
+        assert dx - VEHICLE_LENGTH == viol.gap
+    assert len({viol.ring for viol in log.violations}) > 1
+    assert log.violations == sorted(log.violations, key=lambda w: (w.t, w.ring, w.vehicle))
     # the parts are views of the stacked columns, not copies
     for part in parts:
         for name in ("x", "v", "a"):
