@@ -7,7 +7,7 @@ one routine that checks its own schema before touching the disk, except
 the trajectory rows: their schema is fixed, and a sweep appends each
 block of a run to a ring's file as it comes, through ``append_trajectory``
 with the same digits from a per-ring row template; no writer takes a
-whole stored log.
+whole stored log. ``energy`` names the metric columns.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import POLLUTANTS
+from .energy import METRICS, PER_KM
 from .ring import Violation
 
 TRAJECTORY_HEAD = "t,vehicle_index,x,v,a\n"
 _TRAJECTORY_BLOCK_ROWS = 1 << 14  # rows formatted per write; sets the writer's peak memory
-_PER_KM = ("nff_g_per_km", *(f"{pol}_g_per_km" for pol in POLLUTANTS))
-METRICS_HEADER = ("density", "p", "combo", "status", "mean_speed_mps", "mean_nfr", *_PER_KM,
-                  "violations")
+METRICS_HEADER = ("density", "p", "combo", "status", *METRICS, "violations")
 
 
 def format_value(value) -> str:
@@ -70,8 +68,8 @@ def write_metrics_csv(rows: Sequence[dict], path: str | Path) -> Path:
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:
-    """Rows of a metrics table; a bad header or row, or a repeated cell, is a
-    ValueError naming its line."""
+    """Rows of a metrics table; a bad header or row, a label that is not finite
+    or a repeated cell is a ValueError naming its line."""
     rows, seen = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -85,6 +83,10 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
                 row = dict(zip(header, rec))
                 row.update((key, int(row[key]) if key == "combo" else float(row[key]))
                            for key in header if key != "status")
+                # a sweep never writes such a label, and NaN defeats the repeat check
+                for key in ("density", "p"):
+                    if not np.isfinite(row[key]):
+                        raise ValueError(f"{key} {row[key]} is not finite")
                 first = seen.setdefault((row["combo"], row["p"], row["density"]),
                                         reader.line_num)
                 if first != reader.line_num:
@@ -131,7 +133,7 @@ def write_region_csv(rows: Sequence[tuple[float, float, bool]],
 
 
 def write_curves_csv(rows: Sequence[dict], path: str | Path) -> Path:
-    header = ("v_mps", "nfr", *_PER_KM)
+    header = ("v_mps", "nfr", *PER_KM)
     table = [[r[k] for k in header] for r in rows]
     return write_csv(path, header, table, key_cols=(0,))
 

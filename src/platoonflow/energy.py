@@ -15,21 +15,25 @@ separate coefficient row for decelerations below -0.5 m/s^2 where the
 fit has one; that row is evaluated only for the pollutants (nox, voc)
 whose braking row differs from the cruise row.
 
-``sample_rates`` computes every per-sample rate the metrics average, and
-``summarize`` turns their means into per-km figures; the sweep applies
-them to many rings' samples at once, and ``equilibrium_curves`` to
-speeds held still.
+``sample_rates`` computes every per-sample rate the metrics average
+(RATES), and ``summarize`` turns their means into the metric columns
+(METRICS), by the names every CSV schema takes from here; the sweep
+applies them to many rings' samples at once, and ``equilibrium_curves``
+to speeds held still.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 POLLUTANTS = ("co2", "nox", "voc", "pm")
+# the rates sample_rates yields and the metric columns summarize returns, in order
+RATES = ("nfr", "speed_mps", *(f"{pol}_g_per_s" for pol in POLLUTANTS))
+PER_KM = ("nff_g_per_km", *(f"{pol}_g_per_km" for pol in POLLUTANTS))
+METRICS = ("mean_speed_mps", "mean_nfr", *PER_KM)
 
 # f1, f2 (per v), f3 (per v^2), f4 (per a), f5 (per a^2), f6 (per v*a)
 # one row for a >= -0.5 m/s^2, one for stronger braking where the fit splits
@@ -53,14 +57,6 @@ _COEFFS = {
 }
 
 BRAKE_SPLIT = -0.5  # m/s^2; the boundary itself belongs to the upper row
-
-
-@dataclass(frozen=True)
-class FuelResult:
-    mean_nfr: float
-    nff: float          # per-km normalized fuel, nan when the fleet never moves
-    mean_speed: float   # m/s
-    stalled: bool
 
 
 def vsp(v, a):
@@ -98,7 +94,7 @@ def _poly(v, a, f):
 def sample_rates(v, a) -> Iterator[np.ndarray]:
     """Per-sample rates of the flattened samples, one array at a time.
 
-    In order: the normalized fuel rate, the speed (m/s), then the
+    In RATES order: the normalized fuel rate, the speed (m/s), then the
     emission rate (g/s) of each pollutant in POLLUTANTS order. Each is
     computed only when the previous one has been taken, so a caller that
     reduces them one by one never holds more than two.
@@ -111,20 +107,20 @@ def sample_rates(v, a) -> Iterator[np.ndarray]:
         yield emission_rate(v, a, pol)
 
 
-def summarize(means) -> tuple[FuelResult, dict[str, float]]:
-    """Fuel result and per-pollutant grams per vehicle-km of a sampled window.
+def summarize(means) -> dict[str, float]:
+    """The METRICS of a sampled window, in order, keyed by name.
 
     ``means`` holds the window means of the ``sample_rates`` arrays, in
-    their order.
+    RATES order. A window whose mean speed is 0 is stalled: no distance
+    was covered, so its speed reads 0.0 and its per-km figures NaN.
     """
     mean_nfr, mean_speed, *mean_rates = (float(m) for m in means)
     if mean_speed == 0.0:
-        return (FuelResult(mean_nfr, math.nan, 0.0, stalled=True),
-                dict.fromkeys(POLLUTANTS, math.nan))
+        return {**dict.fromkeys(METRICS, math.nan), "mean_speed_mps": 0.0, "mean_nfr": mean_nfr}
     nff = 3600.0 * mean_nfr / (3.6 * mean_speed)  # denominator in km/h
     # g/s over m/s: scale to g/km
-    return (FuelResult(mean_nfr, nff, mean_speed, stalled=False),
-            {pol: 1000.0 * rate / mean_speed for pol, rate in zip(POLLUTANTS, mean_rates)})
+    return dict(zip(METRICS, (mean_speed, mean_nfr, nff,
+                              *(1000.0 * rate / mean_speed for rate in mean_rates))))
 
 
 def equilibrium_curves(v_grid) -> list[dict[str, float]]:
@@ -140,8 +136,6 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
     rows = []
     # one sample per speed, so each rate is its own window mean
     for means in zip(*sample_rates(v_arr, 0.0)):
-        fuel, per_km = summarize(means)
-        row = {"v_mps": fuel.mean_speed, "nfr": fuel.mean_nfr, "nff_g_per_km": fuel.nff}
-        row.update((f"{pol}_g_per_km", value) for pol, value in per_km.items())
-        rows.append(row)
+        row = summarize(means)
+        rows.append({"v_mps": row.pop("mean_speed_mps"), "nfr": row.pop("mean_nfr"), **row})
     return rows

@@ -63,14 +63,14 @@ import numpy as np
 from .controllers import H_FOLLOWER, H_LEADER, Strategy
 from .csvio import (TRAJECTORY_HEAD, append_trajectory, format_value, write_csv,
                     write_violations_csv)
-from .energy import POLLUTANTS, sample_rates, summarize
+from .energy import METRICS, PER_KM, RATES, sample_rates, summarize
 from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
 from .platoons import COMBOS
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 from .stability import (equilibrium_partials, stability_region, string_stable)
 
-PLOT_METRICS = {"nff": "nff_g_per_km", **{pol: f"{pol}_g_per_km" for pol in POLLUTANTS}}
+PLOT_METRICS = {col.split("_", 1)[0]: col for col in PER_KM}
 PLOT_DENSITIES = (15.0, 55.0, 95.0)
 # (start, stop, step) of the default grids of the verification reports
 P_GRID = (0.01, 0.99, 0.01)  # penetrations of verify_probability_model
@@ -186,21 +186,10 @@ def enumerate_cells(spec: SweepSpec) -> list[tuple[float, float, int]]:
             for d in sorted(spec.densities)]
 
 
-def _set_metrics(row: dict, means, violations: int = 0, status: str | None = None) -> None:
-    """Fill a row's metrics from its ``sample_rates`` means; status "ok" or "stalled"."""
-    fuel, emissions = summarize(means)
-    row.update(mean_speed_mps=fuel.mean_speed, mean_nfr=fuel.mean_nfr,
-               nff_g_per_km=fuel.nff, violations=violations)
-    for pol, value in emissions.items():
-        row[f"{pol}_g_per_km"] = value
-    row["status"] = status or ("stalled" if fuel.stalled else "ok")
-
-
 def _fail(row: dict, reason) -> None:
     print(f"cell combo={row['combo']} p={row['p']:g} density={row['density']:g} "
           f"failed: {reason}", file=sys.stderr)
-    # NaN means give NaN metrics
-    _set_metrics(row, [math.nan] * (2 + len(POLLUTANTS)), status="error")
+    row.update(dict.fromkeys(METRICS, math.nan), violations=0, status="error")
 
 
 def _name_value(value: float) -> str:
@@ -239,7 +228,7 @@ def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
     state = ring.build_rings(sim, flags, [size for size, _ in rings],
                              [group[0]["combo"] for group in groups])
     bounds = [*state.starts, state.n]
-    sums = np.zeros((2 + len(POLLUTANTS), len(rings)))
+    sums = np.zeros((len(RATES), len(rings)))
     violations: list[list[ring.Violation]] = [[] for _ in rings]
     errors: dict[int, str] = {}
     stems = [[] if save_dir is None else [_stem(save_dir, row) for row in group]
@@ -265,12 +254,13 @@ def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
     for r, ((size, _), group, cell_stems) in enumerate(zip(rings, groups, stems)):
-        means = sums[:, r] / (len(sim.sample_steps) * size)
+        metrics = summarize(sums[:, r] / (len(sim.sample_steps) * size))
+        status = "stalled" if metrics["mean_speed_mps"] == 0.0 else "ok"
         for row in group:
             if r in errors:
                 _fail(row, errors[r])
             else:
-                _set_metrics(row, means, len(violations[r]))
+                row.update(metrics, violations=len(violations[r]), status=status)
         if r in errors and cell_stems:
             partials[r].unlink()
         elif cell_stems:
@@ -417,8 +407,11 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if len(set(p_grid)) < len(p_grid):
         raise ValueError(f"p_grid repeats a value: {p_grid}")
     # a point's seeds come from its values' key texts (cell_seeds), so two
-    # values that print alike would draw one sample twice
+    # values that print alike would draw one sample twice; NaN never
+    # equals itself, so that check would take one NaN for two values
     for name, values in (("intensities", intensities), ("p_grid", p_grid)):
+        if any(math.isnan(value) for value in values):
+            raise ValueError(f"{name} holds NaN: {values}")
         if alike := _printed_alike(values, _key_text):
             other, value, text = alike
             raise ValueError(f"{name}: {other!r} and {value!r} print alike as {text} "
@@ -458,6 +451,8 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
     """Margin report for the requested laws plus the speed-dependent region."""
     if v_grid is None:
         v_grid = _grid(*V_GRID)
+    if (low := min(v_grid, default=0.0)) < 0.0:  # the engine keeps speeds in [0, V_FREE]
+        raise ValueError(f"equilibrium speeds must not be negative, got {low}")
     if strategies is None:
         strategies = (Strategy.CTG, Strategy.VTG1, Strategy.VTG2, Strategy.CS)
     wanted = {s if isinstance(s, Strategy) else Strategy(str(s).upper())

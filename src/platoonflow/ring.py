@@ -102,6 +102,11 @@ class SimConfig:
             if not math.isclose(steps, round(steps), rel_tol=1e-9):
                 raise ValueError(f"{name} {getattr(self, name)} is not a whole number "
                                  f"of time steps dt={self.dt}")
+        try:  # a run counts its samples, and a count must fit an index
+            len(self.sample_steps)
+        except OverflowError:
+            raise ValueError(f"duration {self.duration} holds more samples than a run "
+                             "can count") from None
 
     @property
     def sample_steps(self) -> range:

@@ -96,7 +96,7 @@ def split_log(log, state):
 
 
 def reduce_log(log):
-    """(FuelResult, per-pollutant g/km) of one log's samples, each rate's plain mean."""
+    """The metrics (``summarize``) of one log's samples, from each rate's plain mean."""
     if log.v.size == 0:
         raise ValueError("log holds no samples")
     return summarize([np.mean(rate) for rate in sample_rates(log.v, log.a)])

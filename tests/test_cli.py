@@ -39,6 +39,9 @@ def test_sweep_writes_metrics(tmp_path, capsys):
                          (["--dt", "0.7", "--duration", "1", "--warmup", "0"],
                           "whole number of time steps"),
                          (["--record-every", "0"], "record_every"),
+                         # 1e301 steps: more samples than an index can count
+                         (["--duration", "1e300", "--warmup", "10"],
+                          "error: duration 1e+300 holds more samples than a run can count\n"),
                          (["--ring-length", "3"], "error: one step at v_max 33.3 m/s over "
                           "dt 0.1 s covers the whole ring of 3.0 m\n"),
                          (["--jobs", "0"], "jobs must be at least 1, got 0"),
@@ -178,6 +181,8 @@ def test_plot_data_missing_file(tmp_path, capsys):
                  "metrics.csv:2: 13 fields, header has 12", id="long-row"),
     pytest.param(",".join(METRICS_HEADER) + "\n", 0, "metrics table is empty",
                  id="header-only"),
+    pytest.param(",".join(METRICS_HEADER) + "\n" + ("nan,0,1,ok" + ",1" * 8 + "\n") * 2, 1,
+                 "metrics.csv:2: density nan is not finite", id="nan-density"),
     pytest.param(",".join(METRICS_HEADER) + "\n" + "15,1,1,ok" + ",1" * 8 + "\n"
                  + "15,1,1,ok" + ",2" * 8 + "\n", 1,
                  "metrics.csv:3: repeats the density, p and combo of line 2",
@@ -237,6 +242,16 @@ def test_verify_prob_rejects_p_values_seed_keys_print_alike(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: p_grid: 0.5 and 0.5000002 print alike as 0.5")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "bad").exists()
+
+
+def test_verify_prob_rejects_nan_intensity(tmp_path, capsys):
+    code = main(["verify-prob", "--vehicles", "20", "--runs", "2", "--intensities", "nan",
+                 "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: intensities holds NaN")
     assert err.count("\n") == 1  # one line, no traceback
     assert not (tmp_path / "bad").exists()
 

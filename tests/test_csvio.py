@@ -9,8 +9,9 @@ from conftest import run
 
 from platoonflow import csvio
 from platoonflow.csvio import (METRICS_HEADER, TRAJECTORY_HEAD, append_trajectory,
-                               format_value, write_csv, write_curves_csv, write_metrics_csv,
-                               write_region_csv, write_violations_csv)
+                               format_value, read_metrics_csv, write_csv, write_curves_csv,
+                               write_metrics_csv, write_region_csv, write_violations_csv)
+from platoonflow.energy import METRICS, summarize
 from platoonflow.ring import BLOCK_SAMPLES, SimConfig, TrajectoryLog, Violation
 
 
@@ -62,6 +63,27 @@ def test_write_metrics_csv_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(METRICS_HEADER)
     assert lines[1].split(",")[3] == "ok"
+
+
+def test_metric_columns_come_from_summarize():
+    # summarize names every metric column, and metrics.csv holds them in its order
+    for means in ((1.0, 10.0, 0.5, 0.1, 0.2, 0.3), (1.0, 0.0, 0.5, 0.1, 0.2, 0.3)):
+        assert tuple(summarize(means)) == METRICS
+    start = METRICS_HEADER.index(METRICS[0])
+    assert METRICS_HEADER[start:start + len(METRICS)] == METRICS
+
+
+@pytest.mark.parametrize("density, p, message", [
+    ("nan", "0", "density nan is not finite"),
+    ("15", "inf", "p inf is not finite"),
+    ("-inf", "0.5", "density -inf is not finite")])
+def test_read_metrics_csv_rejects_labels_that_are_not_finite(tmp_path, density, p, message):
+    # two NaN cells would never match in the repeated-cell check
+    path = tmp_path / "metrics.csv"
+    row = f"{density},{p},1,ok" + ",1" * 8
+    path.write_text("\n".join([",".join(METRICS_HEADER), row, row, ""]))
+    with pytest.raises(ValueError, match=f"^{path}:2: {message}$"):
+        read_metrics_csv(path)
 
 
 def test_trajectory_writer_header_and_rows(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import reduce_log
 
-from platoonflow.energy import (BRAKE_SPLIT, POLLUTANTS, emission_rate,
+from platoonflow.energy import (BRAKE_SPLIT, METRICS, POLLUTANTS, emission_rate,
                                 equilibrium_curves, nfr, vsp)
 from platoonflow.ring import TrajectoryLog
 
@@ -141,27 +141,26 @@ def test_emission_rates_never_negative():
 
 def test_fleet_fuel_constant_cruise():
     log = make_log(np.full((50, 4), 20.0), np.zeros((50, 4)))
-    out = reduce_log(log)[0]
-    assert not out.stalled
-    assert out.mean_speed == pytest.approx(20.0, abs=1e-12)
-    assert out.mean_nfr == pytest.approx(3.3774978233271393, abs=1e-12)
-    assert out.nff == pytest.approx(168.87489116635697, abs=1e-12)
+    out = reduce_log(log)
+    assert out["mean_speed_mps"] == pytest.approx(20.0, abs=1e-12)
+    assert out["mean_nfr"] == pytest.approx(3.3774978233271393, abs=1e-12)
+    assert out["nff_g_per_km"] == pytest.approx(168.87489116635697, abs=1e-12)
 
 
 def test_fleet_fuel_constant_braking():
     # negative power pins the rate at 1, so per-km fuel is 3600 / (km/h)
     log = make_log(np.full((10, 3), 10.0), np.full((10, 3), -1.0))
-    out = reduce_log(log)[0]
-    assert out.mean_nfr == pytest.approx(1.0, abs=1e-15)
-    assert out.nff == pytest.approx(100.0, abs=1e-12)
+    out = reduce_log(log)
+    assert out["mean_nfr"] == pytest.approx(1.0, abs=1e-15)
+    assert out["nff_g_per_km"] == pytest.approx(100.0, abs=1e-12)
 
 
 def test_fleet_fuel_stalled_and_empty():
     log = make_log(np.zeros((5, 2)), np.zeros((5, 2)))
-    out = reduce_log(log)[0]
-    assert out.stalled
-    assert math.isnan(out.nff)
-    assert out.mean_nfr == 0.0
+    out = reduce_log(log)
+    assert out["mean_speed_mps"] == 0.0
+    assert math.isnan(out["nff_g_per_km"])
+    assert out["mean_nfr"] == 0.0
     with pytest.raises(ValueError):
         reduce_log(make_log(np.zeros((0, 2)), np.zeros((0, 2))))
 
@@ -170,26 +169,26 @@ def test_fleet_fuel_invariant_to_duplicated_samples():
     rng = np.random.default_rng(3)
     v = rng.uniform(1.0, 33.0, size=(40, 6))
     a = rng.uniform(-3.0, 1.0, size=(40, 6))
-    one = reduce_log(make_log(v, a))[0]
-    two = reduce_log(make_log(np.vstack([v, v]), np.vstack([a, a])))[0]
-    assert two.nff == pytest.approx(one.nff, rel=1e-12)
-    assert two.mean_nfr == pytest.approx(one.mean_nfr, rel=1e-12)
+    one = reduce_log(make_log(v, a))
+    two = reduce_log(make_log(np.vstack([v, v]), np.vstack([a, a])))
+    assert two["nff_g_per_km"] == pytest.approx(one["nff_g_per_km"], rel=1e-12)
+    assert two["mean_nfr"] == pytest.approx(one["mean_nfr"], rel=1e-12)
 
 
 def test_fleet_emissions_cruise_30():
     log = make_log(np.full((20, 5), 30.0), np.zeros((20, 5)))
-    out = reduce_log(log)[1]
-    assert set(out) == set(POLLUTANTS)
-    assert out["nox"] == 0.0   # cruise fit goes negative above 25 m/s
-    assert out["pm"] == 0.0    # same above ~17 m/s
-    assert out["co2"] == pytest.approx(
+    out = reduce_log(log)
+    assert tuple(out) == METRICS
+    assert out["nox_g_per_km"] == 0.0   # cruise fit goes negative above 25 m/s
+    assert out["pm_g_per_km"] == 0.0    # same above ~17 m/s
+    assert out["co2_g_per_km"] == pytest.approx(
         1000.0 * poly_reference(30.0, 0.0, CO2_ROW) / 30.0, rel=1e-12)
-    assert out["voc"] > 0.0
+    assert out["voc_g_per_km"] > 0.0
 
 
 def test_fleet_emissions_stalled_is_nan():
-    out = reduce_log(make_log(np.zeros((5, 2)), np.zeros((5, 2))))[1]
-    assert all(math.isnan(val) for val in out.values())
+    out = reduce_log(make_log(np.zeros((5, 2)), np.zeros((5, 2))))
+    assert all(math.isnan(out[f"{pol}_g_per_km"]) for pol in POLLUTANTS)
     with pytest.raises(ValueError):
         reduce_log(make_log(np.zeros((0, 2)), np.zeros((0, 2))))
 

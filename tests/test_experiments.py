@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from platoonflow import experiments, ring
 from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
-from platoonflow.energy import POLLUTANTS
+from platoonflow.energy import METRICS
 from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
                                      SweepSpec, _chunk_cap, _chunks, _grid,
@@ -289,6 +289,21 @@ def test_block_length_changes_no_file(monkeypatch, tmp_path):
             assert row["violations"] == first["violations"]
             for key in METRICS_HEADER[4:-1]:
                 assert row[key] == pytest.approx(first[key], rel=SUM_RTOL, abs=0.0), key
+
+
+def test_sweep_of_a_stalled_ring(tmp_path, capsys):
+    # 200 veh/km leaves 5 m a vehicle: the ring never moves, so it covers
+    # no km to divide by
+    spec = SweepSpec(densities=(200.0,), penetrations=(0.0,), combos=(1,), jobs=1,
+                     sim=ring.SimConfig(duration=20.0, warmup=10.0))
+    row, = run_sweep(spec)
+    assert row["status"] == "stalled"
+    assert row["mean_speed_mps"] == 0.0 and row["mean_nfr"] == 0.0
+    per_km = ("nff_g_per_km", "co2_g_per_km", "nox_g_per_km", "voc_g_per_km", "pm_g_per_km")
+    assert all(math.isnan(row[key]) for key in per_km)
+    lines = write_metrics_csv([row], tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines[1] == "200,0,1,stalled,0,0,nan,nan,nan,nan,nan,0"
+    capsys.readouterr()
 
 
 def test_run_sweep_sorted_and_reproducible(tmp_path):
@@ -674,12 +689,10 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
         if part.errors:
             assert row["status"] == "error"
             continue
-        fuel, emissions = reduce_log(part)
+        metrics = reduce_log(part)
         assert row["status"] == "ok"
-        assert [row["mean_speed_mps"], row["mean_nfr"], row["nff_g_per_km"]] == pytest.approx(
-            [fuel.mean_speed, fuel.mean_nfr, fuel.nff], rel=SUM_RTOL, abs=0.0)
-        assert [row[f"{pol}_g_per_km"] for pol in POLLUTANTS] == pytest.approx(
-            [emissions[pol] for pol in POLLUTANTS], rel=SUM_RTOL, abs=0.0)
+        assert [row[key] for key in METRICS] == pytest.approx(
+            [metrics[key] for key in METRICS], rel=SUM_RTOL, abs=0.0)
         assert row["violations"] == len(part.violations)
     capsys.readouterr()
 
@@ -725,6 +738,15 @@ def test_verify_probability_model_rejects_bad_counts():
         verify_probability_model(n_vehicles=10, runs=2, p_grid=[0.5, 0.5])
     with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
         verify_probability_model(n_vehicles=10, runs=2, jobs=0)
+
+
+@pytest.mark.parametrize("args", [dict(p_grid=[math.nan]), dict(intensities=(math.nan,)),
+                                  dict(p_grid=[0.5, math.nan])],
+                         ids=["p_grid", "intensities", "p_grid-second"])
+def test_verify_probability_model_rejects_nan(args):
+    # one NaN is one bad value, not two values that print alike
+    with pytest.raises(ValueError, match=r"^(p_grid|intensities) holds NaN: "):
+        verify_probability_model(n_vehicles=10, runs=2, **args)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -782,6 +804,15 @@ def test_verify_stability_report():
     assert rows["VTG2"]["margin"] == pytest.approx(0.019260833486176618,
                                                    abs=1e-12)
     assert rows["VTG2"]["stable"]
+
+
+def test_verify_stability_rejects_negative_speeds():
+    # the engine keeps speeds in [0, V_FREE]; a margin over negative speeds means nothing
+    with pytest.raises(ValueError, match="must not be negative, got -5.0"):
+        verify_stability(v_grid=_grid(-5.0, 1.0, 1.0))
+    # 0 and the default grid's last point, a rounding above 33.3, are kept
+    region = verify_stability(v_grid=[0.0, 0.1 * 333])["vtg2_region"]
+    assert [v for v, _, _ in region] == [0.0, 33.300000000000004]
 
 
 def test_verify_stability_subset_and_empty():

@@ -217,6 +217,10 @@ def test_config_validation():
     SimConfig(dt=0.1, duration=3600.0, warmup=1800.0)
     SimConfig(dt=0.3, duration=0.9, warmup=0.3)
     SimConfig(record_every=np.int64(3))
+    # 1e20 steps recorded every 10th are 1e19 samples, past sys.maxsize
+    with pytest.raises(ValueError, match="holds more samples than a run can count"):
+        SimConfig(duration=1e19, warmup=0.0)
+    assert len(SimConfig(duration=1e19, warmup=0.0, record_every=100).sample_steps) == 10**18
     # one step at the speed cap may not lap the ring
     with pytest.raises(ValueError, match="covers the whole ring of 1000.0 m"):
         SimConfig(dt=40.0, duration=3600.0, warmup=1800.0)
