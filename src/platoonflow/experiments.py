@@ -2,14 +2,16 @@
 
 A sweep cell is one (density, penetration, combo) simulation; every
 cell runs under the sweep's one engine config (``SweepSpec.sim``), which
-is checked before any cell runs. Cells are independent, seeded from a
-stable hash, and a cell that fails on its own values becomes a status
-row instead of killing the sweep. Row order is fixed to
+is checked before any cell runs. Cells are independent, and a cell that
+fails on its own values becomes a status row instead of killing the
+sweep. A sweep draws each ring at full platoon intensity, which reads no
+seed, so no cell is seeded; a draw below full intensity would get its
+cell's seed from a stable hash (``cell_seed``). Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
 A sweep draws each cell's ring once and steps each distinct ring once.
 One pass over the cells in the parent (``_chunks``) checks each cell's
-fleet, seeds it and draws its CAV flag row; a cell no ring can hold
+fleet and draws its CAV flag row; a cell no ring can hold
 gets its error row and failure line there, before any chunk runs. Two
 cells with the same ``ring.ring_key`` get the same columns from
 ``build_rings``, and a ring's numbers do not depend on its chunk, so
@@ -47,7 +49,6 @@ count, and runs them on as many workers. No output byte depends on it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import shutil
@@ -68,7 +69,6 @@ from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
 from .platoons import COMBOS
 from . import ring  # engine calls go through the module, so wrappers set on it apply
-from .stability import (equilibrium_partials, stability_region, string_stable)
 
 PLOT_METRICS = {col.split("_", 1)[0]: col for col in PER_KM}
 PLOT_DENSITIES = (15.0, 55.0, 95.0)
@@ -139,6 +139,7 @@ def cell_seeds(base_seed: int, density: float, p: float, lasts) -> list[int]:
     Process hashes are salted, so use a digest. The keys' shared prefix
     is hashed once, and a copy of its state is extended by each last key.
     """
+    import hashlib  # here, not at the top: it loads OpenSSL, which no sweep needs
     prefix = hashlib.sha256(f"{base_seed}:{_key_text(density)}:{_key_text(p)}:".encode())
     seeds = []
     for last in lasts:
@@ -290,7 +291,8 @@ def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     """The error rows of the cells no ring can hold, and the other cells' chunks.
 
     Here, and only here, a cell becomes a ring: its fleet is checked
-    (``ring.cell_fleet``), seeded and its flag row drawn, once. A cell
+    (``ring.cell_fleet``) and its flag row drawn, once, seeded only
+    below full intensity, as a full-intensity draw reads no seed. A cell
     the check rejects gets its error row and failure line at once. The
     cells with one ``ring.ring_key`` are one ring, listed in the order
     its first cell appears. The rings, in order, go in consecutive
@@ -308,7 +310,8 @@ def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
             _fail(row, exc)
             failed.append(row)
             continue
-        flags = draw_flags(fleet, [cell_seed(spec.base_seed, density, p, combo)])[0]
+        seed = None if fleet.intensity == 1.0 else cell_seed(spec.base_seed, density, p, combo)
+        flags = draw_flags(fleet, [seed])[0]
         rings.setdefault(ring.ring_key(flags, combo), (flags, []))[1].append((density, p, combo))
     cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
     batches: list[list] = []
@@ -449,6 +452,8 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
 
 def verify_stability(strategies=None, v_grid=None) -> dict:
     """Margin report for the requested laws plus the speed-dependent region."""
+    # imported here, its only user, so the other verbs do not import it
+    from .stability import equilibrium_partials, stability_region, string_stable
     if v_grid is None:
         v_grid = _grid(*V_GRID)
     if (low := min(v_grid, default=0.0)) < 0.0:  # the engine keeps speeds in [0, V_FREE]

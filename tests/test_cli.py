@@ -1,6 +1,7 @@
 """Command-line entry points and the flat config-file loader."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -441,6 +442,39 @@ def test_cli_import_starts_no_blas_thread():
     if threads == -1:
         pytest.skip("no /proc/self/task to count threads in")
     assert threads == 1
+
+
+def test_only_a_hashed_seed_loads_openssl(tmp_path):
+    # _hashlib is OpenSSL, loaded by `import hashlib`: no verb that hashes
+    # no seed loads it, and verify-prob, which hashes its draws' seeds,
+    # does. numpy 1.x loads it itself (numpy.random -> secrets), so each
+    # verb is checked against what `import numpy` alone leaves
+    src = str(Path(platoonflow.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    sweep = ["sweep", "--densities", "15,25", "--penetrations", "0.8", "--combos", "1",
+             "--duration", "20", "--warmup", "10", "--save-trajectories",
+             "--record-every", "1"]
+    argvs = [sweep + ["--jobs", "1", "--outdir", "sweep1"],
+             sweep + ["--jobs", "2", "--outdir", "sweep2"],
+             ["curves", "--outdir", "curves"],
+             ["verify-stability", "--outdir", "stability"],
+             ["plot-data", "--metrics", "sweep1/metrics.csv", "--outdir", "plots"],
+             ["verify-prob", "--runs", "5", "--p-step", "0.1", "--jobs", "1",
+              "--outdir", "prob"]]
+    code = ("import contextlib, json, sys\n"
+            "import numpy\n"
+            "loaded = ['_hashlib' in sys.modules]\n"
+            "from platoonflow import cli\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            "    for argv in json.loads(sys.argv[1]):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "        loaded.append('_hashlib' in sys.modules)\n"
+            "print(json.dumps(loaded))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    by_numpy, *loaded = json.loads(proc.stdout)
+    assert loaded == [by_numpy] * (len(argvs) - 1) + [True]
 
 
 def test_build_parser_lists_all_verbs():

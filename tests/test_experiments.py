@@ -492,7 +492,8 @@ def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
 def test_each_cell_is_drawn_once(monkeypatch, capsys):
     # p 0 makes one all-human ring of the three combos at each density, and
     # 250 veh/km no ring at all: each cell's fleet is checked once, and each
-    # feasible cell seeded and drawn once, all before any chunk runs
+    # feasible cell drawn once, all before any chunk runs. A sweep draws at
+    # full intensity, which reads no seed, so no cell is seeded
     spec = small_spec(densities=(15.0, 25.0, 250.0), penetrations=(0.0, 0.6),
                       combos=(1, 2, 3))
     cells = enumerate_cells(spec)
@@ -524,9 +525,8 @@ def test_each_cell_is_drawn_once(monkeypatch, capsys):
     assert [r["status"] == "error" for r in rows] == [c[0] == 250.0 for c in cells]
     assert len(calls["run_chunk"]) == 1
     assert sorted(args[1:4] for args, _ in calls["cell_fleet"]) == sorted(cells)
-    assert sorted(args[1:4] for args, _ in calls["cell_seed"]) == sorted(feasible)
-    seeds = [cell_seed(spec.base_seed, *cell) for cell in feasible]
-    assert sorted(args[1][0] for args, _ in calls["draw_flags"]) == sorted(seeds)
+    assert calls["cell_seed"] == []
+    assert [args[1] for args, _ in calls["draw_flags"]] == [[None]] * len(feasible)
     assert not any(inside for name in ("cell_fleet", "cell_seed", "draw_flags")
                    for _, inside in calls[name])
 
