@@ -177,7 +177,7 @@ def _cmd_verify_prob(args) -> int:
     write_class_curves_csv(report.curves, outdir / "probability_curves.csv")
     for fit in report.fits:
         note = f"  ({fit['note']})" if fit["note"] else ""
-        print(f"O={fit['intensity']:g} {fit['cls']:>4}: "
+        print(f"O={fit['intensity']:g} {fit['class']:>4}: "
               f"r2={fit['r2']:.4f} rmse={fit['rmse']:.4f}{note}")
     print(f"wrote {outdir / 'probability_fit.csv'}")
     return 0
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a grid step too fine
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ one routine that checks its own schema before touching the disk, except
 the trajectory rows: their schema is fixed, and a sweep appends each
 block of a run to a ring's file as it comes, through ``append_trajectory``
 with the same digits from a per-ring row template; no writer takes a
-whole stored log. ``energy`` names the metric columns.
+whole stored log. ``energy`` names the metric and curves columns; a
+report's rows are keyed by the columns its file prints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import METRICS, PER_KM
+from .energy import CURVES, METRICS
 from .ring import Violation
 
 TRAJECTORY_HEAD = "t,vehicle_index,x,v,a\n"
@@ -133,17 +134,14 @@ def write_region_csv(rows: Sequence[tuple[float, float, bool]],
 
 
 def write_curves_csv(rows: Sequence[dict], path: str | Path) -> Path:
-    header = ("v_mps", "nfr", *PER_KM)
-    table = [[r[k] for k in header] for r in rows]
-    return write_csv(path, header, table, key_cols=(0,))
+    return write_csv(path, CURVES, [[r[k] for k in CURVES] for r in rows], key_cols=(0,))
 
 
 def write_fit_csv(fits: Sequence[dict], path: str | Path) -> Path:
-    table = [(f["intensity"], f["cls"], f["r2"], f["rmse"], f["note"]) for f in fits]
-    return write_csv(path, ("intensity", "class", "r2", "rmse", "note"), table)
+    header = ("intensity", "class", "r2", "rmse", "note")
+    return write_csv(path, header, [[f[k] for k in header] for f in fits])
 
 
 def write_class_curves_csv(curves: Sequence[dict], path: str | Path) -> Path:
-    table = [(c["intensity"], c["p"], c["cls"], c["empirical"], c["theoretical"])
-             for c in curves]
-    return write_csv(path, ("intensity", "p", "class", "empirical", "theoretical"), table)
+    header = ("intensity", "p", "class", "empirical", "theoretical")
+    return write_csv(path, header, [[c[k] for k in header] for c in curves])

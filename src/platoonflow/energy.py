@@ -19,7 +19,7 @@ whose braking row differs from the cruise row.
 (RATES), and ``summarize`` turns their means into the metric columns
 (METRICS), by the names every CSV schema takes from here; the sweep
 applies them to many rings' samples at once, and ``equilibrium_curves``
-to speeds held still.
+to speeds held still, under the curves' own column names (CURVES).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ POLLUTANTS = ("co2", "nox", "voc", "pm")
 RATES = ("nfr", "speed_mps", *(f"{pol}_g_per_s" for pol in POLLUTANTS))
 PER_KM = ("nff_g_per_km", *(f"{pol}_g_per_km" for pol in POLLUTANTS))
 METRICS = ("mean_speed_mps", "mean_nfr", *PER_KM)
+# the columns of equilibrium_curves' rows: the METRICS, with the speed and fuel rate renamed
+CURVES = ("v_mps", "nfr", *PER_KM)
 
 # f1, f2 (per v), f3 (per v^2), f4 (per a), f5 (per a^2), f6 (per v*a)
 # one row for a >= -0.5 m/s^2, one for stronger braking where the fit splits
@@ -133,9 +135,6 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
         raise ValueError(f"equilibrium curves need finite speeds, got {float(bad[0])!r}")
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
-    rows = []
     # one sample per speed, so each rate is its own window mean
-    for means in zip(*sample_rates(v_arr, 0.0)):
-        row = summarize(means)
-        rows.append({"v_mps": row.pop("mean_speed_mps"), "nfr": row.pop("mean_nfr"), **row})
-    return rows
+    return [dict(zip(CURVES, summarize(means).values()))
+            for means in zip(*sample_rates(v_arr, 0.0))]

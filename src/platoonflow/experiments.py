@@ -102,19 +102,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("densities", "penetrations", "combos"):
-            axis = getattr(self, name)
-            if not axis:
-                raise ValueError(f"sweep axis {name} is empty")
-            # NaN never equals itself, so the repeat check below cannot see it
-            if any(math.isnan(value) for value in axis):
-                raise ValueError(f"sweep axis {name} holds NaN: {axis}")
-            if len(set(axis)) < len(axis):
-                raise ValueError(f"sweep axis {name} repeats a value: {axis}")
             # metrics.csv labels each row by these texts
-            if alike := _printed_alike(axis, format_value):
-                other, value, text = alike
-                raise ValueError(f"sweep axis {name} holds {other!r} and {value!r}, "
-                                 f"which metrics.csv writes alike as {text}")
+            _check_axis(f"sweep axis {name}", getattr(self, name), format_value, "metrics.csv")
         if bad := [d for d in self.densities if not 0.0 < d < math.inf]:
             raise ValueError(f"sweep axis densities holds {bad[0]}; a density must be "
                              "positive and finite")
@@ -154,15 +143,25 @@ def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
     return cell_seeds(base_seed, density, p, (combo,))[0]
 
 
-def _printed_alike(values, form):
-    """The first two values ``form`` prints alike, and that text; None if there are none."""
+def _check_axis(name: str, values, form, medium: str) -> None:
+    """Reject an axis that is empty, holds NaN, repeats a value or holds two
+    values that ``form`` prints alike, as ``medium`` would write them.
+
+    NaN never equals itself, so it is checked before the repeats.
+    """
+    if not values:
+        raise ValueError(f"{name} is empty")
+    if any(math.isnan(value) for value in values):
+        raise ValueError(f"{name} holds NaN: {values}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeats a value: {values}")
     printed: dict[str, float] = {}
     for value in values:
         text = form(value)
         other = printed.setdefault(text, value)
         if other != value:
-            return other, value, text
-    return None
+            raise ValueError(f"{name} holds {other!r} and {value!r}, which {medium} "
+                             f"writes alike as {text}")
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -401,52 +400,34 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     intensities = tuple(intensities)
     if runs < 1 or n_vehicles < 1:
         raise ValueError("need at least one run of at least one vehicle")
-    if not intensities:
-        raise ValueError("intensities are empty")
-    if len(set(intensities)) < len(intensities):
-        raise ValueError(f"intensities repeat a value: {intensities}")
-    if not p_grid:
-        raise ValueError("p_grid is empty")
-    if len(set(p_grid)) < len(p_grid):
-        raise ValueError(f"p_grid repeats a value: {p_grid}")
     # a point's seeds come from its values' key texts (cell_seeds), so two
-    # values that print alike would draw one sample twice; NaN never
-    # equals itself, so that check would take one NaN for two values
-    for name, values in (("intensities", intensities), ("p_grid", p_grid)):
-        if any(math.isnan(value) for value in values):
-            raise ValueError(f"{name} holds NaN: {values}")
-        if alike := _printed_alike(values, _key_text):
-            other, value, text = alike
-            raise ValueError(f"{name}: {other!r} and {value!r} print alike as {text} "
-                             "in seed keys")
+    # values that print alike would draw one sample twice
+    _check_axis("intensities", intensities, _key_text, "a seed key")
+    _check_axis("p_grid", p_grid, _key_text, "a seed key")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
     size = math.ceil(len(points) / (BATCHES_PER_WORKER * _workers(jobs)))
     batches = [points[i:i + size] for i in range(0, len(points), size)]
-    drawn = iter([share for shares in _pool_map(jobs, partial(_shares, n_vehicles, runs, seed),
-                                                batches)
-                  for share in shares])
-    fits: list[dict] = []
+    drawn = [share for shares in _pool_map(jobs, partial(_shares, n_vehicles, runs, seed),
+                                           batches)
+             for share in shares]
     curves: list[dict] = []
-    class_names = ("LV1", "LV2", "PV")
-    for intensity in intensities:
-        emp = {name: [] for name in class_names}
-        theo = {name: [] for name in class_names}
-        for p in p_grid:
-            dist = next(drawn)
-            model = class_probabilities(p, intensity, S_MAX)
-            for name, e, t in (("LV1", dist.p_lv1, model.p_lv1),
-                               ("LV2", dist.p_lv2, model.p_lv2),
-                               ("PV", dist.p_pv, model.p_pv)):
-                emp[name].append(e)
-                theo[name].append(t)
-                curves.append({"intensity": intensity, "p": p, "cls": name,
-                               "empirical": e, "theoretical": t})
-        for name in class_names:
-            fit = goodness_of_fit(emp[name], theo[name])
-            fits.append({"intensity": intensity, "cls": name, "r2": fit.r2,
-                         "rmse": fit.rmse, "note": fit.note or ""})
+    for (intensity, p), dist in zip(points, drawn):
+        model = class_probabilities(p, intensity, S_MAX)
+        for name, e, t in (("LV1", dist.p_lv1, model.p_lv1), ("LV2", dist.p_lv2, model.p_lv2),
+                           ("PV", dist.p_pv, model.p_pv)):
+            curves.append({"intensity": intensity, "p": p, "class": name,
+                           "empirical": e, "theoretical": t})
+    # each intensity's curve of each class, in the order the curves list them
+    by_class: dict[tuple, list[dict]] = {}
+    for row in curves:
+        by_class.setdefault((row["intensity"], row["class"]), []).append(row)
+    fits = []
+    for (intensity, name), rows in by_class.items():
+        fit = goodness_of_fit([r["empirical"] for r in rows], [r["theoretical"] for r in rows])
+        fits.append({"intensity": intensity, "class": name, "r2": fit.r2,
+                     "rmse": fit.rmse, "note": fit.note or ""})
     return ProbabilityVerification(fits, curves)
 
 

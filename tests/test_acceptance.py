@@ -62,7 +62,7 @@ def test_criterion_2_probability_model_fit():
     start = time.perf_counter()
     out = verify_probability_model(n_vehicles=100, runs=200)
     elapsed = time.perf_counter() - start
-    fits = {(f["intensity"], f["cls"]): f for f in out.fits}
+    fits = {(f["intensity"], f["class"]): f for f in out.fits}
 
     random_ok = all(fits[(0.0, cls)]["r2"] >= 0.90
                     for cls in ("LV1", "LV2", "PV"))

@@ -224,9 +224,9 @@ def test_verify_prob_cmd_from_p_zero(tmp_path):
 
 def test_verify_prob_rejects_empty_or_repeated_intensities(tmp_path, capsys):
     # an empty or repeating list is an error, not a header-only or doubled table
-    for intensities, message in ((",", "intensities are empty"),
-                                 ("0,0", "intensities repeat a value: (0.0, 0.0)"),
-                                 ("1,0.5,1.0", "intensities repeat a value")):
+    for intensities, message in ((",", "intensities is empty"),
+                                 ("0,0", "intensities repeats a value: (0.0, 0.0)"),
+                                 ("1,0.5,1.0", "intensities repeats a value")):
         code = main(["verify-prob", "--vehicles", "20", "--runs", "2",
                      "--intensities", intensities, "--outdir", str(tmp_path / "bad")])
         assert code == 1
@@ -242,8 +242,25 @@ def test_verify_prob_rejects_p_values_seed_keys_print_alike(tmp_path, capsys):
                  "--outdir", str(tmp_path / "bad")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: p_grid: 0.5 and 0.5000002 print alike as 0.5")
+    assert err.startswith("error: p_grid holds 0.5 and 0.5000002, which a seed key writes "
+                          "alike as 0.5")
     assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("verb, step", [("curves", "--v-step"), ("verify-prob", "--p-step"),
+                                        ("verify-stability", "--v-step")])
+def test_grid_too_large_for_memory_is_one_error_line(monkeypatch, tmp_path, capsys, verb, step):
+    # a step of 1e-13 asks numpy for 3.2e14 points; the grid raises here instead,
+    # as allocating it for real could be granted and then touched
+    def too_large(start, stop, step):
+        raise MemoryError("Unable to allocate 2.27 PiB for an array with shape "
+                          "(320000000000000,) and data type float64")
+    monkeypatch.setattr("platoonflow.cli._grid", too_large)
+    code = main([verb, step, "1e-13", "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: Unable to allocate 2.27 PiB for an array with "
+                                       "shape (320000000000000,) and data type float64\n")
     assert not (tmp_path / "bad").exists()
 
 
@@ -335,7 +352,7 @@ def test_cli_defaults_are_the_library_defaults():
     # the grids each library function visits when given none
     p_lib = [c["p"] for c in verify_probability_model(n_vehicles=1, runs=1,
                                                       intensities=(1.0,)).curves
-             if c["cls"] == "LV1"]
+             if c["class"] == "LV1"]
     v_lib = [v for v, _, _ in verify_stability()["vtg2_region"]]
     for cli, lib, spelled in (
             (_grid(prob.p_start, prob.p_stop, prob.p_step), p_lib,
@@ -404,7 +421,8 @@ def test_config_file_bad_value(tmp_path, capsys):
                            "3: densities: could not convert string to float: 'x'"),
                           # a misspelled flag value is not read as false
                           ("save-trajectories=ture\n",
-                           "1: save-trajectories: expected true or false, got 'ture'")):
+                           "1: save-trajectories: expected true or false, got 'ture'"),
+                          ("densities 55\n", "1: expected KEY=VALUE, got 'densities 55'")):
         cfg.write_text(text)
         code = main(["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "bad")])
         assert code == 1

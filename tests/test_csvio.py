@@ -9,9 +9,11 @@ from conftest import run
 
 from platoonflow import csvio
 from platoonflow.csvio import (METRICS_HEADER, TRAJECTORY_HEAD, append_trajectory,
-                               format_value, read_metrics_csv, write_csv, write_curves_csv,
-                               write_metrics_csv, write_region_csv, write_violations_csv)
-from platoonflow.energy import METRICS, summarize
+                               format_value, read_metrics_csv, write_class_curves_csv, write_csv,
+                               write_curves_csv, write_fit_csv, write_metrics_csv,
+                               write_region_csv, write_stability_csv, write_violations_csv)
+from platoonflow.energy import METRICS, equilibrium_curves, summarize
+from platoonflow.experiments import verify_probability_model, verify_stability
 from platoonflow.ring import BLOCK_SAMPLES, SimConfig, TrajectoryLog, Violation
 
 
@@ -71,6 +73,17 @@ def test_metric_columns_come_from_summarize():
         assert tuple(summarize(means)) == METRICS
     start = METRICS_HEADER.index(METRICS[0])
     assert METRICS_HEADER[start:start + len(METRICS)] == METRICS
+
+
+def test_report_rows_are_keyed_by_their_files_columns(tmp_path):
+    # each report row carries the names its file prints, in order: no writer renames a key
+    prob = verify_probability_model(n_vehicles=10, runs=2, p_grid=(0.2, 0.5),
+                                    intensities=(0.0, 1.0), jobs=1)
+    for rows, writer in ((prob.fits, write_fit_csv), (prob.curves, write_class_curves_csv),
+                         (verify_stability(v_grid=(5.0, 15.0))["rows"], write_stability_csv),
+                         (equilibrium_curves((1.0, 2.0)), write_curves_csv)):
+        header = writer(rows, tmp_path / "report.csv").read_text().split("\n", 1)[0]
+        assert rows and all(tuple(row) == tuple(header.split(",")) for row in rows)
 
 
 @pytest.mark.parametrize("density, p, message", [

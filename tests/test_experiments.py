@@ -703,7 +703,7 @@ def test_verify_probability_model_structure():
                                    intensities=(0.0, 1.0), seed=0)
     assert len(out.fits) == 6  # two intensities, three classes
     for fit in out.fits:
-        assert fit["cls"] in ("LV1", "LV2", "PV")
+        assert fit["class"] in ("LV1", "LV2", "PV")
         assert fit["intensity"] in (0.0, 1.0)
         assert math.isfinite(fit["rmse"])
     assert len(out.curves) == 2 * 3 * 3
@@ -750,12 +750,14 @@ def test_verify_probability_model_rejects_nan(args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (dict(p_grid=(0.5, 0.5000002, 0.5000004)), "p_grid: 0.5 and 0.5000002 print alike as 0.5"),
+    (dict(p_grid=(0.5, 0.5000002, 0.5000004)), "p_grid holds 0.5 and 0.5000002, which a "
+                                               "seed key writes alike as 0.5"),
     (dict(intensities=(0.0, 0.1, 0.1000000001)),
-     "intensities: 0.1 and 0.1000000001 print alike as 0.1")], ids=["p_grid", "intensities"])
+     "intensities holds 0.1 and 0.1000000001, which a seed key writes alike as 0.1")],
+    ids=["p_grid", "intensities"])
 def test_verify_probability_model_rejects_values_seed_keys_print_alike(args, message):
     # such points would get the same seeds: one sample shown as several
-    with pytest.raises(ValueError, match=re.escape(f"{message} in seed keys")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         verify_probability_model(n_vehicles=10, runs=2, **args)
 
 

@@ -437,6 +437,8 @@ def test_role_codes_rejects_sizes_that_do_not_split_the_flags():
             role_codes(np.ones(5, dtype=bool), sizes, 4)
     with pytest.raises(ValueError, match="size cap"):
         role_codes(np.ones(5, dtype=bool), [5], 0)
+    with pytest.raises(ValueError, match="size cap"):
+        class_probabilities(0.5, 0.5, 0)
 
 
 @pytest.mark.parametrize("intensity", [0.0, 0.3, 0.99, 1.0])
@@ -539,11 +541,11 @@ def test_verify_probability_model_matches_reference_path():
                                 ("PV", dist.p_pv, model.p_pv)):
                 emp[name].append(e)
                 theo[name].append(th)
-                curves.append({"intensity": intensity, "p": p, "cls": name,
+                curves.append({"intensity": intensity, "p": p, "class": name,
                                "empirical": e, "theoretical": th})
         for name in emp:
             fit = goodness_of_fit(emp[name], theo[name])
-            fits.append({"intensity": intensity, "cls": name, "r2": fit.r2,
+            fits.append({"intensity": intensity, "class": name, "r2": fit.r2,
                          "rmse": fit.rmse, "note": fit.note or ""})
     assert repr(out.curves) == repr(curves)
     assert repr(out.fits) == repr(fits)

@@ -201,6 +201,9 @@ def test_config_validation():
     for bad in (dict(density=-5.0), dict(p=1.5), dict(combo_id=11), dict(intensity=-0.1)):
         with pytest.raises(ValueError):
             init_state(SimConfig(), **{**CELL, **bad})
+    for bad in (dict(ring_length=0.0), dict(dt=-0.1)):
+        with pytest.raises(ValueError, match="ring length and time step must be positive"):
+            SimConfig(**bad)
     with pytest.raises(ValueError):
         SimConfig(warmup=200.0, duration=100.0)
     with pytest.raises(ValueError, match="no sample"):
