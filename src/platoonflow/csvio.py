@@ -3,17 +3,22 @@
 Floats are serialized with 9 significant digits and rows carry no
 timestamps or environment state, so re-running a deterministic
 experiment reproduces files byte for byte. Every writer funnels through
-one routine that checks its own schema before touching the disk, except
-the trajectory rows: their schema is fixed, and a sweep appends each
-block of a run to a ring's file as it comes, through ``append_trajectory``
-with the same digits from a per-ring row template; no writer takes a
-whole stored log. ``energy`` names the metric and curves columns; a
-report's rows are keyed by the columns its file prints.
+one routine that checks its own schema before touching the disk and
+formats a row of floats, ints and strs in one ``%`` against a template
+of its value types, with the text ``format_value`` gives each. The
+trajectory rows are the exception: their schema is fixed, and a sweep
+appends each block of a run to a ring's file as it comes, through
+``append_trajectory`` with the same digits from a row template built
+once per ring size; no writer takes a whole stored log. ``energy``
+names the metric and curves columns; a report's rows are keyed by the
+columns its file prints.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -35,27 +40,46 @@ def format_value(value) -> str:
     return str(value)
 
 
+# the % field of each value type whose text it gives exactly as format_value
+# does; bool, numpy scalars and enums are none of these exact types
+_FIELDS = {float: "%.9g", int: "%d", str: "%s"}
+
+
+@lru_cache(maxsize=64)  # a table's rows share one or a few type tuples
+def _template(types: tuple) -> str | None:
+    """The line template of a row of value ``types``, or None if one has no field."""
+    fields = [_FIELDS.get(t) for t in types]
+    return None if None in fields else ",".join(fields)
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence],
               key_cols: Sequence[int] = ()) -> Path:
     """Write rows after validating the schema.
 
     key_cols names columns that together must be lexicographically
-    non-decreasing down the file, catching unsorted emitters early.
+    non-decreasing down the file, catching unsorted emitters early. A
+    row of floats, ints and strs is formatted in one ``%`` against the
+    template of its value types; any other row value by value.
     """
     header = tuple(header)
     if len(set(header)) != len(header) or any(not h for h in header):
         raise ValueError(f"malformed header {header}")
     prev_key = None
+    key_of = itemgetter(*key_cols) if key_cols else None  # one column: its value, no tuple
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}: {row}")
-        if key_cols:
-            key = tuple(row[i] for i in key_cols)
+        if key_of:
+            key = key_of(row)
             if prev_key is not None and key < prev_key:
                 raise ValueError(f"rows not sorted on key columns: {key} after {prev_key}")
             prev_key = key
-        lines.append(",".join(format_value(v) for v in row))
+        row = tuple(row)
+        # from a list, not a map: a tuple grown from an iterator is resized,
+        # and each one freed would be kept on CPython's tuple free list
+        template = _template(tuple([type(v) for v in row]))
+        lines.append(",".join(map(format_value, row)) if template is None else template % row)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -108,13 +132,21 @@ def append_trajectory(fh, times, x, v, a) -> None:
     """
     m, n = x.shape
     per_block = max(1, _TRAJECTORY_BLOCK_ROWS // max(n, 1))
-    # "%.9g" never yields "%", so a formatted time joined in stays literal
-    after_t = ["", *(f",{j},%.9g,%.9g,%.9g\n" for j in range(n))]
+    after_t = _row_tail(n)
     for lo in range(0, m, per_block):
         hi = min(lo + per_block, m)
         xva = np.stack((x[lo:hi], v[lo:hi], a[lo:hi]), axis=2)
         fh.write("".join(("%.9g" % t).join(after_t) % tuple(values) for t, values
                          in zip(times[lo:hi].tolist(), xva.reshape(hi - lo, 3 * n).tolist())))
+
+
+@lru_cache(maxsize=256)  # more than the ring sizes of the default grid
+def _row_tail(n: int) -> tuple[str, ...]:
+    """The pieces a sample's formatted time joins into its n rows' template.
+
+    "%.9g" never yields "%", so a formatted time joined in stays literal.
+    """
+    return ("", *(f",{j},%.9g,%.9g,%.9g\n" for j in range(n)))
 
 
 def write_violations_csv(violations: Sequence[Violation], path: str | Path) -> Path:

@@ -13,18 +13,19 @@ km/h, so the figure reads as grams-equivalent per km. Emission rates
 are quadratic fits in speed and acceleration, clipped at zero, with a
 separate coefficient row for decelerations below -0.5 m/s^2 where the
 fit has one; that row is evaluated only for the pollutants (nox, voc)
-whose braking row differs from the cruise row.
+whose braking row differs from the cruise row, and only on the samples
+that take it.
 
 ``sample_rates`` computes every per-sample rate the metrics average
 (RATES), and ``summarize`` turns their means into the metric columns
 (METRICS), by the names every CSV schema takes from here; the sweep
-applies them to many rings' samples at once, and ``equilibrium_curves``
-to speeds held still, under the curves' own column names (CURVES).
+applies them to many rings' samples, and their means, at once, and
+``equilibrium_curves`` to speeds held still, under the curves' own
+column names (CURVES).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -70,22 +71,26 @@ def vsp(v, a):
 def nfr(power):
     """Normalized fuel rate as a function of VSP."""
     power = np.asarray(power, dtype=float)
+    # NaN fails the test and keeps burning's NaN; -0.0 is not below zero,
+    # and (+-0.0) ** 0.42 is +0.0, so zero power of either sign burns
+    # +0.0, not the idle 1
     burning = 1.71 * np.power(np.maximum(power, 0.0), 0.42)
-    # NaN fails both tests and keeps burning's NaN; -0.0 == 0.0, so it
-    # burns 0 like +0.0, not the idle 1
-    return np.where(power < 0.0, 1.0, np.where(power == 0.0, 0.0, burning))
+    return np.where(power < 0.0, 1.0, burning)
 
 
 def emission_rate(v, a, pollutant: str):
     """Instantaneous emission rate, g/s."""
     if pollutant not in _COEFFS:
         raise ValueError(f"unknown pollutant {pollutant!r}, have {POLLUTANTS}")
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
+    v, a = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(a, dtype=float))
     upper, lower = _COEFFS[pollutant]
-    rate = _poly(v, a, upper)
+    rate = np.asarray(_poly(v, a, upper))
     if lower != upper:
-        rate = np.where(a >= BRAKE_SPLIT, rate, _poly(v, a, lower))
+        # the braking row only where it is kept; NaN fails a >= BRAKE_SPLIT
+        # and takes it, as it would under np.where
+        braking = ~(a >= BRAKE_SPLIT)
+        if braking.any():
+            rate[braking] = _poly(v[braking], a[braking], lower)
     return np.maximum(rate, 0.0)
 
 
@@ -109,20 +114,26 @@ def sample_rates(v, a) -> Iterator[np.ndarray]:
         yield emission_rate(v, a, pol)
 
 
-def summarize(means) -> dict[str, float]:
-    """The METRICS of a sampled window, in order, keyed by name.
+def summarize(means) -> dict:
+    """The METRICS of sampled windows, in order, keyed by name.
 
     ``means`` holds the window means of the ``sample_rates`` arrays, in
-    RATES order. A window whose mean speed is 0 is stalled: no distance
-    was covered, so its speed reads 0.0 and its per-km figures NaN.
+    RATES order: one mean each, for one window, which gives a float per
+    metric, or a row of k means each, for k windows, which gives a list
+    of k floats per metric. A window whose mean speed is 0 is stalled:
+    no distance was covered, so its speed reads 0.0 and its per-km
+    figures NaN.
     """
-    mean_nfr, mean_speed, *mean_rates = (float(m) for m in means)
-    if mean_speed == 0.0:
-        return {**dict.fromkeys(METRICS, math.nan), "mean_speed_mps": 0.0, "mean_nfr": mean_nfr}
-    nff = 3600.0 * mean_nfr / (3.6 * mean_speed)  # denominator in km/h
-    # g/s over m/s: scale to g/km
-    return dict(zip(METRICS, (mean_speed, mean_nfr, nff,
-                              *(1000.0 * rate / mean_speed for rate in mean_rates))))
+    mean_nfr, mean_speed, *mean_rates = np.asarray(means, dtype=float)
+    stalled = mean_speed == 0.0
+    # a stalled window divides by zero; its per-km figures are replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_km = (3600.0 * mean_nfr / (3.6 * mean_speed),  # denominator in km/h
+                  # g/s over m/s: scale to g/km
+                  *(1000.0 * rate / mean_speed for rate in mean_rates))
+    table = np.array([np.where(stalled, 0.0, mean_speed), mean_nfr,
+                      *np.where(stalled, np.nan, per_km)])
+    return dict(zip(METRICS, table.tolist()))
 
 
 def equilibrium_curves(v_grid) -> list[dict[str, float]]:
@@ -136,5 +147,5 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
     # one sample per speed, so each rate is its own window mean
-    return [dict(zip(CURVES, summarize(means).values()))
-            for means in zip(*sample_rates(v_arr, 0.0))]
+    columns = summarize(list(sample_rates(v_arr, 0.0)))
+    return [dict(zip(CURVES, values)) for values in zip(*columns.values())]

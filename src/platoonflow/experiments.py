@@ -9,11 +9,13 @@ seed, so no cell is seeded; a draw below full intensity would get its
 cell's seed from a stable hash (``cell_seed``). Row order is fixed to
 (combo, p, density) so repeated runs serialize identically.
 
-A sweep draws each cell's ring once and steps each distinct ring once.
-One pass over the cells in the parent (``_chunks``) checks each cell's
-fleet and draws its CAV flag row; a cell no ring can hold
-gets its error row and failure line there, before any chunk runs. Two
-cells with the same ``ring.ring_key`` get the same columns from
+A sweep draws each ring once and steps each distinct ring once. One
+pass over the cells in the parent (``_chunks``) checks the fleet of
+each (density, p) once and draws its CAV flag row once per seed: at
+full intensity there is no seed, so the combos of a (density, p) share
+one draw. Each cell of a (density, p) no ring can hold gets its own
+error row and failure line there, before any chunk runs. Two cells
+with the same ``ring.ring_key`` get the same columns from
 ``build_rings``, and a ring's numbers do not depend on its chunk, so
 the pass groups the cells of each ring, and a worker gets each ring's
 flag row, vehicle count and cells. The worker that steps a ring writes
@@ -33,11 +35,12 @@ counting each ring's vehicles once, and steps each chunk's rings
 together in one engine run. Its samples come in blocks
 (``ring.run_blocks``): one ``energy.sample_rates`` pass per block adds
 to each ring's rate sums, and a saved ring's rows are appended to its
-file. A ring's sums depend only on its own samples and the block
-length, not on what it is stacked with, so chunking changes no output
-byte. A ring that fails in the run (masked to NaN, see ``ring``) gives
-each of its cells an error row and leaves no file. A progress line per
-chunk goes to stderr.
+file; when the run ends, one ``energy.summarize`` call turns every
+ring's means into its metrics. A ring's sums depend only on its own
+samples and the block length, not on what it is stacked with, so
+chunking changes no output byte. A ring that fails in the run (masked
+to NaN, see ``ring``) gives each of its cells an error row and leaves
+no file. A progress line per chunk goes to stderr.
 
 The sweep's chunks and ``verify_probability_model``'s batches of grid
 points go to one worker pool (``_pool_map``): ``jobs`` workers, one per
@@ -57,6 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +257,10 @@ def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
                 with open(partial, "a") as fh:
                     append_trajectory(fh, block.times, block.x[:, cols], block.v[:, cols],
                                       block.a[:, cols])
-    for r, ((size, _), group, cell_stems) in enumerate(zip(rings, groups, stems)):
-        metrics = summarize(sums[:, r] / (len(sim.sample_steps) * size))
+    # every ring's metrics in one pass, a column per ring
+    columns = summarize(sums / (len(sim.sample_steps) * np.array([size for size, _ in rings])))
+    for r, (values, group, cell_stems) in enumerate(zip(zip(*columns.values()), groups, stems)):
+        metrics = dict(zip(METRICS, values))
         status = "stalled" if metrics["mean_speed_mps"] == 0.0 else "ok"
         for row in group:
             if r in errors:
@@ -289,29 +295,45 @@ def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     """The error rows of the cells no ring can hold, and the other cells' chunks.
 
-    Here, and only here, a cell becomes a ring: its fleet is checked
-    (``ring.cell_fleet``) and its flag row drawn, once, seeded only
-    below full intensity, as a full-intensity draw reads no seed. A cell
-    the check rejects gets its error row and failure line at once. The
-    cells with one ``ring.ring_key`` are one ring, listed in the order
-    its first cell appears. The rings, in order, go in consecutive
-    chunks holding at most ``_chunk_cap`` vehicles; a ring larger than
-    the cap goes alone. A chunk is its rings' flag rows back to back, as
-    one array, and each ring's vehicle count and cells.
+    Here, and only here, a cell becomes a ring. The fleet of each
+    (density, p) is checked once (``ring.cell_fleet``; the combos are
+    known ones, as ``SweepSpec`` checks). Its flag row is drawn once per
+    seed, with the row's bytes and CAV count, and the seed is the cell's
+    own only below full intensity, as a full-intensity draw reads none:
+    there all combos of a (density, p) share one draw. Each cell of a
+    (density, p) the check rejects gets its own error row and failure
+    line, in cell order. The cells with one ``ring.ring_key`` are one
+    ring, listed in the order its first cell appears. The rings, in
+    order, go in consecutive chunks holding at most ``_chunk_cap``
+    vehicles; a ring larger than the cap goes alone. A chunk is its
+    rings' flag rows back to back, as one array, and each ring's vehicle
+    count and cells.
     """
     failed: list[dict] = []
-    rings: dict = {}  # ring key -> its flag row and cells
+    fleets: dict = {}  # (density, p) -> its fleet, or the error that rejects it
+    draws: dict = {}   # (density, p, seed) -> its flag row, the row's bytes and CAV count
+    rings: dict = {}   # ring key -> its flag row and cells
     for density, p, combo in cells:
-        try:
-            fleet = ring.cell_fleet(spec.sim, density, p, combo)
-        except ValueError as exc:
+        fleet = fleets.get((density, p))
+        if fleet is None:
+            try:
+                fleet = ring.cell_fleet(spec.sim, density, p, combo)
+            except ValueError as exc:
+                fleet = exc
+            fleets[density, p] = fleet
+        if isinstance(fleet, ValueError):
             row = {"combo": combo, "p": p, "density": density}
-            _fail(row, exc)
+            _fail(row, fleet)
             failed.append(row)
             continue
         seed = None if fleet.intensity == 1.0 else cell_seed(spec.base_seed, density, p, combo)
-        flags = draw_flags(fleet, [seed])[0]
-        rings.setdefault(ring.ring_key(flags, combo), (flags, []))[1].append((density, p, combo))
+        drawn = draws.get((density, p, seed))
+        if drawn is None:
+            flags = draw_flags(fleet, [seed])[0]
+            drawn = draws[density, p, seed] = (flags, flags.tobytes(), np.count_nonzero(flags))
+        flags, row_bytes, cavs = drawn
+        rings.setdefault(ring.ring_key(row_bytes, cavs, combo),
+                         (flags, []))[1].append((density, p, combo))
     cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
     batches: list[list] = []
     total = cap  # every ring holds a vehicle, so the first opens a chunk
@@ -340,7 +362,7 @@ def _gather(rows: list[dict], results, total: int) -> list[dict]:
         eta = elapsed * (total - len(rows)) / len(rows)
         print(f"sweep: {len(rows)}/{total} cells, {elapsed:.1f} s elapsed, "
               f"ETA {eta:.1f} s", file=sys.stderr)
-    return sorted(rows, key=lambda row: (row["combo"], row["p"], row["density"]))
+    return sorted(rows, key=itemgetter("combo", "p", "density"))
 
 
 def _pool_map(jobs: int, fn, tasks: list):

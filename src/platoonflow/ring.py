@@ -21,7 +21,7 @@ A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
 the platoon size cap are constants. A cell's own values (density,
 penetration, combo, fleet layout) are checked by ``cell_fleet``; the
-sweep then draws each cell's CAV flag row once (``fleet.draw_flags``)
+sweep then draws each distinct CAV flag row once (``fleet.draw_flags``)
 and hands the rows on. One state can hold several independent rings:
 ``build_rings`` labels, wires and places the rings of flag rows laid
 back to back in one pass, with index columns pointing into each ring's
@@ -262,19 +262,25 @@ def build_rings(config: SimConfig, flags: np.ndarray, sizes: Sequence[int],
                      leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
 
 
-def ring_key(flags: np.ndarray, combo_id: int) -> tuple:
+# each combo's leader and follower law as strategy codes, which hash in C
+_LAW_CODES = {combo_id: (STRATEGIES.index(combo.lv), STRATEGIES.index(combo.pv))
+              for combo_id, combo in COMBOS.items()}
+
+
+def ring_key(row: bytes, cavs: int, combo_id: int) -> tuple:
     """Everything ``build_rings`` reads of one ring, as a hashable key.
 
-    That is the ring's CAV flag row, which also gives its vehicle count,
-    the leader law if the ring holds a CAV and the follower law if it
-    holds two or more: with one CAV its platoon has no follower, and a
-    BS leader's rear-gap source is its own follower whatever the follower
-    law. Rings with equal keys get the same columns, bit for bit, and so,
-    stepped under one config, the same numbers.
+    ``row`` is the ring's CAV flag row as bytes (``flags.tobytes()``),
+    which also gives its vehicle count, and ``cavs`` its CAV count. The
+    key holds the row, the leader law's strategy code if the ring holds
+    a CAV and the follower law's if it holds two or more: with one CAV
+    its platoon has no follower, and a BS leader's rear-gap source is
+    its own follower whatever the follower law. Rings with equal keys
+    get the same columns, bit for bit, and so, stepped under one config,
+    the same numbers.
     """
-    cavs = np.count_nonzero(flags)
-    combo = COMBOS[combo_id]
-    return (flags.tobytes(), combo.lv if cavs else None, combo.pv if cavs > 1 else None)
+    lv, pv = _LAW_CODES[combo_id]
+    return (row, lv if cavs else None, pv if cavs > 1 else None)
 
 
 def _arc(d: np.ndarray, ring: float) -> np.ndarray:

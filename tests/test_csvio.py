@@ -8,6 +8,7 @@ import pytest
 from conftest import run
 
 from platoonflow import csvio
+from platoonflow.controllers import Strategy
 from platoonflow.csvio import (METRICS_HEADER, TRAJECTORY_HEAD, append_trajectory,
                                format_value, read_metrics_csv, write_class_curves_csv, write_csv,
                                write_curves_csv, write_fit_csv, write_metrics_csv,
@@ -32,6 +33,28 @@ def test_write_csv_basic(tmp_path):
     path = write_csv(tmp_path / "sub" / "t.csv", ("a", "b"),
                      [(1, 2.5), (2, 3.5)])
     assert path.read_text() == "a,b\n1,2.5\n2,3.5\n"
+
+
+def test_write_csv_rows_read_as_format_value_writes_them(tmp_path):
+    # rows of floats, ints and strs go through one template per type tuple,
+    # the rest value by value; a column may change its type between rows
+    rows = [
+        (True, False, -7, 10 ** 9, 12345678901234567890, "ok"),
+        (math.nan, math.inf, -math.inf, -0.0, 1e-5, 1e16),
+        (np.float64(0.1 + 0.2), np.int64(-3), "stalled", Strategy.CTG, 2.5, 3),
+        (1, 2.5, "a", 3, 4.0, "b"),
+        (1.0, 2, "a", "3", 4, 5.0),
+        (1, 2.5, "a", 3, 4.0, "b"),
+        (1, 2.5, "a", True, 4.0, np.float64(1e-7)),
+        (-1, -2.5e-300, "%d", -0, 0.0, "%s%%"),
+    ]
+    path = write_csv(tmp_path / "mixed.csv", tuple("abcdef"), rows)
+    assert path.read_text().splitlines()[1:] == [",".join(format_value(v) for v in row)
+                                                 for row in rows]
+    assert path.read_text().splitlines()[1:4] == [
+        "true,false,-7,1000000000,12345678901234567890,ok",
+        "nan,inf,-inf,-0,1e-05,1e+16",
+        "0.3,-3,stalled,CTG,2.5,3"]
 
 
 def test_write_csv_rejects_malformed(tmp_path):

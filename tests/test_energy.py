@@ -1,5 +1,6 @@
 """Fuel and emission post-processing."""
 
+import itertools
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import reduce_log
 
 from platoonflow.energy import (BRAKE_SPLIT, METRICS, POLLUTANTS, emission_rate,
-                                equilibrium_curves, nfr, vsp)
+                                equilibrium_curves, nfr, sample_rates, vsp)
 from platoonflow.ring import TrajectoryLog
 
 # transcription of the cruise/mild-braking emission row used below
@@ -129,6 +130,57 @@ def test_braking_regime_boundary_is_closed_above():
         poly_reference(v, BRAKE_SPLIT, NOX_ROW), rel=1e-12)
     assert float(emission_rate(v, BRAKE_SPLIT - 1e-9, "nox")) == (
         pytest.approx(2.17e-4, abs=1e-15))
+
+
+def reference_rates(v, a):
+    """``sample_rates`` as first written: every row on every sample, then
+    picked by np.where, with the coefficient table transcribed."""
+    rows = {
+        "co2": ((5.53e-01, 1.61e-01, -2.89e-03, 2.66e-01, 5.11e-01, 1.83e-01),) * 2,
+        "nox": ((6.19e-04, 8.00e-05, -4.03e-06, -4.13e-04, 3.80e-04, 1.77e-04),
+                (2.17e-04, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        "voc": ((4.47e-03, 7.32e-07, -2.87e-08, -3.41e-06, 4.94e-06, 1.66e-06),
+                (2.63e-03, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        "pm": ((0.0, 1.57e-05, -9.21e-07, 0.0, 3.75e-05, 1.89e-05),) * 2,
+    }
+
+    def poly(f):
+        return f[0] + f[1] * v + f[2] * v ** 2 + f[3] * a + f[4] * a ** 2 + f[5] * v * a
+
+    v, a = np.broadcast_arrays(np.ravel(v).astype(float), np.ravel(a).astype(float))
+    power = v * (1.1 * a + 0.132) + 0.000302 * v ** 3
+    burning = 1.71 * np.power(np.maximum(power, 0.0), 0.42)
+    rates = [np.where(power < 0.0, 1.0, np.where(power == 0.0, 0.0, burning)), v]
+    for pol in POLLUTANTS:
+        upper, lower = rows[pol]
+        rates.append(np.maximum(np.where(a >= -0.5, poly(upper), poly(lower)), 0.0))
+    return rates
+
+
+def test_sample_rates_bits_match_the_reference_formulas():
+    # NaN, inf and overflow in v or in a, with the other finite: where a
+    # NaN from one met the opposite-signed NaN that inf * 0 makes from the
+    # other, numpy's loops would keep one or the other by the element's
+    # position, so the bits of such a pair belong to no formula
+    rng = np.random.default_rng(30)
+    usual_v = [0.0, -0.0, 5e-324, -1.0, 40.0]
+    usual_a = [0.0, -0.0, BRAKE_SPLIT, np.nextafter(BRAKE_SPLIT, 0.0),
+               np.nextafter(BRAKE_SPLIT, -1.0), -6.0, 2.0]
+    edges = [math.nan, math.inf, -math.inf, 1e300]
+    pairs = [*itertools.product(usual_v, usual_a + edges), *itertools.product(edges, usual_a)]
+    v = np.concatenate([rng.uniform(-1.0, 40.0, 20_000), [v for v, _ in pairs]])
+    a = np.concatenate([rng.uniform(-6.0, 2.0, 20_000), [a for _, a in pairs]])
+    cases = [(v, a), (v[:20_000].reshape(4, -1), a[:20_000].reshape(4, -1)),
+             (v[:20_000], np.float64(0.0)), (v[:20_000], -1.0), (-0.0, a[:20_000]),
+             (math.nan, 1.0), (20.0, BRAKE_SPLIT)]
+    for v_case, a_case in cases:
+        with np.errstate(all="ignore"):  # the edges overflow on both sides
+            got = list(sample_rates(v_case, a_case))
+            want = reference_rates(v_case, a_case)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            g = np.broadcast_to(g, w.shape)
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_emission_rates_never_negative():

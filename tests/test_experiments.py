@@ -59,6 +59,11 @@ def flag_row(spec, cell):
     return draw_flags(ring.cell_fleet(spec.sim, *cell), [cell_seed(spec.base_seed, *cell)])[0]
 
 
+def key_of(flags, combo):
+    """A flag row's ``ring_key`` under ``combo``."""
+    return ring.ring_key(flags.tobytes(), np.count_nonzero(flags), combo)
+
+
 def check_chunks(spec, cells, chunks):
     """Assert that every cell sits in exactly one chunk, that all cells of a
     ring share one ``ring_key`` and no other ring has it, that each chunk
@@ -66,8 +71,7 @@ def check_chunks(spec, cells, chunks):
     more than its cap; return the number of rings and of vehicles stepped."""
     rings = [cells_ for cells_chunk in plan(chunks) for cells_ in cells_chunk]
     assert sorted(cell for cells_ in rings for cell in cells_) == sorted(cells)
-    keys = [{ring.ring_key(flag_row(spec, cell), cell[2]) for cell in cells_}
-            for cells_ in rings]
+    keys = [{key_of(flag_row(spec, cell), cell[2]) for cell in cells_} for cells_ in rings]
     assert all(len(key) == 1 for key in keys)
     assert len(set.union(*keys)) == len(rings)
     for flags, chunk_rings in chunks:
@@ -491,13 +495,15 @@ def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
 
 def test_each_cell_is_drawn_once(monkeypatch, capsys):
     # p 0 makes one all-human ring of the three combos at each density, and
-    # 250 veh/km no ring at all: each cell's fleet is checked once, and each
-    # feasible cell drawn once, all before any chunk runs. A sweep draws at
-    # full intensity, which reads no seed, so no cell is seeded
+    # 250 veh/km no ring at all: each (density, p)'s fleet is checked once,
+    # and each feasible (density, p) drawn once, all before any chunk runs.
+    # A sweep draws at full intensity, which reads no seed, so no cell is
+    # seeded and the combos of a (density, p) share its draw
     spec = small_spec(densities=(15.0, 25.0, 250.0), penetrations=(0.0, 0.6),
                       combos=(1, 2, 3))
     cells = enumerate_cells(spec)
-    feasible = [cell for cell in cells if cell[0] != 250.0]
+    pairs = sorted({(density, p) for density, p, _ in cells})
+    feasible = [pair for pair in pairs if pair[0] != 250.0]
     calls = {"cell_fleet": [], "cell_seed": [], "draw_flags": [], "run_chunk": []}
     running = []  # non-empty while run_chunk runs
 
@@ -524,11 +530,82 @@ def test_each_cell_is_drawn_once(monkeypatch, capsys):
     rows = run_sweep(spec)
     assert [r["status"] == "error" for r in rows] == [c[0] == 250.0 for c in cells]
     assert len(calls["run_chunk"]) == 1
-    assert sorted(args[1:4] for args, _ in calls["cell_fleet"]) == sorted(cells)
+    assert sorted(args[1:3] for args, _ in calls["cell_fleet"]) == pairs
+    assert len(pairs) == 6 and len(feasible) == 4
     assert calls["cell_seed"] == []
     assert [args[1] for args, _ in calls["draw_flags"]] == [[None]] * len(feasible)
+    assert sorted((args[0].n_vehicles, args[0].p) for args, _ in calls["draw_flags"]) == [
+        (round(density), p) for density, p in feasible]
     assert not any(inside for name in ("cell_fleet", "cell_seed", "draw_flags")
                    for _, inside in calls[name])
+
+
+def reference_chunks(spec, cells):
+    """``_chunks``, cell by cell: each cell's fleet checked, its row drawn
+    and its ring keyed on its own; the failed cells, then each chunk's
+    flag rows and rings."""
+    failed, rings = [], {}
+    for cell in cells:
+        try:
+            fleet = ring.cell_fleet(spec.sim, *cell)
+        except ValueError:
+            failed.append(cell)
+            continue
+        seed = None if fleet.intensity == 1.0 else cell_seed(spec.base_seed, *cell)
+        flags = draw_flags(fleet, [seed])[0]
+        rings.setdefault(key_of(flags, cell[2]), (flags, []))[1].append(cell)
+    cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
+    chunks, total = [], cap
+    for flags, cells_ in rings.values():
+        if total + flags.size > cap:
+            chunks.append(([], []))
+            total = 0
+        chunks[-1][0].append(flags.tobytes())
+        chunks[-1][1].append((flags.size, cells_))
+        total += flags.size
+    return failed, [(b"".join(rows), rings_) for rows, rings_ in chunks]
+
+
+@pytest.mark.parametrize("intensity", [1.0, 0.5])
+def test_chunks_match_a_cell_by_cell_pass(monkeypatch, capsys, intensity):
+    # the default grid's shape, plus a density no ring holds; below full
+    # intensity (which a sweep never draws) each cell is seeded and drawn
+    # on its own, so the combos of a (density, p) build rings of their own
+    spec = SweepSpec(densities=(*SweepSpec().densities, 250.0), jobs=2)
+    if intensity != 1.0:
+        cell_fleet = ring.cell_fleet
+        monkeypatch.setattr(ring, "cell_fleet", lambda *args: cell_fleet(*args, intensity))
+        spec = dataclasses.replace(spec, densities=(15.0, 55.0, 250.0), combos=(1, 4, 5))
+    cells = enumerate_cells(spec)
+    failed, chunks = _chunks(spec, cells)
+    want_failed, want_chunks = reference_chunks(spec, cells)
+    assert [(r["density"], r["p"], r["combo"]) for r in failed] == want_failed
+    assert [(flags.tobytes(), rings_) for flags, rings_ in chunks] == want_chunks
+    if intensity == 1.0:
+        assert len(want_failed) == 60 and len(want_chunks) == 14
+    else:  # some (density, p) draws two rows for two of its cells
+        drawn = {}
+        for flags, rings_ in chunks:
+            for row, (_, cells_) in zip(np.split(flags, np.cumsum([n for n, _ in rings_])[:-1]),
+                                        rings_):
+                for density, p, _ in cells_:
+                    drawn.setdefault((density, p), set()).add(row.tobytes())
+        assert max(len(rows) for rows in drawn.values()) > 1
+
+
+def test_infeasible_density_fails_each_of_its_cells(capsys):
+    # 250 and 300 veh/km hold no ring: each of their cells, and no other,
+    # gets its own error row and failed: line, in cell order
+    spec = small_spec(densities=(15.0, 250.0, 300.0), penetrations=(0.0, 0.5),
+                      combos=(1, 2, 3))
+    bad = [cell for cell in enumerate_cells(spec) if cell[0] > 100.0]
+    failed, _ = _chunks(spec, enumerate_cells(spec))
+    assert [(r["density"], r["p"], r["combo"]) for r in failed] == bad
+    assert all(r["status"] == "error" and math.isnan(r["nff_g_per_km"]) for r in failed)
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" failed: ")[0] for line in lines] == [
+        f"cell combo={c} p={p:g} density={d:g}" for d, p, c in bad]
+    assert all("spacing" in line for line in lines)
 
 
 def test_infeasible_cells_fail_once_before_any_progress(capsys):

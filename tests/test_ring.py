@@ -164,7 +164,7 @@ def test_equal_ring_keys_build_equal_columns(pair):
     for cell in pair:
         fleet = cell_fleet(cfg, cell["density"], cell["p"], cell["combo_id"], cell["intensity"])
         flags = draw_flags(fleet, [cell["seed"]])[0]
-        keys.append(engine.ring_key(flags, cell["combo_id"]))
+        keys.append(engine.ring_key(flags.tobytes(), np.count_nonzero(flags), cell["combo_id"]))
         states.append(build_rings(cfg, flags, [flags.size], [cell["combo_id"]]))
     event(f"equal keys: {keys[0] == keys[1]}")
     if keys[0] != keys[1]:
@@ -179,8 +179,8 @@ def test_ring_key_names_only_the_laws_a_vehicle_drives():
     cfg = SimConfig()
 
     def key(density, p, combo_id):
-        return engine.ring_key(draw_flags(cell_fleet(cfg, density, p, combo_id), [None])[0],
-                               combo_id)
+        flags = draw_flags(cell_fleet(cfg, density, p, combo_id), [None])[0]
+        return engine.ring_key(flags.tobytes(), np.count_nonzero(flags), combo_id)
 
     # all human: no law but HV's; one CAV: only its leader law
     assert len({key(15.0, 0.0, combo_id) for combo_id in COMBOS}) == 1
