@@ -112,9 +112,12 @@ def desired_spacing(strategy: Strategy, v: float | np.ndarray, *,
 def equilibrium_gap(strategy: Strategy, v: float, *, h: float = H_FOLLOWER) -> float:
     """Gap at which a homogeneous flow holds speed v with zero acceleration.
 
-    BS is treated as HV. That holds only where the rear gap BS reads
-    equals its own gap, as in a uniform flow, so that its bidirectional
-    term vanishes.
+    BS is treated as HV. That holds where the rear gap BS reads equals
+    its own gap, so that its bidirectional term vanishes: in a uniform
+    flow, and at the equilibrium of every ring that ``platoons.wire``
+    builds, where a BS vehicle's rear gap is the gap of an HV or a BS
+    vehicle (its follower, or the vehicle behind its CS platoon's tail),
+    which takes this same gap.
     """
     if strategy in (Strategy.BS, Strategy.HV):
         if not 0.0 <= v < V_FREE:

@@ -48,16 +48,32 @@ CPU unless told otherwise (JOBS), but no more than there are CPUs
 (``_workers``) or tasks, and none when that leaves one. A ``jobs``
 above the CPU count plans the same chunks and batches as the CPU
 count, and runs them on as many workers. No output byte depends on it.
+
+The pool is a fork per worker and two pipes to it (``_fork_map``), not
+``concurrent.futures``, whose import loads about 30 modules no task
+uses (``multiprocessing``, ``socket``, ``subprocess``, ``logging``, ...)
+into every process, ``jobs`` 1 too. A worker takes the next task when
+it sends a result, as an executor's does, and does not get a fixed
+stripe of them: at a 300 s horizon the default grid's 14 chunks took
+0.36-0.84 s each on a 2-CPU VM, and two workers would take 4.46 s to
+the last result striped against 4.27 s in turn (simulated from those
+times). The workers are forked, not spawned: a spawned worker imports
+numpy and this package again, about 0.1 s each on a 2-CPU VM, which is
+about the whole wall time of a 5 s-horizon run of the default grid's
+shape. Forking is safe here because the CLI's process runs one thread
+when it forks: it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
+and the map starts no thread of its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import select
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -368,15 +384,147 @@ def _gather(rows: list[dict], results, total: int) -> list[dict]:
 def _pool_map(jobs: int, fn, tasks: list):
     """``map(fn, tasks)``, on ``_workers(jobs)`` worker processes, or fewer.
 
-    With one worker or none it maps in this process. A pool starts all
-    its workers at once, so it never has more than tasks.
+    With one worker or none it maps in this process, as it does where
+    there is no ``os.fork`` (Windows). Otherwise the workers are forked,
+    all at once, so there are never more than tasks (``_fork_map``): a
+    forked worker starts without importing anything or unpickling its
+    tasks. Each takes the next task when it is done with one, since one
+    chunk can cost three times another (see the module docstring).
     """
     workers = min(_workers(jobs), len(tasks))
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return map(fn, tasks)
+    return _fork_map(workers, fn, tasks)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, or fewer if it ends first."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _work(fn, tasks: list, task_r: int, result_w: int, others) -> None:
+    """A forked worker: run the task of each index read, send back each result.
+
+    A result goes back as its pickle's length and the pickle of
+    ``(index, True, result)``, or of ``(index, False, exception)``, the
+    exception with a note of the worker's traceback, which the parent
+    prints if no one catches it. The worker ends when its task pipe
+    does, and only through ``os._exit``, so it never returns into its
+    parent's code.
+    """
+    code = 1
+    try:
+        for fd in others:  # the parent's ends, so only the parent holds them
+            os.close(fd)
+        while head := _read(task_r, 4):
+            index = int.from_bytes(head, "little")
+            try:
+                data = pickle.dumps((index, True, fn(tasks[index])))
+            except Exception as exc:
+                import traceback  # only a failed task needs it
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), f"in worker process "
+                                 f"{os.getpid()}:\n{''.join(traceback.format_exception(exc))}"]
+                data = pickle.dumps((index, False, exc))
+            view = memoryview(len(data).to_bytes(8, "little") + data)
+            while view:
+                view = view[os.write(result_w, view):]
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _fork_map(workers: int, fn, tasks: list):
+    """``map(fn, tasks)`` on ``workers`` forked processes, results in task order.
+
+    The workers inherit ``fn`` and ``tasks``, so nothing is pickled on
+    the way in; stdout and stderr are flushed first, so no worker
+    writes the parent's buffered text again. Each worker has a pipe of
+    task indices and a pipe of results, and takes the next task when it
+    sends a result. A task's exception is raised here when its turn in
+    the results comes, as ``map`` raises it. A worker that dies mid-task
+    is a ``ChildProcessError``. However the map ends (done, raised or
+    closed early), every pipe is closed and every worker waited for:
+    one mid-task finishes it first.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fds: set[int] = set()      # this process's open pipe ends
+    pids: set[int] = set()     # workers not yet waited for
+    running: dict = {}         # result pipe -> its worker's pid, task pipe and task index
+    todo = iter(range(len(tasks)))
+    poller = select.poll()
+
+    def give(result_r: int) -> None:
+        task_w = running[result_r][1]
+        index = next(todo, None)
+        if index is None:  # the worker's pipe ends, and so does the worker
+            poller.unregister(result_r)
+            del running[result_r]
+            for fd in (task_w, result_r):
+                os.close(fd)
+                fds.discard(fd)
+            return
+        running[result_r][2] = index
+        try:
+            os.write(task_w, index.to_bytes(4, "little"))
+        except BrokenPipeError:  # the worker is gone: its result pipe ends too
+            pass
+
+    def lost(result_r: int) -> ChildProcessError:
+        pid, _, index = running[result_r]
+        pids.discard(pid)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        return ChildProcessError(f"worker process {pid} {how} during task {index + 1} "
+                                 f"of {len(tasks)}")
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            fds.update((task_r, task_w, result_r, result_w))
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, tasks, task_r, result_w, fds - {task_r, result_w})
+            pids.add(pid)
+            for fd in (task_r, result_w):
+                os.close(fd)
+                fds.discard(fd)
+            running[result_r] = [pid, task_w, None]
+            poller.register(result_r, select.POLLIN)
+            give(result_r)
+        done: dict = {}  # task index -> (ok, result or exception)
+        for index in range(len(tasks)):
+            while index not in done:
+                for result_r, _ in poller.poll():
+                    head = _read(result_r, 8)
+                    size = int.from_bytes(head, "little")
+                    data = _read(result_r, size)
+                    if len(head) < 8 or len(data) < size:  # the worker is gone
+                        raise lost(result_r)
+                    got, ok, value = pickle.loads(data)
+                    done[got] = ok, value
+                    give(result_r)
+            ok, value = done.pop(index)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]:

@@ -1,8 +1,12 @@
 """Shared helpers: one-cell runs, hand-made ring states and the acceptance verdict log."""
 
+import contextlib
+import os
+import signal
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 # CI runs ``pytest --hypothesis-profile=ci``: derandomized examples, so a
@@ -19,6 +23,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def reaps_every_child(seconds: int = 60):
+    """Fail a block that runs over ``seconds``, or that leaves a child process,
+    even a finished one that no one waited for."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 from dataclasses import dataclass, replace
 from functools import partial

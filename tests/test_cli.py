@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reaps_every_child
 
 import platoonflow
+from platoonflow import experiments
 from platoonflow.cli import _int_list, build_parser, main
 from platoonflow.csvio import METRICS_HEADER, read_metrics_csv
 from platoonflow.experiments import (SweepSpec, _grid, verify_probability_model,
@@ -462,37 +464,86 @@ def test_cli_import_starts_no_blas_thread():
     assert threads == 1
 
 
+def _loaded_modules(tmp_path, argvs: list, names: list) -> list[list[bool]]:
+    """Which of ``names`` a fresh interpreter holds after ``import numpy``, after
+    ``from platoonflow import cli`` and after each ``cli.main`` call of ``argvs``.
+
+    It reports two CPUs, so a ``--jobs 2`` call forks its workers on any machine.
+    """
+    src = str(Path(platoonflow.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import contextlib, json, os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "names = json.loads(sys.argv[2])\n"
+            "loaded = lambda: [name in sys.modules for name in names]\n"
+            "import numpy\n"
+            "report = [loaded()]\n"
+            "from platoonflow import cli\n"
+            "report.append(loaded())\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            "    for argv in json.loads(sys.argv[1]):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "        report.append(loaded())\n"
+            "print(json.dumps(report))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), json.dumps(names)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+SWEEP = ["sweep", "--densities", "15,25", "--penetrations", "0.8", "--combos", "1",
+         "--duration", "20", "--warmup", "10", "--save-trajectories", "--record-every", "1"]
+
+
+def _each_verb(prob_jobs: int) -> list[list[str]]:
+    """A call of each verb: sweep on one process and on two, verify-prob on ``prob_jobs``."""
+    return [SWEEP + ["--jobs", "1", "--outdir", "sweep1"],
+            SWEEP + ["--jobs", "2", "--outdir", "sweep2"],
+            ["curves", "--outdir", "curves"],
+            ["verify-stability", "--outdir", "stability"],
+            ["plot-data", "--metrics", "sweep1/metrics.csv", "--outdir", "plots"],
+            ["verify-prob", "--runs", "5", "--p-step", "0.1", "--jobs", f"{prob_jobs}",
+             "--outdir", "prob"]]
+
+
 def test_only_a_hashed_seed_loads_openssl(tmp_path):
     # _hashlib is OpenSSL, loaded by `import hashlib`: no verb that hashes
     # no seed loads it, and verify-prob, which hashes its draws' seeds,
     # does. numpy 1.x loads it itself (numpy.random -> secrets), so each
     # verb is checked against what `import numpy` alone leaves
-    src = str(Path(platoonflow.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    sweep = ["sweep", "--densities", "15,25", "--penetrations", "0.8", "--combos", "1",
-             "--duration", "20", "--warmup", "10", "--save-trajectories",
-             "--record-every", "1"]
-    argvs = [sweep + ["--jobs", "1", "--outdir", "sweep1"],
-             sweep + ["--jobs", "2", "--outdir", "sweep2"],
-             ["curves", "--outdir", "curves"],
-             ["verify-stability", "--outdir", "stability"],
-             ["plot-data", "--metrics", "sweep1/metrics.csv", "--outdir", "plots"],
-             ["verify-prob", "--runs", "5", "--p-step", "0.1", "--jobs", "1",
-              "--outdir", "prob"]]
-    code = ("import contextlib, json, sys\n"
-            "import numpy\n"
-            "loaded = ['_hashlib' in sys.modules]\n"
-            "from platoonflow import cli\n"
-            "with contextlib.redirect_stdout(sys.stderr):\n"
-            "    for argv in json.loads(sys.argv[1]):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "        loaded.append('_hashlib' in sys.modules)\n"
-            "print(json.dumps(loaded))")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
-                          cwd=tmp_path, capture_output=True, text=True, check=True)
-    by_numpy, *loaded = json.loads(proc.stdout)
-    assert loaded == [by_numpy] * (len(argvs) - 1) + [True]
+    argvs = _each_verb(prob_jobs=1)
+    (by_numpy,), _, *loaded = _loaded_modules(tmp_path, argvs, ["_hashlib"])
+    assert [flag for flag, in loaded] == [by_numpy] * (len(argvs) - 1) + [True]
+
+
+def test_no_verb_loads_a_process_pool(tmp_path):
+    # the workers are forked over plain pipes, so neither the import nor
+    # any verb, in one process or on two workers, loads multiprocessing
+    argvs = _each_verb(prob_jobs=2)
+    loaded = _loaded_modules(tmp_path, argvs, ["concurrent.futures", "multiprocessing"])
+    assert loaded == [[False, False]] * (len(argvs) + 2)
+
+
+def test_a_worker_error_is_the_one_error_line_of_one_process(monkeypatch, tmp_path, capfd):
+    # each chunk fails to make its trajectories directory, a file here: on
+    # two workers the first chunk's error reaches the parent and prints as
+    # in one process
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    forks = []
+    fork_map = experiments._fork_map
+    monkeypatch.setattr(experiments, "_fork_map",
+                        lambda workers, *rest: forks.append(workers) or fork_map(workers, *rest))
+    errs = []
+    for jobs in (1, 2):
+        run = tmp_path / f"jobs{jobs}"
+        (run / "out").mkdir(parents=True)
+        (run / "out" / "trajectories").write_text("")
+        monkeypatch.chdir(run)
+        with reaps_every_child():
+            assert main(SWEEP + ["--jobs", f"{jobs}", "--outdir", "out"]) == 1
+        errs.append(capfd.readouterr().err)
+    assert forks == [2]
+    assert errs[0] == errs[1] == "error: [Errno 17] File exists: 'out/trajectories'\n"
 
 
 def test_build_parser_lists_all_verbs():

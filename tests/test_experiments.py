@@ -3,12 +3,17 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import init_state, reduce_log, run_state, split_log, stack
+from conftest import init_state, reaps_every_child, reduce_log, run_state, split_log, stack
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -17,7 +22,7 @@ from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
 from platoonflow.energy import METRICS
 from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
-                                     SweepSpec, _chunk_cap, _chunks, _grid,
+                                     SweepSpec, _chunk_cap, _chunks, _grid, _pool_map,
                                      cell_seed, cell_seeds, emit_plot_data,
                                      enumerate_cells,
                                      run_chunk, run_sweep,
@@ -431,46 +436,125 @@ def test_copies_of_a_failed_ring_fail_alike(monkeypatch, tmp_path, capsys):
         f"cell_c{c}_p0_d15_{kind}.csv" for c in (1, 2, 3) for kind in ("trajectory", "violations"))
 
 
-class FakePool:
-    """ProcessPoolExecutor stand-in that records its size and maps in process."""
-
+@pytest.fixture
+def fork_sizes(monkeypatch):
+    """Worker counts ``_pool_map`` asks ``_fork_map`` for; each map runs in process."""
     sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, *calls):
-        return map(*calls)
+    monkeypatch.setattr(experiments, "_fork_map",
+                        lambda workers, fn, tasks: sizes.append(workers) or map(fn, tasks))
+    return sizes
 
 
 @pytest.mark.parametrize("densities, workers", [((15.0,), []), ((15.0, 25.0, 35.0), [3])])
-def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys, densities, workers):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys, fork_sizes, densities,
+                                              workers):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # the chunks bind
     spec = small_spec(densities=densities, penetrations=(1.0,), combos=(1,))
     serial = run_sweep(spec)
-    assert FakePool.sizes == []
+    assert fork_sizes == []
     assert run_sweep(dataclasses.replace(spec, jobs=500)) == serial
-    assert FakePool.sizes == workers
+    assert fork_sizes == workers
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])])
-def test_pool_has_no_more_workers_than_cpus(monkeypatch, capsys, cpus, workers):
+def test_pool_has_no_more_workers_than_cpus(monkeypatch, capsys, fork_sizes, cpus, workers):
     # 3 chunks and 500 jobs: the CPU count binds; an unknown count means one
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(1.0,), combos=(1,))
     serial = run_sweep(spec)
     assert run_sweep(dataclasses.replace(spec, jobs=500)) == serial
-    assert FakePool.sizes == workers
+    assert fork_sizes == workers
+
+
+def test_fork_map_yields_in_task_order_from_its_workers(monkeypatch, tmp_path):
+    # task 0 holds its worker until task 3 is done, so the other worker
+    # takes tasks 1 to 3 one after another; the workers inherit the task
+    # function, so a local one, which no pickle takes, maps too
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    done = tmp_path / "task3"
+
+    def task(index):
+        if index == 0:
+            deadline = time.monotonic() + 30
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+        elif index == 3:
+            done.touch()
+        return index, os.getpid()
+
+    with reaps_every_child():
+        results = list(_pool_map(2, task, list(range(5))))
+    assert [index for index, _ in results] == list(range(5))
+    pids = [pid for _, pid in results]
+    assert pids[0] != pids[1] == pids[2] == pids[3] and os.getpid() not in pids
+
+
+def test_a_task_error_is_raised_in_the_parent_with_the_workers_traceback(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+
+    def task(x):
+        return 1 / x
+
+    with reaps_every_child():
+        with pytest.raises(ZeroDivisionError) as info:
+            list(_pool_map(2, task, [1, 0, 2]))
+    note = info.value.__notes__[-1]
+    assert note.startswith("in worker process ") and "return 1 / x" in note
+
+
+def test_fork_map_closed_after_its_first_result_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    with reaps_every_child():
+        results = _pool_map(2, lambda wait: time.sleep(wait) or wait, [0.0, 0.3, 0.3, 0.3])
+        assert next(results) == 0.0
+        results.close()  # the other worker is mid-task: it finishes, and is waited for
+
+
+def test_a_worker_that_dies_mid_task_is_an_error_naming_it(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    real = experiments.run_chunk
+
+    def dies_on_25(sim, chunk, save_dir=None):
+        if any(density == 25.0 for _, cells in chunk[1] for density, _, _ in cells):
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            os._exit(3)
+        return real(sim, chunk, save_dir)
+
+    monkeypatch.setattr(experiments, "run_chunk", dies_on_25)
+    spec = small_spec(densities=(15.0, 25.0, 35.0), penetrations=(1.0,), combos=(1,), jobs=2)
+    with reaps_every_child():
+        with pytest.raises(ChildProcessError) as info:
+            run_sweep(spec)
+    pid = (tmp_path / "pid").read_text()
+    assert re.fullmatch(rf"worker process {pid} exited with status 3 during task \d of \d",
+                        str(info.value))
+
+
+def test_text_buffered_before_the_map_is_written_once(tmp_path):
+    # a pipe buffers stdout, and stderr keeps a line until it ends: the
+    # parent writes both out before it forks, so no worker writes them again
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # it would write each text at once
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(experiments.__file__).parents[1]), env.get("PYTHONPATH"))))
+    code = ("import os, sys\n"
+            "from platoonflow import experiments\n"
+            "os.cpu_count = lambda: 2\n"
+            "print('out', end=' ')\n"
+            "print('err', end=' ', file=sys.stderr)\n"
+            "print(list(experiments._pool_map(2, abs, [-1, -2, -3])))\n"
+            "print(file=sys.stderr)")
+    with reaps_every_child():
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+    assert (proc.stdout, proc.stderr) == ("out [1, 2, 3]\n", "err \n")
+
+
+def test_without_fork_the_pool_maps_in_process(monkeypatch, fork_sizes):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(experiments.os, "fork")
+    assert list(_pool_map(2, abs, [-1, -2, -3])) == [1, 2, 3]
+    assert fork_sizes == []
 
 
 def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
@@ -854,14 +938,12 @@ def test_verify_probability_model_is_the_same_at_any_jobs():
     (64, 1, []),    # one point is one batch
     (1, 10, []),
     (None, 10, [])])  # an unknown CPU count means one
-def test_verify_probability_model_pool_size(monkeypatch, cpus, points, workers):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "sizes", [])
+def test_verify_probability_model_pool_size(monkeypatch, fork_sizes, cpus, points, workers):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     args = dict(n_vehicles=20, runs=5, p_grid=_grid(0.1, 0.1 * points, 0.1),
                 intensities=(0.0,))
     pooled = verify_probability_model(**args, jobs=3)
-    assert FakePool.sizes == workers
+    assert fork_sizes == workers
     assert repr(pooled) == repr(verify_probability_model(**args, jobs=1))
 
 
