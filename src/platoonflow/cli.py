@@ -115,9 +115,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sweep.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
                            default=f.default)
     sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed,
-                       help="base of the cells' seeds; only a draw below full platoon "
-                            "intensity reads one, and a sweep draws at full "
-                            "intensity, so no sweep output depends on it")
+                       help="base of the layout seeds, one per (density, p), shared by "
+                            "its combos; a sweep draws at full platoon intensity, which "
+                            "reads none, so no sweep output depends on it")
     sweep.add_argument("--jobs", type=int, default=SweepSpec.jobs, help=JOBS_HELP)
     sweep.add_argument("--save-trajectories", action="store_true")
 

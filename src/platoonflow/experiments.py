@@ -4,16 +4,15 @@ A sweep cell is one (density, penetration, combo) simulation; every
 cell runs under the sweep's one engine config (``SweepSpec.sim``), which
 is checked before any cell runs. Cells are independent, and a cell that
 fails on its own values becomes a status row instead of killing the
-sweep. A sweep draws each ring at full platoon intensity, which reads no
-seed, so no cell is seeded; a draw below full intensity would get its
-cell's seed from a stable hash (``cell_seed``). Row order is fixed to
-(combo, p, density) so repeated runs serialize identically.
+sweep. All combos of a (density, p) drive its one fleet layout (common
+random numbers: a combo difference carries no layout noise), drawn at
+full platoon intensity, which reads no seed (``_draw``). Row order is
+fixed to (combo, p, density) so repeated runs serialize identically.
 
 A sweep draws each ring once and steps each distinct ring once. One
 pass over the cells in the parent (``_chunks``) checks the fleet of
-each (density, p) once and draws its CAV flag row once per seed: at
-full intensity there is no seed, so the combos of a (density, p) share
-one draw. Each cell of a (density, p) no ring can hold gets its own
+each (density, p) once and draws its CAV flag row once, for all its
+combos. Each cell of a (density, p) no ring can hold gets its own
 error row and failure line there, before any chunk runs. Two cells
 with the same ``ring.ring_key`` get the same columns from
 ``build_rings``, and a ring's numbers do not depend on its chunk, so
@@ -158,9 +157,12 @@ def cell_seeds(base_seed: int, density: float, p: float, lasts) -> list[int]:
     return seeds
 
 
-def cell_seed(base_seed: int, density: float, p: float, combo: int) -> int:
-    """A sweep cell's seed: ``cell_seeds`` with the combo as the last key."""
-    return cell_seeds(base_seed, density, p, (combo,))[0]
+def _draw(fleet: FleetSpec, base_seed: int, key: float, runs: int) -> np.ndarray:
+    """``runs`` flag rows of ``fleet``, seeded by ``cell_seeds(base_seed, key, p, ...)``;
+    full intensity reads no seed and draws one ring every run: one row, nothing hashed."""
+    if fleet.intensity == 1.0:
+        return draw_flags(fleet, [None])
+    return draw_flags(fleet, cell_seeds(base_seed, key, fleet.p, range(runs)))
 
 
 def _check_axis(name: str, values, form, medium: str) -> None:
@@ -207,8 +209,9 @@ def enumerate_cells(spec: SweepSpec) -> list[tuple[float, float, int]]:
 
 
 def _fail(row: dict, reason) -> None:
-    print(f"cell combo={row['combo']} p={row['p']:g} density={row['density']:g} "
-          f"failed: {reason}", file=sys.stderr)
+    # the labels as metrics.csv writes them, so no two rows' lines read alike
+    print(f"cell combo={row['combo']} p={format_value(row['p'])} "
+          f"density={format_value(row['density'])} failed: {reason}", file=sys.stderr)
     row.update(dict.fromkeys(METRICS, math.nan), violations=0, status="error")
 
 
@@ -311,43 +314,38 @@ def _chunk_cap(spec: SweepSpec, vehicles: float) -> int:
 def _chunks(spec: SweepSpec, cells: list[tuple[float, float, int]]):
     """The error rows of the cells no ring can hold, and the other cells' chunks.
 
-    Here, and only here, a cell becomes a ring. The fleet of each
-    (density, p) is checked once (``ring.cell_fleet``; the combos are
-    known ones, as ``SweepSpec`` checks). Its flag row is drawn once per
-    seed, with the row's bytes and CAV count, and the seed is the cell's
-    own only below full intensity, as a full-intensity draw reads none:
-    there all combos of a (density, p) share one draw. Each cell of a
-    (density, p) the check rejects gets its own error row and failure
-    line, in cell order. The cells with one ``ring.ring_key`` are one
-    ring, listed in the order its first cell appears. The rings, in
-    order, go in consecutive chunks holding at most ``_chunk_cap``
+    Here, and only here, a cell becomes a ring. Each (density, p) is
+    checked once (``ring.cell_fleet``) and, if a ring can hold it, its
+    flag row is drawn once (``_draw``, keyed by the density), with the
+    row's bytes and CAV count; all combos of the point share that row.
+    Each cell of a (density, p) the check rejects gets its own error row
+    and failure line, in cell order. The cells with one ``ring.ring_key``
+    are one ring, listed in the order its first cell appears. The rings,
+    in order, go in consecutive chunks holding at most ``_chunk_cap``
     vehicles; a ring larger than the cap goes alone. A chunk is its
     rings' flag rows back to back, as one array, and each ring's vehicle
     count and cells.
     """
     failed: list[dict] = []
-    fleets: dict = {}  # (density, p) -> its fleet, or the error that rejects it
-    draws: dict = {}   # (density, p, seed) -> its flag row, the row's bytes and CAV count
-    rings: dict = {}   # ring key -> its flag row and cells
+    layouts: dict = {}  # (density, p) -> its error, or its flag row, bytes and CAV count
+    rings: dict = {}    # ring key -> its flag row and cells
     for density, p, combo in cells:
-        fleet = fleets.get((density, p))
-        if fleet is None:
+        layout = layouts.get((density, p))
+        if layout is None:
             try:
-                fleet = ring.cell_fleet(spec.sim, density, p, combo)
+                fleet = ring.cell_fleet(spec.sim, density, p)
             except ValueError as exc:
-                fleet = exc
-            fleets[density, p] = fleet
-        if isinstance(fleet, ValueError):
+                layout = exc
+            else:
+                flags = _draw(fleet, spec.base_seed, density, 1)[0]
+                layout = (flags, flags.tobytes(), np.count_nonzero(flags))
+            layouts[density, p] = layout
+        if isinstance(layout, ValueError):
             row = {"combo": combo, "p": p, "density": density}
-            _fail(row, fleet)
+            _fail(row, layout)
             failed.append(row)
             continue
-        seed = None if fleet.intensity == 1.0 else cell_seed(spec.base_seed, density, p, combo)
-        drawn = draws.get((density, p, seed))
-        if drawn is None:
-            flags = draw_flags(fleet, [seed])[0]
-            drawn = draws[density, p, seed] = (flags, flags.tobytes(), np.count_nonzero(flags))
-        flags, row_bytes, cavs = drawn
+        flags, row_bytes, cavs = layout
         rings.setdefault(ring.ring_key(row_bytes, cavs, combo),
                          (flags, []))[1].append((density, p, combo))
     cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
@@ -545,13 +543,11 @@ def _shares(n_vehicles: int, runs: int, seed: int, points: list[tuple[float, flo
     """Empirical class shares of each (intensity, p) point, over ``runs`` rings each."""
     shares = []
     for intensity, p in points:
-        # Full intensity reads no seed and draws the same ring every
-        # run, so one ring gives the same shares: c / n and
+        # at full intensity one row stands for all runs: c / n and
         # runs * c / (runs * n) are the same correctly rounded quotient
-        seeds = [None] if intensity == 1.0 else cell_seeds(seed, intensity, p, range(runs))
-        flags = draw_flags(FleetSpec(n_vehicles, p, intensity), seeds)
+        flags = _draw(FleetSpec(n_vehicles, p, intensity), seed, intensity, runs)
         shares.append(empirical_distribution(
-            role_codes(flags.ravel(), [n_vehicles] * len(seeds), S_MAX)))
+            role_codes(flags.ravel(), [n_vehicles] * len(flags), S_MAX)))
     return shares
 
 

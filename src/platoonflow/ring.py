@@ -19,9 +19,9 @@ each sample back in state order.
 
 A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
-the platoon size cap are constants. A cell's own values (density,
-penetration, combo, fleet layout) are checked by ``cell_fleet``; the
-sweep then draws each distinct CAV flag row once (``fleet.draw_flags``)
+the platoon size cap are constants. A ring's density and penetration
+are checked by ``cell_fleet``, and its combo by ``build_rings``; the
+sweep draws each (density, p)'s CAV flag row once (``fleet.draw_flags``)
 and hands the rows on. One state can hold several independent rings:
 ``build_rings`` labels, wires and places the rings of flag rows laid
 back to back in one pass, with index columns pointing into each ring's
@@ -220,17 +220,15 @@ def _build_table(state: RingState) -> _VehicleTable:
                          alone=slot[starts[sizes == 1]], bounds=bounds, order=order, slot=slot)
 
 
-def cell_fleet(config: SimConfig, density: float, p: float, combo_id: int,
+def cell_fleet(config: SimConfig, density: float, p: float,
                intensity: float = 1.0) -> FleetSpec:
-    """The fleet of one cell's ring, after checking the cell's values.
+    """The fleet of the ring of a (density, p), which all its combos share.
 
     ``density`` is in veh/km and ``p`` is the CAV penetration. Raises
-    ValueError for a cell no ring can hold or that names no combo.
+    ValueError for values no ring can hold.
     """
     if not (math.isfinite(density) and density > 0):
         raise ValueError(f"density must be positive and finite, got {density}")
-    if combo_id not in COMBOS:
-        raise ValueError(f"unknown strategy combo {combo_id}")
     count = density * config.ring_length / 1000.0
     if math.isinf(count):
         raise ValueError(f"density {density} puts no finite fleet on the ring")
@@ -250,8 +248,11 @@ def build_rings(config: SimConfig, flags: np.ndarray, sizes: Sequence[int],
 
     ``flags`` holds the rings' CAV flag rows (``fleet.draw_flags``) back
     to back, ``sizes`` the vehicles of each ring and ``combo_ids`` its
-    combo, in order. The rings are labeled and wired in one pass.
+    combo, in order (ValueError for one not in ``COMBOS``). The rings
+    are labeled and wired in one pass.
     """
+    if unknown := [c for c in combo_ids if c not in COMBOS]:
+        raise ValueError(f"unknown strategy combo {unknown[0]}")
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes,

@@ -74,7 +74,7 @@ class SimulationError(RuntimeError):
 
 def init_state(config, density, p, combo_id, intensity=1.0, seed=None):
     """Evenly spaced standstill start of one cell's ring."""
-    fleet = engine.cell_fleet(config, density, p, combo_id, intensity)
+    fleet = engine.cell_fleet(config, density, p, intensity)
     return engine.build_rings(config, draw_flags(fleet, [seed])[0], [fleet.n_vehicles],
                               [combo_id])
 

@@ -23,7 +23,7 @@ from platoonflow.energy import METRICS
 from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
                                      SweepSpec, _chunk_cap, _chunks, _grid, _pool_map,
-                                     cell_seed, cell_seeds, emit_plot_data,
+                                     cell_seeds, emit_plot_data,
                                      enumerate_cells,
                                      run_chunk, run_sweep,
                                      verify_probability_model,
@@ -60,8 +60,10 @@ def plan(chunks):
 
 
 def flag_row(spec, cell):
-    """A cell's CAV flag row, drawn as the sweep draws it."""
-    return draw_flags(ring.cell_fleet(spec.sim, *cell), [cell_seed(spec.base_seed, *cell)])[0]
+    """A cell's CAV flag row, drawn as the sweep draws it: seeded by its (density, p)."""
+    density, p, _ = cell
+    return draw_flags(ring.cell_fleet(spec.sim, density, p),
+                      cell_seeds(spec.base_seed, density, p, range(1)))[0]
 
 
 def key_of(flags, combo):
@@ -122,13 +124,11 @@ def test_cell_seed_matches_digest(base, density, p, lasts):
     # one hash of the shared prefix, extended by each key, gives the same ints
     expected = [reference(base, density, p, last) for last in lasts]
     assert cell_seeds(base, density, p, lasts) == expected
-    assert [cell_seed(base, density, p, last) for last in lasts] == expected
-    assert cell_seed(42, 15.0, 0.8, 1) == reference(42, 15.0, 0.8, 1)
-    assert cell_seed(42, 15.0, 0.8, 1) == cell_seed(42, 15.0, 0.8, 1)
-    seen = {cell_seed(42, d, p, c)
+    assert cell_seeds(42, 15.0, 0.8, (1,)) == [reference(42, 15.0, 0.8, 1)]
+    seen = {seed
             for d in (15.0, 55.0, 95.0)
             for p in (0.0, 0.6, 0.8, 1.0)
-            for c in range(1, 11)}
+            for seed in cell_seeds(42, d, p, range(1, 11))}
     assert len(seen) == 120
     assert all(0 <= s < 2 ** 64 for s in seen)
 
@@ -577,18 +577,19 @@ def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
     assert batches[0] == batches[1] and [len(batch) for batch in batches[0]] == [2] * 8
 
 
-def test_each_cell_is_drawn_once(monkeypatch, capsys):
+@pytest.mark.parametrize("intensity", [1.0, 0.5])
+def test_each_cell_is_drawn_once(monkeypatch, capsys, intensity):
     # p 0 makes one all-human ring of the three combos at each density, and
     # 250 veh/km no ring at all: each (density, p)'s fleet is checked once,
     # and each feasible (density, p) drawn once, all before any chunk runs.
-    # A sweep draws at full intensity, which reads no seed, so no cell is
-    # seeded and the combos of a (density, p) share its draw
+    # The combos of a (density, p) share its draw at any intensity; a sweep
+    # draws at full intensity, which reads no seed, so none is hashed
     spec = small_spec(densities=(15.0, 25.0, 250.0), penetrations=(0.0, 0.6),
                       combos=(1, 2, 3))
     cells = enumerate_cells(spec)
     pairs = sorted({(density, p) for density, p, _ in cells})
     feasible = [pair for pair in pairs if pair[0] != 250.0]
-    calls = {"cell_fleet": [], "cell_seed": [], "draw_flags": [], "run_chunk": []}
+    calls = {"cell_fleet": [], "cell_seeds": [], "draw_flags": [], "run_chunk": []}
     running = []  # non-empty while run_chunk runs
 
     def counted(name, fn):
@@ -597,8 +598,10 @@ def test_each_cell_is_drawn_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ring, "cell_fleet", counted("cell_fleet", ring.cell_fleet))
-    monkeypatch.setattr(experiments, "cell_seed", counted("cell_seed", experiments.cell_seed))
+    cell_fleet = ring.cell_fleet
+    monkeypatch.setattr(ring, "cell_fleet",
+                        counted("cell_fleet", lambda *args: cell_fleet(*args, intensity)))
+    monkeypatch.setattr(experiments, "cell_seeds", counted("cell_seeds", experiments.cell_seeds))
     monkeypatch.setattr(experiments, "draw_flags", counted("draw_flags", experiments.draw_flags))
     run_chunk = experiments.run_chunk
 
@@ -616,27 +619,31 @@ def test_each_cell_is_drawn_once(monkeypatch, capsys):
     assert len(calls["run_chunk"]) == 1
     assert sorted(args[1:3] for args, _ in calls["cell_fleet"]) == pairs
     assert len(pairs) == 6 and len(feasible) == 4
-    assert calls["cell_seed"] == []
-    assert [args[1] for args, _ in calls["draw_flags"]] == [[None]] * len(feasible)
+    if intensity == 1.0:
+        assert calls["cell_seeds"] == []
+        assert [args[1] for args, _ in calls["draw_flags"]] == [[None]] * len(feasible)
+    else:  # one seed per (density, p), keyed by its values
+        assert sorted(args for args, _ in calls["cell_seeds"]) == [
+            (spec.base_seed, density, p, range(1)) for density, p in feasible]
     assert sorted((args[0].n_vehicles, args[0].p) for args, _ in calls["draw_flags"]) == [
         (round(density), p) for density, p in feasible]
-    assert not any(inside for name in ("cell_fleet", "cell_seed", "draw_flags")
+    assert not any(inside for name in ("cell_fleet", "cell_seeds", "draw_flags")
                    for _, inside in calls[name])
 
 
 def reference_chunks(spec, cells):
     """``_chunks``, cell by cell: each cell's fleet checked, its row drawn
-    and its ring keyed on its own; the failed cells, then each chunk's
-    flag rows and rings."""
+    from its (density, p)'s seed and its ring keyed on its own; the
+    failed cells, then each chunk's flag rows and rings."""
     failed, rings = [], {}
     for cell in cells:
+        density, p, _ = cell
         try:
-            fleet = ring.cell_fleet(spec.sim, *cell)
+            fleet = ring.cell_fleet(spec.sim, density, p)
         except ValueError:
             failed.append(cell)
             continue
-        seed = None if fleet.intensity == 1.0 else cell_seed(spec.base_seed, *cell)
-        flags = draw_flags(fleet, [seed])[0]
+        flags = draw_flags(fleet, cell_seeds(spec.base_seed, density, p, range(1)))[0]
         rings.setdefault(key_of(flags, cell[2]), (flags, []))[1].append(cell)
     cap = _chunk_cap(spec, sum(flags.size for flags, _ in rings.values()))
     chunks, total = [], cap
@@ -653,8 +660,8 @@ def reference_chunks(spec, cells):
 @pytest.mark.parametrize("intensity", [1.0, 0.5])
 def test_chunks_match_a_cell_by_cell_pass(monkeypatch, capsys, intensity):
     # the default grid's shape, plus a density no ring holds; below full
-    # intensity (which a sweep never draws) each cell is seeded and drawn
-    # on its own, so the combos of a (density, p) build rings of their own
+    # intensity (which a sweep never draws) each (density, p) is seeded
+    # and drawn once, and its combos share the row
     spec = SweepSpec(densities=(*SweepSpec().densities, 250.0), jobs=2)
     if intensity != 1.0:
         cell_fleet = ring.cell_fleet
@@ -667,14 +674,14 @@ def test_chunks_match_a_cell_by_cell_pass(monkeypatch, capsys, intensity):
     assert [(flags.tobytes(), rings_) for flags, rings_ in chunks] == want_chunks
     if intensity == 1.0:
         assert len(want_failed) == 60 and len(want_chunks) == 14
-    else:  # some (density, p) draws two rows for two of its cells
+    else:  # each (density, p) draws one row for all its cells
         drawn = {}
         for flags, rings_ in chunks:
             for row, (_, cells_) in zip(np.split(flags, np.cumsum([n for n, _ in rings_])[:-1]),
                                         rings_):
                 for density, p, _ in cells_:
                     drawn.setdefault((density, p), set()).add(row.tobytes())
-        assert max(len(rows) for rows in drawn.values()) > 1
+        assert [len(rows) for rows in drawn.values()] == [1] * len(drawn)
 
 
 def test_infeasible_density_fails_each_of_its_cells(capsys):
@@ -690,6 +697,18 @@ def test_infeasible_density_fails_each_of_its_cells(capsys):
     assert [line.split(" failed: ")[0] for line in lines] == [
         f"cell combo={c} p={p:g} density={d:g}" for d, p, c in bad]
     assert all("spacing" in line for line in lines)
+
+
+def test_failure_lines_tell_apart_what_metrics_csv_does(capsys):
+    # :g prints 250 and 250.00001, and 0.1 and 0.1000001, alike; the
+    # failed: lines print the labels metrics.csv writes, four apart
+    spec = small_spec(densities=(250.0, 250.00001), penetrations=(0.1, 0.1000001),
+                      combos=(1,))
+    failed, chunks = _chunks(spec, enumerate_cells(spec))
+    assert len(failed) == 4 and chunks == []
+    assert [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()] == [
+        f"cell combo=1 p={p} density={d}"
+        for p in ("0.1", "0.1000001") for d in ("250", "250.00001")]
 
 
 def test_infeasible_cells_fail_once_before_any_progress(capsys):
@@ -836,7 +855,8 @@ def test_chunk_rows_match_per_ring_reduction(monkeypatch, capsys, block, calls):
     feasible = [cell for cell in cells if cell[0] != 250.0]
     rows = run_chunk(spec.sim, alone(spec, feasible))
     # the same rings run and split, each reduced on its own
-    kept = [(row, init_state(spec.sim, d, p, c, seed=cell_seed(spec.base_seed, d, p, c)))
+    kept = [(row, init_state(spec.sim, d, p, c,
+                             seed=cell_seeds(spec.base_seed, d, p, range(1))[0]))
             for row, (d, p, c) in zip(rows, feasible)]
     states = [state for _, state in kept]
     stacked = stack(states)

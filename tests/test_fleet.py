@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonflow.experiments import cell_seed, verify_probability_model
+from platoonflow.experiments import cell_seeds, verify_probability_model
 from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass, _uniforms,
                                _walk, class_probabilities, draw_flags,
                                empirical_distribution, goodness_of_fit, role_codes,
@@ -445,7 +445,7 @@ def test_role_codes_rejects_sizes_that_do_not_split_the_flags():
 def test_draw_flags_matches_scalar_walk(intensity):
     # p = 0.1 is a value where t_AA = 1 - (1 - p) rounds below t_HA = p
     assert 1.0 - (1.0 - 0.1) < 0.1
-    seeds = [*range(30), cell_seed(7, intensity, 0.5, 3)]
+    seeds = [*range(30), cell_seeds(7, intensity, 0.5, (3,))[0]]
     for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
         spec = FleetSpec(50, p, intensity)
         flags = draw_flags(spec, seeds)
@@ -533,7 +533,8 @@ def test_verify_probability_model_matches_reference_path():
         for p in p_grid:
             spec = FleetSpec(37, p, intensity)
             dist = reference_distribution(
-                [reference_label_roles(reference_flags(spec, cell_seed(5, intensity, p, r)), 4)
+                [reference_label_roles(
+                    reference_flags(spec, cell_seeds(5, intensity, p, (r,))[0]), 4)
                  for r in range(15)])
             model = class_probabilities(p, intensity, 4)
             for name, e, th in (("LV1", dist.p_lv1, model.p_lv1),

@@ -103,11 +103,11 @@ def test_built_rings_are_one_ring_states_side_by_side():
     cfg = SimConfig()
     cells = [(15.0, 0.3, 5, 0.4, 7), (250.0, 0.5, 1, 0.4, 1), (40.0, 0.8, 10, 0.8, 3),
              (1.0, 1.0, 4, 1.0, None), (0.1, 0.5, 2, 0.5, 2), (95.0, 0.6, 9, 0.0, 11),
-             (60.0, 0.5, 11, 0.3, 5), (55.0, 0.7, 7, 0.3, 12), (20.0, 0.5, 4, 0.9, 4)]
+             (55.0, 0.7, 7, 0.3, 12), (20.0, 0.5, 4, 0.9, 4)]
     rows, kept = [], []
     for density, p, combo_id, intensity, seed in cells:
         try:
-            rows.append(draw_flags(cell_fleet(cfg, density, p, combo_id, intensity), [seed])[0])
+            rows.append(draw_flags(cell_fleet(cfg, density, p, intensity), [seed])[0])
         except ValueError:
             continue
         kept.append((density, p, combo_id, intensity, seed))
@@ -129,6 +129,9 @@ def test_built_rings_are_one_ring_states_side_by_side():
     # the layouts are drawn: CS followers count hops, BS leaders read past a tail
     assert state.hops.max() >= 2
     assert np.any((state.strategy == code(Strategy.BS)) & (state.rear > np.arange(state.n) + 1))
+    # a fleet does not depend on its combo, so build_rings checks the combos
+    with pytest.raises(ValueError, match="unknown strategy combo 11"):
+        build_rings(cfg, rows[0], [rows[0].size], [11])
 
 
 # A cell's values, from a few each: p 0 is all human at any intensity and
@@ -162,7 +165,7 @@ def test_equal_ring_keys_build_equal_columns(pair):
     cfg = SimConfig()
     keys, states = [], []
     for cell in pair:
-        fleet = cell_fleet(cfg, cell["density"], cell["p"], cell["combo_id"], cell["intensity"])
+        fleet = cell_fleet(cfg, cell["density"], cell["p"], cell["intensity"])
         flags = draw_flags(fleet, [cell["seed"]])[0]
         keys.append(engine.ring_key(flags.tobytes(), np.count_nonzero(flags), cell["combo_id"]))
         states.append(build_rings(cfg, flags, [flags.size], [cell["combo_id"]]))
@@ -179,7 +182,7 @@ def test_ring_key_names_only_the_laws_a_vehicle_drives():
     cfg = SimConfig()
 
     def key(density, p, combo_id):
-        flags = draw_flags(cell_fleet(cfg, density, p, combo_id), [None])[0]
+        flags = draw_flags(cell_fleet(cfg, density, p), [None])[0]
         return engine.ring_key(flags.tobytes(), np.count_nonzero(flags), combo_id)
 
     # all human: no law but HV's; one CAV: only its leader law
