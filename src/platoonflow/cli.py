@@ -27,8 +27,7 @@ from pathlib import Path
 # as it was.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .csvio import (read_metrics_csv, write_class_curves_csv, write_curves_csv, write_fit_csv,
-                    write_metrics_csv, write_region_csv, write_stability_csv)
+from .csvio import read_metrics_csv, write_metrics_csv, write_rows
 from .energy import equilibrium_curves
 from . import experiments
 from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_sweep,
@@ -173,8 +172,8 @@ def _cmd_verify_prob(args) -> int:
                                       intensities=tuple(args.intensities),
                                       seed=args.seed, jobs=args.jobs)
     outdir = Path(args.outdir)
-    write_fit_csv(report.fits, outdir / "probability_fit.csv")
-    write_class_curves_csv(report.curves, outdir / "probability_curves.csv")
+    write_rows(report.fits, outdir / "probability_fit.csv")
+    write_rows(report.curves, outdir / "probability_curves.csv")
     for fit in report.fits:
         note = f"  ({fit['note']})" if fit["note"] else ""
         print(f"O={fit['intensity']:g} {fit['class']:>4}: "
@@ -186,9 +185,8 @@ def _cmd_verify_prob(args) -> int:
 def _cmd_verify_stability(args) -> int:
     report = verify_stability(v_grid=_grid(args.v_start, args.v_stop, args.v_step))
     outdir = Path(args.outdir)
-    write_stability_csv(report["rows"], outdir / "stability_report.csv")
-    write_region_csv(report["vtg2_region"], "VTG2",
-                     outdir / "stability_region_vtg2.csv")
+    write_rows(report["rows"], outdir / "stability_report.csv")
+    write_rows(report["vtg2_region"], outdir / "stability_region_vtg2.csv")
     for r in report["rows"]:
         caveat = f"  ({r['caveat']})" if r["caveat"] else ""
         verdict = "stable" if r["stable"] else "NOT string stable"
@@ -199,7 +197,7 @@ def _cmd_verify_stability(args) -> int:
 
 def _cmd_curves(args) -> int:
     rows = equilibrium_curves(_grid(args.v_start, args.v_stop, args.v_step))
-    path = write_curves_csv(rows, Path(args.outdir) / "equilibrium_curves.csv")
+    path = write_rows(rows, Path(args.outdir) / "equilibrium_curves.csv", key_cols=(0,))
     print(f"wrote {path} ({len(rows)} speeds)")
     return 0
 

@@ -10,8 +10,8 @@ trajectory rows are the exception: their schema is fixed, and a sweep
 appends each block of a run to a ring's file as it comes, through
 ``append_trajectory`` with the same digits from a row template built
 once per ring size; no writer takes a whole stored log. ``energy``
-names the metric and curves columns; a report's rows are keyed by the
-columns its file prints.
+names the metric columns. A report's columns are the keys of its rows,
+named once where the rows are built, and ``write_rows`` prints them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import CURVES, METRICS
+from .energy import METRICS
 from .ring import Violation
 
 TRAJECTORY_HEAD = "t,vehicle_index,x,v,a\n"
@@ -84,6 +84,25 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence],
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_rows(rows: Sequence[dict], path: str | Path, key_cols: Sequence[int] = ()) -> Path:
+    """Write a report whose columns are the keys of its rows, in order.
+
+    The first row's keys are the header, so an empty table, which has
+    none, or a row keyed otherwise than the first is a ValueError.
+    """
+    if not rows:
+        raise ValueError(f"{path}: no rows to take a header from")
+    header = tuple(rows[0])
+    table = []
+    for row in rows:
+        if tuple(row) != header:
+            raise ValueError(f"{path}: row keyed {tuple(row)}, header is {header}")
+        # a list, which write_csv turns into a tuple it frees at once: a table
+        # of tuples freed together would stay on CPython's tuple free list
+        table.append(list(row.values()))
+    return write_csv(path, header, table, key_cols)
 
 
 def write_metrics_csv(rows: Sequence[dict], path: str | Path) -> Path:
@@ -152,28 +171,3 @@ def _row_tail(n: int) -> tuple[str, ...]:
 def write_violations_csv(violations: Sequence[Violation], path: str | Path) -> Path:
     rows = [(v.t, v.vehicle, v.gap) for v in violations]
     return write_csv(path, ("t", "follower_index", "gap"), rows, key_cols=(0,))
-
-
-def write_stability_csv(rows: Sequence[dict], path: str | Path) -> Path:
-    header = ("strategy", "k_in_range", "margin", "stable", "caveat")
-    return write_csv(path, header, [[r[k] for k in header] for r in rows])
-
-
-def write_region_csv(rows: Sequence[tuple[float, float, bool]],
-                     strategy: str, path: str | Path) -> Path:
-    table = [(strategy, v, margin, stable) for v, margin, stable in rows]
-    return write_csv(path, ("strategy", "v_e", "margin", "stable"), table)
-
-
-def write_curves_csv(rows: Sequence[dict], path: str | Path) -> Path:
-    return write_csv(path, CURVES, [[r[k] for k in CURVES] for r in rows], key_cols=(0,))
-
-
-def write_fit_csv(fits: Sequence[dict], path: str | Path) -> Path:
-    header = ("intensity", "class", "r2", "rmse", "note")
-    return write_csv(path, header, [[f[k] for k in header] for f in fits])
-
-
-def write_class_curves_csv(curves: Sequence[dict], path: str | Path) -> Path:
-    header = ("intensity", "p", "class", "empirical", "theoretical")
-    return write_csv(path, header, [[c[k] for k in header] for c in curves])

@@ -188,8 +188,8 @@ def _check_axis(name: str, values, form, medium: str) -> None:
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """Points from ``start`` by ``step`` up to ``stop``, inclusive."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:  # an infinite step would make start + inf * 0, NaN
+        raise ValueError(f"step must be positive and finite, got {step}")
     if not math.isfinite((stop - start) / step):
         raise ValueError(f"grid from {start} to {stop} by {step} is not finite")
     # no point past stop, except by float error when stop is a whole
@@ -598,13 +598,15 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
 
 
 def verify_stability(strategies=None, v_grid=None) -> dict:
-    """Margin report for the requested laws plus the speed-dependent region."""
+    """Margin report for the requested laws plus VTG2's speed-dependent region,
+    both as rows keyed by their file's columns."""
     # imported here, its only user, so the other verbs do not import it
     from .stability import equilibrium_partials, stability_region, string_stable
     if v_grid is None:
         v_grid = _grid(*V_GRID)
-    if (low := min(v_grid, default=0.0)) < 0.0:  # the engine keeps speeds in [0, V_FREE]
-        raise ValueError(f"equilibrium speeds must not be negative, got {low}")
+    # the engine keeps speeds in [0, V_FREE]; NaN fails the comparison too
+    if bad := [v for v in v_grid if not v >= 0.0]:
+        raise ValueError(f"equilibrium speeds must not be NaN or negative, got {bad[0]}")
     if strategies is None:
         strategies = (Strategy.CTG, Strategy.VTG1, Strategy.VTG2, Strategy.CS)
     wanted = {s if isinstance(s, Strategy) else Strategy(str(s).upper())
@@ -623,11 +625,11 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
                      "caveat": res.caveat or ""})
     region = []
     if Strategy.VTG2 in wanted and len(v_grid):
-        region = stability_region(Strategy.VTG2, v_grid)
-        margins = [m for _, m, _ in region]
+        region = [{"strategy": "VTG2", "v_e": v_e, "margin": margin, "stable": stable}
+                  for v_e, margin, stable in stability_region(Strategy.VTG2, v_grid)]
         rows.append({"strategy": "VTG2", "k_in_range": True,
-                     "margin": min(margins),
-                     "stable": all(s for _, _, s in region),
+                     "margin": min(r["margin"] for r in region),
+                     "stable": all(r["stable"] for r in region),
                      "caveat": f"margin is min over v in [{v_grid[0]:g}, {v_grid[-1]:g}]"})
     return {"rows": rows, "vtg2_region": region}
 

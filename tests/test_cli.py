@@ -327,6 +327,16 @@ def test_reversed_range_is_rejected_on_every_verb(tmp_path, capsys):
     assert _grid(0.5, 0.5, 0.1).tolist() == [0.5]
 
 
+@pytest.mark.parametrize("verb, option", [
+    ("verify-prob", "--p-step"), ("verify-stability", "--v-step"), ("curves", "--v-step")])
+def test_infinite_step_is_rejected(tmp_path, capsys, verb, option):
+    # start + inf * 0 is NaN: an infinite step is an error, not a NaN row or a numpy warning
+    code = main([verb, option, "inf", "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: step must be positive and finite, got inf\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_grids_end_at_stop(tmp_path):
     # 0.01 + 0.02 * 50 = 1.01 would be past --p-stop 1.0, an invalid penetration
     out = tmp_path / "prob"
@@ -355,7 +365,7 @@ def test_cli_defaults_are_the_library_defaults():
     p_lib = [c["p"] for c in verify_probability_model(n_vehicles=1, runs=1,
                                                       intensities=(1.0,)).curves
              if c["class"] == "LV1"]
-    v_lib = [v for v, _, _ in verify_stability()["vtg2_region"]]
+    v_lib = [r["v_e"] for r in verify_stability()["vtg2_region"]]
     for cli, lib, spelled in (
             (_grid(prob.p_start, prob.p_stop, prob.p_step), p_lib,
              np.arange(0.01, 0.995, 0.01)),

@@ -8,13 +8,12 @@ import pytest
 from conftest import run
 
 from platoonflow import csvio
+from platoonflow.cli import main
 from platoonflow.controllers import Strategy
 from platoonflow.csvio import (METRICS_HEADER, TRAJECTORY_HEAD, append_trajectory,
-                               format_value, read_metrics_csv, write_class_curves_csv, write_csv,
-                               write_curves_csv, write_fit_csv, write_metrics_csv,
-                               write_region_csv, write_stability_csv, write_violations_csv)
-from platoonflow.energy import METRICS, equilibrium_curves, summarize
-from platoonflow.experiments import verify_probability_model, verify_stability
+                               format_value, read_metrics_csv, write_csv, write_metrics_csv,
+                               write_rows, write_violations_csv)
+from platoonflow.energy import METRICS, summarize
 from platoonflow.ring import BLOCK_SAMPLES, SimConfig, TrajectoryLog, Violation
 
 
@@ -98,15 +97,35 @@ def test_metric_columns_come_from_summarize():
     assert METRICS_HEADER[start:start + len(METRICS)] == METRICS
 
 
-def test_report_rows_are_keyed_by_their_files_columns(tmp_path):
-    # each report row carries the names its file prints, in order: no writer renames a key
-    prob = verify_probability_model(n_vehicles=10, runs=2, p_grid=(0.2, 0.5),
-                                    intensities=(0.0, 1.0), jobs=1)
-    for rows, writer in ((prob.fits, write_fit_csv), (prob.curves, write_class_curves_csv),
-                         (verify_stability(v_grid=(5.0, 15.0))["rows"], write_stability_csv),
-                         (equilibrium_curves((1.0, 2.0)), write_curves_csv)):
-        header = writer(rows, tmp_path / "report.csv").read_text().split("\n", 1)[0]
-        assert rows and all(tuple(row) == tuple(header.split(",")) for row in rows)
+def test_report_headers(tmp_path):
+    # a report's columns are the keys of its rows: renaming a key renames a column
+    for argv in (["verify-prob", "--vehicles", "10", "--runs", "2", "--p-start", "0.2",
+                  "--p-stop", "0.5", "--p-step", "0.3", "--intensities", "0,1", "--jobs", "1"],
+                 ["verify-stability", "--v-start", "5", "--v-stop", "15", "--v-step", "10"],
+                 ["curves", "--v-start", "1", "--v-stop", "2"]):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    heads = {name: (tmp_path / name).read_text().split("\n", 1)[0] for name in (
+        "probability_fit.csv", "probability_curves.csv", "stability_report.csv",
+        "stability_region_vtg2.csv", "equilibrium_curves.csv")}
+    assert heads == {
+        "probability_fit.csv": "intensity,class,r2,rmse,note",
+        "probability_curves.csv": "intensity,p,class,empirical,theoretical",
+        "stability_report.csv": "strategy,k_in_range,margin,stable,caveat",
+        "stability_region_vtg2.csv": "strategy,v_e,margin,stable",
+        "equilibrium_curves.csv":
+            "v_mps,nfr,nff_g_per_km,co2_g_per_km,nox_g_per_km,voc_g_per_km,pm_g_per_km"}
+
+
+def test_write_rows_rejects_a_table_without_one_header(tmp_path):
+    with pytest.raises(ValueError, match="no rows to take a header from"):
+        write_rows([], tmp_path / "empty.csv")
+    rows = [{"v_e": 1.0, "margin": 0.5}, {"margin": 0.5, "v_e": 2.0}]
+    with pytest.raises(ValueError, match="row keyed"):
+        write_rows(rows, tmp_path / "mixed.csv")
+    rows[1] = {"v_e": 2.0}
+    with pytest.raises(ValueError, match="row keyed"):
+        write_rows(rows, tmp_path / "narrow.csv")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("density, p, message", [
@@ -205,8 +224,9 @@ def test_violations_writer(tmp_path):
 
 
 def test_region_writer(tmp_path):
-    path = write_region_csv([(0.0, 0.019, True), (1.0, 0.02, True)], "VTG2",
-                            tmp_path / "r.csv")
+    path = write_rows([{"strategy": "VTG2", "v_e": 0.0, "margin": 0.019, "stable": True},
+                       {"strategy": "VTG2", "v_e": 1.0, "margin": 0.02, "stable": True}],
+                      tmp_path / "r.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "strategy,v_e,margin,stable"
     assert lines[1] == "VTG2,0,0.019,true"
@@ -216,7 +236,7 @@ def test_curves_writer(tmp_path):
     rows = [{"v_mps": 10.0, "nfr": 2.0951613181342945,
              "nff_g_per_km": 209.51613181342945, "co2_g_per_km": 1.0,
              "nox_g_per_km": 0.0, "voc_g_per_km": 0.1, "pm_g_per_km": 0.0}]
-    path = write_curves_csv(rows, tmp_path / "c.csv")
+    path = write_rows(rows, tmp_path / "c.csv", key_cols=(0,))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("v_mps,nfr,")
     # nine significant digits throughout

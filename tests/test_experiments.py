@@ -981,7 +981,7 @@ def test_verify_stability_report():
     region = report["vtg2_region"]
     assert len(region) == 334  # 0.0 to 33.3 in 0.1 steps
     assert rows["VTG2"]["margin"] == pytest.approx(
-        min(m for _, m, _ in region), abs=1e-15)
+        min(r["margin"] for r in region), abs=1e-15)
     assert rows["VTG2"]["margin"] == pytest.approx(0.019260833486176618,
                                                    abs=1e-12)
     assert rows["VTG2"]["stable"]
@@ -989,11 +989,15 @@ def test_verify_stability_report():
 
 def test_verify_stability_rejects_negative_speeds():
     # the engine keeps speeds in [0, V_FREE]; a margin over negative speeds means nothing
-    with pytest.raises(ValueError, match="must not be negative, got -5.0"):
+    with pytest.raises(ValueError, match="must not be NaN or negative, got -5.0"):
         verify_stability(v_grid=_grid(-5.0, 1.0, 1.0))
+    # nor does one at a speed that is not a number
+    with pytest.raises(ValueError, match="must not be NaN or negative, got nan"):
+        verify_stability(v_grid=[1.0, math.nan])
     # 0 and the default grid's last point, a rounding above 33.3, are kept
     region = verify_stability(v_grid=[0.0, 0.1 * 333])["vtg2_region"]
-    assert [v for v, _, _ in region] == [0.0, 33.300000000000004]
+    assert [r["v_e"] for r in region] == [0.0, 33.300000000000004]
+    assert {r["strategy"] for r in region} == {"VTG2"}
 
 
 def test_verify_stability_subset_and_empty():
