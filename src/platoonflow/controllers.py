@@ -109,6 +109,20 @@ def desired_spacing(strategy: Strategy, v: float | np.ndarray, *,
     raise ValueError(f"no closed-form desired spacing for {strategy}")
 
 
+def check_speed_cap(speeds) -> None:
+    """Reject equilibrium speeds above V_FREE, which caps every speed the engine keeps.
+
+    A speed up to 1e-9 m/s above the cap passes, as a rounding of it: a grid
+    point start + step * k can land a few ulps (~1e-14 m/s) past it, as the
+    default stability grid's last point, 0.1 * 333 = 33.300000000000004, does.
+    """
+    v = np.asarray(speeds, dtype=float)
+    over = v[v > V_FREE + 1e-9]
+    if over.size:
+        raise ValueError(f"equilibrium speeds must not exceed V_FREE = {V_FREE} m/s, "
+                         f"got {float(over[0])!r}")
+
+
 def equilibrium_gap(strategy: Strategy, v: float, *, h: float = H_FOLLOWER) -> float:
     """Gap at which a homogeneous flow holds speed v with zero acceleration.
 

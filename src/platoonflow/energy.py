@@ -30,6 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .controllers import check_speed_cap
+
 POLLUTANTS = ("co2", "nox", "voc", "pm")
 # the rates sample_rates yields and the metric columns summarize returns, in order
 RATES = ("nfr", "speed_mps", *(f"{pol}_g_per_s" for pol in POLLUTANTS))
@@ -146,6 +148,7 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
         raise ValueError(f"equilibrium curves need finite speeds, got {float(bad[0])!r}")
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
+    check_speed_cap(v_arr)
     # one sample per speed, so each rate is its own window mean
     columns = summarize(list(sample_rates(v_arr, 0.0)))
     return [dict(zip(CURVES, values)) for values in zip(*columns.values())]

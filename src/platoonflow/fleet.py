@@ -9,11 +9,11 @@ branch for full platoon intensity where all CAVs sit in one block.
 Rings are drawn and labeled as arrays: ``draw_flags`` gives a bool
 ``(runs, n)`` array of CAV flags, one ring per row. The uniforms of all
 rows come from one buffer of generator bits, and the walk is solved for
-all rows and columns at once by two scans, with no Python or numpy call
-per vehicle or per column. ``role_codes`` labels any number of rings of
-any sizes in one pass over their flags laid back to back, as small-int
-role codes in VehicleClass order (HV, LV1, LV2, PV), and
-``empirical_distribution`` counts codes.
+all rows and columns at once by two scans. ``role_codes`` labels any
+number of rings of any sizes laid back to back, as small-int role codes
+in VehicleClass order (HV, LV1, LV2, PV). Both are arithmetic on the
+flags, not selects (a branch per random flag), with no Python or numpy
+call per vehicle or column. ``empirical_distribution`` counts codes.
 """
 
 from __future__ import annotations
@@ -158,17 +158,16 @@ def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int) -> np.ndarra
     # HV, one lap back; a ring without HV counts from one before its first
     # vehicle.
     index = np.arange(flags.size, dtype=np.int32)
-    head = np.maximum.accumulate(np.where(flags, np.int32(-1), index))
+    head = np.maximum.accumulate(index - (index + 1) * flags)  # HV: its index, CAV: -1
     last_hv = head[ends - 1]
     no_hv = last_hv < starts
     wrapped = np.where(no_hv, starts - 1, last_hv - sizes)
     before = head < np.repeat(starts, sizes)
     head[before] = np.repeat(wrapped, sizes)[before]
     offset = index - head - 1
-    codes = np.where(offset % s_max == 0, _LV2, _PV)
-    codes[flags & (offset == 0)] = _LV1  # a CAV right behind an HV...
-    codes[starts[no_hv]] = _LV2  # ...which the first CAV of a ring without HV is not
-    codes[~flags] = _HV
+    # a CAV is PV, less one at a multiple of s_max (LV2), less two at offset 0 (LV1)
+    codes = flags * (_PV - (offset == offset // s_max * s_max) - (offset == 0))
+    codes[starts[no_hv]] = _LV2  # the first CAV of a ring without HV is no LV1
     return codes
 
 
@@ -200,9 +199,10 @@ def _uniforms(seeds: Sequence[int | None], n: int) -> np.ndarray:
     so the same formula on the words gives the same bits.
     """
     rng = random.Random()
+    seed_rng = super(random.Random, rng).seed  # Random.seed of an int, less its type dispatch
     buf = bytearray()
     for seed in seeds:
-        rng.seed(seed)
+        seed_rng(seed)
         buf += rng.getrandbits(64 * n).to_bytes(8 * n, "little")
     words = np.frombuffer(buf, "<u4").reshape(len(seeds), n, 2)
     words[..., 0] >>= 5
@@ -234,7 +234,7 @@ def _walk(u: np.ndarray, spec: FleetSpec) -> np.ndarray:
     # The rows are scanned back to back. Every row starts on a constant
     # column, so a vehicle's last constant column is in its own row.
     value, const, negate = value.ravel(), const.ravel(), negate.ravel()
-    last = np.maximum.accumulate(np.where(const, np.arange(u.size), 0))
+    last = np.maximum.accumulate(np.arange(u.size) * const)
     # odd negations up to each vehicle; a constant step negates nothing,
     # so the flips since the last constant column (earlier rows' included
     # in both terms) are odd[last] ^ odd

@@ -337,6 +337,18 @@ def test_infinite_step_is_rejected(tmp_path, capsys, verb, option):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-stability", "--v-start", "1000", "--v-stop", "2000", "--v-step", "500"],
+    ["curves", "--v-start", "1000", "--v-stop", "1000"]])
+def test_speeds_above_v_free_are_rejected(tmp_path, capsys, args):
+    # the engine caps speeds at V_FREE: a margin or a fuel rate above it means nothing
+    code = main([*args, "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: equilibrium speeds must not exceed V_FREE = 33.3 m/s, got 1000.0\n")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_grids_end_at_stop(tmp_path):
     # 0.01 + 0.02 * 50 = 1.01 would be past --p-stop 1.0, an invalid penetration
     out = tmp_path / "prob"

@@ -275,6 +275,10 @@ def test_equilibrium_curves_rejects_bad_grids():
         equilibrium_curves([0.0, 10.0])
     with pytest.raises(ValueError):
         equilibrium_curves([-5.0])
+    # V_FREE caps every speed, up to a rounding
+    with pytest.raises(ValueError, match="must not exceed V_FREE = 33.3 m/s, got 1000.0"):
+        equilibrium_curves([10.0, 1000.0])
+    assert [r["v_mps"] for r in equilibrium_curves([0.1 * 333])] == [33.300000000000004]
     for bad in (math.nan, math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -998,6 +998,9 @@ def test_verify_stability_rejects_negative_speeds():
     region = verify_stability(v_grid=[0.0, 0.1 * 333])["vtg2_region"]
     assert [r["v_e"] for r in region] == [0.0, 33.300000000000004]
     assert {r["strategy"] for r in region} == {"VTG2"}
+    # but a speed past the cap by more than rounding is not
+    with pytest.raises(ValueError, match="must not exceed V_FREE = 33.3 m/s, got 33.3001"):
+        verify_stability(v_grid=[0.0, 33.3001])
 
 
 def test_verify_stability_subset_and_empty():

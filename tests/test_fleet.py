@@ -419,11 +419,16 @@ def flag_rings(draw):
 @example(([[False]], 2))
 @example(([[True] * 6, [False, True, True, True, True, True]], 4))
 @example(([[True, False], [True] * 3, [True, True, False, True], [True]], 2))
+@example(([[True, True, False, True, True], [True] * 3], 1))   # s_max = 1
+@example(([[False, False, True, False, False]], 3))          # one CAV
+@example(([[False, True, True], [True] * 9], 4))            # all CAV after a ring with an HV
+@example(([[True, False, True], [True] * 2, [True] * 9], 5))  # rings shorter than s_max
 def test_role_codes_match_per_vehicle_loop(case):
     rings, s_max = case
     sizes = [len(flags) for flags in rings]
     codes = role_codes(np.concatenate(rings).astype(bool), sizes, s_max)
     assert codes.shape == (sum(sizes),)
+    assert codes.dtype == np.int8
     start = 0
     for flags, n in zip(rings, sizes):
         got = codes[start:start + n].tolist()
