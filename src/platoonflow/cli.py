@@ -27,7 +27,7 @@ from pathlib import Path
 # as it was.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .csvio import read_metrics_csv, write_metrics_csv, write_rows
+from .csvio import format_value, read_metrics_csv, write_metrics_csv, write_rows
 from .energy import equilibrium_curves
 from . import experiments
 from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_sweep,
@@ -176,7 +176,7 @@ def _cmd_verify_prob(args) -> int:
     write_rows(report.curves, outdir / "probability_curves.csv")
     for fit in report.fits:
         note = f"  ({fit['note']})" if fit["note"] else ""
-        print(f"O={fit['intensity']:g} {fit['class']:>4}: "
+        print(f"O={format_value(fit['intensity'])} {fit['class']:>4}: "
               f"r2={fit['r2']:.4f} rmse={fit['rmse']:.4f}{note}")
     print(f"wrote {outdir / 'probability_fit.csv'}")
     return 0

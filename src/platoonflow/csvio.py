@@ -62,8 +62,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence],
     template of its value types; any other row value by value.
     """
     header = tuple(header)
-    if len(set(header)) != len(header) or any(not h for h in header):
-        raise ValueError(f"malformed header {header}")
+    if bad := [h for h in header if not h or header.count(h) > 1]:
+        raise ValueError(f"{path}: header column {bad[0]!r} is empty or repeated")
     prev_key = None
     key_of = itemgetter(*key_cols) if key_cols else None  # one column: its value, no tuple
     lines = [",".join(header)]

@@ -215,20 +215,11 @@ def _fail(row: dict, reason) -> None:
     row.update(dict.fromkeys(METRICS, math.nan), violations=0, status="error")
 
 
-def _name_value(value: float) -> str:
-    """``value`` in a file or column name: ``:g`` where it reads back exactly, else repr.
-
-    Two cells never share a name, so neither overwrites the other's
-    files, and no two pivot columns share a header.
-    """
-    short = f"{value:g}"
-    return short if float(short) == value else repr(float(value))
-
-
 def _stem(save_dir: str | Path, row: dict) -> Path:
-    """Path of a saved cell's files, less their ``_<kind>.csv`` ending."""
-    return Path(save_dir, f"cell_c{row['combo']}_p{_name_value(row['p'])}"
-                          f"_d{_name_value(row['density'])}")
+    """Path of a saved cell's files, less their ``_<kind>.csv`` ending, each
+    value printed as in metrics.csv, whose labels ``SweepSpec`` keeps apart."""
+    return Path(save_dir, f"cell_c{row['combo']}_p{format_value(row['p'])}"
+                          f"_d{format_value(row['density'])}")
 
 
 def run_chunk(sim: ring.SimConfig, chunk: tuple[np.ndarray, list],
@@ -614,8 +605,8 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
               for s in strategies}
     rows = []
     for label, strategy, kwargs in (
-            (f"CTG(h={H_LEADER:g})", Strategy.CTG, {"h": H_LEADER}),
-            (f"CTG(h={H_FOLLOWER:g})", Strategy.CTG, {"h": H_FOLLOWER}),
+            (f"CTG(h={format_value(H_LEADER)})", Strategy.CTG, {"h": H_LEADER}),
+            (f"CTG(h={format_value(H_FOLLOWER)})", Strategy.CTG, {"h": H_FOLLOWER}),
             ("VTG1", Strategy.VTG1, {}),
             ("CS", Strategy.CS, {})):
         if strategy not in wanted:
@@ -631,7 +622,8 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
         rows.append({"strategy": "VTG2", "k_in_range": True,
                      "margin": min(r["margin"] for r in region),
                      "stable": all(r["stable"] for r in region),
-                     "caveat": f"margin is min over v in [{v_grid[0]:g}, {v_grid[-1]:g}]"})
+                     "caveat": f"margin is min over v in [{format_value(v_grid[0])}, "
+                                f"{format_value(v_grid[-1])}]"})
     return {"rows": rows, "vtg2_region": region}
 
 
@@ -640,7 +632,9 @@ def emit_plot_data(rows: list[dict], outdir: str | Path) -> list[Path]:
 
     One family plots each metric against density, one column per
     (combo, p); the other plots it against penetration at the three
-    reference densities, one column per combo.
+    reference densities, one column per combo. A value in a header or
+    file name prints as in metrics.csv, so a sweep's rows and its
+    metrics.csv read back give the same bytes.
     """
     if not rows:
         print("plot-data: metrics table is empty, nothing to emit", file=sys.stderr)
@@ -657,7 +651,7 @@ def emit_plot_data(rows: list[dict], outdir: str | Path) -> list[Path]:
         return math.nan if r is None else r[metric_col]
 
     for short, col in PLOT_METRICS.items():
-        header = ["density"] + [f"combo{c}_p{_name_value(p)}" for c in combos for p in pens]
+        header = ["density"] + [f"combo{c}_p{format_value(p)}" for c in combos for p in pens]
         table = [[d] + [value(col, c, p, d) for c in combos for p in pens]
                  for d in densities]
         paths.append(write_csv(outdir / f"{short}_vs_density.csv", header, table,
@@ -667,6 +661,6 @@ def emit_plot_data(rows: list[dict], outdir: str | Path) -> list[Path]:
                 continue
             header = ["p"] + [f"combo{c}" for c in combos]
             table = [[p] + [value(col, c, p, d) for c in combos] for p in pens]
-            paths.append(write_csv(outdir / f"{short}_vs_p_d{d:g}.csv", header,
+            paths.append(write_csv(outdir / f"{short}_vs_p_d{format_value(d)}.csv", header,
                                    table, key_cols=(0,)))
     return paths

@@ -154,7 +154,7 @@ def test_plot_data_roundtrip(tmp_path):
 
 
 def test_plot_data_keeps_close_penetrations_apart(tmp_path):
-    # both penetrations print as 0.1 under :g; the second column is named by its repr
+    # both penetrations print as 0.1 under :g; metrics.csv labels the second 0.1000001
     out = tmp_path / "out"
     assert main(["sweep", "--densities", "15", "--penetrations", "0.1,0.1000001",
                  "--combos", "1", "--duration", "30", "--warmup", "0",
@@ -165,6 +165,20 @@ def test_plot_data_keeps_close_penetrations_apart(tmp_path):
     lines = (plots / "nff_vs_density.csv").read_text().splitlines()
     assert lines[0] == "density,combo1_p0.1,combo1_p0.1000001"
     assert len(lines) == 2
+
+
+def test_plot_data_rejects_labels_that_print_alike(tmp_path, capsys):
+    # two p labels that print alike would head two pivot columns alike; a
+    # sweep never writes them, its labels being the printed text
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(",".join(METRICS_HEADER) + "\n" + "".join(
+        f"15,{p},1,ok" + ",1" * 8 + "\n" for p in ("0.3333333333333", "0.33333333333333")))
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--metrics", str(metrics), "--outdir", str(plots)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    assert "'combo1_p0.333333333' is empty or repeated" in err
+    assert not plots.exists()
 
 
 def test_plot_data_missing_file(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from platoonflow import experiments, ring
-from platoonflow.csvio import METRICS_HEADER, write_metrics_csv
+from platoonflow.csvio import METRICS_HEADER, read_metrics_csv, write_metrics_csv, write_rows
 from platoonflow.energy import METRICS
 from platoonflow.fleet import draw_flags
 from platoonflow.experiments import (CHUNK_VEHICLES, PLOT_METRICS,
@@ -189,13 +189,48 @@ def test_run_cell_saves_trajectories(tmp_path):
 
 
 def test_saved_cells_never_share_a_file(tmp_path):
-    # both densities print as 15 under :g; the second is named by its repr
+    # both densities print as 15 under :g; metrics.csv labels the second 15.0000001
     spec = SweepSpec(densities=(15.0, 15.0000001), penetrations=(0.8,), combos=(1,),
                      **DESK)
     assert len(run_sweep(spec, tmp_path)) == 2
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         f"cell_c1_p0.8_d{d}_{kind}.csv" for d in ("15", "15.0000001")
         for kind in ("trajectory", "violations"))
+
+
+@pytest.fixture(scope="module")
+def long_labels(tmp_path_factory):
+    """A sweep whose values metrics.csv rounds, its trajectories saved:
+    its outdir, rows and written metrics.csv."""
+    out = tmp_path_factory.mktemp("long_labels")
+    spec = SweepSpec(densities=(15.123456789012, 55.0), penetrations=(0.333333333333, 1.0),
+                     combos=(1, 7), sim=ring.SimConfig(duration=20.0, warmup=10.0), jobs=1)
+    rows = run_sweep(spec, out / "trajectories")
+    return out, rows, write_metrics_csv(rows, out / "metrics.csv")
+
+
+def test_saved_files_carry_the_labels_of_metrics_csv(long_labels):
+    out, rows, metrics = long_labels
+    assert [r["status"] for r in rows] == ["ok"] * 8
+    labels = [line.split(",")[:3] for line in metrics.read_text().splitlines()[1:]]
+    assert ["15.1234568", "0.333333333", "1"] in labels
+    assert sorted(path.name for path in (out / "trajectories").iterdir()) == sorted(
+        f"cell_c{c}_p{p}_d{d}_{kind}.csv" for d, p, c in labels
+        for kind in ("trajectory", "violations"))
+    assert (out / "trajectories" / "cell_c1_p0.333333333_d15.1234568_trajectory.csv").exists()
+
+
+def test_plot_tables_of_rows_and_of_metrics_csv_agree(long_labels, tmp_path):
+    # plot-data on a sweep's metrics.csv gives the files the sweep's own rows give
+    _, rows, metrics = long_labels
+    from_rows = emit_plot_data(rows, tmp_path / "rows")
+    from_file = emit_plot_data(read_metrics_csv(metrics), tmp_path / "file")
+    assert [p.name for p in from_rows] == [p.name for p in from_file]
+    assert "nff_vs_p_d55.csv" in {p.name for p in from_rows}
+    for a, b in zip(from_rows, from_file):
+        assert a.read_bytes() == b.read_bytes(), a.name
+    assert (tmp_path / "rows" / "nff_vs_density.csv").read_text().splitlines()[0] == (
+        "density,combo1_p0.333333333,combo1_p1,combo7_p0.333333333,combo7_p1")
 
 
 def test_chunk_saves_each_ring_as_if_alone(monkeypatch, tmp_path, capsys):
@@ -985,6 +1020,14 @@ def test_verify_stability_report():
     assert rows["VTG2"]["margin"] == pytest.approx(0.019260833486176618,
                                                    abs=1e-12)
     assert rows["VTG2"]["stable"]
+
+
+def test_verify_stability_caveat_prints_the_grid_as_its_region(tmp_path):
+    report = verify_stability(v_grid=[0.123456789012])
+    [vtg2] = [r for r in report["rows"] if r["strategy"] == "VTG2"]
+    assert vtg2["caveat"] == "margin is min over v in [0.123456789, 0.123456789]"
+    region = write_rows(report["vtg2_region"], tmp_path / "region.csv")
+    assert region.read_text().splitlines()[1].split(",")[1] == "0.123456789"
 
 
 def test_verify_stability_rejects_negative_speeds():
