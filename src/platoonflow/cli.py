@@ -32,7 +32,7 @@ from .energy import equilibrium_curves
 from . import experiments
 from .experiments import (P_GRID, V_GRID, SweepSpec, _grid, emit_plot_data, run_sweep,
                           verify_probability_model, verify_stability)
-from .platoons import COMBOS
+from .platoons import check_combos
 from .ring import SimConfig
 
 JOBS_HELP = "worker processes (default: one per CPU); no output depends on it"
@@ -53,9 +53,7 @@ def _int_list(text: str) -> tuple[int, ...]:
             lo, hi = (int(end) for end in ends)
         except ValueError:
             raise ValueError(f"--combos {tok!r} is neither a combo id nor a range") from None
-        if unknown := [end for end in (lo, hi) if end not in COMBOS]:  # before expanding
-            raise ValueError(f"--combos {tok!r}: unknown strategy combo {unknown[0]}; valid "
-                             f"combos are {', '.join(map(str, sorted(COMBOS)))}")
+        check_combos((lo, hi), f"--combos {tok!r}: ")  # before expanding
         if hi < lo:
             raise ValueError(f"range {tok!r} runs backwards")
         out.extend(range(lo, hi + 1))

@@ -41,12 +41,12 @@ chunking changes no output byte. A ring that fails in the run (masked
 to NaN, see ``ring``) gives each of its cells an error row and leaves
 no file. A progress line per chunk goes to stderr.
 
-The sweep's chunks and ``verify_probability_model``'s batches of grid
-points go to one worker pool (``_pool_map``): ``jobs`` workers, one per
-CPU unless told otherwise (JOBS), but no more than there are CPUs
+The sweep's chunks and ``verify_probability_model``'s grid points, one
+task each, go to one worker pool (``_pool_map``): ``jobs`` workers, one
+per CPU unless told otherwise (JOBS), but no more than there are CPUs
 (``_workers``) or tasks, and none when that leaves one. A ``jobs``
-above the CPU count plans the same chunks and batches as the CPU
-count, and runs them on as many workers. No output byte depends on it.
+above the CPU count plans the same chunks as the CPU count, and runs
+them on as many workers. No output byte depends on it.
 
 The pool is a fork per worker and two pipes to it (``_fork_map``), not
 ``concurrent.futures``, whose import loads about 30 modules no task
@@ -86,7 +86,7 @@ from .csvio import (TRAJECTORY_HEAD, append_trajectory, format_value, write_csv,
 from .energy import METRICS, PER_KM, RATES, sample_rates, summarize
 from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
                     empirical_distribution, goodness_of_fit, role_codes)
-from .platoons import COMBOS
+from .platoons import check_combos
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 
 PLOT_METRICS = {col.split("_", 1)[0]: col for col in PER_KM}
@@ -104,10 +104,6 @@ CHUNK_VEHICLES = 4096
 # Worker processes of sweep and verify_probability_model unless told
 # otherwise: one per CPU. No output byte depends on it.
 JOBS = os.cpu_count() or 1
-# verify_probability_model's batches of grid points per worker: its
-# intensity-1 points cost next to nothing, so one batch per worker
-# would leave some workers idle
-BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -120,6 +116,7 @@ class SweepSpec:
     jobs: int = JOBS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "penetrations", tuple(_positive_zero(self.penetrations)))
         for name in ("densities", "penetrations", "combos"):
             # metrics.csv labels each row by these texts
             _check_axis(f"sweep axis {name}", getattr(self, name), format_value, "metrics.csv")
@@ -129,11 +126,14 @@ class SweepSpec:
         if bad := [p for p in self.penetrations if not 0.0 <= p <= 1.0]:
             raise ValueError(f"sweep axis penetrations holds {bad[0]}; a penetration must "
                              "lie in [0, 1]")
-        if unknown := [c for c in self.combos if c not in COMBOS]:
-            raise ValueError(f"unknown strategy combo {unknown[0]}; valid combos are "
-                             f"{', '.join(map(str, sorted(COMBOS)))}")
+        check_combos(self.combos)
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
+
+def _positive_zero(values) -> list:
+    """``values`` with -0.0 as 0.0 (``-0.0 + 0`` is ``0.0``), so a zero prints as one value."""
+    return [value + 0 for value in values]
 
 
 def _key_text(value: float) -> str:
@@ -530,16 +530,13 @@ class ProbabilityVerification:
     curves: list[dict]  # intensity, p, class, empirical, theoretical
 
 
-def _shares(n_vehicles: int, runs: int, seed: int, points: list[tuple[float, float]]):
-    """Empirical class shares of each (intensity, p) point, over ``runs`` rings each."""
-    shares = []
-    for intensity, p in points:
-        # at full intensity one row stands for all runs: c / n and
-        # runs * c / (runs * n) are the same correctly rounded quotient
-        flags = _draw(FleetSpec(n_vehicles, p, intensity), seed, intensity, runs)
-        shares.append(empirical_distribution(
-            role_codes(flags.ravel(), [n_vehicles] * len(flags), S_MAX)))
-    return shares
+def _share(n_vehicles: int, runs: int, seed: int, point: tuple[float, float]):
+    """Empirical class shares of one (intensity, p) point, over ``runs`` rings."""
+    intensity, p = point
+    # at full intensity one row stands for all runs: c / n and
+    # runs * c / (runs * n) are the same correctly rounded quotient
+    flags = _draw(FleetSpec(n_vehicles, p, intensity), seed, intensity, runs)
+    return empirical_distribution(role_codes(flags.ravel(), [n_vehicles] * len(flags), S_MAX))
 
 
 def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
@@ -547,14 +544,13 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              seed: int = 0, jobs: int = JOBS) -> ProbabilityVerification:
     """Empirical class frequencies of sampled rings against the closed form.
 
-    The (intensity, p) points are drawn in consecutive batches, several
-    per worker (see ``_pool_map``); a point's shares do not depend on
-    its batch or worker.
+    Each (intensity, p) point is one task of the worker pool (see
+    ``_pool_map``); a point's shares do not depend on its worker.
     """
     if p_grid is None:
         p_grid = _grid(*P_GRID)
-    p_grid = [float(p) for p in p_grid]
-    intensities = tuple(intensities)
+    p_grid = _positive_zero(map(float, p_grid))
+    intensities = tuple(_positive_zero(intensities))
     if runs < 1 or n_vehicles < 1:
         raise ValueError("need at least one run of at least one vehicle")
     # a point's seeds come from its values' key texts (cell_seeds), so two
@@ -564,11 +560,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
-    size = math.ceil(len(points) / (BATCHES_PER_WORKER * _workers(jobs)))
-    batches = [points[i:i + size] for i in range(0, len(points), size)]
-    drawn = [share for shares in _pool_map(jobs, partial(_shares, n_vehicles, runs, seed),
-                                           batches)
-             for share in shares]
+    drawn = _pool_map(jobs, partial(_share, n_vehicles, runs, seed), points)
     curves: list[dict] = []
     for (intensity, p), dist in zip(points, drawn):
         model = class_probabilities(p, intensity, S_MAX)

@@ -38,6 +38,14 @@ COMBOS: dict[int, StrategyCombo] = {c.combo_id: c for c in (
     StrategyCombo(10, Strategy.BS, Strategy.CS),
 )}
 
+
+def check_combos(combo_ids, where: str = "") -> None:
+    """ValueError naming the first of ``combo_ids`` that is not in COMBOS, after ``where``."""
+    if unknown := [c for c in combo_ids if c not in COMBOS]:
+        raise ValueError(f"{where}unknown strategy combo {unknown[0]}; valid combos are "
+                         f"{', '.join(map(str, sorted(COMBOS)))}")
+
+
 # strategy codes are positions in Strategy order, role codes in VehicleClass order
 STRATEGIES = tuple(Strategy)
 _ROLES = tuple(VehicleClass)

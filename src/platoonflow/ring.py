@@ -63,7 +63,7 @@ import numpy as np
 from .controllers import (V_FREE, VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
 from .fleet import S_MAX, FleetSpec, role_codes, round_half_up
-from .platoons import COMBOS, STRATEGIES, wire
+from .platoons import COMBOS, STRATEGIES, check_combos, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
 A_MAX = 1.0   # actuator limit, m/s^2 (not the model's BS_A_MAX)
@@ -251,8 +251,7 @@ def build_rings(config: SimConfig, flags: np.ndarray, sizes: Sequence[int],
     combo, in order (ValueError for one not in ``COMBOS``). The rings
     are labeled and wired in one pass.
     """
-    if unknown := [c for c in combo_ids if c not in COMBOS]:
-        raise ValueError(f"unknown strategy combo {unknown[0]}")
+    check_combos(combo_ids)
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes,

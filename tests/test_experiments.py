@@ -602,14 +602,43 @@ def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
                                                    [[cell] for cell in cells[4:]]]
     assert [flags.tobytes() for flags, _ in chunks[64]] == [
         flags.tobytes() for flags, _ in chunks[2]]
-    batches = []
+    tasks = []
     monkeypatch.setattr(experiments, "_pool_map",
-                        lambda jobs, fn, tasks: batches.append(tasks) or map(fn, tasks))
+                        lambda jobs, fn, points: tasks.append(points) or map(fn, points))
     reports = [verify_probability_model(n_vehicles=20, runs=3, p_grid=np.arange(1, 9) / 10,
                                         jobs=jobs) for jobs in (2, 64)]
     assert reports[0] == reports[1]
-    # 16 points in four batches per worker
-    assert batches[0] == batches[1] and [len(batch) for batch in batches[0]] == [2] * 8
+    # 16 points, one task each, whatever the jobs
+    assert tasks[0] == tasks[1] and len(tasks[0]) == 16
+
+
+def test_verify_prob_pool_tasks_are_its_grid_points(monkeypatch):
+    tasks = []
+    monkeypatch.setattr(experiments, "_pool_map",
+                        lambda jobs, fn, points: tasks.append(points) or map(fn, points))
+    verify_probability_model(n_vehicles=20, runs=3, p_grid=(0.3, 0.1, 0.2),
+                             intensities=(1.0, 0.0), jobs=2)
+    assert tasks == [[(1.0, 0.3), (1.0, 0.1), (1.0, 0.2), (0.0, 0.3), (0.0, 0.1), (0.0, 0.2)]]
+
+
+def test_verify_prob_reads_negative_zero_as_zero():
+    # -0 would key other seeds and print as -0 in both reports
+    signed = verify_probability_model(n_vehicles=20, runs=5, p_grid=(-0.0, 0.5),
+                                      intensities=(-0.0, 1.0))
+    plain = verify_probability_model(n_vehicles=20, runs=5, p_grid=(0.0, 0.5),
+                                     intensities=(0.0, 1.0))
+    assert repr(signed) == repr(plain)
+
+
+def test_sweep_reads_negative_zero_penetration_as_zero(tmp_path):
+    # metrics.csv and the saved files' names label the cell p 0, not p -0
+    spec = SweepSpec(densities=(15.0,), penetrations=(-0.0,), combos=(1,),
+                     sim=ring.SimConfig(duration=20.0, warmup=10.0))
+    rows = run_sweep(spec, tmp_path / "trajectories")
+    metrics = write_metrics_csv(rows, tmp_path / "metrics.csv").read_text().splitlines()
+    assert metrics[1].split(",")[:3] == ["15", "0", "1"]
+    assert sorted(path.name for path in (tmp_path / "trajectories").iterdir()) == [
+        "cell_c1_p0_d15_trajectory.csv", "cell_c1_p0_d15_violations.csv"]
 
 
 @pytest.mark.parametrize("intensity", [1.0, 0.5])
@@ -978,7 +1007,7 @@ def test_verify_probability_model_rejects_values_seed_keys_print_alike(args, mes
 
 
 def test_verify_probability_model_is_the_same_at_any_jobs():
-    # the points are drawn in batches across workers and put back in grid order
+    # each point is a task of its own, drawn by any worker and put back in grid order
     args = dict(n_vehicles=37, runs=15, p_grid=_grid(0.05, 0.95, 0.1),
                 intensities=(0.0, 0.35, 1.0), seed=5)
     serial = verify_probability_model(**args, jobs=1)
@@ -990,7 +1019,7 @@ def test_verify_probability_model_is_the_same_at_any_jobs():
 
 @pytest.mark.parametrize("cpus, points, workers", [
     (64, 10, [3]),  # jobs binds
-    (64, 1, []),    # one point is one batch
+    (64, 1, []),    # one point is one task
     (1, 10, []),
     (None, 10, [])])  # an unknown CPU count means one
 def test_verify_probability_model_pool_size(monkeypatch, fork_sizes, cpus, points, workers):

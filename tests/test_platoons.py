@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from platoonflow.controllers import H_FOLLOWER, H_LEADER, Strategy
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
-from platoonflow.platoons import COMBOS, STRATEGIES, wire
+from platoonflow.platoons import COMBOS, STRATEGIES, check_combos, wire
 
 NAN = np.nan
 FIELDS = ("strategy", "h", "leader", "hops", "rear")
@@ -49,6 +49,13 @@ def test_combo_table():
         assert COMBOS[cid].combo_id == cid
         assert COMBOS[cid].lv is lv
         assert COMBOS[cid].pv is pv
+
+
+def test_check_combos_names_the_first_unknown_combo():
+    check_combos(sorted(COMBOS))
+    with pytest.raises(ValueError, match="^unknown strategy combo 0; valid combos are "
+                                         "1, 2, 3, 4, 5, 6, 7, 8, 9, 10$"):
+        check_combos([1, 0, 11])
 
 
 # The reference object path (conftest) on hand-made rings.
