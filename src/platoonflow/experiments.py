@@ -41,12 +41,12 @@ chunking changes no output byte. A ring that fails in the run (masked
 to NaN, see ``ring``) gives each of its cells an error row and leaves
 no file. A progress line per chunk goes to stderr.
 
-The sweep's chunks and ``verify_probability_model``'s grid points, one
-task each, go to one worker pool (``_pool_map``): ``jobs`` workers, one
-per CPU unless told otherwise (JOBS), but no more than there are CPUs
-(``_workers``) or tasks, and none when that leaves one. A ``jobs``
-above the CPU count plans the same chunks as the CPU count, and runs
-them on as many workers. No output byte depends on it.
+The sweep's chunks and ``verify_probability_model``'s grid points below
+full intensity, one task each, go to one worker pool (``_pool_map``):
+``jobs`` workers, one per CPU unless told otherwise (JOBS), but no more
+than there are CPUs (``_workers``) or tasks, and none when that leaves
+one. A ``jobs`` above the CPU count plans the same chunks as the CPU
+count, and runs them on as many workers. No output byte depends on it.
 
 The pool is a fork per worker and two pipes to it (``_fork_map``), not
 ``concurrent.futures``, whose import loads about 30 modules no task
@@ -544,8 +544,9 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              seed: int = 0, jobs: int = JOBS) -> ProbabilityVerification:
     """Empirical class frequencies of sampled rings against the closed form.
 
-    Each (intensity, p) point is one task of the worker pool (see
-    ``_pool_map``); a point's shares do not depend on its worker.
+    Each (intensity, p) point below full intensity is one task of the
+    worker pool (see ``_pool_map``); the others are drawn here. A
+    point's shares do not depend on where it is drawn.
     """
     if p_grid is None:
         p_grid = _grid(*P_GRID)
@@ -560,7 +561,10 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
-    drawn = _pool_map(jobs, partial(_share, n_vehicles, runs, seed), points)
+    share = partial(_share, n_vehicles, runs, seed)
+    # a full-intensity point reads no seed and draws one ring: no pool round trip
+    pooled = _pool_map(jobs, share, [point for point in points if point[0] != 1.0])
+    drawn = [share(point) if point[0] == 1.0 else next(pooled) for point in points]
     curves: list[dict] = []
     for (intensity, p), dist in zip(points, drawn):
         model = class_probabilities(p, intensity, S_MAX)
@@ -572,11 +576,9 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     by_class: dict[tuple, list[dict]] = {}
     for row in curves:
         by_class.setdefault((row["intensity"], row["class"]), []).append(row)
-    fits = []
-    for (intensity, name), rows in by_class.items():
-        fit = goodness_of_fit([r["empirical"] for r in rows], [r["theoretical"] for r in rows])
-        fits.append({"intensity": intensity, "class": name, "r2": fit.r2,
-                     "rmse": fit.rmse, "note": fit.note or ""})
+    fits = [{"intensity": intensity, "class": name,
+             **goodness_of_fit([r["empirical"] for r in rows], [r["theoretical"] for r in rows])}
+            for (intensity, name), rows in by_class.items()]
     return ProbabilityVerification(fits, curves)
 
 
@@ -609,8 +611,7 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
                      "caveat": res.caveat or ""})
     region = []
     if Strategy.VTG2 in wanted and len(v_grid):
-        region = [{"strategy": "VTG2", "v_e": v_e, "margin": margin, "stable": stable}
-                  for v_e, margin, stable in stability_region(Strategy.VTG2, v_grid)]
+        region = stability_region(Strategy.VTG2, v_grid)
         rows.append({"strategy": "VTG2", "k_in_range": True,
                      "margin": min(r["margin"] for r in region),
                      "stable": all(r["stable"] for r in region),

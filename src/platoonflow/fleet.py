@@ -11,9 +11,10 @@ Rings are drawn and labeled as arrays: ``draw_flags`` gives a bool
 rows come from one buffer of generator bits, and the walk is solved for
 all rows and columns at once by two scans. ``role_codes`` labels any
 number of rings of any sizes laid back to back, as small-int role codes
-in VehicleClass order (HV, LV1, LV2, PV). Both are arithmetic on the
-flags, not selects (a branch per random flag), with no Python or numpy
-call per vehicle or column. ``empirical_distribution`` counts codes.
+in VehicleClass order (``HV``, ``LV1``, ``LV2``, ``PV``). Both are
+arithmetic on the flags, not selects (a branch per random flag), with no
+Python or numpy call per vehicle or column. ``empirical_distribution``
+counts codes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class VehicleClass(Enum):
 
 # role codes are positions in VehicleClass order
 _CLASSES = tuple(VehicleClass)
-_HV, _LV1, _LV2, _PV = (np.int8(i) for i in range(len(_CLASSES)))
+HV, LV1, LV2, PV = (np.int8(i) for i in range(len(_CLASSES)))
 S_MAX = 4  # platoon size cap of every ring; role_codes takes any cap as an input
 
 
@@ -80,13 +81,6 @@ class ClassProbabilities:
     def total(self) -> float:
         # sums to the CAV penetration p
         return self.p_lv1 + self.p_lv2 + self.p_pv
-
-
-@dataclass(frozen=True)
-class GoodnessOfFit:
-    r2: float
-    rmse: float
-    note: str | None = None
 
 
 def round_half_up(x: float) -> int:
@@ -166,8 +160,8 @@ def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int) -> np.ndarra
     head[before] = np.repeat(wrapped, sizes)[before]
     offset = index - head - 1
     # a CAV is PV, less one at a multiple of s_max (LV2), less two at offset 0 (LV1)
-    codes = flags * (_PV - (offset == offset // s_max * s_max) - (offset == 0))
-    codes[starts[no_hv]] = _LV2  # the first CAV of a ring without HV is no LV1
+    codes = flags * (PV - (offset == offset // s_max * s_max) - (offset == 0))
+    codes[starts[no_hv]] = LV2  # the first CAV of a ring without HV is no LV1
     return codes
 
 
@@ -254,8 +248,9 @@ def empirical_distribution(codes: np.ndarray) -> ClassProbabilities:
     return ClassProbabilities(lv1 / total, lv2 / total, pv / total, hv / total)
 
 
-def goodness_of_fit(empirical: Sequence[float], theoretical: Sequence[float]) -> GoodnessOfFit:
-    """R^2 and RMSE of a theoretical curve against empirical points."""
+def goodness_of_fit(empirical: Sequence[float], theoretical: Sequence[float]) -> dict:
+    """``{"r2", "rmse", "note"}`` of a theoretical curve against empirical
+    points; the note is empty unless the fit is degenerate."""
     if len(empirical) != len(theoretical):
         raise ValueError(f"curve lengths differ: {len(empirical)} vs {len(theoretical)}")
     if len(empirical) == 0:
@@ -268,5 +263,5 @@ def goodness_of_fit(empirical: Sequence[float], theoretical: Sequence[float]) ->
     # a curve that is constant to rounding error has no variance to explain
     scale = max(1.0, max(abs(e) for e in empirical))
     if ss_tot <= n * (1e-12 * scale) ** 2:
-        return GoodnessOfFit(math.nan, rmse, note="degenerate: empirical curve is constant")
-    return GoodnessOfFit(1.0 - ss_res / ss_tot, rmse)
+        return {"r2": math.nan, "rmse": rmse, "note": "degenerate: empirical curve is constant"}
+    return {"r2": 1.0 - ss_res / ss_tot, "rmse": rmse, "note": ""}

@@ -20,7 +20,7 @@ each sample back in state order.
 A ``SimConfig`` holds the engine settings a run may vary (ring length,
 time step, horizon, sampling); the actuator limits, the speed cap and
 the platoon size cap are constants. A ring's density and penetration
-are checked by ``cell_fleet``, and its combo by ``build_rings``; the
+are checked by ``cell_fleet``, and its combo by ``platoons.wire``; the
 sweep draws each (density, p)'s CAV flag row once (``fleet.draw_flags``)
 and hands the rows on. One state can hold several independent rings:
 ``build_rings`` labels, wires and places the rings of flag rows laid
@@ -62,8 +62,8 @@ import numpy as np
 
 from .controllers import (V_FREE, VEHICLE_LENGTH, ControlContext, Strategy, bdbm_accel,
                           cs_accel, ctg_accel, hv_accel, vtg1_accel, vtg2_accel)
-from .fleet import S_MAX, FleetSpec, role_codes, round_half_up
-from .platoons import COMBOS, STRATEGIES, check_combos, wire
+from .fleet import LV1, PV, S_MAX, FleetSpec, role_codes, round_half_up
+from .platoons import COMBO_LAWS, STRATEGIES, check_combos, wire
 
 GAP_FLOOR = 0.01  # m, controller-input floor once vehicles overlap
 A_MAX = 1.0   # actuator limit, m/s^2 (not the model's BS_A_MAX)
@@ -248,38 +248,34 @@ def build_rings(config: SimConfig, flags: np.ndarray, sizes: Sequence[int],
 
     ``flags`` holds the rings' CAV flag rows (``fleet.draw_flags``) back
     to back, ``sizes`` the vehicles of each ring and ``combo_ids`` its
-    combo, in order (ValueError for one not in ``COMBOS``). The rings
-    are labeled and wired in one pass.
+    combo, in order (ValueError for one not in ``platoons.COMBOS``). The
+    rings are labeled and wired in one pass.
     """
-    check_combos(combo_ids)
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
-    strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes,
-                                           [COMBOS[c] for c in combo_ids])
+    strategy, h, leader, hops, rear = wire(role_codes(flags, sizes, S_MAX), sizes, combo_ids)
     k = np.arange(flags.size) - np.repeat(starts, sizes)  # index in the ring
     x = (-np.repeat(config.ring_length / sizes, sizes) * k) % config.ring_length
     return RingState(x=x, v=np.zeros(x.size), a=np.zeros(x.size), strategy=strategy, h=h,
                      leader=leader, hops=hops, rear=rear, starts=tuple(starts.tolist()))
 
 
-# each combo's leader and follower law as strategy codes, which hash in C
-_LAW_CODES = {combo_id: (STRATEGIES.index(combo.lv), STRATEGIES.index(combo.pv))
-              for combo_id, combo in COMBOS.items()}
-
-
 def ring_key(row: bytes, cavs: int, combo_id: int) -> tuple:
     """Everything ``build_rings`` reads of one ring, as a hashable key.
 
     ``row`` is the ring's CAV flag row as bytes (``flags.tobytes()``),
-    which also gives its vehicle count, and ``cavs`` its CAV count. The
-    key holds the row, the leader law's strategy code if the ring holds
-    a CAV and the follower law's if it holds two or more: with one CAV
-    its platoon has no follower, and a BS leader's rear-gap source is
-    its own follower whatever the follower law. Rings with equal keys
-    get the same columns, bit for bit, and so, stepped under one config,
-    the same numbers.
+    which also gives its vehicle count, and ``cavs`` its CAV count
+    (ValueError for a combo not in ``platoons.COMBOS``). The key holds
+    the row, the leader law's strategy code (``platoons.COMBO_LAWS``) if
+    the ring holds a CAV and the follower law's if it holds two or more:
+    with one CAV its platoon has no follower, and a BS leader's rear-gap
+    source is its own follower whatever the follower law. Rings with
+    equal keys get the same columns, bit for bit, and so, stepped under
+    one config, the same numbers.
     """
-    lv, pv = _LAW_CODES[combo_id]
+    check_combos((combo_id,))  # not a filler or wrapped-around row of the table
+    laws = COMBO_LAWS[combo_id].tolist()  # Python ints, which hash in C
+    lv, pv = laws[LV1], laws[PV]
     return (row, lv if cavs else None, pv if cavs > 1 else None)
 
 

@@ -95,11 +95,11 @@ def string_stable(partials: EquilibriumPartials) -> StabilityResult:
                            k_in_range=k_ok, caveat=partials.caveat)
 
 
-def stability_region(strategy: Strategy,
-                     v_grid: Sequence[float] | np.ndarray) -> list[tuple[float, float, bool]]:
-    """(v_e, margin, stable) rows over a speed grid."""
+def stability_region(strategy: Strategy, v_grid: Sequence[float] | np.ndarray) -> list[dict]:
+    """``{"strategy", "v_e", "margin", "stable"}`` rows over a speed grid."""
     rows = []
-    for v_e in np.asarray(v_grid, dtype=float):
-        res = string_stable(equilibrium_partials(strategy, float(v_e)))
-        rows.append((float(v_e), res.margin, res.stable))
+    for v_e in np.asarray(v_grid, dtype=float).tolist():
+        res = string_stable(equilibrium_partials(strategy, v_e))
+        rows.append({"strategy": str(strategy), "v_e": v_e, "margin": res.margin,
+                     "stable": res.stable})
     return rows

@@ -232,10 +232,11 @@ def rear_gap_source(platoon, index, pv_strategy):
 
 
 def assign_strategies(labels, platoons, combo):
+    lv, pv = combo
     assignments = [Assignment(Strategy.HV) if cls is HV else None for cls in labels]
     for plat in platoons:
         for pos, idx in enumerate(plat.members):
-            role_strategy = combo.lv if pos == 0 else combo.pv
+            role_strategy = lv if pos == 0 else pv
             h = None
             if role_strategy is Strategy.CTG:
                 h = H_LEADER if pos == 0 else H_FOLLOWER
@@ -244,7 +245,7 @@ def assign_strategies(labels, platoons, combo):
                 leader = plat.leader
                 hops = pos
             if role_strategy is Strategy.BS:
-                rear = rear_gap_source(plat, idx, combo.pv)
+                rear = rear_gap_source(plat, idx, pv)
             assignments[idx] = Assignment(role_strategy, h=h, leader=leader,
                                           hops=hops, rear_source=rear)
     missing = [i for i, a in enumerate(assignments) if a is None]

@@ -358,15 +358,16 @@ def test_empirical_block_layout_frequencies():
 
 def test_goodness_of_fit_identical():
     fit = goodness_of_fit([0.1, 0.4, 0.5], [0.1, 0.4, 0.5])
-    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    assert fit.rmse == pytest.approx(0.0, abs=1e-12)
+    assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["rmse"] == pytest.approx(0.0, abs=1e-12)
+    assert fit["note"] == ""
 
 
 def test_goodness_of_fit_known_values():
     fit = goodness_of_fit([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])
     # residual 1 on the last point, ss_tot = 2
-    assert fit.r2 == pytest.approx(0.5, abs=1e-12)
-    assert fit.rmse == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
+    assert fit["r2"] == pytest.approx(0.5, abs=1e-12)
+    assert fit["rmse"] == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
 
 
 def test_goodness_of_fit_errors():
@@ -378,9 +379,9 @@ def test_goodness_of_fit_errors():
 
 def test_goodness_of_fit_constant_reference():
     fit = goodness_of_fit([0.5, 0.5, 0.5], [0.4, 0.5, 0.6])
-    assert math.isnan(fit.r2)
-    assert fit.note
-    assert fit.rmse == pytest.approx(math.sqrt(0.02 / 3.0), abs=1e-12)
+    assert math.isnan(fit["r2"])
+    assert fit["note"]
+    assert fit["rmse"] == pytest.approx(math.sqrt(0.02 / 3.0), abs=1e-12)
 
 
 def test_monte_carlo_error_shrinks_with_samples():
@@ -551,7 +552,7 @@ def test_verify_probability_model_matches_reference_path():
                                "empirical": e, "theoretical": th})
         for name in emp:
             fit = goodness_of_fit(emp[name], theo[name])
-            fits.append({"intensity": intensity, "class": name, "r2": fit.r2,
-                         "rmse": fit.rmse, "note": fit.note or ""})
+            fits.append({"intensity": intensity, "class": name, "r2": fit["r2"],
+                         "rmse": fit["rmse"], "note": fit["note"]})
     assert repr(out.curves) == repr(curves)
     assert repr(out.fits) == repr(fits)

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonflow.controllers import H_FOLLOWER, H_LEADER, Strategy
+from platoonflow import fleet
 from platoonflow.fleet import FleetSpec, draw_flags, role_codes
-from platoonflow.platoons import COMBOS, STRATEGIES, check_combos, wire
+from platoonflow.platoons import COMBO_LAWS, COMBOS, STRATEGIES, check_combos, wire
+from platoonflow.ring import ring_key
 
 NAN = np.nan
 FIELDS = ("strategy", "h", "leader", "hops", "rear")
@@ -25,10 +27,10 @@ def labels_of(flags, s_max=4):
     return [CLASSES[c] for c in role_codes(np.array(flags, dtype=bool), [len(flags)], s_max)]
 
 
-def columns(labels, combo):
+def columns(labels, combo_id):
     """wire() of a labeled ring, by column name."""
     codes = np.array([CLASSES.index(c) for c in labels], dtype=np.int8)
-    return dict(zip(FIELDS, wire(codes, [codes.size], [combo])))
+    return dict(zip(FIELDS, wire(codes, [codes.size], [combo_id])))
 
 
 def test_combo_table():
@@ -44,11 +46,36 @@ def test_combo_table():
         9: (Strategy.VTG2, Strategy.CS),
         10: (Strategy.BS, Strategy.CS),
     }
-    assert set(COMBOS) == set(range(1, 11))
-    for cid, (lv, pv) in expected.items():
-        assert COMBOS[cid].combo_id == cid
-        assert COMBOS[cid].lv is lv
-        assert COMBOS[cid].pv is pv
+    assert COMBOS == expected
+
+
+def test_combo_laws_table_is_combos_by_role_code():
+    assert [fleet.HV, fleet.LV1, fleet.LV2, fleet.PV] == [CLASSES.index(c)
+                                                         for c in (HV, LV1, LV2, PV)]
+    # HVs drive HV, both leader roles the leader law, PVs the follower law
+    for cid, (lv, pv) in COMBOS.items():
+        for role, law in ((fleet.HV, Strategy.HV), (fleet.LV1, lv), (fleet.LV2, lv),
+                          (fleet.PV, pv)):
+            assert COMBO_LAWS[cid, role] == code(law), (cid, role)
+    assert COMBO_LAWS.shape == (max(COMBOS) + 1, len(CLASSES))
+    assert COMBO_LAWS.dtype == np.int8
+    assert not COMBO_LAWS.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        COMBO_LAWS[1, 1] = code(Strategy.CS)
+
+
+@pytest.mark.parametrize("combo_id", [0, -1, 11])
+def test_wire_and_ring_key_reject_unknown_combos(combo_id):
+    # row 0 of the table is filler and -1 would read its last row
+    message = (f"^unknown strategy combo {combo_id}; valid combos are "
+               "1, 2, 3, 4, 5, 6, 7, 8, 9, 10$")
+    codes = role_codes(np.array([False, True, True]), [3], 4)
+    with pytest.raises(ValueError, match=message):
+        wire(codes, [3], [combo_id])
+    with pytest.raises(ValueError, match=message):
+        wire(np.concatenate([codes, codes]), [3, 3], [1, combo_id])
+    with pytest.raises(ValueError, match=message):
+        ring_key(bytes(3), 2, combo_id)
 
 
 def test_check_combos_names_the_first_unknown_combo():
@@ -140,7 +167,7 @@ def assert_columns(got, **expected):
 
 def test_assign_leader_ctg_follower_cs():
     ctg, cs = code(Strategy.CTG), code(Strategy.CS)
-    assert_columns(columns(LABELS7, COMBOS[5]),
+    assert_columns(columns(LABELS7, 5),
                    strategy=[code(Strategy.HV), ctg, cs, cs, cs, ctg, cs],
                    h=[NAN, H_LEADER, NAN, NAN, NAN, H_LEADER, NAN],
                    leader=[0, 1, 1, 1, 1, 5, 5], hops=[0, 0, 1, 2, 3, 0, 1],
@@ -148,7 +175,7 @@ def test_assign_leader_ctg_follower_cs():
 
 
 def test_assign_uniform_ctg_uses_two_time_gaps():
-    assert_columns(columns(LABELS7, COMBOS[1]),
+    assert_columns(columns(LABELS7, 1),
                    h=[NAN, 1.1, 0.6, 0.6, 0.6, 1.1, 0.6],
                    leader=OWN7, hops=[0] * 7)
 
@@ -156,22 +183,22 @@ def test_assign_uniform_ctg_uses_two_time_gaps():
 def test_assign_bidirectional_leader_with_rigid_followers():
     bs, cs = code(Strategy.BS), code(Strategy.CS)
     # each leader reads the gap behind its platoon's tail (4, then 6 with wrap)
-    assert_columns(columns(LABELS7, COMBOS[10]),
+    assert_columns(columns(LABELS7, 10),
                    strategy=[code(Strategy.HV), bs, cs, cs, cs, bs, cs],
                    leader=[0, 1, 1, 1, 1, 5, 5], hops=[0, 0, 1, 2, 3, 0, 1],
                    rear=[0, 5, 2, 3, 4, 0, 6])
 
 
 def test_assign_all_bidirectional_reads_own_follower():
-    assert_columns(columns(LABELS7, COMBOS[4]),
+    assert_columns(columns(LABELS7, 4),
                    strategy=[code(Strategy.HV)] + [code(Strategy.BS)] * 6,
                    rear=[0, 2, 3, 4, 5, 6, 0])
 
 
 def test_assign_single_strategy_combos_differ_only_in_time_gap():
     for cid in (1, 2, 3, 4):
-        got = columns(LABELS7, COMBOS[cid])
-        assert set(got["strategy"][1:].tolist()) == {code(COMBOS[cid].lv)}
+        got = columns(LABELS7, cid)
+        assert set(got["strategy"][1:].tolist()) == {code(COMBOS[cid][0])}
         h = [NAN, H_LEADER, H_FOLLOWER, H_FOLLOWER, H_FOLLOWER, H_LEADER, H_FOLLOWER]
         rear = [0, 2, 3, 4, 5, 6, 0] if cid == 4 else OWN7
         assert_columns(got, h=h if cid == 1 else [NAN] * 7, leader=OWN7,
@@ -183,8 +210,9 @@ def test_assign_covers_every_vehicle():
     for _ in range(50):
         n = rng.randint(2, 50)
         labels = labels_of([rng.random() < 0.7 for _ in range(n)])
-        combo = COMBOS[rng.randint(1, 10)]
-        got = columns(labels, combo)
+        combo_id = rng.randint(1, 10)
+        lv, pv = COMBOS[combo_id]
+        got = columns(labels, combo_id)
         position = {idx: (plat, pos) for plat in form_platoons(labels)
                     for pos, idx in enumerate(plat.members)}
         for i, cls in enumerate(labels):
@@ -192,7 +220,7 @@ def test_assign_covers_every_vehicle():
                 assert got["strategy"][i] == code(Strategy.HV)
                 continue
             plat, pos = position[i]
-            assert got["strategy"][i] == code(combo.lv if pos == 0 else combo.pv)
+            assert got["strategy"][i] == code(lv if pos == 0 else pv)
             if got["strategy"][i] == code(Strategy.CS):
                 assert (got["leader"][i], got["hops"][i]) == (plat.leader, pos)
 
@@ -218,7 +246,7 @@ def coded_rings(draw):
 def test_wire_matches_object_path(case):
     flags, s_max, combo_id = case
     codes = role_codes(np.array(flags), [len(flags)], s_max)
-    got = wire(codes, [codes.size], [COMBOS[combo_id]])
+    got = wire(codes, [codes.size], [combo_id])
     want = reference_columns(codes, COMBOS[combo_id], s_max)
     for name, g, w in zip(FIELDS, got, want):
         np.testing.assert_array_equal(g, w, err_msg=name)
@@ -245,7 +273,7 @@ def test_wire_of_a_chunk_is_each_ring_wired_alone(case):
     rings, s_max, combo_ids = case
     sizes = [len(flags) for flags in rings]
     codes = role_codes(np.concatenate(rings).astype(bool), sizes, s_max)
-    got = wire(codes, sizes, [COMBOS[c] for c in combo_ids])
+    got = wire(codes, sizes, combo_ids)
     start = 0
     for n, combo_id in zip(sizes, combo_ids):
         ring_slice = slice(start, start + n)

@@ -438,17 +438,17 @@ def reference_step(state, cfg, i, asg):
 def test_step_matches_per_vehicle_laws(combo_id):
     cfg = SimConfig(ring_length=500.0, duration=1.0, warmup=0.0)
     state = init_state(cfg, 60.0, 0.6, combo_id)
-    combo = COMBOS[combo_id]
+    lv, pv = COMBOS[combo_id]
     # the per-vehicle wiring of the reference object path
     labels = [CLASSES[c] for c in role_codes(draw_flags(FleetSpec(state.n, 0.6, 1.0), [None]),
                                              [state.n], 4)]
     platoons = form_platoons(labels, 4)
-    asgs = assign_strategies(labels, platoons, combo)
+    asgs = assign_strategies(labels, platoons, (lv, pv))
     # a mixed fleet: human drivers, leaders and in-platoon followers
-    assert {a.strategy for a in asgs} == {Strategy.HV, combo.lv, combo.pv}
-    if combo.pv is Strategy.CS:
+    assert {a.strategy for a in asgs} == {Strategy.HV, lv, pv}
+    if pv is Strategy.CS:
         assert max(a.hops for a in asgs if a.strategy is Strategy.CS) >= 2
-    if combo.lv is Strategy.BS and combo.pv is Strategy.CS:
+    if lv is Strategy.BS and pv is Strategy.CS:
         assert any(a.rear_source != i for i, a in enumerate(asgs)
                    if a.strategy is Strategy.BS)
     if combo_id == 1:

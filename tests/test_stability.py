@@ -183,15 +183,18 @@ def test_stability_region_shapes():
     grid = np.arange(0.0, 33.31, 0.1)
     rows = stability_region(Strategy.VTG1, grid)
     assert len(rows) == len(grid)
-    margins = [m for _, m, _ in rows]
+    assert [r["v_e"] for r in rows] == grid.tolist()
+    assert {r["strategy"] for r in rows} == {"VTG1"}
+    margins = [r["margin"] for r in rows]
     assert all(m == pytest.approx(0.0624, abs=1e-12) for m in margins)
-    assert all(s for _, _, s in rows)
+    assert all(r["stable"] for r in rows)
 
     rows = stability_region(Strategy.VTG2, grid)
-    margins = [m for _, m, _ in rows]
+    assert list(rows[0]) == ["strategy", "v_e", "margin", "stable"]
+    margins = [r["margin"] for r in rows]
     # the exponential term steepens g_v with speed, which only helps
     assert all(b > a for a, b in zip(margins, margins[1:]))
     assert margins[0] == pytest.approx(0.019260833486176618, abs=1e-12)
-    assert all(s for _, _, s in rows)
+    assert all(r["stable"] for r in rows)
 
     assert stability_region(Strategy.VTG2, []) == []
