@@ -41,12 +41,12 @@ chunking changes no output byte. A ring that fails in the run (masked
 to NaN, see ``ring``) gives each of its cells an error row and leaves
 no file. A progress line per chunk goes to stderr.
 
-The sweep's chunks and ``verify_probability_model``'s grid points below
-full intensity, one task each, go to one worker pool (``_pool_map``):
-``jobs`` workers, one per CPU unless told otherwise (JOBS), but no more
-than there are CPUs (``_workers``) or tasks, and none when that leaves
-one. A ``jobs`` above the CPU count plans the same chunks as the CPU
-count, and runs them on as many workers. No output byte depends on it.
+The sweep's chunks and ``verify_probability_model``'s grid points, one
+task each, go to one worker pool (``_pool_map``): ``jobs`` workers, one
+per CPU unless told otherwise (JOBS), but no more than there are CPUs
+(``_workers``) or tasks, and none when that leaves one. A ``jobs``
+above the CPU count plans the same chunks as the CPU count, and runs
+them on as many workers. No output byte depends on it.
 
 The pool is a fork per worker and two pipes to it (``_fork_map``), not
 ``concurrent.futures``, whose import loads about 30 modules no task
@@ -544,9 +544,8 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              seed: int = 0, jobs: int = JOBS) -> ProbabilityVerification:
     """Empirical class frequencies of sampled rings against the closed form.
 
-    Each (intensity, p) point below full intensity is one task of the
-    worker pool (see ``_pool_map``); the others are drawn here. A
-    point's shares do not depend on where it is drawn.
+    Each (intensity, p) point is one task of the worker pool (see
+    ``_pool_map``); a point's shares do not depend on its worker.
     """
     if p_grid is None:
         p_grid = _grid(*P_GRID)
@@ -561,10 +560,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
-    share = partial(_share, n_vehicles, runs, seed)
-    # a full-intensity point reads no seed and draws one ring: no pool round trip
-    pooled = _pool_map(jobs, share, [point for point in points if point[0] != 1.0])
-    drawn = [share(point) if point[0] == 1.0 else next(pooled) for point in points]
+    drawn = _pool_map(jobs, partial(_share, n_vehicles, runs, seed), points)
     curves: list[dict] = []
     for (intensity, p), dist in zip(points, drawn):
         model = class_probabilities(p, intensity, S_MAX)

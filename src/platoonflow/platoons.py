@@ -79,7 +79,7 @@ def wire(codes: np.ndarray, sizes: Sequence[int],
     ends = np.cumsum(sizes)
     starts = ends - sizes
     ring = np.repeat(np.arange(sizes.size), sizes)
-    combo = np.repeat(combo_ids, sizes)
+    combo = np.repeat(np.asarray(combo_ids, dtype=np.intp), sizes)
     first = starts[ring]
     own = np.arange(codes.size)
     strategy = COMBO_LAWS[combo, codes]

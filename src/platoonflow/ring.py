@@ -274,7 +274,7 @@ def ring_key(row: bytes, cavs: int, combo_id: int) -> tuple:
     one config, the same numbers.
     """
     check_combos((combo_id,))  # not a filler or wrapped-around row of the table
-    laws = COMBO_LAWS[combo_id].tolist()  # Python ints, which hash in C
+    laws = COMBO_LAWS[int(combo_id)].tolist()  # Python ints, which hash in C
     lv, pv = laws[LV1], laws[PV]
     return (row, lv if cavs else None, pv if cavs > 1 else None)
 

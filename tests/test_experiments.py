@@ -608,8 +608,8 @@ def test_jobs_above_the_cpu_count_plan_as_the_cpu_count(monkeypatch, capsys):
     reports = [verify_probability_model(n_vehicles=20, runs=3, p_grid=np.arange(1, 9) / 10,
                                         jobs=jobs) for jobs in (2, 64)]
     assert reports[0] == reports[1]
-    # the 8 points below full intensity, one task each, whatever the jobs
-    assert tasks[0] == tasks[1] and len(tasks[0]) == 8
+    # 16 points, one task each, whatever the jobs
+    assert tasks[0] == tasks[1] and len(tasks[0]) == 16
 
 
 def test_verify_prob_pool_tasks_are_its_grid_points(monkeypatch):
@@ -618,16 +618,7 @@ def test_verify_prob_pool_tasks_are_its_grid_points(monkeypatch):
                         lambda jobs, fn, points: tasks.append(points) or map(fn, points))
     verify_probability_model(n_vehicles=20, runs=3, p_grid=(0.3, 0.1, 0.2),
                              intensities=(1.0, 0.0), jobs=2)
-    # a full-intensity point reads no seed: the parent draws it
-    assert tasks == [[(0.0, 0.3), (0.0, 0.1), (0.0, 0.2)]]
-
-
-def test_verify_prob_at_full_intensity_runs_no_pool(monkeypatch, fork_sizes):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-    args = dict(n_vehicles=20, runs=3, p_grid=(0.3, 0.1, 0.2), intensities=(1.0,))
-    pooled = verify_probability_model(**args, jobs=3)
-    assert fork_sizes == []
-    assert repr(pooled) == repr(verify_probability_model(**args, jobs=1))
+    assert tasks == [[(1.0, 0.3), (1.0, 0.1), (1.0, 0.2), (0.0, 0.3), (0.0, 0.1), (0.0, 0.2)]]
 
 
 def test_verify_prob_reads_negative_zero_as_zero():

@@ -78,6 +78,15 @@ def test_wire_and_ring_key_reject_unknown_combos(combo_id):
         ring_key(bytes(3), 2, combo_id)
 
 
+@pytest.mark.parametrize("combo_id", [1.0, np.float64(5.0), np.int64(10)])
+def test_wire_and_ring_key_read_an_integral_combo_id_as_its_int(combo_id):
+    # check_combos takes any id equal to a key of COMBOS, so the table must too
+    codes = role_codes(np.array([False, True, True, True]), [4], 4)
+    for got, want in zip(wire(codes, [4], [combo_id]), wire(codes, [4], [int(combo_id)])):
+        np.testing.assert_array_equal(got, want)
+    assert ring_key(bytes(4), 3, combo_id) == ring_key(bytes(4), 3, int(combo_id))
+
+
 def test_check_combos_names_the_first_unknown_combo():
     check_combos(sorted(COMBOS))
     with pytest.raises(ValueError, match="^unknown strategy combo 0; valid combos are "
