@@ -170,9 +170,9 @@ def _cmd_verify_prob(args) -> int:
                                       intensities=tuple(args.intensities),
                                       seed=args.seed, jobs=args.jobs)
     outdir = Path(args.outdir)
-    write_rows(report.fits, outdir / "probability_fit.csv")
-    write_rows(report.curves, outdir / "probability_curves.csv")
-    for fit in report.fits:
+    write_rows(report["fits"], outdir / "probability_fit.csv")
+    write_rows(report["curves"], outdir / "probability_curves.csv")
+    for fit in report["fits"]:
         note = f"  ({fit['note']})" if fit["note"] else ""
         print(f"O={format_value(fit['intensity'])} {fit['class']:>4}: "
               f"r2={fit['r2']:.4f} rmse={fit['rmse']:.4f}{note}")

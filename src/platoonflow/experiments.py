@@ -84,8 +84,8 @@ from .controllers import H_FOLLOWER, H_LEADER, Strategy, check_speed_cap
 from .csvio import (TRAJECTORY_HEAD, append_trajectory, format_value, write_csv,
                     write_violations_csv)
 from .energy import METRICS, PER_KM, RATES, sample_rates, summarize
-from .fleet import (S_MAX, FleetSpec, class_probabilities, draw_flags,
-                    empirical_distribution, goodness_of_fit, role_codes)
+from .fleet import (CLASSES, LV1, LV2, PV, S_MAX, FleetSpec, class_probabilities,
+                    draw_flags, empirical_distribution, goodness_of_fit, role_codes)
 from .platoons import check_combos
 from . import ring  # engine calls go through the module, so wrappers set on it apply
 
@@ -524,12 +524,6 @@ def run_sweep(spec: SweepSpec, save_dir: str | Path | None = None) -> list[dict]
                                      chunks), len(cells))
 
 
-@dataclass(frozen=True)
-class ProbabilityVerification:
-    fits: list[dict]    # intensity, class, r2, rmse, note
-    curves: list[dict]  # intensity, p, class, empirical, theoretical
-
-
 def _share(n_vehicles: int, runs: int, seed: int, point: tuple[float, float]):
     """Empirical class shares of one (intensity, p) point, over ``runs`` rings."""
     intensity, p = point
@@ -541,8 +535,9 @@ def _share(n_vehicles: int, runs: int, seed: int, point: tuple[float, float]):
 
 def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
                              p_grid=None, intensities=(0.0, 1.0),
-                             seed: int = 0, jobs: int = JOBS) -> ProbabilityVerification:
-    """Empirical class frequencies of sampled rings against the closed form.
+                             seed: int = 0, jobs: int = JOBS) -> dict:
+    """Empirical class frequencies of sampled rings against the closed form:
+    ``{"fits": ..., "curves": ...}``, rows keyed by their file's columns.
 
     Each (intensity, p) point is one task of the worker pool (see
     ``_pool_map``); a point's shares do not depend on its worker.
@@ -555,8 +550,12 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
         raise ValueError("need at least one run of at least one vehicle")
     # a point's seeds come from its values' key texts (cell_seeds), so two
     # values that print alike would draw one sample twice
-    _check_axis("intensities", intensities, _key_text, "a seed key")
-    _check_axis("p_grid", p_grid, _key_text, "a seed key")
+    for name, values, what in (("intensities", intensities, "an intensity"),
+                               ("p_grid", p_grid, "a penetration")):
+        _check_axis(name, values, _key_text, "a seed key")
+        # as SweepSpec does, before any point reaches a worker
+        if bad := [v for v in values if not 0.0 <= v <= 1.0]:
+            raise ValueError(f"{name} holds {bad[0]}; {what} must lie in [0, 1]")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = [(intensity, p) for intensity in intensities for p in p_grid]
@@ -564,10 +563,9 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     curves: list[dict] = []
     for (intensity, p), dist in zip(points, drawn):
         model = class_probabilities(p, intensity, S_MAX)
-        for name, e, t in (("LV1", dist.p_lv1, model.p_lv1), ("LV2", dist.p_lv2, model.p_lv2),
-                           ("PV", dist.p_pv, model.p_pv)):
-            curves.append({"intensity": intensity, "p": p, "class": name,
-                           "empirical": e, "theoretical": t})
+        for c in (LV1, LV2, PV):
+            curves.append({"intensity": intensity, "p": p, "class": CLASSES[c].value,
+                           "empirical": dist[c], "theoretical": model[c]})
     # each intensity's curve of each class, in the order the curves list them
     by_class: dict[tuple, list[dict]] = {}
     for row in curves:
@@ -575,7 +573,7 @@ def verify_probability_model(n_vehicles: int = 100, runs: int = 200,
     fits = [{"intensity": intensity, "class": name,
              **goodness_of_fit([r["empirical"] for r in rows], [r["theoretical"] for r in rows])}
             for (intensity, name), rows in by_class.items()]
-    return ProbabilityVerification(fits, curves)
+    return {"fits": fits, "curves": curves}
 
 
 def verify_stability(strategies=None, v_grid=None) -> dict:
@@ -601,10 +599,8 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
             ("CS", Strategy.CS, {})):
         if strategy not in wanted:
             continue
-        res = string_stable(equilibrium_partials(strategy, 15.0, **kwargs))
-        rows.append({"strategy": label, "k_in_range": res.k_in_range,
-                     "margin": res.margin, "stable": res.stable,
-                     "caveat": res.caveat or ""})
+        rows.append({"strategy": label,
+                     **string_stable(equilibrium_partials(strategy, 15.0, **kwargs))})
     region = []
     if Strategy.VTG2 in wanted and len(v_grid):
         region = stability_region(Strategy.VTG2, v_grid)

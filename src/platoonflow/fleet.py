@@ -13,8 +13,13 @@ all rows and columns at once by two scans. ``role_codes`` labels any
 number of rings of any sizes laid back to back, as small-int role codes
 in VehicleClass order (``HV``, ``LV1``, ``LV2``, ``PV``). Both are
 arithmetic on the flags, not selects (a branch per random flag), with no
-Python or numpy call per vehicle or column. ``empirical_distribution``
-counts codes.
+Python or numpy call per vehicle or column.
+
+The role codes are the one index of the classes: ``CLASSES[c]`` names
+code c, and ``class_probabilities`` (the closed form) and
+``empirical_distribution`` (the counted codes) return the four class
+shares as one tuple indexed by code, as ``platoons.COMBO_LAWS`` holds a
+combo's laws.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ class VehicleClass(Enum):
 
 
 # role codes are positions in VehicleClass order
-_CLASSES = tuple(VehicleClass)
-HV, LV1, LV2, PV = (np.int8(i) for i in range(len(_CLASSES)))
+CLASSES = tuple(VehicleClass)
+HV, LV1, LV2, PV = (np.int8(i) for i in range(len(CLASSES)))
 S_MAX = 4  # platoon size cap of every ring; role_codes takes any cap as an input
 
 
@@ -69,20 +74,6 @@ class TransitionProbs:
     t_aa: float
 
 
-@dataclass(frozen=True)
-class ClassProbabilities:
-    """Probability that a vehicle drawn from the ring belongs to each class."""
-
-    p_lv1: float
-    p_lv2: float
-    p_pv: float
-    p_hv: float = 0.0
-
-    def total(self) -> float:
-        # sums to the CAV penetration p
-        return self.p_lv1 + self.p_lv2 + self.p_pv
-
-
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -98,8 +89,9 @@ def transition_probs(p: float, intensity: float) -> TransitionProbs:
     return TransitionProbs(t_hh=1.0 - t_ha, t_ha=t_ha, t_ah=t_ah, t_aa=1.0 - t_ah)
 
 
-def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabilities:
-    """Closed-form LV1 / LV2 / PV probabilities.
+def class_probabilities(p: float, intensity: float, s_max: int) -> tuple[float, ...]:
+    """Closed-form class shares, indexed by role code (``HV``, ``LV1``,
+    ``LV2``, ``PV``); the shares of the CAV roles sum to p.
 
     At full intensity (or p = 1) the walk never leaves the automated
     state, so the geometric-run formulas degenerate; that branch uses
@@ -110,10 +102,10 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     t = transition_probs(p, intensity)
     if t.t_aa == 0.0:
         # intensity 0 and p ~ 0: every CAV follows an HV and leads alone
-        return ClassProbabilities((1.0 - p) * t.t_ha, 0.0, 0.0, 1.0 - p)
+        return 1.0 - p, (1.0 - p) * t.t_ha, 0.0, 0.0
     if t.t_ah == 0.0:
         # intensity 1 or p 1: a single contiguous CAV block
-        return ClassProbabilities(0.0, p / s_max, (s_max - 1) * p / s_max, 1.0 - p)
+        return 1.0 - p, 0.0, p / s_max, (s_max - 1) * p / s_max
     # log1p/expm1 keep 1 - t_aa^S accurate when t_ah is tiny (intensity -> 1)
     log_taa = math.log1p(-t.t_ah)
     taa_s = math.exp(s_max * log_taa)
@@ -122,7 +114,7 @@ def class_probabilities(p: float, intensity: float, s_max: int) -> ClassProbabil
     p_lv1 = (1.0 - p) * t.t_ha
     p_lv2 = taa_s * p_lv1 / one_minus_taa_s
     p_pv = t.t_aa * one_minus_taa_sm1 * p_lv1 / (t.t_ah * one_minus_taa_s)
-    return ClassProbabilities(p_lv1, p_lv2, p_pv, 1.0 - p)
+    return 1.0 - p, p_lv1, p_lv2, p_pv
 
 
 def role_codes(flags: np.ndarray, sizes: Sequence[int], s_max: int) -> np.ndarray:
@@ -238,14 +230,14 @@ def _walk(u: np.ndarray, spec: FleetSpec) -> np.ndarray:
     return flags.reshape(u.shape)
 
 
-def empirical_distribution(codes: np.ndarray) -> ClassProbabilities:
-    """Class frequencies over all role codes given (any shape)."""
+def empirical_distribution(codes: np.ndarray) -> tuple[float, ...]:
+    """Class frequencies over all role codes given (any shape), indexed
+    by role code."""
     codes = np.asarray(codes)
     if codes.size == 0:
         raise ValueError("no vehicles to count")
-    hv, lv1, lv2, pv = np.bincount(codes.ravel(), minlength=len(_CLASSES)).tolist()
-    total = codes.size
-    return ClassProbabilities(lv1 / total, lv2 / total, pv / total, hv / total)
+    return tuple(count / codes.size
+                 for count in np.bincount(codes.ravel(), minlength=len(CLASSES)).tolist())
 
 
 def goodness_of_fit(empirical: Sequence[float], theoretical: Sequence[float]) -> dict:

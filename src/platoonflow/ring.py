@@ -99,6 +99,9 @@ class SimConfig:
                              f"got {self.record_every}")
         for name in ("duration", "warmup"):
             steps = getattr(self, name) / self.dt
+            if not math.isfinite(steps):  # round() of an infinite count raises OverflowError
+                raise ValueError(f"{name} {getattr(self, name)} holds more time steps "
+                                 f"dt={self.dt} than a run can count")
             if not math.isclose(steps, round(steps), rel_tol=1e-9):
                 raise ValueError(f"{name} {getattr(self, name)} is not a whole number "
                                  f"of time steps dt={self.dt}")

@@ -16,6 +16,10 @@ The bidirectional model is nonlinear with rear coupling and is not
 covered. The constant-spacing law is evaluated on its
 predecessor-coupled terms only, with the leader feedback treated as an
 exogenous input; its result carries a caveat saying so.
+
+``string_stable`` returns the verdict as the row the stability report
+prints, keyed by the report's columns in file order; ``stability_region``
+reads its margin and verdict from that row at each speed.
 """
 
 from __future__ import annotations
@@ -40,14 +44,6 @@ class EquilibriumPartials:
     g_dv: float  # w.r.t. speed difference (predecessor minus self)
     k: float     # predecessor-acceleration feedforward
     v_e: float
-    caveat: str | None = None
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    stable: bool
-    margin: float
-    k_in_range: bool
     caveat: str | None = None
 
 
@@ -88,11 +84,13 @@ def stability_margin(partials: EquilibriumPartials) -> float:
     return g.g_v ** 2 - 2.0 * g.g_v * g.g_dv - 2.0 * (1.0 - g.k) * g.g_dx
 
 
-def string_stable(partials: EquilibriumPartials) -> StabilityResult:
+def string_stable(partials: EquilibriumPartials) -> dict:
+    """``{"k_in_range", "margin", "stable", "caveat"}``, in the order of the
+    stability report's columns; the caveat is empty unless the law has one."""
     k_ok = 0.0 <= partials.k <= 1.0
     margin = stability_margin(partials)
-    return StabilityResult(stable=k_ok and margin >= 0.0, margin=margin,
-                           k_in_range=k_ok, caveat=partials.caveat)
+    return {"k_in_range": k_ok, "margin": margin, "stable": k_ok and margin >= 0.0,
+            "caveat": partials.caveat or ""}
 
 
 def stability_region(strategy: Strategy, v_grid: Sequence[float] | np.ndarray) -> list[dict]:
@@ -100,6 +98,6 @@ def stability_region(strategy: Strategy, v_grid: Sequence[float] | np.ndarray) -
     rows = []
     for v_e in np.asarray(v_grid, dtype=float).tolist():
         res = string_stable(equilibrium_partials(strategy, v_e))
-        rows.append({"strategy": str(strategy), "v_e": v_e, "margin": res.margin,
-                     "stable": res.stable})
+        rows.append({"strategy": str(strategy), "v_e": v_e, "margin": res["margin"],
+                     "stable": res["stable"]})
     return rows

@@ -20,7 +20,7 @@ from platoonflow.energy import emission_rate, equilibrium_curves, nfr
 from platoonflow.experiments import (SweepSpec, _chunks, emit_plot_data, run_chunk,
                                      run_sweep, verify_probability_model,
                                      verify_stability)
-from platoonflow.fleet import class_probabilities
+from platoonflow.fleet import LV1, LV2, PV, class_probabilities
 from platoonflow.ring import SimConfig
 from platoonflow.stability import (equilibrium_partials, string_stable,
                                    transfer_magnitude)
@@ -62,7 +62,7 @@ def test_criterion_2_probability_model_fit():
     start = time.perf_counter()
     out = verify_probability_model(n_vehicles=100, runs=200)
     elapsed = time.perf_counter() - start
-    fits = {(f["intensity"], f["class"]): f for f in out.fits}
+    fits = {(f["intensity"], f["class"]): f for f in out["fits"]}
 
     random_ok = all(fits[(0.0, cls)]["r2"] >= 0.90
                     for cls in ("LV1", "LV2", "PV"))
@@ -83,7 +83,7 @@ def test_criterion_3_share_closure_and_limit():
         intensity = rng.random()
         s_max = rng.randint(1, 8)
         probs = class_probabilities(p, intensity, s_max)
-        worst_closure = max(worst_closure, abs(probs.total() - p))
+        worst_closure = max(worst_closure, abs(probs[LV1] + probs[LV2] + probs[PV] - p))
 
     worst_limit = 0.0
     for _ in range(500):
@@ -92,9 +92,9 @@ def test_criterion_3_share_closure_and_limit():
         near = class_probabilities(p, 1.0 - 1e-9, s_max)
         block = class_probabilities(p, 1.0, s_max)
         worst_limit = max(worst_limit,
-                          abs(near.p_lv1 - block.p_lv1),
-                          abs(near.p_lv2 - block.p_lv2),
-                          abs(near.p_pv - block.p_pv))
+                          abs(near[LV1] - block[LV1]),
+                          abs(near[LV2] - block[LV2]),
+                          abs(near[PV] - block[PV]))
 
     ok = worst_closure <= 1e-12 and worst_limit <= 1e-6
     report("3", ok, f"closure {worst_closure:.2e}, limit gap {worst_limit:.2e}")
@@ -143,7 +143,7 @@ def test_criterion_4_linearization_checks_out():
             partials = equilibrium_partials(strategy, v_e, h=h)
             res = string_stable(partials)
             peak = float(np.max(transfer_magnitude(partials, omega)))
-            if res.stable != (peak <= 1.0 + 1e-9):
+            if res["stable"] != (peak <= 1.0 + 1e-9):
                 sign_ok = False
 
     report("4", partials_ok and sign_ok,

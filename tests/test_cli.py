@@ -45,6 +45,13 @@ def test_sweep_writes_metrics(tmp_path, capsys):
                          # 1e301 steps: more samples than an index can count
                          (["--duration", "1e300", "--warmup", "10"],
                           "error: duration 1e+300 holds more samples than a run can count\n"),
+                         # duration / dt past the largest float: inf steps, which
+                         # round() cannot take
+                         (["--dt", "1e-310"], "error: duration 60.0 holds more time steps "
+                          "dt=1e-310 than a run can count\n"),
+                         (["--duration", "1e308", "--warmup", "0", "--dt", "1e-5"],
+                          "error: duration 1e+308 holds more time steps dt=1e-05 than a run "
+                          "can count\n"),
                          (["--ring-length", "3"], "error: one step at v_max 33.3 m/s over "
                           "dt 0.1 s covers the whole ring of 3.0 m\n"),
                          (["--jobs", "0"], "jobs must be at least 1, got 0"),
@@ -290,6 +297,17 @@ def test_verify_prob_rejects_nan_intensity(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--p-stop", "1.5"], "error: p_grid holds 1.01; a penetration must lie in [0, 1]\n"),
+    (["--intensities", "2"], "error: intensities holds 2.0; an intensity must lie in [0, 1]\n")])
+def test_verify_prob_rejects_shares_outside_zero_one(tmp_path, capsys, bad, message):
+    code = main(["verify-prob", "--vehicles", "20", "--runs", "2", *bad,
+                 "--outdir", str(tmp_path / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err == message  # one line, no traceback
+    assert not (tmp_path / "bad").exists()
+
+
 def test_verify_prob_rejects_jobs_below_one(tmp_path, capsys):
     for jobs in ("0", "-3"):
         code = main(["verify-prob", "--vehicles", "20", "--runs", "2", "--jobs", jobs,
@@ -389,7 +407,7 @@ def test_cli_defaults_are_the_library_defaults():
     stab = subs["verify-stability"].parse_args([])
     # the grids each library function visits when given none
     p_lib = [c["p"] for c in verify_probability_model(n_vehicles=1, runs=1,
-                                                      intensities=(1.0,)).curves
+                                                      intensities=(1.0,))["curves"]
              if c["class"] == "LV1"]
     v_lib = [r["v_e"] for r in verify_stability()["vtg2_region"]]
     for cli, lib, spelled in (

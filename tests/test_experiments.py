@@ -946,28 +946,28 @@ def test_verify_probability_model_structure():
     out = verify_probability_model(n_vehicles=40, runs=30,
                                    p_grid=(0.2, 0.5, 0.8),
                                    intensities=(0.0, 1.0), seed=0)
-    assert len(out.fits) == 6  # two intensities, three classes
-    for fit in out.fits:
+    assert len(out["fits"]) == 6  # two intensities, three classes
+    for fit in out["fits"]:
         assert fit["class"] in ("LV1", "LV2", "PV")
         assert fit["intensity"] in (0.0, 1.0)
         assert math.isfinite(fit["rmse"])
-    assert len(out.curves) == 2 * 3 * 3
-    for cur in out.curves:
+    assert len(out["curves"]) == 2 * 3 * 3
+    for cur in out["curves"]:
         assert 0.0 <= cur["empirical"] <= 1.0
         assert 0.0 <= cur["theoretical"] <= 1.0
     # repeat call is deterministic
     again = verify_probability_model(n_vehicles=40, runs=30,
                                      p_grid=(0.2, 0.5, 0.8),
                                      intensities=(0.0, 1.0), seed=0)
-    assert again.fits == out.fits
+    assert again["fits"] == out["fits"]
 
 
 def test_verify_probability_model_single_point_grid():
     # one p value leaves no variance to explain; flagged, not fatal
     out = verify_probability_model(n_vehicles=30, runs=10, p_grid=(0.5,),
                                    intensities=(0.0,), seed=1)
-    assert len(out.fits) == 3
-    for fit in out.fits:
+    assert len(out["fits"]) == 3
+    for fit in out["fits"]:
         assert math.isnan(fit["r2"])
         assert fit["note"]
 
@@ -983,6 +983,21 @@ def test_verify_probability_model_rejects_bad_counts():
         verify_probability_model(n_vehicles=10, runs=2, p_grid=[0.5, 0.5])
     with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
         verify_probability_model(n_vehicles=10, runs=2, jobs=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(p_grid=(0.5, 1.5)), "p_grid holds 1.5; a penetration must lie in [0, 1]"),
+    (dict(p_grid=(-0.5, 0.5)), "p_grid holds -0.5; a penetration must lie in [0, 1]"),
+    (dict(intensities=(0.0, 2.0)), "intensities holds 2.0; an intensity must lie in [0, 1]")],
+    ids=["p_grid-above", "p_grid-below", "intensities"])
+def test_verify_probability_model_rejects_shares_outside_zero_one_before_the_pool(
+        monkeypatch, args, message):
+    # a bad value fails in the parent, not first in a worker's FleetSpec
+    def no_pool(jobs, fn, points):
+        raise AssertionError(f"_pool_map called with {len(points)} tasks")
+    monkeypatch.setattr(experiments, "_pool_map", no_pool)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_probability_model(n_vehicles=10, runs=5, jobs=1, **args)
 
 
 @pytest.mark.parametrize("args", [dict(p_grid=[math.nan]), dict(intensities=(math.nan,)),
@@ -1013,8 +1028,8 @@ def test_verify_probability_model_is_the_same_at_any_jobs():
     serial = verify_probability_model(**args, jobs=1)
     for jobs in (2, 500):
         pooled = verify_probability_model(**args, jobs=jobs)
-        assert repr(pooled.fits) == repr(serial.fits)
-        assert repr(pooled.curves) == repr(serial.curves)
+        assert repr(pooled["fits"]) == repr(serial["fits"])
+        assert repr(pooled["curves"]) == repr(serial["curves"])
 
 
 @pytest.mark.parametrize("cpus, points, workers", [

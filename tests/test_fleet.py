@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from platoonflow import experiments, fleet
 from platoonflow.experiments import cell_seeds, verify_probability_model
-from platoonflow.fleet import (ClassProbabilities, FleetSpec, VehicleClass, _uniforms,
+from platoonflow.fleet import (FleetSpec, VehicleClass, _uniforms,
                                _walk, class_probabilities, draw_flags,
                                empirical_distribution, goodness_of_fit, role_codes,
                                round_half_up, transition_probs)
@@ -75,19 +76,20 @@ def reference_walk(spec, draw):
 
 
 def reference_distribution(sequences):
-    # The VehicleClass-keyed count that the code histogram replaced.
+    # The VehicleClass-keyed count that the code histogram replaced, as
+    # shares in VehicleClass order.
     total = sum(len(s) for s in sequences)
     counts = {cls: 0 for cls in VehicleClass}
     for seq in sequences:
         for cls in seq:
             counts[cls] += 1
-    return ClassProbabilities(counts[LV1] / total, counts[LV2] / total,
-                              counts[PV] / total, counts[HV] / total)
+    return tuple(counts[cls] / total for cls in VehicleClass)
 
 
 def naive_class_probabilities(p, intensity, s_max):
     # Direct transcription of the run-length formulas, no rearrangement.
     # Serves as an independent oracle away from the t_ah = 0 singularity.
+    # Shares in VehicleClass order, as class_probabilities gives them.
     t_ah = (1.0 - intensity) * (1.0 - p)
     t_ha = (1.0 - intensity) * p
     t_aa = 1.0 - t_ah
@@ -95,7 +97,7 @@ def naive_class_probabilities(p, intensity, s_max):
     p_lv2 = t_aa ** s_max * p_lv1 / (1.0 - t_aa ** s_max)
     p_pv = (t_aa * (1.0 - t_aa ** (s_max - 1)) * p_lv1
             / (t_ah * (1.0 - t_aa ** s_max)))
-    return p_lv1, p_lv2, p_pv
+    return 1.0 - p, p_lv1, p_lv2, p_pv
 
 
 def test_round_half_up():
@@ -139,18 +141,18 @@ def test_class_probabilities_full_intensity_blocks():
     # Contiguous CAV block chunked into platoons of s_max: one leading
     # leader per p*n vehicles, the rest split 1/s_max leaders.
     probs = class_probabilities(0.8, 1.0, 4)
-    assert probs.p_lv1 == pytest.approx(0.0, abs=1e-15)
-    assert probs.p_lv2 == pytest.approx(0.2, abs=1e-12)
-    assert probs.p_pv == pytest.approx(0.6, abs=1e-12)
-    assert probs.p_hv == pytest.approx(0.2, abs=1e-12)
+    assert probs[fleet.LV1] == pytest.approx(0.0, abs=1e-15)
+    assert probs[fleet.LV2] == pytest.approx(0.2, abs=1e-12)
+    assert probs[fleet.PV] == pytest.approx(0.6, abs=1e-12)
+    assert probs[fleet.HV] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_class_probabilities_no_cavs():
     probs = class_probabilities(0.0, 0.3, 4)
-    assert probs.p_lv1 == 0.0
-    assert probs.p_lv2 == 0.0
-    assert probs.p_pv == 0.0
-    assert probs.p_hv == 1.0
+    assert probs[fleet.LV1] == 0.0
+    assert probs[fleet.LV2] == 0.0
+    assert probs[fleet.PV] == 0.0
+    assert probs[fleet.HV] == 1.0
 
 
 def test_class_probabilities_every_cav_isolated():
@@ -159,23 +161,23 @@ def test_class_probabilities_every_cav_isolated():
     for p in (0.0, 1e-17):
         assert transition_probs(p, 0.0).t_aa == 0.0
         probs = class_probabilities(p, 0.0, 4)
-        assert probs == ClassProbabilities((1.0 - p) * p, 0.0, 0.0, 1.0 - p)
+        assert probs == (1.0 - p, (1.0 - p) * p, 0.0, 0.0)
     # just above, the general branch agrees
     near = class_probabilities(1e-15, 0.0, 4)
-    assert near.p_lv1 == pytest.approx(1e-15, rel=1e-9)
-    assert near.p_lv2 <= 1e-30 and near.p_pv <= 1e-29
+    assert near[fleet.LV1] == pytest.approx(1e-15, rel=1e-9)
+    assert near[fleet.LV2] <= 1e-30 and near[fleet.PV] <= 1e-29
 
 
 def test_class_probabilities_frozen_point():
     probs = class_probabilities(0.5, 0.0, 4)
-    assert probs.p_lv1 == pytest.approx(0.25, abs=1e-12)
-    assert probs.p_lv2 == pytest.approx(0.0166666667, abs=1e-9)
-    assert probs.p_pv == pytest.approx(0.2333333333, abs=1e-9)
+    assert probs[fleet.LV1] == pytest.approx(0.25, abs=1e-12)
+    assert probs[fleet.LV2] == pytest.approx(0.0166666667, abs=1e-9)
+    assert probs[fleet.PV] == pytest.approx(0.2333333333, abs=1e-9)
 
     oracle = naive_class_probabilities(0.5, 0.0, 4)
-    assert probs.p_lv1 == pytest.approx(oracle[0], abs=1e-12)
-    assert probs.p_lv2 == pytest.approx(oracle[1], abs=1e-12)
-    assert probs.p_pv == pytest.approx(oracle[2], abs=1e-12)
+    assert probs[fleet.LV1] == pytest.approx(oracle[fleet.LV1], abs=1e-12)
+    assert probs[fleet.LV2] == pytest.approx(oracle[fleet.LV2], abs=1e-12)
+    assert probs[fleet.PV] == pytest.approx(oracle[fleet.PV], abs=1e-12)
 
 
 def test_class_probabilities_match_naive_oracle():
@@ -186,9 +188,9 @@ def test_class_probabilities_match_naive_oracle():
         s_max = rng.randint(1, 8)
         probs = class_probabilities(p, intensity, s_max)
         oracle = naive_class_probabilities(p, intensity, s_max)
-        assert probs.p_lv1 == pytest.approx(oracle[0], abs=1e-12)
-        assert probs.p_lv2 == pytest.approx(oracle[1], abs=1e-12)
-        assert probs.p_pv == pytest.approx(oracle[2], abs=1e-12)
+        assert probs[fleet.LV1] == pytest.approx(oracle[fleet.LV1], abs=1e-12)
+        assert probs[fleet.LV2] == pytest.approx(oracle[fleet.LV2], abs=1e-12)
+        assert probs[fleet.PV] == pytest.approx(oracle[fleet.PV], abs=1e-12)
 
 
 def test_class_probabilities_monte_carlo():
@@ -197,10 +199,10 @@ def test_class_probabilities_monte_carlo():
     spec = FleetSpec(n_vehicles=5000, p=0.5, intensity=0.0)
     emp = empirical_distribution(role_codes(draw_flags(spec, range(200)), [5000] * 200, 4))
     probs = class_probabilities(0.5, 0.0, 4)
-    assert emp.p_lv1 == pytest.approx(probs.p_lv1, abs=0.005)
-    assert emp.p_lv2 == pytest.approx(probs.p_lv2, abs=0.005)
-    assert emp.p_pv == pytest.approx(probs.p_pv, abs=0.005)
-    assert emp.p_hv == pytest.approx(0.5, abs=0.005)
+    assert emp[fleet.LV1] == pytest.approx(probs[fleet.LV1], abs=0.005)
+    assert emp[fleet.LV2] == pytest.approx(probs[fleet.LV2], abs=0.005)
+    assert emp[fleet.PV] == pytest.approx(probs[fleet.PV], abs=0.005)
+    assert emp[fleet.HV] == pytest.approx(0.5, abs=0.005)
 
 
 def test_class_shares_closure():
@@ -212,10 +214,38 @@ def test_class_shares_closure():
         intensity = rng.random()
         s_max = rng.randint(1, 8)
         probs = class_probabilities(p, intensity, s_max)
-        assert abs(probs.total() - p) <= 1e-12
-        assert abs(probs.p_hv - (1.0 - p)) <= 1e-12
-        for share in (probs.p_lv1, probs.p_lv2, probs.p_pv, probs.p_hv):
+        assert abs(probs[fleet.LV1] + probs[fleet.LV2] + probs[fleet.PV] - p) <= 1e-12
+        assert abs(probs[fleet.HV] - (1.0 - p)) <= 1e-12
+        for share in (probs[fleet.LV1], probs[fleet.LV2], probs[fleet.PV], probs[fleet.HV]):
             assert -1e-15 <= share <= 1.0 + 1e-15
+
+
+def test_class_shares_are_indexed_by_role_code():
+    # role codes, both share tuples and verify-prob's class names follow
+    # one order, VehicleClass's
+    rng = np.random.default_rng(39)
+    for size, s_max in ((1, 4), (7, 1), (50, 3), (200, 4), (200, 9)):
+        codes = role_codes(rng.random(size) < rng.random(), [size], s_max)
+        emp = empirical_distribution(codes)
+        assert len(emp) == len(fleet.CLASSES)
+        for c in (fleet.HV, fleet.LV1, fleet.LV2, fleet.PV):
+            assert emp[c] == np.count_nonzero(codes == c) / codes.size
+    for p in (0.0, 0.3, 0.8, 1.0):
+        for intensity in (0.0, 0.5, 1.0):
+            for s_max in (1, 4, 7):
+                probs = class_probabilities(p, intensity, s_max)
+                assert len(probs) == len(fleet.CLASSES)
+                assert probs[fleet.HV] == 1.0 - p
+                assert abs(sum(probs) - 1.0) <= 1e-12
+    out = verify_probability_model(n_vehicles=20, runs=3, p_grid=(0.2, 0.7),
+                                   intensities=(0.0, 1.0), jobs=1)
+    assert len(out["curves"]) == 2 * 2 * 3
+    for row in out["curves"]:
+        c = fleet.CLASSES.index(VehicleClass(row["class"]))
+        point = (row["intensity"], row["p"])
+        assert row["empirical"] == experiments._share(20, 3, 0, point)[c]
+        assert row["theoretical"] == class_probabilities(row["p"], row["intensity"],
+                                                         fleet.S_MAX)[c]
 
 
 def test_class_probabilities_full_intensity_limit():
@@ -224,9 +254,9 @@ def test_class_probabilities_full_intensity_limit():
         for s_max in (1, 2, 4, 6):
             near = class_probabilities(p, 1.0 - 1e-9, s_max)
             block = class_probabilities(p, 1.0, s_max)
-            assert near.p_lv1 == pytest.approx(block.p_lv1, abs=1e-6)
-            assert near.p_lv2 == pytest.approx(block.p_lv2, abs=1e-6)
-            assert near.p_pv == pytest.approx(block.p_pv, abs=1e-6)
+            assert near[fleet.LV1] == pytest.approx(block[fleet.LV1], abs=1e-6)
+            assert near[fleet.LV2] == pytest.approx(block[fleet.LV2], abs=1e-6)
+            assert near[fleet.PV] == pytest.approx(block[fleet.PV], abs=1e-6)
 
 
 def test_generate_sequence_block_layout():
@@ -334,10 +364,10 @@ def test_generate_sequence_adjacency_invariants():
 def test_empirical_distribution_counts():
     # codes of [HV, LV1, PV] and [PV, HV, PV]
     emp = empirical_distribution(np.array([[0, 1, 3], [3, 0, 3]], dtype=np.int8))
-    assert emp.p_hv == pytest.approx(1 / 3)
-    assert emp.p_lv1 == pytest.approx(1 / 6)
-    assert emp.p_pv == pytest.approx(0.5)
-    assert emp.p_lv2 == 0.0
+    assert emp[fleet.HV] == pytest.approx(1 / 3)
+    assert emp[fleet.LV1] == pytest.approx(1 / 6)
+    assert emp[fleet.PV] == pytest.approx(0.5)
+    assert emp[fleet.LV2] == 0.0
 
 
 def test_empirical_distribution_empty_raises():
@@ -350,10 +380,10 @@ def test_empirical_distribution_empty_raises():
 def test_empirical_block_layout_frequencies():
     spec = FleetSpec(n_vehicles=100, p=0.8, intensity=1.0)
     emp = empirical_distribution(role_codes(draw_flags(spec, [0]), [100], 4))
-    assert emp.p_lv1 == pytest.approx(0.01, abs=1e-12)
-    assert emp.p_lv2 == pytest.approx(0.19, abs=1e-12)
-    assert emp.p_pv == pytest.approx(0.60, abs=1e-12)
-    assert emp.p_hv == pytest.approx(0.20, abs=1e-12)
+    assert emp[fleet.LV1] == pytest.approx(0.01, abs=1e-12)
+    assert emp[fleet.LV2] == pytest.approx(0.19, abs=1e-12)
+    assert emp[fleet.PV] == pytest.approx(0.60, abs=1e-12)
+    assert emp[fleet.HV] == pytest.approx(0.20, abs=1e-12)
 
 
 def test_goodness_of_fit_identical():
@@ -392,10 +422,10 @@ def test_monte_carlo_error_shrinks_with_samples():
         spec = FleetSpec(n_vehicles=100, p=0.5, intensity=0.0)
         seeds = range(base_seed, base_seed + n_seqs)
         emp = empirical_distribution(role_codes(draw_flags(spec, seeds), [100] * n_seqs, 4))
-        return math.sqrt((emp.p_lv1 - probs.p_lv1) ** 2
-                         + (emp.p_lv2 - probs.p_lv2) ** 2
-                         + (emp.p_pv - probs.p_pv) ** 2
-                         + (emp.p_hv - probs.p_hv) ** 2)
+        return math.sqrt((emp[fleet.LV1] - probs[fleet.LV1]) ** 2
+                         + (emp[fleet.LV2] - probs[fleet.LV2]) ** 2
+                         + (emp[fleet.PV] - probs[fleet.PV]) ** 2
+                         + (emp[fleet.HV] - probs[fleet.HV]) ** 2)
 
     small = l2_error(40, 1000)
     large = l2_error(640, 2000)  # 16x the samples, expect ~4x less error
@@ -543,9 +573,9 @@ def test_verify_probability_model_matches_reference_path():
                     reference_flags(spec, cell_seeds(5, intensity, p, (r,))[0]), 4)
                  for r in range(15)])
             model = class_probabilities(p, intensity, 4)
-            for name, e, th in (("LV1", dist.p_lv1, model.p_lv1),
-                                ("LV2", dist.p_lv2, model.p_lv2),
-                                ("PV", dist.p_pv, model.p_pv)):
+            for name, e, th in (("LV1", dist[fleet.LV1], model[fleet.LV1]),
+                                ("LV2", dist[fleet.LV2], model[fleet.LV2]),
+                                ("PV", dist[fleet.PV], model[fleet.PV])):
                 emp[name].append(e)
                 theo[name].append(th)
                 curves.append({"intensity": intensity, "p": p, "class": name,
@@ -554,5 +584,5 @@ def test_verify_probability_model_matches_reference_path():
             fit = goodness_of_fit(emp[name], theo[name])
             fits.append({"intensity": intensity, "class": name, "r2": fit["r2"],
                          "rmse": fit["rmse"], "note": fit["note"]})
-    assert repr(out.curves) == repr(curves)
-    assert repr(out.fits) == repr(fits)
+    assert repr(out["curves"]) == repr(curves)
+    assert repr(out["fits"]) == repr(fits)

@@ -227,6 +227,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="holds more samples than a run can count"):
         SimConfig(duration=1e19, warmup=0.0)
     assert len(SimConfig(duration=1e19, warmup=0.0, record_every=100).sample_steps) == 10**18
+    # a step count past the largest float is inf, which round() cannot take
+    for bad in (dict(dt=1e-310), dict(duration=1e308, warmup=0.0, dt=1e-5)):
+        with pytest.raises(ValueError, match="duration .* than a run can count"):
+            SimConfig(**bad)
     # one step at the speed cap may not lap the ring
     with pytest.raises(ValueError, match="covers the whole ring of 1000.0 m"):
         SimConfig(dt=40.0, duration=3600.0, warmup=1800.0)

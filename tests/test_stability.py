@@ -106,10 +106,10 @@ def test_cs_partials_predecessor_terms_only():
     assert p.k == pytest.approx(1.0 / 1.9, abs=1e-15)
     assert p.caveat == CS_CAVEAT
     res = string_stable(p)
-    assert res.margin == pytest.approx(-0.01994459833795014, abs=1e-15)
-    assert not res.stable
-    assert res.k_in_range
-    assert res.caveat == CS_CAVEAT
+    assert res["margin"] == pytest.approx(-0.01994459833795014, abs=1e-15)
+    assert not res["stable"]
+    assert res["k_in_range"]
+    assert res["caveat"] == CS_CAVEAT
 
 
 def test_transfer_magnitude_limits():
@@ -143,7 +143,7 @@ def test_stable_laws_never_amplify_on_dense_grid():
     for strategy, kwargs in CASES:
         p = equilibrium_partials(strategy, 15.0, **kwargs)
         res = string_stable(p)
-        assert res.stable
+        assert res["stable"]
         assert float(np.max(transfer_magnitude(p, omega))) <= 1.0 + 1e-9
 
 
@@ -164,7 +164,7 @@ def test_margin_sign_agrees_with_grid_maximum():
             p = equilibrium_partials(strategy, v_e, **kwargs)
             res = string_stable(p)
             peak = float(np.max(transfer_magnitude(p, omega)))
-            if res.stable:
+            if res["stable"]:
                 assert peak <= 1.0 + 1e-9, (strategy, v_e)
             else:
                 assert peak > 1.0, (strategy, v_e)
@@ -173,10 +173,10 @@ def test_margin_sign_agrees_with_grid_maximum():
 def test_feedforward_out_of_range_is_unstable():
     p = EquilibriumPartials(g_v=-0.06, g_dx=0.1, g_dv=0.98, k=1.5, v_e=15.0)
     res = string_stable(p)
-    assert not res.k_in_range
-    assert not res.stable
+    assert not res["k_in_range"]
+    assert not res["stable"]
     p = EquilibriumPartials(g_v=-0.06, g_dx=0.1, g_dv=0.98, k=-0.1, v_e=15.0)
-    assert not string_stable(p).stable
+    assert not string_stable(p)["stable"]
 
 
 def test_stability_region_shapes():
