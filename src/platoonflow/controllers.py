@@ -7,6 +7,10 @@ weight lam are arguments. ControlContext fields accept floats or
 equal-shape numpy arrays, so the same formulas serve scalar unit tests
 and the vectorized ring update.
 
+``equilibrium_gap`` is the one closed form of each law's equilibrium
+gap: it takes floats or arrays for CS, CTG, VTG1 and VTG2, and a float
+for HV and BS.
+
 Sign conventions: gap is the clear bumper-to-bumper distance to the
 predecessor, dx = gap + vehicle length is the front-to-front distance,
 and speed differences are predecessor minus self (positive when opening).
@@ -86,45 +90,29 @@ BS_B_COMF = 2.0  # comfortable deceleration, m/s^2
 BS_LAMBDA = 0.5  # bidirectional weight; 0 recovers the human model
 
 
-def desired_spacing(strategy: Strategy, v: float | np.ndarray, *,
-                    h: float = H_FOLLOWER,
-                    v_pred: float | np.ndarray | None = None):
-    """Desired clear gap of a spacing policy at speed v.
-
-    VTG1 depends on the predecessor speed; v_pred defaults to v, which
-    gives the equal-speed (equilibrium) spacing.
-    """
-    if strategy is Strategy.CS:
-        return MIN_SPACING + 0.0 * v
-    if strategy is Strategy.CTG:
-        return h * v + MIN_SPACING
-    if strategy is Strategy.VTG1:
-        vp = v if v_pred is None else v_pred
-        time_gap = np.where(np.asarray(v) < SPEED_FLOOR,
-                            VTG1_C1,
-                            VTG1_C1 - VTG1_MU * (vp - v) / np.maximum(v, SPEED_FLOOR))
-        return time_gap * v + MIN_SPACING
-    if strategy is Strategy.VTG2:
-        return VTG2_D * np.exp(v / (2.0 * VTG2_M)) - VEHICLE_LENGTH
-    raise ValueError(f"no closed-form desired spacing for {strategy}")
-
-
-def check_speed_cap(speeds) -> None:
-    """Reject equilibrium speeds above V_FREE, which caps every speed the engine keeps.
+def check_speeds(speeds) -> None:
+    """Reject equilibrium speeds outside [0, V_FREE], where the engine keeps every speed.
 
     A speed up to 1e-9 m/s above the cap passes, as a rounding of it: a grid
     point start + step * k can land a few ulps (~1e-14 m/s) past it, as the
     default stability grid's last point, 0.1 * 333 = 33.300000000000004, does.
     """
     v = np.asarray(speeds, dtype=float)
+    bad = v[~(v >= 0.0)]  # NaN fails the comparison too
+    if bad.size:
+        raise ValueError(f"equilibrium speeds must not be NaN or negative, "
+                         f"got {float(bad[0])}")
     over = v[v > V_FREE + 1e-9]
     if over.size:
         raise ValueError(f"equilibrium speeds must not exceed V_FREE = {V_FREE} m/s, "
                          f"got {float(over[0])!r}")
 
 
-def equilibrium_gap(strategy: Strategy, v: float, *, h: float = H_FOLLOWER) -> float:
+def equilibrium_gap(strategy: Strategy, v, *, h: float = H_FOLLOWER):
     """Gap at which a homogeneous flow holds speed v with zero acceleration.
+
+    CS, CTG, VTG1 (whose speed-ratio term vanishes at equal speeds) and
+    VTG2 take floats or arrays; HV and BS take a float in [0, V_FREE).
 
     BS is treated as HV. That holds where the rear gap BS reads equals
     its own gap, so that its bidirectional term vanishes: in a uniform
@@ -133,11 +121,20 @@ def equilibrium_gap(strategy: Strategy, v: float, *, h: float = H_FOLLOWER) -> f
     vehicle (its follower, or the vehicle behind its CS platoon's tail),
     which takes this same gap.
     """
-    if strategy in (Strategy.BS, Strategy.HV):
-        if not 0.0 <= v < V_FREE:
-            raise ValueError(f"no bidirectional-model equilibrium at v={v}")
-        return (MIN_SPACING + v * BS_T_GAP) / math.sqrt(1.0 - (v / V_FREE) ** 4)
-    return float(desired_spacing(strategy, v, h=h))
+    check_speeds(v)
+    if strategy is Strategy.CS:
+        return MIN_SPACING + 0.0 * v
+    if strategy is Strategy.CTG:
+        return h * v + MIN_SPACING
+    if strategy is Strategy.VTG1:
+        return VTG1_C1 * v + MIN_SPACING
+    if strategy is Strategy.VTG2:
+        return VTG2_D * np.exp(v / (2.0 * VTG2_M)) - VEHICLE_LENGTH
+    if strategy not in (Strategy.HV, Strategy.BS):
+        raise ValueError(f"no closed-form equilibrium gap for {strategy}")
+    if not v < V_FREE:
+        raise ValueError(f"no bidirectional-model equilibrium at v={v}")
+    return (MIN_SPACING + v * BS_T_GAP) / math.sqrt(1.0 - (v / V_FREE) ** 4)
 
 
 def cs_accel(ctx: ControlContext):

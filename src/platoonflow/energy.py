@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .controllers import check_speed_cap
+from .controllers import check_speeds
 
 POLLUTANTS = ("co2", "nox", "voc", "pm")
 # the rates sample_rates yields and the metric columns summarize returns, in order
@@ -148,7 +148,7 @@ def equilibrium_curves(v_grid) -> list[dict[str, float]]:
         raise ValueError(f"equilibrium curves need finite speeds, got {float(bad[0])!r}")
     if np.any(v_arr <= 0.0):
         raise ValueError("equilibrium curves need strictly positive speeds")
-    check_speed_cap(v_arr)
+    check_speeds(v_arr)
     # one sample per speed, so each rate is its own window mean
     columns = summarize(list(sample_rates(v_arr, 0.0)))
     return [dict(zip(CURVES, values)) for values in zip(*columns.values())]

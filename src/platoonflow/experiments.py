@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controllers import H_FOLLOWER, H_LEADER, Strategy, check_speed_cap
+from .controllers import H_FOLLOWER, H_LEADER, Strategy, check_speeds
 from .csvio import (TRAJECTORY_HEAD, append_trajectory, format_value, write_csv,
                     write_violations_csv)
 from .energy import METRICS, PER_KM, RATES, sample_rates, summarize
@@ -583,10 +583,7 @@ def verify_stability(strategies=None, v_grid=None) -> dict:
     from .stability import equilibrium_partials, stability_region, string_stable
     if v_grid is None:
         v_grid = _grid(*V_GRID)
-    # the engine keeps speeds in [0, V_FREE]; NaN fails the comparison too
-    if bad := [v for v in v_grid if not v >= 0.0]:
-        raise ValueError(f"equilibrium speeds must not be NaN or negative, got {bad[0]}")
-    check_speed_cap(v_grid)
+    check_speeds(v_grid)
     if strategies is None:
         strategies = (Strategy.CTG, Strategy.VTG1, Strategy.VTG2, Strategy.CS)
     wanted = {s if isinstance(s, Strategy) else Strategy(str(s).upper())

@@ -13,7 +13,7 @@ import conftest
 from conftest import equilibrium_flow, run_state
 
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, ControlContext,
-                                     Strategy, ctg_accel, desired_spacing,
+                                     Strategy, ctg_accel, equilibrium_gap,
                                      vtg1_accel, vtg2_accel)
 from platoonflow.csvio import write_metrics_csv
 from platoonflow.energy import emission_rate, equilibrium_curves, nfr
@@ -113,7 +113,7 @@ def test_criterion_4_linearization_checks_out():
         return float(vtg2_accel(ctx))
 
     def central_diff(strategy, v_e, h, eps=1e-5):
-        gap_e = float(desired_spacing(strategy, v_e, h=h))
+        gap_e = float(equilibrium_gap(strategy, v_e, h=h))
 
         def f(dv_own, dgap, ddv, dap):
             v = v_e + dv_own

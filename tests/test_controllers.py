@@ -12,7 +12,7 @@ from platoonflow.controllers import (BS_A_MAX, BS_B_COMF, BS_LAMBDA, BS_T_GAP, C
                                      K_FF, K_V, MIN_SPACING, SPEED_FLOOR, V_FREE,
                                      VEHICLE_LENGTH, VTG1_C1, VTG1_MU, VTG2_D, VTG2_M,
                                      ControlContext, Strategy, bdbm_accel, cs_accel,
-                                     ctg_accel, desired_spacing, equilibrium_gap,
+                                     ctg_accel, equilibrium_gap,
                                      hv_accel, vtg1_accel, vtg2_accel)
 
 
@@ -56,7 +56,7 @@ def equilibrium_context(strategy, v, h=H_FOLLOWER):
         return ControlContext(v=v, gap=2.0, v_pred=v, a_pred=0.0,
                               leader_dx=7.0, v_leader=v, a_leader=0.0,
                               leader_hops=1)
-    gap = float(desired_spacing(strategy, v, h=h))
+    gap = float(equilibrium_gap(strategy, v, h=h))
     return ControlContext(v=v, gap=gap, v_pred=v, a_pred=0.0)
 
 
@@ -83,37 +83,103 @@ def test_vtg1_params_feasibility():
     assert not 0.2 > bound  # a base gap of 0.2 s would violate it
 
 
-def test_desired_spacing_examples():
-    assert float(desired_spacing(Strategy.CTG, 20.0, h=1.1)) == pytest.approx(
+def test_equilibrium_gap_examples():
+    assert float(equilibrium_gap(Strategy.CTG, 20.0, h=1.1)) == pytest.approx(
         24.0, abs=1e-12)
-    assert float(desired_spacing(Strategy.CTG, 20.0, h=0.6)) == pytest.approx(
+    assert float(equilibrium_gap(Strategy.CTG, 20.0, h=0.6)) == pytest.approx(
         14.0, abs=1e-12)
-    assert float(desired_spacing(Strategy.VTG1, 20.0)) == pytest.approx(
+    assert float(equilibrium_gap(Strategy.VTG1, 20.0)) == pytest.approx(
         14.0, abs=1e-12)
-    assert float(desired_spacing(Strategy.VTG2, 0.0)) == pytest.approx(
+    assert float(equilibrium_gap(Strategy.VTG2, 0.0)) == pytest.approx(
         2.0, abs=1e-12)
-    assert float(desired_spacing(Strategy.CS, 25.0)) == pytest.approx(
+    assert float(equilibrium_gap(Strategy.CS, 25.0)) == pytest.approx(
         2.0, abs=1e-12)
     # 2 * 8.83 = 17.66, so at v = 17.66 the exponent is exactly 1
-    assert float(desired_spacing(Strategy.VTG2, 17.66)) == pytest.approx(
+    assert float(equilibrium_gap(Strategy.VTG2, 17.66)) == pytest.approx(
         7.0 * math.e - 5.0, abs=1e-12)
 
 
-def test_desired_spacing_vector_input():
+def test_equilibrium_gap_vector_input():
     v = np.array([0.0, 10.0, 20.0])
-    out = desired_spacing(Strategy.CTG, v, h=0.6)
+    out = equilibrium_gap(Strategy.CTG, v, h=0.6)
     assert np.allclose(out, [2.0, 8.0, 14.0], atol=1e-12)
-    out = desired_spacing(Strategy.VTG1, v, v_pred=v + 1.0)
+    out = equilibrium_gap(Strategy.VTG1, v)
     assert out.shape == (3,)
+    # HV has a scalar equilibrium on [0, V_FREE) only
+    assert equilibrium_gap(Strategy.HV, 10.0) > 0.0
     with pytest.raises(ValueError):
-        desired_spacing(Strategy.HV, 10.0)
+        equilibrium_gap(Strategy.HV, V_FREE)
+
+
+def parent_gap(strategy, v, h=H_FOLLOWER):
+    # The two closed forms the gap had before they were merged, inline: the
+    # desired spacing at v_pred = v for the CAV laws, the bidirectional
+    # model's balance for HV and BS.
+    if strategy in (Strategy.BS, Strategy.HV):
+        return (MIN_SPACING + v * BS_T_GAP) / math.sqrt(1.0 - (v / V_FREE) ** 4)
+    if strategy is Strategy.CS:
+        return MIN_SPACING + 0.0 * v
+    if strategy is Strategy.CTG:
+        return h * v + MIN_SPACING
+    if strategy is Strategy.VTG1:
+        time_gap = np.where(np.asarray(v) < SPEED_FLOOR,
+                            VTG1_C1,
+                            VTG1_C1 - VTG1_MU * (v - v) / np.maximum(v, SPEED_FLOOR))
+        return time_gap * v + MIN_SPACING
+    return VTG2_D * np.exp(v / (2.0 * VTG2_M)) - VEHICLE_LENGTH
+
+
+GAP_CASES = ((Strategy.CS, H_FOLLOWER), (Strategy.CTG, H_FOLLOWER),
+             (Strategy.CTG, H_LEADER), (Strategy.VTG1, H_FOLLOWER),
+             (Strategy.VTG2, H_FOLLOWER), (Strategy.HV, H_FOLLOWER),
+             (Strategy.BS, H_FOLLOWER))
+
+
+def test_equilibrium_gap_keeps_parent_bits():
+    rng = random.Random(40)
+    speeds = ([0.0, 0.05, SPEED_FLOOR, 0.1000001, 1.0, 15.0, 33.29]
+              + [float(v) for v in np.arange(0.0, 33.3, 0.01)]
+              + [rng.uniform(0.0, V_FREE) for _ in range(2000)])
+    for strategy, h in GAP_CASES:
+        for v in speeds:
+            assert float(equilibrium_gap(strategy, v, h=h)) == float(
+                parent_gap(strategy, v, h=h)), (strategy, h, v)
+    grid = np.array(speeds)
+    for strategy, h in GAP_CASES:
+        if strategy in (Strategy.HV, Strategy.BS):
+            continue  # a float on the math path only
+        got = equilibrium_gap(strategy, grid, h=h)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, parent_gap(strategy, grid, h=h)), (strategy, h)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("v", [-5.0, math.nan, 40.0])
+def test_equilibrium_gap_rejects_speeds_outside_engine_range(strategy, v):
+    with pytest.raises(ValueError, match="equilibrium speeds must not"):
+        equilibrium_gap(strategy, v)
+
+
+def test_equilibrium_gap_rejects_arrays_with_a_bad_speed():
+    for bad in (-5.0, math.nan, 40.0):
+        with pytest.raises(ValueError, match="equilibrium speeds must not"):
+            equilibrium_gap(Strategy.CTG, np.array([10.0, bad]))
 
 
 def test_vtg1_spacing_decreases_with_faster_predecessor():
-    v = 15.0
-    gaps = [float(desired_spacing(Strategy.VTG1, v, v_pred=vp))
-            for vp in (13.0, 14.0, 15.0, 16.0, 17.0)]
-    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    # the feedback on the spacing error, the law's output less its
+    # speed-difference term, rises as VTG1's desired spacing shrinks
+    v, gap = 15.0, 20.0
+    speeds = (13.0, 14.0, 15.0, 16.0, 17.0)
+
+    def spacing_term(accel, vp):
+        ctx = ControlContext(v=v, gap=gap, v_pred=vp, a_pred=0.0)
+        return float(accel(ctx)) - K_V * (vp - v)
+
+    vtg1 = [spacing_term(vtg1_accel, vp) for vp in speeds]
+    assert all(a < b for a, b in zip(vtg1, vtg1[1:]))
+    ctg = [spacing_term(lambda ctx: ctg_accel(ctx, h=H_FOLLOWER), vp) for vp in speeds]
+    assert ctg == pytest.approx([ctg[0]] * len(ctg), abs=1e-12)
 
 
 def test_cs_equilibrium_is_zero():
@@ -217,7 +283,7 @@ def test_vtg2_pinned_outputs():
 
 def test_vtg2_time_headway_has_single_interior_minimum():
     v = np.arange(0.05, 33.301, 0.05)
-    headway = desired_spacing(Strategy.VTG2, v) / v
+    headway = equilibrium_gap(Strategy.VTG2, v) / v
     d = np.diff(headway)
     signs = np.sign(d)
     flips = np.nonzero(signs[1:] != signs[:-1])[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from platoonflow.controllers import (H_FOLLOWER, H_LEADER, ControlContext,
-                                     Strategy, ctg_accel, desired_spacing,
+                                     Strategy, ctg_accel, equilibrium_gap,
                                      vtg1_accel, vtg2_accel)
 from platoonflow.stability import (CS_CAVEAT, EquilibriumPartials,
                                    equilibrium_partials, stability_margin,
@@ -27,7 +27,7 @@ def finite_difference_partials(strategy, v_e, h=H_FOLLOWER, eps=1e-5):
     # Central differences in the linearization coordinates: bumping the
     # own speed moves the predecessor along with it so the speed
     # difference stays fixed, and vice versa.
-    gap_e = float(desired_spacing(strategy, v_e, h=h))
+    gap_e = float(equilibrium_gap(strategy, v_e, h=h))
 
     def f(dv_own, dgap, ddv, dap):
         v = v_e + dv_own
